@@ -29,8 +29,7 @@ from .training import (
     EstimatorBank,
     fulldim_mmse_estimate,
     mmse_estimate,
-    observe_nonorthogonal,
-    observe_orthogonal,
+    observe,
 )
 from .beamform import matched_filter, mmse_combiner, mmse_precoder
 from .detequiv import (

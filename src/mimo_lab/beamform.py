@@ -2,12 +2,12 @@
 
 Everything operates in the despread r-dimensional coordinates of the served
 user; the final downlink precoder is spread back to M dimensions by the
-channel module.  The interference-statistics matrices Z (uplink) and Z'
-(downlink) default to: projected covariances of all other-cell links plus
-projected error covariances of the own-cell estimates, all expressed in the
-serving user's eigenbasis (the despread observation makes every such term an
-r x r object).  Both are plain arguments, so callers can plug in their own.
-"""
+channel module.  One interference-statistics matrix Z serves both the
+combiner and the precoder.  By default (assemble_Z) it holds the projected
+covariances of all other-cell links plus the projected error covariances of
+the own-cell estimates, all expressed in the serving user's eigenbasis (the
+despread observation makes every such term an r x r object).  Z is a plain
+argument, so callers can plug in their own."""
 
 from __future__ import annotations
 
@@ -40,8 +40,9 @@ def matched_filter(est: ChannelEstimate) -> Combiner:
 
 
 def assemble_Z(scenario: NetworkScenario, l: int, k: int, bank: EstimatorBank) -> np.ndarray:
-    """Default uplink design matrix Z_{lk}: other-cell projected covariances
-    plus own-cell projected estimation-error covariances."""
+    """Default design matrix Z_{lk} of the combiner and the precoder:
+    other-cell projected covariances plus own-cell projected
+    estimation-error covariances."""
     r = scenario.profile(l, l, k).r
     Z = np.zeros((r, r), dtype=complex)
     for lp in range(scenario.L):
@@ -56,12 +57,6 @@ def assemble_Z(scenario: NetworkScenario, l: int, k: int, bank: EstimatorBank) -
                     P = projection(scenario, l, k, (l, l, kp))
                     Z += (P @ err) @ P.conj().T
     return herm(Z)
-
-
-def assemble_Z_dl(scenario: NetworkScenario, l: int, k: int, bank: EstimatorBank) -> np.ndarray:
-    """Default downlink design matrix Z'_{lk}; same projected-covariance
-    reading as Z (all terms on the serving user's basis)."""
-    return assemble_Z(scenario, l, k, bank)
 
 
 def mmse_combiner(
@@ -101,28 +96,6 @@ def precoder_to_antenna(scenario: NetworkScenario, l: int, k: int, prec: Precode
     return spread(scenario.profile(l, l, k).U, prec.g)
 
 
-def fulldim_mmse_baseline(
-    h_hats: list, k: int, C: np.ndarray, power: float, normalize: bool = False
-):
-    """Conventional M-dimensional MMSE vector from full-dimensional estimates.
-
-    h_hats[j] are the cell's M-dimensional channel estimates; C collects the
-    M x M error covariances plus inter-cell covariances.  With normalize=True
-    the result is a unit-norm precoding direction, otherwise a combiner.
-    """
-    M = h_hats[k].shape[0]
-    G = np.asarray(C, dtype=complex).copy() + (1.0 / power) * np.eye(M)
-    for hj in h_hats:
-        G += np.outer(hj, hj.conj())
-    v, jit = hermitian_solve(G, h_hats[k])
-    if normalize:
-        nrm = np.linalg.norm(v)
-        if nrm > 0:
-            v = v / nrm
-        return Precoder(g=v, p_norm=power, jittered=jit)
-    return Combiner(v=v, jittered=jit)
-
-
 def restrict_support(U: np.ndarray, d: int, rng: np.random.Generator) -> np.ndarray:
     """Keep d of the r support columns, chosen uniformly at random (the
     d-restricted spreading variant)."""
@@ -131,32 +104,6 @@ def restrict_support(U: np.ndarray, d: int, rng: np.random.Generator) -> np.ndar
         raise ValueError(f"d={d} must satisfy 1 <= d <= r={r}")
     cols = np.sort(rng.choice(r, size=d, replace=False))
     return U[:, cols]
-
-
-def cell_combiners(
-    scenario: NetworkScenario,
-    bank: EstimatorBank,
-    ests: dict,
-    l: int,
-    kind: str = "mmse",
-) -> dict:
-    """Combiners for every user of cell l, given per-user ChannelEstimates."""
-    K = scenario.K
-    out = {}
-    for k in range(K):
-        if kind == "mf":
-            out[k] = matched_filter(ests[(l, k)])
-            continue
-        projected = []
-        for j in range(K):
-            if j == k:
-                projected.append(ests[(l, j)].w_hat)
-            else:
-                P = projection(scenario, l, k, (l, l, j))
-                projected.append(P @ ests[(l, j)].w_hat)
-        Z = assemble_Z(scenario, l, k, bank)
-        out[k] = mmse_combiner(projected, k, Z, scenario.P_ul)
-    return out
 
 
 def cell_precoders(
@@ -182,6 +129,6 @@ def cell_precoders(
             else:
                 P = projection(scenario, l, k, (l, l, j))
                 projected.append(P @ ests[(l, j)].w_hat)
-        Zp = assemble_Z_dl(scenario, l, k, bank)
+        Zp = assemble_Z(scenario, l, k, bank)
         out[k] = mmse_precoder(projected, k, Zp, scenario.P_dl_per_user)
     return out

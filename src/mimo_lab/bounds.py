@@ -77,13 +77,17 @@ class DrawEngine:
     """Vectorized evaluator for one covariance draw of a scenario.
 
     Precomputes every draw-static object (projections, estimator filters,
-    design matrices), then evaluates chunks of trials.  Per-link padding to
-    the own rank keeps everything rectangular: cross channels of rank
-    r_cross < r_own are zero-extended, which changes no inner product.
+    design matrices), then evaluates chunks of trials.  Each user (l, k) is
+    estimated and served in a basis B_lk of q orthonormal columns: its own
+    eigenbasis U_llk by default (q = r_own), or bases[(l, k)], an M x q
+    matrix shared in shape by all users (a column subset of U_llk for
+    d-restricted spreading, I_M for full-dimensional processing).  Per-link
+    padding to the largest rank keeps everything rectangular: channels of
+    rank r_cross < r_own are zero-extended, which changes no inner product.
     """
 
     def __init__(self, scenario: NetworkScenario, combiner: str = "mmse",
-                 conditional_contamination: bool = False):
+                 conditional_contamination: bool = False, bases=None):
         self.sc = scenario
         self.combiner = combiner
         self.conditional = (
@@ -99,39 +103,54 @@ class DrawEngine:
             raise PilotBudgetError(
                 f"orthogonal pilots need K={K} <= T_c={sc.T_c} channel uses"
             )
+        self.eigen = bases is None
+        self.bases = bases if bases is not None else {
+            (l, k): sc.profile(l, l, k).U for l, k in sc.users()}
+        self.q = q = self.bases[(0, 0)].shape[1]
+        if any(self.bases[u].shape != (sc.M, q) for u in sc.users()):
+            raise ValueError(f"every serving basis must be M x q = {sc.M} x {q}")
+        # cells whose users all share one basis object (fig2's I_M)
+        self.shared = [not self.eigen and all(self.bases[(l, k)] is self.bases[(l, 0)]
+                                              for k in range(K)) for l in range(L)]
 
-        self.bank = EstimatorBank.build(sc)
+        bank = EstimatorBank.build(sc, bases)
         # sqrt-eigenvalue table for all links, padded: [L_rx, L_tx, K, rmax]
         self.sqrt_lam = np.zeros((L, L, K, self.rmax))
         for (l, lp, k), prof in sc.profiles.items():
             self.sqrt_lam[l, lp, k, : prof.r] = np.sqrt(prof.lam)
 
-        # own-cell projections P_own[l][k, j] = U_{llk}^H U_{llj}
-        self.P_own = np.zeros((L, K, K, r, r), dtype=complex)
+        # true own-cell channels in the serving bases P_own[l][k, j] = B_{lk}^H U_{llj},
+        # and the estimates between serving bases P_est[l][k, j] = B_{lk}^H B_{lj}
+        # (the identity within a shared cell, so not stored if all cells share)
+        self.P_own = np.zeros((L, K, K, q, r), dtype=complex)
+        self._P_est = (None if self.eigen or all(self.shared)
+                       else np.zeros((L, K, K, q, q), dtype=complex))
         for l in range(L):
             Us = [sc.profile(l, l, k).U for k in range(K)]
             for k in range(K):
-                Uk = Us[k].conj().T
+                Bk = self.bases[(l, k)].conj().T
                 for j in range(K):
-                    self.P_own[l, k, j] = Uk @ Us[j] if j != k else np.eye(r)
+                    self.P_own[l, k, j] = np.eye(r) if j == k and self.eigen else Bk @ Us[j]
+                    if self._P_est is not None:
+                        self._P_est[l, k, j] = np.eye(q) if j == k else Bk @ self.bases[(l, j)]
 
-        # cross projections P_x[l][k, lp, kp] = U_{llk}^H U_{l lp kp} (lp != l), padded
+        # cross projections P_x[l][k, lp, kp] = B_{lk}^H U_{l lp kp} (lp != l), padded
         self.xcells = {l: [lp for lp in range(L) if lp != l] for l in range(L)}
-        self.P_x = np.zeros((L, K, L - 1, K, r, self.rmax), dtype=complex) if L > 1 else None
+        self.P_x = np.zeros((L, K, L - 1, K, q, self.rmax), dtype=complex) if L > 1 else None
         for l in range(L):
             for k in range(K):
-                Uk = sc.profile(l, l, k).U.conj().T
+                Bk = self.bases[(l, k)].conj().T
                 for i, lp in enumerate(self.xcells[l]):
                     for kp in range(K):
                         src = sc.profile(l, lp, kp)
-                        self.P_x[l, k, i, kp, :, : src.r] = Uk @ src.U
+                        self.P_x[l, k, i, kp, :, : src.r] = Bk @ src.U
 
         # estimator filters / statistics stacked per cell; projected
         # covariances are rebuilt from the P_x table rather than reprojected
-        self.filt = np.zeros((L, K, r, r), dtype=complex)
-        self.err_cov = np.zeros((L, K, r, r), dtype=complex)
-        self.nproj_sum = np.zeros((L, K, r, r), dtype=complex)
-        self.s_inter = np.zeros((L, K, r, r), dtype=complex)
+        self.filt = np.zeros((L, K, q, q), dtype=complex)
+        self.err_cov = np.zeros((L, K, q, q), dtype=complex)
+        self.nproj_sum = np.zeros((L, K, q, q), dtype=complex)
+        self.s_inter = np.zeros((L, K, q, q), dtype=complex)
 
         def rtilde(l, k, i, kp):
             lp = self.xcells[l][i]
@@ -141,17 +160,21 @@ class DrawEngine:
 
         for l in range(L):
             for k in range(K):
-                est = self.bank.users[(l, k)]
+                est = bank.users[(l, k)]
                 self.filt[l, k] = est.filt
                 self.err_cov[l, k] = est.err_cov
-                acc = np.zeros((r, r), dtype=complex)
+                acc = np.zeros((q, q), dtype=complex)
                 for j in range(K):
                     if j == k:
                         continue
-                    P = self.P_own[l, k, j]
-                    acc += (P @ self.bank.users[(l, j)].err_cov) @ P.conj().T
+                    err = bank.users[(l, j)].err_cov
+                    if self.shared[l]:
+                        acc += err
+                    else:
+                        P = self.P_est[l, k, j]
+                        acc += (P @ err) @ P.conj().T
                 self.nproj_sum[l, k] = herm(acc)
-                s_int = np.zeros((r, r), dtype=complex)
+                s_int = np.zeros((q, q), dtype=complex)
                 for i in range(L - 1):
                     for kp in range(K):
                         s_int += rtilde(l, k, i, kp)
@@ -162,13 +185,13 @@ class DrawEngine:
         # exact Gaussian conditionals for the pilot-contaminated links: mean
         # filter R~ Xi per contaminating cell plus the residual covariances
         if self.conditional:
-            self.contam_filt = np.zeros((L, K, L - 1, r, r), dtype=complex)
-            self.contam_res = np.zeros((L, K, r, r), dtype=complex)
+            self.contam_filt = np.zeros((L, K, L - 1, q, q), dtype=complex)
+            self.contam_res = np.zeros((L, K, q, q), dtype=complex)
             for l in range(L):
                 for k in range(K):
-                    xi = self.bank.users[(l, k)].xi
-                    res = np.zeros((r, r), dtype=complex)
-                    s_other = np.zeros((r, r), dtype=complex)
+                    xi = bank.users[(l, k)].xi
+                    res = np.zeros((q, q), dtype=complex)
+                    s_other = np.zeros((q, q), dtype=complex)
                     for i in range(L - 1):
                         rt = rtilde(l, k, i, k)
                         self.contam_filt[l, k, i] = rt @ xi
@@ -181,15 +204,21 @@ class DrawEngine:
         # interference link order per user: own-cell j != k first, then cross
         self.n_links = L * K - 1
 
+    @property
+    def P_est(self):
+        """Estimate projections between serving bases; in the own eigenbases
+        they coincide with the true-channel table, so P_own itself."""
+        return self.P_own if self.eigen else self._P_est
+
     # -- trial synthesis ----------------------------------------------------
 
     def _draw_chunk(self, base_seed: int, t0: int, t1: int):
         """Fading + pilot noise for trials [t0, t1), one RNG stream each."""
         sc = self.sc
-        L, K, rmax, r = sc.L, sc.K, self.rmax, self.r
+        L, K, rmax, q = sc.L, sc.K, self.rmax, self.q
         T = t1 - t0
         w = np.empty((T, L, L, K, rmax), dtype=complex)
-        noise = np.empty((T, L, K, r), dtype=complex)
+        noise = np.empty((T, L, K, q), dtype=complex)
         for i, t in enumerate(range(t0, t1)):
             rng = stream(base_seed, 1, t)
             w[i] = complex_gaussian(rng, L, L, K, rmax)
@@ -197,24 +226,32 @@ class DrawEngine:
                 z = complex_gaussian(rng, L, sc.M)
                 for l in range(L):
                     for k in range(K):
-                        noise[i, l, k] = sc.profile(l, l, k).U.conj().T @ z[l]
+                        noise[i, l, k] = self.bases[(l, k)].conj().T @ z[l]
             else:
-                # fresh pilot symbol per user: despread noise is plain CN(0, I_r)
-                noise[i] = complex_gaussian(rng, L, K, r)
+                # fresh pilot symbol per user: despread noise is plain CN(0, I_q)
+                noise[i] = complex_gaussian(rng, L, K, q)
         w *= self.sqrt_lam[None]
         return w, noise
 
     def _estimates(self, w, noise):
         """Despread pilot observations and per-user MMSE estimates.
 
-        Returns (w_hat, w_own, s), each [T, L, K, r]."""
+        Returns (w_hat, w_own, x_own, s).  The estimates w_hat, the
+        observations s and the own channels x_own are in the serving bases
+        [T, L, K, q]; w_own holds the own channels in their eigen
+        coordinates [T, L, K, r]."""
         sc = self.sc
         L, K, r = sc.L, sc.K, self.r
         T = w.shape[0]
         w_own = np.empty((T, L, K, r), dtype=complex)
         for l in range(L):
             w_own[:, l] = w[:, l, l, :, :r]
-        s = w_own + noise / np.sqrt(sc.rho_p)
+        if self.eigen:
+            x_own = w_own
+        else:
+            own = self.P_own[:, np.arange(K), np.arange(K)]
+            x_own = np.einsum("lkab,tlkb->tlka", own, w_own)
+        s = x_own + noise / np.sqrt(sc.rho_p)
         for l in range(L):
             if self.nonorth:
                 for j in range(K):  # own-cell contamination of the shared pilot
@@ -235,55 +272,46 @@ class DrawEngine:
                         w[:, l, lp, :, : self.rmax],
                     )
         w_hat = np.einsum("lkab,tlkb->tlka", self.filt, s)
-        return w_hat, w_own, s
+        return w_hat, w_own, x_own, s
 
-    def _combiners(self, w_hat, cells):
-        """Unit-norm combining vectors [T, len(cells), K, r]."""
-        sc = self.sc
-        K, r = sc.K, self.r
+    def _beamformers(self, w_hat, cells, power):
+        """Unit-norm combining (power P_ul) or precoding (power P_dl per
+        user) vectors of the users of `cells` [T, len(cells), K, q]."""
+        K, q = self.sc.K, self.q
         T = w_hat.shape[0]
-        v = np.empty((T, len(cells), K, r), dtype=complex)
+        v = np.empty((T, len(cells), K, q), dtype=complex)
         for ci, l in enumerate(cells):
-            w_proj = np.einsum("kjab,tjb->tkja", self.P_own[l], w_hat[:, l])
             if self.combiner == "mf":
                 vv = w_hat[:, l].copy()
+            elif self.shared[l]:
+                # one basis for the whole cell: all its users share one Gram
+                # matrix (and Z), so one solve serves K right-hand sides
+                G = np.einsum("tja,tjb->tab", w_hat[:, l], w_hat[:, l].conj())
+                G += self.Z[l, 0][None] + (1.0 / power) * np.eye(q)[None]
+                vv = np.linalg.solve(G, w_hat[:, l].transpose(0, 2, 1)).transpose(0, 2, 1)
             else:
+                w_proj = np.einsum("kjab,tjb->tkja", self.P_est[l], w_hat[:, l])
                 G = np.einsum("tkja,tkjb->tkab", w_proj, w_proj.conj())
-                G += self.Z[l][None] + (1.0 / sc.P_ul) * np.eye(r)[None, None]
+                G += self.Z[l][None] + (1.0 / power) * np.eye(q)[None, None]
                 vv = np.linalg.solve(G, w_hat[:, l][..., None])[..., 0]
             v[:, ci] = vv / np.linalg.norm(vv, axis=-1, keepdims=True)
         return v
-
-    def _precoders(self, w_hat):
-        """Unit-norm precoding vectors for every cell [T, L, K, r]."""
-        sc = self.sc
-        L, K, r = sc.L, sc.K, self.r
-        T = w_hat.shape[0]
-        g = np.empty((T, L, K, r), dtype=complex)
-        for l in range(L):
-            w_proj = np.einsum("kjab,tjb->tkja", self.P_own[l], w_hat[:, l])
-            if self.combiner == "mf":
-                gg = w_hat[:, l].copy()
-            else:
-                G = np.einsum("tkja,tkjb->tkab", w_proj, w_proj.conj())
-                G += self.Z[l][None] + (1.0 / sc.P_dl_per_user) * np.eye(r)[None, None]
-                gg = np.linalg.solve(G, w_hat[:, l][..., None])[..., 0]
-            g[:, l] = gg / np.linalg.norm(gg, axis=-1, keepdims=True)
-        return g
 
     # -- per-chunk statistics -----------------------------------------------
 
     def ul_chunk(self, base_seed, t0, t1, cells, want):
         sc = self.sc
-        K, r = sc.K, self.r
+        K = sc.K
         w, noise = self._draw_chunk(base_seed, t0, t1)
-        w_hat, w_own, s_obs = self._estimates(w, noise)
-        v = self._combiners(w_hat, cells)
+        w_hat, w_own, x_own, s_obs = self._estimates(w, noise)
+        v = self._beamformers(w_hat, cells, sc.P_ul)
         out = {}
         for ci, l in enumerate(cells):
-            vl = v[:, ci]  # [T, K, r]
-            w_proj = np.einsum("kjab,tjb->tkja", self.P_own[l], w_hat[:, l])
+            vl = v[:, ci]  # [T, K, q]
             if "coherent" in want:
+                w_proj = (np.broadcast_to(w_hat[:, l, None], (t1 - t0, K, K, self.q))
+                          if self.shared[l] else
+                          np.einsum("kjab,tjb->tkja", self.P_est[l], w_hat[:, l]))
                 num = np.abs(np.einsum("tka,tka->tk", vl.conj(), w_hat[:, l])) ** 2
                 Cstat = self.err_cov[l] + self.nproj_sum[l] + (
                     self.contam_res[l] if self.conditional else self.s_inter[l]
@@ -305,7 +333,7 @@ class DrawEngine:
                     "sinr": sinr,
                 }
             if want & {"noncoherent", "alt", "maxmin"}:
-                sig = np.einsum("tka,tka->tk", vl.conj(), w_own[:, l])
+                sig = np.einsum("tka,tka->tk", vl.conj(), x_own[:, l])
                 wc_own = np.einsum("kjab,tjb->tkja", self.P_own[l], w_own[:, l])
                 ip_own = np.einsum("tka,tkja->tkj", vl.conj(), wc_own)
                 ip_own[:, np.arange(K), np.arange(K)] = 0.0
@@ -333,14 +361,14 @@ class DrawEngine:
 
     def dl_chunk(self, base_seed, t0, t1, cells, want):
         sc = self.sc
-        L, K, r = sc.L, sc.K, self.r
+        L, K = sc.L, sc.K
         w, noise = self._draw_chunk(base_seed, t0, t1)
-        w_hat, w_own, _ = self._estimates(w, noise)
-        g = self._precoders(w_hat)
+        w_hat, w_own, x_own, _ = self._estimates(w, noise)
+        g = self._beamformers(w_hat, range(L), sc.P_dl_per_user)
         out = {}
         for l in cells:
-            # signal: w_{llk}^H g_{lk}
-            sig = np.einsum("tka,tka->tk", w_own[:, l].conj(), g[:, l])
+            # signal: (B_{lk}^H U_{llk} w_{llk})^H g_{lk}
+            sig = np.einsum("tka,tka->tk", x_own[:, l].conj(), g[:, l])
             # own-cell interference: (P_own[j,k] w_{llk})^H g_{lj}
             wc = np.einsum("jkab,tkb->tkja", self.P_own[l], w_own[:, l])
             ip_own = np.einsum("tkja,tja->tkj", wc.conj(), g[:, l])
@@ -352,7 +380,7 @@ class DrawEngine:
                 # link from user (l, k) into BS lp, seen through precoder
                 # (lp, kp): its projection is already in the P_x table
                 i_l = self.xcells[lp].index(l)
-                Pd = self.P_x[lp, :, i_l]  # [kp, k, r, rmax]
+                Pd = self.P_x[lp, :, i_l]  # [kp, k, q, rmax]
                 wlink = w[:, lp, l]  # [T, K, rmax]
                 wc_x = np.einsum("jkab,tkb->tkja", Pd, wlink)
                 ips.append(np.einsum("tkja,tja->tkj", wc_x.conj(), g[:, lp]))
@@ -379,6 +407,7 @@ def run_bounds(
     combiner: str = "mmse",
     cells=None,
     conditional_contamination: bool = False,
+    bases=None,
 ) -> dict:
     """Evaluate the requested Monte Carlo bounds for one covariance draw.
 
@@ -391,6 +420,9 @@ def run_bounds(
     the unconditional projected covariances R~ of the pilot-sharing links to
     their exact Gaussian conditionals given the pilot observation; the
     default follows the plain-R~ evaluation.
+
+    bases maps every user (l, k) to its M x q serving basis (see
+    DrawEngine); None serves each user in its own eigenbasis.
     """
     sc = scenario
     want = set(bounds)
@@ -398,7 +430,8 @@ def run_bounds(
         want &= set(DL_BOUNDS)
     cells = list(range(sc.L)) if cells is None else list(cells)
     engine = DrawEngine(sc, combiner=combiner,
-                        conditional_contamination=conditional_contamination)
+                        conditional_contamination=conditional_contamination,
+                        bases=bases)
     edges = list(range(0, trials, CHUNK)) + [trials]
     spans = [(a, b) for a, b in zip(edges, edges[1:]) if b > a]
     fn = engine.ul_chunk if direction == "ul" else engine.dl_chunk
@@ -603,264 +636,3 @@ def cutset_upper(scenario, trials: int = 2000, rng=0) -> RateReport:
                 if trials > 1 else 0.0),
         trials=trials, prelog=pre,
     )
-
-
-# ---------------------------------------------------------------------------
-# Full-dimensional baseline and d-restricted spreading (downlink comparison)
-# ---------------------------------------------------------------------------
-
-def _nc_reports_from_stats(scenario, direction, sig, ip2_sum, ip_first, ip_second,
-                           ub, trials) -> tuple:
-    """Assemble (maxmin, alt) RateReports from accumulated per-user stats."""
-    sc = scenario
-    prelog = prelog_factor(sc)
-    inv_p = 1.0 / (sc.P_ul if direction == "ul" else sc.P_dl_per_user)
-    power = 1.0 / inv_p
-    ub_user, alt_user = {}, {}
-    for u in sig:
-        ub_user[u] = prelog * float(np.mean(ub[u]))
-        ip_var = np.maximum(ip_second[u] / trials - np.abs(ip_first[u] / trials) ** 2, 0.0)
-        penalty = float(np.log2(1.0 + power * ip_var).sum()) / sc.T_c
-        alt_user[u] = ub_user[u] - prelog * penalty
-    cells = sorted({u[0] for u in sig})
-    ub_cell = {l: sum(v for (ll, k), v in ub_user.items() if ll == l) for l in cells}
-    alt_cell = {l: sum(v for (ll, k), v in alt_user.items() if ll == l) for l in cells}
-    ub_tot_trials = np.zeros(trials)
-    for u in sig:
-        ub_tot_trials += np.asarray(ub[u])
-    stderr = (prelog * float(ub_tot_trials.std(ddof=1) / np.sqrt(trials))
-              if trials > 1 else 0.0)
-    mm = RateReport(
-        bound_id="MaxMinUB", direction=direction, per_user=ub_user,
-        sum_per_cell=ub_cell, sum_total=sum(ub_cell.values()),
-        stderr=stderr, trials=trials, prelog=prelog,
-    )
-    alt = RateReport(
-        bound_id="AltNonCoherent", direction=direction, per_user=alt_user,
-        sum_per_cell=alt_cell, sum_total=sum(alt_cell.values()),
-        stderr=stderr, trials=trials, prelog=prelog,
-        sum_total_floored=sum(max(v, 0.0) for v in alt_user.values()),
-    )
-    return mm, alt
-
-
-def dl_rates_fulldim(scenario, trials: int = 300, rng=0):
-    """Downlink max-min / alternative bounds under conventional M-dimensional
-    MMSE estimation and precoding (no spatial spreading).
-
-    Reference curve for the low-dimensional scheme; heavy in M, so meant for
-    comparison-sized scenarios only.
-    """
-    from ._linalg import hermitian_solve
-    from .training import fulldim_noise_cov
-
-    sc = scenario
-    if sc.M > 512:
-        raise MemoryError(f"full-dimensional baseline disabled for M={sc.M}")
-    seed = _seed_of(rng)
-    L, K, M = sc.L, sc.K, sc.M
-    orth = sc.scheme.kind == "orthogonal"
-    if orth and K > sc.T_c:
-        raise PilotBudgetError(f"orthogonal pilots need K={K} <= T_c={sc.T_c}")
-
-    # draw-static: estimation filters and combiner statistics per cell
-    filt = {}
-    cerr = {}
-    for l in range(L):
-        for k in range(K):
-            R = sc.profile(l, l, k).covariance()
-            Q = fulldim_noise_cov(sc, l, k)
-            W, _ = hermitian_solve(Q, R)          # Q^{-1} R
-            filt[(l, k)] = W.conj().T             # R Q^{-1} (R, Q Hermitian)
-            cerr[(l, k)] = herm(R - filt[(l, k)] @ R)
-    Cstat = {}
-    for l in range(L):
-        C = np.zeros((M, M), dtype=complex)
-        for k in range(K):
-            C += cerr[(l, k)]
-        for lp in range(L):
-            if lp == l:
-                continue
-            for kp in range(K):
-                C += sc.profile(l, lp, kp).covariance()
-        Cstat[l] = herm(C)
-
-    users = sc.users()
-    sig = {u: [] for u in users}
-    ub = {u: [] for u in users}
-    ip2_sum = {u: [] for u in users}
-    n_links = L * K - 1
-    ip_first = {u: np.zeros(n_links, dtype=complex) for u in users}
-    ip_second = {u: np.zeros(n_links) for u in users}
-    inv_p = 1.0 / sc.P_dl_per_user
-
-    for t in range(trials):
-        g = stream(seed, 2, t)
-        h = {}
-        for (l, lp, k), prof in sc.profiles.items():
-            h[(l, lp, k)] = prof.U @ (np.sqrt(prof.lam) * complex_gaussian(g, prof.r))
-        sbar = {}
-        for l in range(L):
-            z_cell = None if orth else complex_gaussian(g, M)
-            for k in range(K):
-                z = complex_gaussian(g, M) if orth else z_cell
-                s = h[(l, l, k)] + z / np.sqrt(sc.rho_p)
-                if orth:
-                    for lp in range(L):
-                        if lp != l:
-                            s = s + h[(l, lp, k)]
-                else:
-                    for lp in range(L):
-                        for kp in range(K):
-                            if (lp, kp) != (l, k):
-                                s = s + h[(l, lp, kp)]
-                sbar[(l, k)] = s
-        hhat = {u: filt[u] @ sbar[u] for u in users}
-        gvec = {}
-        for l in range(L):
-            G = Cstat[l] + inv_p * np.eye(M)
-            for k in range(K):
-                G = G + np.outer(hhat[(l, k)], hhat[(l, k)].conj())
-            sol = np.linalg.solve(G, np.column_stack([hhat[(l, k)] for k in range(K)]))
-            for k in range(K):
-                v = sol[:, k]
-                gvec[(l, k)] = v / np.linalg.norm(v)
-        for (l, k) in users:
-            s_val = np.vdot(h[(l, l, k)], gvec[(l, k)])
-            ips = []
-            for lp in range(L):
-                for kp in range(K):
-                    if (lp, kp) == (l, k):
-                        continue
-                    ips.append(np.vdot(h[(lp, l, k)], gvec[(lp, kp)]))
-            ips = np.array(ips)
-            tot2 = float((np.abs(ips) ** 2).sum())
-            sig[(l, k)].append(s_val)
-            ip2_sum[(l, k)].append(tot2)
-            ip_first[(l, k)] += ips
-            ip_second[(l, k)] += np.abs(ips) ** 2
-            ub[(l, k)].append(math.log2(1.0 + abs(s_val) ** 2 / (inv_p + tot2)))
-    return _nc_reports_from_stats(sc, "dl", sig, ip2_sum, ip_first, ip_second, ub, trials)
-
-
-def dl_rates_lowdim(scenario, d: int | None = None, trials: int = 300, rng=0,
-                    support_rng=None):
-    """Downlink max-min / alternative bounds with low-dimensional processing
-    on d of the r own-support columns (d = r reproduces the plain scheme).
-
-    The d columns are drawn uniformly per own link once per covariance draw.
-    """
-    from ._linalg import hermitian_solve
-
-    sc = scenario
-    seed = _seed_of(rng)
-    L, K, M = sc.L, sc.K, sc.M
-    r = sc.r_own
-    d = r if d is None else int(d)
-    if not 1 <= d <= r:
-        raise ValueError(f"d={d} must satisfy 1 <= d <= r={r}")
-    orth = sc.scheme.kind == "orthogonal"
-    if orth and K > sc.T_c:
-        raise PilotBudgetError(f"orthogonal pilots need K={K} <= T_c={sc.T_c}")
-    srng = support_rng if support_rng is not None else stream(seed, 3)
-
-    # serving bases restricted to d columns; priors follow the kept columns
-    cols = {}
-    Ud = {}
-    lam_d = {}
-    for l in range(L):
-        for k in range(K):
-            prof = sc.profile(l, l, k)
-            c = np.sort(srng.choice(r, size=d, replace=False))
-            cols[(l, k)] = c
-            Ud[(l, k)] = prof.U[:, c]
-            lam_d[(l, k)] = prof.lam[c]
-    # estimation filters on the restricted coordinates
-    filt = {}
-    errcov = {}
-    from .training import contaminators
-    for l in range(L):
-        for k in range(K):
-            lam = lam_d[(l, k)]
-            rt_sum = np.zeros((d, d), dtype=complex)
-            for key in contaminators(sc, l, k):
-                src = sc.profiles[key]
-                P = Ud[(l, k)].conj().T @ src.U
-                rt_sum += (P * src.lam) @ P.conj().T
-            cond = np.diag(lam) + rt_sum + (1.0 / sc.rho_p) * np.eye(d)
-            xi, _ = hermitian_solve(cond, np.eye(d, dtype=complex))
-            filt[(l, k)] = lam[:, None] * herm(xi)
-            errcov[(l, k)] = herm(np.diag(lam) - filt[(l, k)] * lam[None, :])
-    Zp = {}
-    for l in range(L):
-        for k in range(K):
-            Zm = np.zeros((d, d), dtype=complex)
-            for lp in range(L):
-                for kp in range(K):
-                    if lp != l:
-                        src = sc.profile(l, lp, kp)
-                        P = Ud[(l, k)].conj().T @ src.U
-                        Zm += (P * src.lam) @ P.conj().T
-                    elif kp != k:
-                        P = Ud[(l, k)].conj().T @ Ud[(l, kp)]
-                        Zm += (P @ errcov[(l, kp)]) @ P.conj().T
-                    else:
-                        Zm += errcov[(l, k)]
-            Zp[(l, k)] = herm(Zm)
-
-    users = sc.users()
-    sig = {u: [] for u in users}
-    ub = {u: [] for u in users}
-    ip2_sum = {u: [] for u in users}
-    n_links = L * K - 1
-    ip_first = {u: np.zeros(n_links, dtype=complex) for u in users}
-    ip_second = {u: np.zeros(n_links) for u in users}
-    inv_p = 1.0 / sc.P_dl_per_user
-
-    for t in range(trials):
-        g = stream(seed, 4, t)
-        w = {}
-        for key, prof in sc.profiles.items():
-            w[key] = np.sqrt(prof.lam) * complex_gaussian(g, prof.r)
-        # pilot observations on the restricted coordinates
-        what = {}
-        for l in range(L):
-            z_cell = None if orth else complex_gaussian(g, M)
-            for k in range(K):
-                z = complex_gaussian(g, M) if orth else z_cell
-                s = w[(l, l, k)][cols[(l, k)]].astype(complex)
-                for key in contaminators(sc, l, k):
-                    src = sc.profiles[key]
-                    P = Ud[(l, k)].conj().T @ src.U
-                    s = s + P @ w[key]
-                s = s + (Ud[(l, k)].conj().T @ z) / np.sqrt(sc.rho_p)
-                what[(l, k)] = filt[(l, k)] @ s
-        gvec = {}
-        for l in range(L):
-            for k in range(K):
-                G = Zp[(l, k)] + inv_p * np.eye(d)
-                for j in range(K):
-                    wj = what[(l, j)] if j == k else (
-                        Ud[(l, k)].conj().T @ Ud[(l, j)]) @ what[(l, j)]
-                    G = G + np.outer(wj, wj.conj())
-                v = np.linalg.solve(G, what[(l, k)])
-                gvec[(l, k)] = v / np.linalg.norm(v)
-        for (l, k) in users:
-            # effective DL channel to user (l,k) through precoder (lp,kp)'s basis
-            s_val = np.vdot(w[(l, l, k)][cols[(l, k)]], gvec[(l, k)])
-            ips = []
-            for lp in range(L):
-                for kp in range(K):
-                    if (lp, kp) == (l, k):
-                        continue
-                    src = sc.profile(lp, l, k)
-                    P = Ud[(lp, kp)].conj().T @ src.U
-                    ips.append(np.vdot(P @ w[(lp, l, k)], gvec[(lp, kp)]))
-            ips = np.array(ips)
-            tot2 = float((np.abs(ips) ** 2).sum())
-            sig[(l, k)].append(s_val)
-            ip2_sum[(l, k)].append(tot2)
-            ip_first[(l, k)] += ips
-            ip_second[(l, k)] += np.abs(ips) ** 2
-            ub[(l, k)].append(math.log2(1.0 + abs(s_val) ** 2 / (inv_p + tot2)))
-    return _nc_reports_from_stats(sc, "dl", sig, ip2_sum, ip_first, ip_second, ub, trials)

@@ -16,10 +16,13 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import bounds as bnd
+from .beamform import restrict_support
 from .covmodel import CorrelationModel, Regime, ScenarioConfig, build_network, stream
 
 DESK_M_CAP = 256
 DESK_TRIALS_CAP = 500
+# fig2's full-dimensional series serves every user in I_M: q = M tables
+FULLDIM_M_CAP = 512
 
 
 class ConfigError(ValueError):
@@ -414,13 +417,19 @@ def reproduce_figure(fig: str, scale: str = "desk", seed: int = 1,
                     scen = build_network(cfg, stream(seed, 100 + si, dr))
                     tseed = int(np.random.SeedSequence(
                         [seed, 300 + si, dr]).generate_state(1)[0])
-                    if d is None:
-                        _, alt = bnd.dl_rates_fulldim(scen, trials=base.trials, rng=tseed)
-                    else:
-                        _, alt = bnd.dl_rates_lowdim(
-                            scen, d=d, trials=base.trials, rng=tseed,
-                            support_rng=stream(seed, 400 + si, dr),
-                        )
+                    if d is None:  # conventional M-dimensional processing
+                        if scen.M > FULLDIM_M_CAP:
+                            raise MemoryError(
+                                f"full-dimensional baseline disabled for M={scen.M}")
+                        eye = np.eye(scen.M, dtype=complex)
+                        bases = {u: eye for u in scen.users()}
+                    else:  # d of the r own-support columns, drawn per user
+                        support_rng = stream(seed, 400 + si, dr)
+                        bases = {(l, k): restrict_support(scen.profile(l, l, k).U, d,
+                                                          support_rng)
+                                 for l, k in scen.users()}
+                    alt = bnd.run_bounds(scen, "dl", ("alt",), base.trials, tseed,
+                                         bases=bases)["alt"]
                     tots.append(alt.sum_total)
                     ses.append(alt.stderr)
                 tot, se = _pool(tots, ses)

@@ -31,7 +31,7 @@ class ChannelEstimate:
     """MMSE estimate of an effective channel with its second-order statistics.
 
     phi is the covariance of the estimate, err_cov the error covariance; they
-    sum to diag(lam) of the prior.
+    sum to the prior covariance (diag(lam) in the own eigenbasis).
     """
 
     w_hat: np.ndarray
@@ -68,13 +68,17 @@ def projected_cov(scenario: NetworkScenario, l: int, k: int, src_key) -> np.ndar
 
 @dataclass
 class UserEstimator:
-    """Per-user MMSE machinery, fixed for a given covariance draw."""
+    """Per-user MMSE machinery, fixed for a given covariance draw.
+
+    All matrices live in the user's serving basis B (q columns); C = B^H R B
+    is the prior, diag(lam) in the default basis B = U.
+    """
 
     lam: np.ndarray
-    xi: np.ndarray        # (Lambda + sum R~ + rho_p^{-1} I)^{-1}
-    phi: np.ndarray       # Lambda Xi Lambda
-    err_cov: np.ndarray   # Lambda - Phi
-    filt: np.ndarray      # Lambda Xi
+    xi: np.ndarray        # (C + sum R~ + rho_p^{-1} I)^{-1}
+    phi: np.ndarray       # C Xi C
+    err_cov: np.ndarray   # C - Phi
+    filt: np.ndarray      # C Xi
     rtilde_sum: np.ndarray
     jittered: bool = False
 
@@ -87,18 +91,39 @@ class UserEstimator:
         )
 
 
-def build_estimator(scenario: NetworkScenario, l: int, k: int) -> UserEstimator:
+def build_estimator(scenario: NetworkScenario, l: int, k: int,
+                    bases=None) -> UserEstimator:
+    """MMSE estimator of user (l, k) in its serving basis bases[(l, k)]
+    (M x q, orthonormal columns); bases=None serves in the own eigenbasis."""
     prof = scenario.profile(l, l, k)
-    r = prof.r
-    rtilde_sum = np.zeros((r, r), dtype=complex)
+    if bases is None:
+        prior = np.diag(prof.lam)
+
+        def cov(key):
+            return projected_cov(scenario, l, k, key)
+    else:
+        Bh = bases[(l, k)].conj().T
+
+        def cov(key):  # B^H R_src B
+            src = scenario.profiles[key]
+            P = Bh @ src.U
+            return herm((P * src.lam) @ P.conj().T)
+
+        prior = cov((l, l, k))
+    q = prior.shape[0]
+    rtilde_sum = np.zeros((q, q), dtype=complex)
     for key in contaminators(scenario, l, k):
-        rtilde_sum += projected_cov(scenario, l, k, key)
-    cond = np.diag(prof.lam) + rtilde_sum + (1.0 / scenario.rho_p) * np.eye(r)
-    xi, jit = hermitian_solve(cond, np.eye(r, dtype=complex))
+        rtilde_sum += cov(key)
+    cond = prior + rtilde_sum + (1.0 / scenario.rho_p) * np.eye(q)
+    xi, jit = hermitian_solve(cond, np.eye(q, dtype=complex))
     xi = herm(xi)
-    filt = prof.lam[:, None] * xi
-    phi = herm(filt * prof.lam[None, :])
-    err_cov = herm(np.diag(prof.lam) - phi)
+    if bases is None:  # diagonal prior: scale rows and columns
+        filt = prof.lam[:, None] * xi
+        phi = herm(filt * prof.lam[None, :])
+    else:
+        filt = prior @ xi
+        phi = herm(filt @ prior)
+    err_cov = herm(prior - phi)
     return UserEstimator(
         lam=prof.lam,
         xi=xi,
@@ -118,29 +143,36 @@ class EstimatorBank:
     users: dict = field(default_factory=dict)
 
     @classmethod
-    def build(cls, scenario: NetworkScenario) -> "EstimatorBank":
+    def build(cls, scenario: NetworkScenario, bases=None) -> "EstimatorBank":
+        """bases maps each user (l, k) to its M x q serving basis; None
+        serves every user in its own eigenbasis."""
         bank = cls(scenario=scenario)
         for l, k in scenario.users():
-            bank.users[(l, k)] = build_estimator(scenario, l, k)
+            bank.users[(l, k)] = build_estimator(scenario, l, k, bases)
         return bank
 
 
-def observe_orthogonal(block: ChannelBlock, scenario: NetworkScenario, rng) -> dict:
-    """Despread pilot observations s_{lk} under per-cell orthogonal pilots.
+def observe(block: ChannelBlock, scenario: NetworkScenario, rng) -> dict:
+    """Despread pilot observations s_{lk}, one per served user.
 
-    Pilot symbol k at cell l sees the same-index users of every cell; one
-    fresh M-dimensional noise vector per (cell, pilot symbol) is shared by
-    the despreaders of that cell.
+    Orthogonal pilots: pilot symbol k at cell l sees the same-index users of
+    every cell, and one fresh M-dimensional noise vector per (cell, pilot
+    symbol) is despread by its user.  Shared non-orthogonal pilot: one
+    channel use in total, so each BS receives one snapshot with every user
+    superimposed and despreads it per served user.
     """
-    if scenario.K > scenario.T_c:
+    orth = scenario.scheme.kind == "orthogonal"
+    if orth and scenario.K > scenario.T_c:
         raise PilotBudgetError(
             f"orthogonal pilots need K={scenario.K} <= T_c={scenario.T_c} channel uses"
         )
     inv_sqrt_rho = 1.0 / np.sqrt(scenario.rho_p)
     out = {}
     for l in range(scenario.L):
+        z = None if orth else complex_gaussian(rng, scenario.M)
         for k in range(scenario.K):
-            z = complex_gaussian(rng, scenario.M)
+            if orth:
+                z = complex_gaussian(rng, scenario.M)
             own = scenario.profile(l, l, k)
             s = block.w[(l, l, k)].astype(complex).copy()
             for key in contaminators(scenario, l, k):
@@ -149,33 +181,6 @@ def observe_orthogonal(block: ChannelBlock, scenario: NetworkScenario, rng) -> d
             s += inv_sqrt_rho * (own.U.conj().T @ z)
             out[(l, k)] = s
     return out
-
-
-def observe_nonorthogonal(block: ChannelBlock, scenario: NetworkScenario, rng) -> dict:
-    """Despread observations s'_{lk} of the single shared network pilot.
-
-    One channel use total: each BS receives one M-dimensional snapshot with
-    every user superimposed, then despreads it per served user.
-    """
-    inv_sqrt_rho = 1.0 / np.sqrt(scenario.rho_p)
-    out = {}
-    for l in range(scenario.L):
-        z = complex_gaussian(rng, scenario.M)
-        for k in range(scenario.K):
-            own = scenario.profile(l, l, k)
-            s = block.w[(l, l, k)].astype(complex).copy()
-            for key in contaminators(scenario, l, k):
-                P = projection(scenario, l, k, key)
-                s += P @ block.w[key]
-            s += inv_sqrt_rho * (own.U.conj().T @ z)
-            out[(l, k)] = s
-    return out
-
-
-def observe(block: ChannelBlock, scenario: NetworkScenario, rng) -> dict:
-    if scenario.scheme.kind == "orthogonal":
-        return observe_orthogonal(block, scenario, rng)
-    return observe_nonorthogonal(block, scenario, rng)
 
 
 def mmse_estimate(
@@ -222,7 +227,7 @@ def fulldim_mmse_estimate(
 
 def observe_fulldim(block: ChannelBlock, scenario: NetworkScenario, rng) -> dict:
     """M-dimensional pilot snapshots s_bar keyed by (l, k), sharing the same
-    noise layout as observe_orthogonal/observe_nonorthogonal."""
+    noise layout as observe."""
     inv_sqrt_rho = 1.0 / np.sqrt(scenario.rho_p)
     orth = scenario.scheme.kind == "orthogonal"
     if orth and scenario.K > scenario.T_c:

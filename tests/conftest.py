@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from mimo_lab.beamform import restrict_support
 from mimo_lab.covmodel import CorrelationModel, ScenarioConfig, build_network, stream
 
 
@@ -22,6 +23,17 @@ def single_link_scenario(lam, seed=0, M=None, snr_db=0.0, boost=1.0,
     )
     sc.profiles[(0, 0, 0)].lam = lam.copy()
     return sc
+
+
+def full_bases(sc):
+    """I_M for every user: conventional M-dimensional processing."""
+    eye = np.eye(sc.M, dtype=complex)
+    return {u: eye for u in sc.users()}
+
+
+def restricted_bases(sc, d, rng):
+    """d of each user's r own-support columns, drawn in (l, k) order."""
+    return {(l, k): restrict_support(sc.profile(l, l, k).U, d, rng) for l, k in sc.users()}
 
 
 @pytest.fixture

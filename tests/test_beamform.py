@@ -9,12 +9,12 @@ from mimo_lab.beamform import (
     precoder_to_antenna,
     restrict_support,
 )
-from mimo_lab.bounds import dl_rates_fulldim, dl_rates_lowdim, run_bounds
+from mimo_lab.bounds import run_bounds
 from mimo_lab.channel import realize_block
 from mimo_lab.covmodel import CorrelationModel, stream
 from mimo_lab.training import ChannelEstimate, EstimatorBank, observe
 
-from conftest import make_scenario, single_link_scenario
+from conftest import full_bases, make_scenario, restricted_bases, single_link_scenario
 
 
 def _est(vec):
@@ -105,13 +105,17 @@ class TestCombinerQuality:
         assert abs(rep.mean_sinr[(0, 0)] - 32.0) / 32.0 < 0.10
 
 
+def _alt_dl(sc, trials, seed, bases=None):
+    return run_bounds(sc, "dl", ("alt",), trials, seed, bases=bases)["alt"]
+
+
 @pytest.mark.slow
 class TestFulldimBaseline:
     def test_fig2_lowdim_tracks_fulldim(self):
         sc = make_scenario(seed=9, L=4, K=5, M=100, r_own=8, snr_db=10.0,
                            model=CorrelationModel.PARTIAL_FOURIER)
-        _, alt_full = dl_rates_fulldim(sc, trials=120, rng=3)
-        _, alt_low = dl_rates_lowdim(sc, d=8, trials=120, rng=3)
+        alt_full = _alt_dl(sc, 120, 3, full_bases(sc))
+        alt_low = _alt_dl(sc, 120, 3, restricted_bases(sc, 8, stream(3, 3)))
         per_cell_full = alt_full.sum_total / sc.L
         per_cell_low = alt_low.sum_total / sc.L
         assert abs(per_cell_low - per_cell_full) / per_cell_full < 0.15
@@ -119,22 +123,22 @@ class TestFulldimBaseline:
     def test_data_processing_ordering(self):
         sc = make_scenario(seed=10, L=4, K=5, M=100, r_own=8, snr_db=10.0,
                            model=CorrelationModel.PARTIAL_FOURIER)
-        _, alt_full = dl_rates_fulldim(sc, trials=120, rng=4)
-        _, alt_low = dl_rates_lowdim(sc, d=8, trials=120, rng=4)
+        alt_full = _alt_dl(sc, 120, 4, full_bases(sc))
+        alt_low = _alt_dl(sc, 120, 4, restricted_bases(sc, 8, stream(4, 3)))
         slack = 3 * (alt_full.stderr + alt_low.stderr)
         assert alt_full.sum_total >= alt_low.sum_total - slack
 
     def test_d_restricted_spreading_loses_rate(self):
         sc = make_scenario(seed=11, L=4, K=5, M=100, r_own=8, snr_db=20.0,
                            model=CorrelationModel.PARTIAL_FOURIER)
-        _, alt_d8 = dl_rates_lowdim(sc, d=8, trials=120, rng=5)
-        _, alt_d4 = dl_rates_lowdim(sc, d=4, trials=120, rng=5)
+        alt_d8 = _alt_dl(sc, 120, 5, restricted_bases(sc, 8, stream(5, 3)))
+        alt_d4 = _alt_dl(sc, 120, 5, restricted_bases(sc, 4, stream(5, 3)))
         assert alt_d4.sum_total < alt_d8.sum_total
 
     def test_single_user_noiseless_fulldim_matches_lowdim(self):
         sc = single_link_scenario(np.full(6, 4.0), M=48, snr_db=3.0, boost=1e10,
                                   model=CorrelationModel.PARTIAL_FOURIER)
-        _, alt_full = dl_rates_fulldim(sc, trials=250, rng=6)
-        _, alt_low = dl_rates_lowdim(sc, trials=250, rng=6)
+        alt_full = _alt_dl(sc, 250, 6, full_bases(sc))
+        alt_low = _alt_dl(sc, 250, 6)  # d = r: the own eigenbasis
         slack = 3 * (alt_full.stderr + alt_low.stderr) + 0.02 * alt_full.sum_total
         assert abs(alt_full.sum_total - alt_low.sum_total) <= slack

@@ -5,6 +5,8 @@ import pytest
 from scipy import integrate, stats
 
 from mimo_lab.bounds import (
+    DL_BOUNDS,
+    UL_BOUNDS,
     alt_rate,
     asymptotic_capacity,
     coherent_rate_ul,
@@ -17,7 +19,7 @@ from mimo_lab.bounds import (
 )
 from mimo_lab.covmodel import CorrelationModel, _fourier_columns
 
-from conftest import make_scenario, single_link_scenario
+from conftest import full_bases, make_scenario, single_link_scenario
 
 
 class TestClosedForms:
@@ -218,3 +220,42 @@ class TestDeterminism:
         se1 = run_bounds(sc, "ul", ("coherent",), 300, 15, "mmse")["coherent"].stderr
         se2 = run_bounds(sc, "ul", ("coherent",), 600, 15, "mmse")["coherent"].stderr
         assert 0.8 / math.sqrt(2) < se2 / se1 < 1.2 / math.sqrt(2)
+
+    def test_thread_count_does_not_change_serving_basis_reports(self, monkeypatch):
+        # fig2's full-dimensional series on the pool: 130 trials, 3 chunks
+        sc = make_scenario(seed=16, L=2, K=3, M=24, r_own=4, snr_db=10.0)
+        reps = []
+        for threads in ("1", "4"):
+            monkeypatch.setenv("MIMO_LAB_THREADS", threads)
+            reps.append(run_bounds(sc, "dl", DL_BOUNDS, 130, 16, bases=full_bases(sc)))
+        assert reps[0] == reps[1]
+
+
+class TestServingBases:
+    @pytest.mark.parametrize("pilot", ["orthogonal", "nonorthogonal"])
+    @pytest.mark.parametrize("direction, bounds", [("ul", UL_BOUNDS), ("dl", DL_BOUNDS)])
+    def test_own_eigenbases_reproduce_default(self, pilot, direction, bounds):
+        # B = U: the prior B^H R B is diag(lam) up to round-off
+        sc = make_scenario(seed=17, L=2, K=3, M=32, r_own=4, snr_db=10.0, pilot=pilot,
+                           model=CorrelationModel.PARTIAL_UNITARY)
+        own = {(l, k): sc.profile(l, l, k).U for l, k in sc.users()}
+        plain = run_bounds(sc, direction, bounds, 70, 17)
+        based = run_bounds(sc, direction, bounds, 70, 17, bases=own)
+        assert plain.keys() == based.keys()
+        for name, rep in plain.items():
+            for u, rate in rep.per_user.items():
+                assert based[name].per_user[u] == pytest.approx(rate, rel=1e-12, abs=1e-12)
+            assert based[name].stderr == pytest.approx(rep.stderr, rel=1e-12, abs=1e-12)
+
+    @pytest.mark.parametrize("direction, bounds", [("ul", UL_BOUNDS), ("dl", DL_BOUNDS)])
+    def test_shared_basis_matches_per_user_copies(self, direction, bounds):
+        # one I_M object for all users takes the shared-cell shortcuts (one
+        # Gram matrix per cell, no basis-to-basis table); distinct copies of
+        # I_M take the per-user path
+        sc = make_scenario(seed=18, L=2, K=3, M=24, r_own=4, snr_db=10.0)
+        shared = run_bounds(sc, direction, bounds, 70, 18, bases=full_bases(sc))
+        copies = run_bounds(sc, direction, bounds, 70, 18,
+                            bases={u: np.eye(sc.M, dtype=complex) for u in sc.users()})
+        for name, rep in copies.items():
+            for u, rate in rep.per_user.items():
+                assert shared[name].per_user[u] == pytest.approx(rate, rel=1e-12, abs=1e-12)

@@ -1,85 +1,180 @@
-"""Cross-checks of the vectorized Monte Carlo engine against loop-style
-evaluations built from the op-level functions.
+"""Exact per-trial replays of the vectorized Monte Carlo engine.
 
-The replay tests feed the engine's exact RNG streams to the op-level path and
-recompute every trial independently (catches any conjugation or index slip
-in the batched einsums); the last test compares the two independent downlink
-evaluators statistically.
+Each replay feeds the engine's RNG streams to a loop-style oracle and
+recomputes every trial independently (catches any conjugation or index slip
+in the batched einsums).  The oracle in the users' own eigenbases is built
+from the op-level functions (contaminators, projection, EstimatorBank,
+assemble_Z); the oracle in other serving bases (d-restricted support,
+full-dimensional I_M) builds its projections, priors and MMSE solves here.
+Replays cover UL and DL, orthogonal and shared pilots, MMSE and MF, and the
+Fourier and Haar models, through to the reduced per-user alt rate.
 """
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
 
+from mimo_lab._linalg import herm, hermitian_solve
 from mimo_lab.beamform import assemble_Z
-from mimo_lab.bounds import DrawEngine, dl_rates_lowdim, prelog_factor, run_bounds
+from mimo_lab.bounds import DrawEngine, prelog_factor, run_bounds
 from mimo_lab.covmodel import CorrelationModel, complex_gaussian, stream
 from mimo_lab.training import EstimatorBank, contaminators, projection
 
-from conftest import make_scenario
+from conftest import full_bases, make_scenario, restricted_bases
 
 TOL = 1e-9
 
 
-def replay_trial(sc, bank, seed, t, cells):
+@dataclass
+class Oracle:
+    """What a loop replay needs per user (l, k), in its serving basis B_lk."""
+
+    basis: dict    # (l, k) -> B_lk, M x q
+    proj: object   # (l, k, src_key) -> B_lk^H U_src
+    between: object  # (l, k, j) -> B_lk^H B_lj
+    filt: dict     # (l, k) -> C Xi
+    err_cov: dict  # (l, k) -> C - C Xi C
+    Z: dict        # (l, k) -> combiner/precoder design matrix
+
+
+def op_level(sc):
+    """Oracle in the own eigenbases, from the op-level functions."""
+    bank = EstimatorBank.build(sc)
+    return Oracle(
+        basis={(l, k): sc.profile(l, l, k).U for l, k in sc.users()},
+        proj=lambda l, k, key: projection(sc, l, k, key),
+        between=lambda l, k, j: projection(sc, l, k, (l, l, j)),
+        filt={u: bank.users[u].filt for u in sc.users()},
+        err_cov={u: bank.users[u].err_cov for u in sc.users()},
+        Z={(l, k): assemble_Z(sc, l, k, bank) for l, k in sc.users()},
+    )
+
+
+def in_basis(sc, bases):
+    """Oracle in arbitrary serving bases: prior C = B^H R B, filter C Xi with
+    Xi = (C + sum of contaminating B^H R_src B + I / rho_p)^{-1}."""
+    def proj(l, k, key):
+        return bases[(l, k)].conj().T @ sc.profiles[key].U
+
+    def cov(l, k, key):
+        P = proj(l, k, key)
+        return (P * sc.profiles[key].lam) @ P.conj().T
+
+    def between(l, k, j):
+        return bases[(l, k)].conj().T @ bases[(l, j)]
+
+    q = bases[(0, 0)].shape[1]
+    filt, err_cov, Z = {}, {}, {}
+    for l, k in sc.users():
+        C = cov(l, k, (l, l, k))
+        cond = C + sum(cov(l, k, key) for key in contaminators(sc, l, k)) + np.eye(q) / sc.rho_p
+        xi, _ = hermitian_solve(cond, np.eye(q, dtype=complex))
+        filt[(l, k)] = C @ xi
+        err_cov[(l, k)] = herm(C - C @ xi @ C)
+    for l, k in sc.users():
+        Z[(l, k)] = err_cov[(l, k)] + sum(
+            between(l, k, j) @ err_cov[(l, j)] @ between(l, k, j).conj().T
+            for j in range(sc.K) if j != k) + sum(
+            cov(l, k, (l, lp, kp)) for lp in range(sc.L) if lp != l for kp in range(sc.K))
+    return Oracle(basis=bases, proj=proj, between=between, filt=filt,
+                  err_cov=err_cov, Z=Z)
+
+
+def own_channel(sc, oracle, w, l, k):
+    """User (l, k)'s own channel in its serving basis."""
+    return oracle.proj(l, k, (l, l, k)) @ w[l, l, k, : sc.r_own]
+
+
+def replay_trial(sc, oracle, seed, t, cells):
     """Fading and the estimates of the users of `cells` for trial t.
 
     Draws from the engine's per-trial stream in the engine's order: the
-    padded fading table, then the pilot noise (a fresh CN(0, I_r) per user
+    padded fading table, then the pilot noise (a fresh CN(0, I_q) per user
     under orthogonal pilots, one M-dimensional snapshot per BS despread by
     every served user under the shared non-orthogonal pilot).
     """
-    L, K, r, rmax = sc.L, sc.K, sc.r_own, max(sc.r_own, sc.r_cross)
+    L, K, rmax = sc.L, sc.K, max(sc.r_own, sc.r_cross)
+    q = oracle.basis[(0, 0)].shape[1]
     sqrt_lam = np.zeros((L, L, K, rmax))
     for (l, lp, k), prof in sc.profiles.items():
         sqrt_lam[l, lp, k, : prof.r] = np.sqrt(prof.lam)
     rng = stream(seed, 1, t)
     w = complex_gaussian(rng, L, L, K, rmax) * sqrt_lam
     if sc.scheme.kind == "orthogonal":
-        noise = complex_gaussian(rng, L, K, r)
+        noise = complex_gaussian(rng, L, K, q)
     else:
         z = complex_gaussian(rng, L, sc.M)
-        noise = np.array([[sc.profile(l, l, k).U.conj().T @ z[l] for k in range(K)]
+        noise = np.array([[oracle.basis[(l, k)].conj().T @ z[l] for k in range(K)]
                           for l in range(L)])
     w_hat = {}
     for l in cells:
         for k in range(K):
-            s = w[l, l, k, :r] + noise[l, k] / np.sqrt(sc.rho_p)
+            s = own_channel(sc, oracle, w, l, k) + noise[l, k] / np.sqrt(sc.rho_p)
             for key in contaminators(sc, l, k):
-                s = s + projection(sc, l, k, key) @ w[key][: sc.profiles[key].r]
-            w_hat[(l, k)] = bank.users[(l, k)].filt @ s
+                s = s + oracle.proj(l, k, key) @ w[key][: sc.profiles[key].r]
+            w_hat[(l, k)] = oracle.filt[(l, k)] @ s
     return w, w_hat
 
 
-def replay_combiner(sc, bank, w_hat, l, k, combiner):
-    """Unit-norm combiner of user (l, k) and the own-cell estimates seen in
-    its basis."""
-    proj = [w_hat[(l, j)] if j == k else projection(sc, l, k, (l, l, j)) @ w_hat[(l, j)]
+def replay_combiner(sc, oracle, w_hat, l, k, combiner, power):
+    """Unit-norm combiner (or precoder, at the DL power) of user (l, k) and
+    the own-cell estimates seen in its basis."""
+    proj = [w_hat[(l, j)] if j == k else oracle.between(l, k, j) @ w_hat[(l, j)]
             for j in range(sc.K)]
     if combiner == "mf":
         v = w_hat[(l, k)]
     else:
-        G = assemble_Z(sc, l, k, bank) + np.eye(sc.r_own) / sc.P_ul
+        G = oracle.Z[(l, k)] + np.eye(len(w_hat[(l, k)])) / power
         for wj in proj:
             G = G + np.outer(wj, wj.conj())
         v = np.linalg.solve(G, w_hat[(l, k)])
     return v / np.linalg.norm(v), proj
 
 
-def replay_links(sc, v, w, l, k):
-    """v^H of every interfering link's true channel in user (l, k)'s basis,
-    in the engine's link order: own cell j = 0..K-1 (entry k zero), then
-    each other cell in index order, users 0..K-1."""
-    ip = []
+def link_order(sc, l, k):
+    """The engine's interference link order for user (l, k): own cell
+    j = 0..K-1 (entry k zero), then each other cell in index order."""
     for lp in [l] + [c for c in range(sc.L) if c != l]:
         for kp in range(sc.K):
-            if (lp, kp) == (l, k):
-                ip.append(0.0)
-                continue
-            key = (l, lp, kp)
-            ip.append(np.vdot(v, projection(sc, l, k, key) @ w[key][: sc.profiles[key].r]))
-    return np.array(ip, dtype=complex)
+            yield lp, kp
+
+
+def replay_links(sc, oracle, v, w, l, k):
+    """UL: v^H of every interfering link's true channel in user (l, k)'s basis."""
+    return np.array([
+        0.0 if (lp, kp) == (l, k) else
+        np.vdot(v, oracle.proj(l, k, (l, lp, kp)) @ w[l, lp, kp][: sc.profiles[(l, lp, kp)].r])
+        for lp, kp in link_order(sc, l, k)], dtype=complex)
+
+
+def replay_dl_links(sc, oracle, g, w, l, k):
+    """DL: user (l, k)'s channel from BS lp, seen in the basis of each of that
+    BS's precoders g[(lp, kp)]."""
+    return np.array([
+        0.0 if (lp, kp) == (l, k) else
+        np.vdot(oracle.proj(lp, kp, (lp, l, k)) @ w[lp, l, k][: sc.profiles[(lp, l, k)].r],
+                g[(lp, kp)])
+        for lp, kp in link_order(sc, l, k)], dtype=complex)
+
+
+def assert_replayed(sc, out, alt, cells, sig, ub, ip, power):
+    """The engine's per-chunk statistics and the reduced alt rate against the
+    replayed per-trial sig [L, T, K], ub [L, T, K] and ip [L, T, K, LK]."""
+    for l in cells:
+        for name, want in (("sig", sig[l]), ("ub", ub[l]),
+                           ("ip_mean", ip[l].sum(axis=0)),
+                           ("ip2", (np.abs(ip[l]) ** 2).sum(axis=0))):
+            np.testing.assert_allclose(out[l][name], want, rtol=0, atol=TOL,
+                                       err_msg=f"{name} at cell {l}")
+    # the reduction: alt = prelog * (mean ub - sum_i log2(1 + P var_i) / T_c)
+    ip_var = (np.abs(ip) ** 2).mean(axis=1) - np.abs(ip.mean(axis=1)) ** 2
+    penalty = np.log2(1.0 + power * ip_var).sum(axis=2) / sc.T_c
+    want = prelog_factor(sc) * (ub.mean(axis=1) - penalty)
+    for l in cells:
+        for k in range(sc.K):
+            assert abs(alt.per_user[(l, k)] - want[l, k]) < TOL
 
 
 def test_engine_matches_loop_per_trial():
@@ -91,14 +186,13 @@ def test_engine_matches_loop_per_trial():
     rates_engine = out["coherent"][0]["rate"]
     ub_engine = out["_nc"][0]["ub"]
 
-    bank = EstimatorBank.build(sc)
+    oracle = op_level(sc)
     for t in range(trials):
-        w, w_hat = replay_trial(sc, bank, seed, t, [0])
+        w, w_hat = replay_trial(sc, oracle, seed, t, [0])
         for k in range(sc.K):
-            v, proj = replay_combiner(sc, bank, w_hat, 0, k, "mmse")
-            est = bank.users[(0, k)]
+            v, proj = replay_combiner(sc, oracle, w_hat, 0, k, "mmse", sc.P_ul)
             num = abs(np.vdot(v, w_hat[(0, k)])) ** 2
-            den = np.vdot(v, (est.err_cov + engine.nproj_sum[0, k]
+            den = np.vdot(v, (oracle.err_cov[(0, k)] + engine.nproj_sum[0, k]
                               + engine.s_inter[0, k]) @ v).real
             den += sum(abs(np.vdot(v, proj[j])) ** 2 for j in range(sc.K) if j != k)
             den += np.vdot(v, v).real / sc.P_ul
@@ -106,8 +200,8 @@ def test_engine_matches_loop_per_trial():
             assert abs(rate - rates_engine[t, k]) < TOL
 
             # max-min bound numerator/denominator from the true channels
-            sig = np.vdot(v, w[0, 0, k, : sc.r_own])
-            tot2 = float((np.abs(replay_links(sc, v, w, 0, k)) ** 2).sum())
+            sig = np.vdot(v, own_channel(sc, oracle, w, 0, k))
+            tot2 = float((np.abs(replay_links(sc, oracle, v, w, 0, k)) ** 2).sum())
             ub = math.log2(1.0 + abs(sig) ** 2 / (1.0 / sc.P_ul + tot2))
             assert abs(ub - ub_engine[t, k]) < TOL
 
@@ -136,42 +230,64 @@ def test_nonorthogonal_ul_matches_loop_per_trial(point, model, combiner, cells):
     out = DrawEngine(sc, combiner=combiner).ul_chunk(
         seed, 0, trials, cells, {"alt", "maxmin"})["_nc"]
 
-    bank = EstimatorBank.build(sc)
+    oracle = op_level(sc)
     sig = np.zeros((sc.L, trials, sc.K), dtype=complex)
     ub = np.zeros((sc.L, trials, sc.K))
     ip = np.zeros((sc.L, trials, sc.K, sc.L * sc.K), dtype=complex)
     for t in range(trials):
-        w, w_hat = replay_trial(sc, bank, seed, t, cells)
+        w, w_hat = replay_trial(sc, oracle, seed, t, cells)
         for l in cells:
             for k in range(sc.K):
-                v, _ = replay_combiner(sc, bank, w_hat, l, k, combiner)
-                sig[l, t, k] = np.vdot(v, w[l, l, k, : sc.r_own])
-                ip[l, t, k] = replay_links(sc, v, w, l, k)
+                v, _ = replay_combiner(sc, oracle, w_hat, l, k, combiner, sc.P_ul)
+                sig[l, t, k] = np.vdot(v, own_channel(sc, oracle, w, l, k))
+                ip[l, t, k] = replay_links(sc, oracle, v, w, l, k)
                 ub[l, t, k] = math.log2(1.0 + abs(sig[l, t, k]) ** 2 / (
                     1.0 / sc.P_ul + (np.abs(ip[l, t, k]) ** 2).sum()))
 
-    for l in cells:
-        for name, want in (("sig", sig[l]), ("ub", ub[l]),
-                           ("ip_mean", ip[l].sum(axis=0)),
-                           ("ip2", (np.abs(ip[l]) ** 2).sum(axis=0))):
-            np.testing.assert_allclose(out[l][name], want, rtol=0, atol=TOL,
-                                       err_msg=f"{name} at cell {l}")
-
-    # the reduction: alt = prelog * (mean ub - sum_i log2(1 + P var_i) / T_c)
     alt = run_bounds(sc, "ul", ("alt",), trials, seed, combiner, cells)["alt"]
-    ip_var = (np.abs(ip) ** 2).mean(axis=1) - np.abs(ip.mean(axis=1)) ** 2
-    penalty = np.log2(1.0 + sc.P_ul * ip_var).sum(axis=2) / sc.T_c
-    want = prelog_factor(sc) * (ub.mean(axis=1) - penalty)
-    for l in cells:
-        for k in range(sc.K):
-            assert abs(alt.per_user[(l, k)] - want[l, k]) < TOL
+    assert_replayed(sc, out, alt, cells, sig, ub, ip, sc.P_ul)
 
 
-def test_dl_engine_agrees_with_loop_evaluator():
-    # two independent implementations of the same downlink alt bound
-    sc = make_scenario(seed=22, L=3, K=3, M=48, r_own=6, snr_db=10.0,
-                       model=CorrelationModel.PARTIAL_FOURIER)
-    rep_engine = run_bounds(sc, "dl", ("alt", "maxmin"), 400, 77, "mmse")["alt"]
-    _, rep_loop = dl_rates_lowdim(sc, d=6, trials=400, rng=78)
-    tol = 3 * (rep_engine.stderr + rep_loop.stderr) + 0.02 * abs(rep_engine.sum_total)
-    assert abs(rep_engine.sum_total - rep_loop.sum_total) <= tol
+def replay_dl(sc, oracle, combiner, bases=None):
+    """Replay DrawEngine.dl_chunk trial by trial and check it, all cells."""
+    seed, trials = 507, 3
+    cells = list(range(sc.L))
+    out = DrawEngine(sc, combiner=combiner, bases=bases).dl_chunk(
+        seed, 0, trials, cells, {"alt", "maxmin"})["_nc"]
+
+    power = sc.P_dl_per_user
+    sig = np.zeros((sc.L, trials, sc.K), dtype=complex)
+    ub = np.zeros((sc.L, trials, sc.K))
+    ip = np.zeros((sc.L, trials, sc.K, sc.L * sc.K), dtype=complex)
+    for t in range(trials):
+        w, w_hat = replay_trial(sc, oracle, seed, t, cells)
+        g = {(l, k): replay_combiner(sc, oracle, w_hat, l, k, combiner, power)[0]
+             for l, k in sc.users()}
+        for l, k in sc.users():
+            sig[l, t, k] = np.vdot(own_channel(sc, oracle, w, l, k), g[(l, k)])
+            ip[l, t, k] = replay_dl_links(sc, oracle, g, w, l, k)
+            ub[l, t, k] = math.log2(1.0 + abs(sig[l, t, k]) ** 2 / (
+                1.0 / power + (np.abs(ip[l, t, k]) ** 2).sum()))
+
+    alt = run_bounds(sc, "dl", ("alt",), trials, seed, combiner, bases=bases)["alt"]
+    assert_replayed(sc, out, alt, cells, sig, ub, ip, power)
+
+
+@pytest.mark.parametrize("combiner", ["mmse", "mf"])
+@pytest.mark.parametrize("model", [FOURIER, HAAR], ids=["fourier", "haar"])
+@pytest.mark.parametrize("pilot", ["orthogonal", "nonorthogonal"])
+def test_dl_matches_loop_per_trial(pilot, model, combiner):
+    sc = make_scenario(pilot=pilot, model=model, **SMALL)
+    replay_dl(sc, op_level(sc), combiner)
+
+
+@pytest.mark.parametrize("pilot, which", [("nonorthogonal", "d=3"), ("orthogonal", "full")],
+                         ids=["d3-nonorthogonal", "full-orthogonal"])
+def test_dl_in_serving_bases_matches_loop_per_trial(pilot, which):
+    # d = 3 of the r = 4 support columns, and I_M.  Haar bases and decaying
+    # eigenvalues keep the prior C = B^H R B from commuting with the
+    # contamination, so the filter C Xi differs from Xi C
+    sc = make_scenario(pilot=pilot, model=HAAR, eigen_shape="exp_decay", eigen_rate=0.5,
+                       **SMALL)
+    bases = restricted_bases(sc, 3, stream(8)) if which == "d=3" else full_bases(sc)
+    replay_dl(sc, in_basis(sc, bases), "mmse", bases)

@@ -12,8 +12,6 @@ from mimo_lab.training import (
     mmse_estimate,
     observe,
     observe_fulldim,
-    observe_nonorthogonal,
-    observe_orthogonal,
     projected_cov,
 )
 
@@ -29,7 +27,7 @@ class TestObservations:
     def test_noiseless_single_cell_recovers_channel(self):
         sc = single_link_scenario(np.full(4, 2.0), boost=1e12)
         block = realize_block(sc, stream(1))
-        s = observe_orthogonal(block, sc, stream(2))[(0, 0)]
+        s = observe(block, sc, stream(2))[(0, 0)]
         w = block.w[(0, 0, 0)]
         assert np.linalg.norm(s - w) / np.linalg.norm(w) < 1e-5
 
@@ -43,7 +41,7 @@ class TestObservations:
             idx = np.arange(i * 16, i * 16 + prof.r)
             prof.U = _fourier_columns(64, idx)
         block = realize_block(sc, stream(4))
-        s = observe_orthogonal(block, sc, stream(5))[(0, 0)]
+        s = observe(block, sc, stream(5))[(0, 0)]
         w = block.w[(0, 0, 0)]
         assert np.linalg.norm(s - w) / np.linalg.norm(w) < 1e-5
 
@@ -58,7 +56,7 @@ class TestObservations:
         trials = 1200
         for _ in range(trials):
             block = realize_block(sc, g)
-            s = observe_orthogonal(block, sc, g)[(0, 0)]
+            s = observe(block, sc, g)[(0, 0)]
             acc += np.linalg.norm(s - block.w[(0, 0, 0)]) ** 2
         assert abs(acc / trials - expect) / expect < 0.10
 
@@ -75,7 +73,7 @@ class TestObservations:
         trials = 3000
         for _ in range(trials):
             block = realize_block(sc, g)
-            s = observe_nonorthogonal(block, sc, g)[(0, 0)]
+            s = observe(block, sc, g)[(0, 0)]
             acc += np.linalg.norm(s - block.w[(0, 0, 0)]) ** 2
         # no contamination: residual is pure noise with energy r / rho_p
         expect = 4 / sc.rho_p
@@ -97,10 +95,10 @@ class TestObservations:
             for _ in range(trials):
                 b_o = realize_block(sc_o, g_o)
                 acc_o += np.linalg.norm(
-                    observe_orthogonal(b_o, sc_o, g_o)[(0, 0)] - b_o.w[(0, 0, 0)]) ** 2
+                    observe(b_o, sc_o, g_o)[(0, 0)] - b_o.w[(0, 0, 0)]) ** 2
                 b_n = realize_block(sc_n, g_n)
                 acc_n += np.linalg.norm(
-                    observe_nonorthogonal(b_n, sc_n, g_n)[(0, 0)] - b_n.w[(0, 0, 0)]) ** 2
+                    observe(b_n, sc_n, g_n)[(0, 0)] - b_n.w[(0, 0, 0)]) ** 2
         expect = (3 * 4 - 1) / (3 - 1)
         assert abs((acc_n / acc_o) - expect) / expect < 0.20
 
@@ -108,7 +106,7 @@ class TestObservations:
         sc = fourier_scenario(L=1, K=8, M=32, r_own=4, T_c=6)
         block = realize_block(sc, stream(14))
         with pytest.raises(PilotBudgetError):
-            observe_orthogonal(block, sc, stream(15))
+            observe(block, sc, stream(15))
 
 
 class TestMmseEstimate:
