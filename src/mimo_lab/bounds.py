@@ -16,9 +16,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._linalg import herm
+from ._linalg import herm, hermitian_solve
 from .covmodel import NetworkScenario, complex_gaussian, stream
-from .training import EstimatorBank, PilotBudgetError
+from .training import PilotBudgetError, contaminators
 
 CHUNK = 64
 
@@ -73,6 +73,20 @@ def noncoherent_expression(mean_sig, var_sig, interf_power, inv_power) -> float:
 # Per-draw Monte Carlo engine
 # ---------------------------------------------------------------------------
 
+def _nc_stats(sig, ip, power):
+    """Per-chunk statistics of the non-coherent bounds from the signal
+    sig [T, K] and the interference inner products ip [T, K, links]."""
+    ip2 = np.abs(ip) ** 2
+    ip2_sum = np.einsum("tki->tk", ip2)
+    return {
+        "sig": sig,
+        "ip2_sum": ip2_sum,
+        "ip_mean": ip.sum(axis=0),
+        "ip2": ip2.sum(axis=0),
+        "ub": np.log2(1.0 + np.abs(sig) ** 2 / (1.0 / power + ip2_sum)),
+    }
+
+
 class DrawEngine:
     """Vectorized evaluator for one covariance draw of a scenario.
 
@@ -113,7 +127,6 @@ class DrawEngine:
         self.shared = [not self.eigen and all(self.bases[(l, k)] is self.bases[(l, 0)]
                                               for k in range(K)) for l in range(L)]
 
-        bank = EstimatorBank.build(sc, bases)
         # sqrt-eigenvalue table for all links, padded: [L_rx, L_tx, K, rmax]
         self.sqrt_lam = np.zeros((L, L, K, self.rmax))
         for (l, lp, k), prof in sc.profiles.items():
@@ -145,29 +158,59 @@ class DrawEngine:
                         src = sc.profile(l, lp, kp)
                         self.P_x[l, k, i, kp, :, : src.r] = Bk @ src.U
 
-        # estimator filters / statistics stacked per cell; projected
-        # covariances are rebuilt from the P_x table rather than reprojected
-        self.filt = np.zeros((L, K, q, q), dtype=complex)
-        self.err_cov = np.zeros((L, K, q, q), dtype=complex)
-        self.nproj_sum = np.zeros((L, K, q, q), dtype=complex)
-        self.s_inter = np.zeros((L, K, q, q), dtype=complex)
-
-        def rtilde(l, k, i, kp):
-            lp = self.xcells[l][i]
+        def cov(l, k, key):
+            """B_lk^H R_key B_lk, read from the projection tables."""
+            _, lp, kp = key
             src = sc.profile(l, lp, kp)
-            P = self.P_x[l, k, i, kp, :, : src.r]
+            P = (self.P_own[l, k, kp] if lp == l
+                 else self.P_x[l, k, lp - (lp > l), kp, :, : src.r])
             return (P * src.lam) @ P.conj().T
 
+        # per-user MMSE estimators in the serving bases: prior C = B^H R B,
+        # Xi = (C + sum of contaminating B^H R_src B + I / rho_p)^{-1},
+        # filter C Xi and error covariance C - C Xi C
+        self.filt = np.zeros((L, K, q, q), dtype=complex)
+        self.err_cov = np.zeros((L, K, q, q), dtype=complex)
+        if self.conditional:
+            # exact Gaussian conditionals for the pilot-contaminated links:
+            # mean filter R~ Xi per contaminating cell, and the coherent
+            # denominator's covariance with the residuals in place of R~
+            self.contam_filt = np.zeros((L, K, L - 1, q, q), dtype=complex)
+            contam_res = np.zeros((L, K, q, q), dtype=complex)
         for l in range(L):
             for k in range(K):
-                est = bank.users[(l, k)]
-                self.filt[l, k] = est.filt
-                self.err_cov[l, k] = est.err_cov
+                C = herm(cov(l, k, (l, l, k)))
+                acc = np.zeros((q, q), dtype=complex)
+                for key in contaminators(sc, l, k):
+                    acc += herm(cov(l, k, key))
+                xi, _ = hermitian_solve(C + acc + (1.0 / sc.rho_p) * np.eye(q),
+                                        np.eye(q, dtype=complex))
+                xi = herm(xi)
+                self.filt[l, k] = C @ xi
+                self.err_cov[l, k] = herm(C - herm(self.filt[l, k] @ C))
+                if self.conditional:
+                    res = np.zeros((q, q), dtype=complex)
+                    s_other = np.zeros((q, q), dtype=complex)
+                    for i, lp in enumerate(self.xcells[l]):
+                        rt = cov(l, k, (l, lp, k))
+                        self.contam_filt[l, k, i] = rt @ xi
+                        res += herm(rt - (rt @ xi) @ rt)
+                        for kp in range(K):
+                            if kp != k:
+                                s_other += cov(l, k, (l, lp, kp))
+                    contam_res[l, k] = herm(res) + herm(s_other)
+
+        # own-cell estimation errors seen in each user's basis, and the
+        # cross-cell channel covariances
+        self.nproj_sum = np.zeros((L, K, q, q), dtype=complex)
+        self.s_inter = np.zeros((L, K, q, q), dtype=complex)
+        for l in range(L):
+            for k in range(K):
                 acc = np.zeros((q, q), dtype=complex)
                 for j in range(K):
                     if j == k:
                         continue
-                    err = bank.users[(l, j)].err_cov
+                    err = self.err_cov[l, j]
                     if self.shared[l]:
                         acc += err
                     else:
@@ -175,34 +218,14 @@ class DrawEngine:
                         acc += (P @ err) @ P.conj().T
                 self.nproj_sum[l, k] = herm(acc)
                 s_int = np.zeros((q, q), dtype=complex)
-                for i in range(L - 1):
+                for lp in self.xcells[l]:
                     for kp in range(K):
-                        s_int += rtilde(l, k, i, kp)
+                        s_int += cov(l, k, (l, lp, kp))
                 self.s_inter[l, k] = herm(s_int)
         # the default design matrix of the combiner/precoder (assemble_Z)
         self.Z = self.err_cov + self.nproj_sum + self.s_inter
-
-        # exact Gaussian conditionals for the pilot-contaminated links: mean
-        # filter R~ Xi per contaminating cell plus the residual covariances
         if self.conditional:
-            self.contam_filt = np.zeros((L, K, L - 1, q, q), dtype=complex)
-            self.contam_res = np.zeros((L, K, q, q), dtype=complex)
-            for l in range(L):
-                for k in range(K):
-                    xi = bank.users[(l, k)].xi
-                    res = np.zeros((q, q), dtype=complex)
-                    s_other = np.zeros((q, q), dtype=complex)
-                    for i in range(L - 1):
-                        rt = rtilde(l, k, i, k)
-                        self.contam_filt[l, k, i] = rt @ xi
-                        res += herm(rt - (rt @ xi) @ rt)
-                        for kp in range(K):
-                            if kp != k:
-                                s_other += rtilde(l, k, i, kp)
-                    self.contam_res[l, k] = herm(res) + herm(s_other)
-
-        # interference link order per user: own-cell j != k first, then cross
-        self.n_links = L * K - 1
+            self.Z_cond = self.err_cov + self.nproj_sum + contam_res
 
     @property
     def P_est(self):
@@ -313,9 +336,7 @@ class DrawEngine:
                           if self.shared[l] else
                           np.einsum("kjab,tjb->tkja", self.P_est[l], w_hat[:, l]))
                 num = np.abs(np.einsum("tka,tka->tk", vl.conj(), w_hat[:, l])) ** 2
-                Cstat = self.err_cov[l] + self.nproj_sum[l] + (
-                    self.contam_res[l] if self.conditional else self.s_inter[l]
-                )
+                Cstat = self.Z_cond[l] if self.conditional else self.Z[l]
                 den = np.einsum(
                     "tka,tka->tk", vl.conj(), np.einsum("kab,tkb->tka", Cstat, vl)
                 ).real
@@ -349,14 +370,7 @@ class DrawEngine:
                     ip = np.concatenate([ip_own, ip_x], axis=2)
                 else:
                     ip = ip_own
-                ip2_sum = np.einsum("tki->tk", np.abs(ip) ** 2)
-                out.setdefault("_nc", {})[l] = {
-                    "sig": sig,
-                    "ip2_sum": ip2_sum,
-                    "ip_mean": ip.sum(axis=0),
-                    "ip2": (np.abs(ip) ** 2).sum(axis=0),
-                    "ub": np.log2(1.0 + np.abs(sig) ** 2 / (1.0 / sc.P_ul + ip2_sum)),
-                }
+                out.setdefault("_nc", {})[l] = _nc_stats(sig, ip, sc.P_ul)
         return out
 
     def dl_chunk(self, base_seed, t0, t1, cells, want):
@@ -379,22 +393,12 @@ class DrawEngine:
                     continue
                 # link from user (l, k) into BS lp, seen through precoder
                 # (lp, kp): its projection is already in the P_x table
-                i_l = self.xcells[lp].index(l)
-                Pd = self.P_x[lp, :, i_l]  # [kp, k, q, rmax]
+                Pd = self.P_x[lp, :, l - (l > lp)]  # [kp, k, q, rmax]
                 wlink = w[:, lp, l]  # [T, K, rmax]
                 wc_x = np.einsum("jkab,tkb->tkja", Pd, wlink)
                 ips.append(np.einsum("tkja,tja->tkj", wc_x.conj(), g[:, lp]))
             ip = np.concatenate(ips, axis=2)
-            ip2_sum = np.einsum("tki->tk", np.abs(ip) ** 2)
-            out.setdefault("_nc", {})[l] = {
-                "sig": sig,
-                "ip2_sum": ip2_sum,
-                "ip_mean": ip.sum(axis=0),
-                "ip2": (np.abs(ip) ** 2).sum(axis=0),
-                "ub": np.log2(
-                    1.0 + np.abs(sig) ** 2 / (1.0 / sc.P_dl_per_user + ip2_sum)
-                ),
-            }
+            out.setdefault("_nc", {})[l] = _nc_stats(sig, ip, sc.P_dl_per_user)
         return out
 
 

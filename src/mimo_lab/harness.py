@@ -411,12 +411,12 @@ def reproduce_figure(fig: str, scale: str = "desk", seed: int = 1,
         base = _desk(base, scale, table)
         for si, snr_db in enumerate(base.sweep_values):
             cfg = base.scenario_config(snr_db)
+            draws = [(build_network(cfg, stream(seed, 100 + si, dr)),
+                      int(np.random.SeedSequence([seed, 300 + si, dr]).generate_state(1)[0]))
+                     for dr in range(base.covariance_draws)]
             for series, d in (("fulldim", None), ("d=8", 8), ("d=6", 6), ("d=4", 4)):
                 tots, ses = [], []
-                for dr in range(base.covariance_draws):
-                    scen = build_network(cfg, stream(seed, 100 + si, dr))
-                    tseed = int(np.random.SeedSequence(
-                        [seed, 300 + si, dr]).generate_state(1)[0])
+                for dr, (scen, tseed) in enumerate(draws):
                     if d is None:  # conventional M-dimensional processing
                         if scen.M > FULLDIM_M_CAP:
                             raise MemoryError(

@@ -68,18 +68,13 @@ def projected_cov(scenario: NetworkScenario, l: int, k: int, src_key) -> np.ndar
 
 @dataclass
 class UserEstimator:
-    """Per-user MMSE machinery, fixed for a given covariance draw.
+    """Per-user MMSE machinery in the user's own eigenbasis, fixed for a
+    given covariance draw; the prior is diag(lam)."""
 
-    All matrices live in the user's serving basis B (q columns); C = B^H R B
-    is the prior, diag(lam) in the default basis B = U.
-    """
-
-    lam: np.ndarray
-    xi: np.ndarray        # (C + sum R~ + rho_p^{-1} I)^{-1}
-    phi: np.ndarray       # C Xi C
-    err_cov: np.ndarray   # C - Phi
-    filt: np.ndarray      # C Xi
-    rtilde_sum: np.ndarray
+    xi: np.ndarray        # (Lambda + sum R~ + rho_p^{-1} I)^{-1}
+    phi: np.ndarray       # Lambda Xi Lambda
+    err_cov: np.ndarray   # Lambda - Phi
+    filt: np.ndarray      # Lambda Xi
     jittered: bool = False
 
     def estimate(self, s: np.ndarray) -> ChannelEstimate:
@@ -91,48 +86,21 @@ class UserEstimator:
         )
 
 
-def build_estimator(scenario: NetworkScenario, l: int, k: int,
-                    bases=None) -> UserEstimator:
-    """MMSE estimator of user (l, k) in its serving basis bases[(l, k)]
-    (M x q, orthonormal columns); bases=None serves in the own eigenbasis."""
+def build_estimator(scenario: NetworkScenario, l: int, k: int) -> UserEstimator:
+    """MMSE estimator of user (l, k) in its own eigenbasis."""
     prof = scenario.profile(l, l, k)
-    if bases is None:
-        prior = np.diag(prof.lam)
-
-        def cov(key):
-            return projected_cov(scenario, l, k, key)
-    else:
-        Bh = bases[(l, k)].conj().T
-
-        def cov(key):  # B^H R_src B
-            src = scenario.profiles[key]
-            P = Bh @ src.U
-            return herm((P * src.lam) @ P.conj().T)
-
-        prior = cov((l, l, k))
-    q = prior.shape[0]
-    rtilde_sum = np.zeros((q, q), dtype=complex)
+    prior = np.diag(prof.lam)
+    rtilde_sum = np.zeros((prof.r, prof.r), dtype=complex)
     for key in contaminators(scenario, l, k):
-        rtilde_sum += cov(key)
-    cond = prior + rtilde_sum + (1.0 / scenario.rho_p) * np.eye(q)
-    xi, jit = hermitian_solve(cond, np.eye(q, dtype=complex))
+        rtilde_sum += projected_cov(scenario, l, k, key)
+    cond = prior + rtilde_sum + (1.0 / scenario.rho_p) * np.eye(prof.r)
+    xi, jit = hermitian_solve(cond, np.eye(prof.r, dtype=complex))
     xi = herm(xi)
-    if bases is None:  # diagonal prior: scale rows and columns
-        filt = prof.lam[:, None] * xi
-        phi = herm(filt * prof.lam[None, :])
-    else:
-        filt = prior @ xi
-        phi = herm(filt @ prior)
+    # diagonal prior: scale rows and columns
+    filt = prof.lam[:, None] * xi
+    phi = herm(filt * prof.lam[None, :])
     err_cov = herm(prior - phi)
-    return UserEstimator(
-        lam=prof.lam,
-        xi=xi,
-        phi=phi,
-        err_cov=err_cov,
-        filt=filt,
-        rtilde_sum=rtilde_sum,
-        jittered=jit,
-    )
+    return UserEstimator(xi=xi, phi=phi, err_cov=err_cov, filt=filt, jittered=jit)
 
 
 @dataclass
@@ -143,12 +111,10 @@ class EstimatorBank:
     users: dict = field(default_factory=dict)
 
     @classmethod
-    def build(cls, scenario: NetworkScenario, bases=None) -> "EstimatorBank":
-        """bases maps each user (l, k) to its M x q serving basis; None
-        serves every user in its own eigenbasis."""
+    def build(cls, scenario: NetworkScenario) -> "EstimatorBank":
         bank = cls(scenario=scenario)
         for l, k in scenario.users():
-            bank.users[(l, k)] = build_estimator(scenario, l, k, bases)
+            bank.users[(l, k)] = build_estimator(scenario, l, k)
         return bank
 
 

@@ -17,9 +17,10 @@ from mimo_lab.bounds import (
     prelog_factor,
     run_bounds,
 )
-from mimo_lab.covmodel import CorrelationModel, _fourier_columns
+from mimo_lab import training
+from mimo_lab.covmodel import CorrelationModel, _fourier_columns, stream
 
-from conftest import full_bases, make_scenario, single_link_scenario
+from conftest import full_bases, make_scenario, restricted_bases, single_link_scenario
 
 
 class TestClosedForms:
@@ -232,6 +233,26 @@ class TestDeterminism:
 
 
 class TestServingBases:
+    @pytest.mark.parametrize("which", ["own", "d=3", "full"])
+    @pytest.mark.parametrize("pilot", ["orthogonal", "nonorthogonal"])
+    @pytest.mark.parametrize("direction, bounds", [("ul", UL_BOUNDS), ("dl", DL_BOUNDS)],
+                             ids=["ul", "dl"])
+    def test_engine_projects_each_covariance_once(self, monkeypatch, direction, bounds,
+                                                  pilot, which):
+        # the engine forms its MMSE estimators from its own projection
+        # tables: neither the op-level estimator bank nor projected_cov runs
+        def refuse(*args, **kwargs):
+            raise AssertionError("the engine projected a covariance a second time")
+
+        monkeypatch.setattr(training.EstimatorBank, "build", refuse)
+        monkeypatch.setattr(training, "projected_cov", refuse)
+        sc = make_scenario(seed=19, L=2, K=3, M=24, r_own=4, snr_db=10.0, pilot=pilot)
+        bases = {"own": None, "d=3": restricted_bases(sc, 3, stream(19)),
+                 "full": full_bases(sc)}[which]
+        reps = run_bounds(sc, direction, bounds, 10, 19, bases=bases)
+        assert reps.keys() == set(bounds)
+        assert all(math.isfinite(rep.sum_total) for rep in reps.values())
+
     @pytest.mark.parametrize("pilot", ["orthogonal", "nonorthogonal"])
     @pytest.mark.parametrize("direction, bounds", [("ul", UL_BOUNDS), ("dl", DL_BOUNDS)])
     def test_own_eigenbases_reproduce_default(self, pilot, direction, bounds):

@@ -6,8 +6,11 @@ in the batched einsums).  The oracle in the users' own eigenbases is built
 from the op-level functions (contaminators, projection, EstimatorBank,
 assemble_Z); the oracle in other serving bases (d-restricted support,
 full-dimensional I_M) builds its projections, priors and MMSE solves here.
-Replays cover UL and DL, orthogonal and shared pilots, MMSE and MF, and the
-Fourier and Haar models, through to the reduced per-user alt rate.
+The engine forms its estimators from its own projection tables, so the
+replays check its estimator step too.  Replays cover UL and DL, orthogonal
+and shared pilots, MMSE and MF, the Fourier and Haar models, one cell, and
+the exact conditionals of the pilot-sharing links, through to the reduced
+per-user rates.
 """
 
 import math
@@ -20,7 +23,7 @@ from mimo_lab._linalg import herm, hermitian_solve
 from mimo_lab.beamform import assemble_Z
 from mimo_lab.bounds import DrawEngine, prelog_factor, run_bounds
 from mimo_lab.covmodel import CorrelationModel, complex_gaussian, stream
-from mimo_lab.training import EstimatorBank, contaminators, projection
+from mimo_lab.training import EstimatorBank, contaminators, projected_cov, projection
 
 from conftest import full_bases, make_scenario, restricted_bases
 
@@ -35,7 +38,6 @@ class Oracle:
     proj: object   # (l, k, src_key) -> B_lk^H U_src
     between: object  # (l, k, j) -> B_lk^H B_lj
     filt: dict     # (l, k) -> C Xi
-    err_cov: dict  # (l, k) -> C - C Xi C
     Z: dict        # (l, k) -> combiner/precoder design matrix
 
 
@@ -47,7 +49,6 @@ def op_level(sc):
         proj=lambda l, k, key: projection(sc, l, k, key),
         between=lambda l, k, j: projection(sc, l, k, (l, l, j)),
         filt={u: bank.users[u].filt for u in sc.users()},
-        err_cov={u: bank.users[u].err_cov for u in sc.users()},
         Z={(l, k): assemble_Z(sc, l, k, bank) for l, k in sc.users()},
     )
 
@@ -78,8 +79,7 @@ def in_basis(sc, bases):
             between(l, k, j) @ err_cov[(l, j)] @ between(l, k, j).conj().T
             for j in range(sc.K) if j != k) + sum(
             cov(l, k, (l, lp, kp)) for lp in range(sc.L) if lp != l for kp in range(sc.K))
-    return Oracle(basis=bases, proj=proj, between=between, filt=filt,
-                  err_cov=err_cov, Z=Z)
+    return Oracle(basis=bases, proj=proj, between=between, filt=filt, Z=Z)
 
 
 def own_channel(sc, oracle, w, l, k):
@@ -88,7 +88,8 @@ def own_channel(sc, oracle, w, l, k):
 
 
 def replay_trial(sc, oracle, seed, t, cells):
-    """Fading and the estimates of the users of `cells` for trial t.
+    """Fading, and the estimates and the despread pilot observations of the
+    users of `cells`, for trial t.
 
     Draws from the engine's per-trial stream in the engine's order: the
     padded fading table, then the pilot noise (a fresh CN(0, I_q) per user
@@ -108,14 +109,15 @@ def replay_trial(sc, oracle, seed, t, cells):
         z = complex_gaussian(rng, L, sc.M)
         noise = np.array([[oracle.basis[(l, k)].conj().T @ z[l] for k in range(K)]
                           for l in range(L)])
-    w_hat = {}
+    w_hat, obs = {}, {}
     for l in cells:
         for k in range(K):
             s = own_channel(sc, oracle, w, l, k) + noise[l, k] / np.sqrt(sc.rho_p)
             for key in contaminators(sc, l, k):
                 s = s + oracle.proj(l, k, key) @ w[key][: sc.profiles[key].r]
+            obs[(l, k)] = s
             w_hat[(l, k)] = oracle.filt[(l, k)] @ s
-    return w, w_hat
+    return w, w_hat, obs
 
 
 def replay_combiner(sc, oracle, w_hat, l, k, combiner, power):
@@ -177,38 +179,89 @@ def assert_replayed(sc, out, alt, cells, sig, ub, ip, power):
             assert abs(alt.per_user[(l, k)] - want[l, k]) < TOL
 
 
-def test_engine_matches_loop_per_trial():
-    sc = make_scenario(seed=21, L=2, K=3, M=24, r_own=4, snr_db=7.0,
-                       model=CorrelationModel.PARTIAL_FOURIER)
-    engine = DrawEngine(sc, combiner="mmse")
-    seed, trials = 505, 3
-    out = engine.ul_chunk(seed, 0, trials, [0], {"coherent", "maxmin"})
-    rates_engine = out["coherent"][0]["rate"]
-    ub_engine = out["_nc"][0]["ub"]
+def conditional(sc, oracle):
+    """The exact Gaussian conditionals of the pilot-sharing links (orthogonal
+    pilots) given user (l, k)'s observation s: mean R~ Xi s per other cell,
+    and the coherent denominator's covariance Z with R~ Xi R~ taken out of
+    each R~."""
+    bank = EstimatorBank.build(sc)
+    Z, mean = {}, {}
+    for l, k in sc.users():
+        xi = bank.users[(l, k)].xi
+        rts = [projected_cov(sc, l, k, key) for key in contaminators(sc, l, k)]
+        mean[(l, k)] = [rt @ xi for rt in rts]
+        Z[(l, k)] = oracle.Z[(l, k)] - sum(rt @ xi @ rt for rt in rts)
+    return Z, mean
 
-    oracle = op_level(sc)
+
+def replay_ul(sc, oracle, combiner, cells, seed, conditional_contamination=False):
+    """Replay DrawEngine.ul_chunk trial by trial and check it on `cells`:
+    the coherent rate, then sig, ub, ip and the reduced alt rate."""
+    trials = 3
+    out = DrawEngine(sc, combiner=combiner,
+                     conditional_contamination=conditional_contamination).ul_chunk(
+        seed, 0, trials, cells, {"coherent", "alt", "maxmin"})
+    Zc, mean = conditional(sc, oracle) if conditional_contamination else (oracle.Z, None)
+
+    coherent = np.zeros((sc.L, trials, sc.K))
+    sig = np.zeros((sc.L, trials, sc.K), dtype=complex)
+    ub = np.zeros((sc.L, trials, sc.K))
+    ip = np.zeros((sc.L, trials, sc.K, sc.L * sc.K), dtype=complex)
     for t in range(trials):
-        w, w_hat = replay_trial(sc, oracle, seed, t, [0])
-        for k in range(sc.K):
-            v, proj = replay_combiner(sc, oracle, w_hat, 0, k, "mmse", sc.P_ul)
-            num = abs(np.vdot(v, w_hat[(0, k)])) ** 2
-            den = np.vdot(v, (oracle.err_cov[(0, k)] + engine.nproj_sum[0, k]
-                              + engine.s_inter[0, k]) @ v).real
-            den += sum(abs(np.vdot(v, proj[j])) ** 2 for j in range(sc.K) if j != k)
-            den += np.vdot(v, v).real / sc.P_ul
-            rate = math.log2(1.0 + num / den)
-            assert abs(rate - rates_engine[t, k]) < TOL
+        w, w_hat, obs = replay_trial(sc, oracle, seed, t, cells)
+        for l in cells:
+            for k in range(sc.K):
+                v, proj = replay_combiner(sc, oracle, w_hat, l, k, combiner, sc.P_ul)
+                # coherent bound: the estimate over the conditional second
+                # moments of everything else
+                num = abs(np.vdot(v, w_hat[(l, k)])) ** 2
+                den = np.vdot(v, Zc[(l, k)] @ v).real
+                den += sum(abs(np.vdot(v, proj[j])) ** 2 for j in range(sc.K) if j != k)
+                den += np.vdot(v, v).real / sc.P_ul
+                if mean is not None:
+                    den += sum(abs(np.vdot(v, F @ obs[(l, k)])) ** 2 for F in mean[(l, k)])
+                coherent[l, t, k] = math.log2(1.0 + num / den)
+                # max-min bound and alt statistics from the true channels
+                sig[l, t, k] = np.vdot(v, own_channel(sc, oracle, w, l, k))
+                ip[l, t, k] = replay_links(sc, oracle, v, w, l, k)
+                ub[l, t, k] = math.log2(1.0 + abs(sig[l, t, k]) ** 2 / (
+                    1.0 / sc.P_ul + (np.abs(ip[l, t, k]) ** 2).sum()))
 
-            # max-min bound numerator/denominator from the true channels
-            sig = np.vdot(v, own_channel(sc, oracle, w, 0, k))
-            tot2 = float((np.abs(replay_links(sc, oracle, v, w, 0, k)) ** 2).sum())
-            ub = math.log2(1.0 + abs(sig) ** 2 / (1.0 / sc.P_ul + tot2))
-            assert abs(ub - ub_engine[t, k]) < TOL
+    for l in cells:
+        np.testing.assert_allclose(out["coherent"][l]["rate"], coherent[l], rtol=0,
+                                   atol=TOL, err_msg=f"coherent rate at cell {l}")
+    alt = run_bounds(sc, "ul", ("alt",), trials, seed, combiner, cells,
+                     conditional_contamination)["alt"]
+    assert_replayed(sc, out["_nc"], alt, cells, sig, ub, ip, sc.P_ul)
 
 
 FOURIER, HAAR = CorrelationModel.PARTIAL_FOURIER, CorrelationModel.PARTIAL_UNITARY
+ORTH = dict(seed=21, L=2, K=3, M=24, r_own=4, snr_db=7.0, model=FOURIER)
 SMALL = dict(seed=23, L=2, K=3, M=24, r_own=4, snr_db=7.0)
 FIG6 = dict(seed=60, L=7, K=20, M=100, r_own=8, T_c=50, snr_db=20.0)
+
+
+@pytest.mark.parametrize("combiner", ["mmse", "mf"])
+@pytest.mark.parametrize("point, pilot", [
+    (ORTH, "orthogonal"),
+    (dict(ORTH, L=1), "orthogonal"),
+    (dict(ORTH, L=1), "nonorthogonal"),
+], ids=["two-cell", "one-cell", "one-cell-shared-pilot"])
+def test_engine_matches_loop_per_trial(point, pilot, combiner):
+    # one cell: no cross projection table, and under the shared pilot only
+    # the own cell contaminates
+    sc = make_scenario(pilot=pilot, **point)
+    replay_ul(sc, op_level(sc), combiner, list(range(sc.L)), 505)
+
+
+@pytest.mark.parametrize("combiner", ["mmse", "mf"])
+@pytest.mark.parametrize("model", [FOURIER, HAAR], ids=["fourier", "haar"])
+def test_conditional_contamination_matches_loop_per_trial(model, combiner):
+    # under Haar bases with decaying eigenvalues R~ and Xi do not commute,
+    # so the mean filter R~ Xi differs from Xi R~
+    sc = make_scenario(**dict(ORTH, model=model, eigen_shape="exp_decay", eigen_rate=0.5))
+    replay_ul(sc, op_level(sc), combiner, list(range(sc.L)), 505,
+              conditional_contamination=True)
 
 
 @pytest.mark.parametrize("point, model, combiner, cells", [
@@ -226,26 +279,7 @@ def test_nonorthogonal_ul_matches_loop_per_trial(point, model, combiner, cells):
     # despread by all of its users; r_cross < r_own exercises the padding
     sc = make_scenario(pilot="nonorthogonal", model=model, **point)
     assert sc.r_cross < sc.r_own
-    seed, trials = 506, 3
-    out = DrawEngine(sc, combiner=combiner).ul_chunk(
-        seed, 0, trials, cells, {"alt", "maxmin"})["_nc"]
-
-    oracle = op_level(sc)
-    sig = np.zeros((sc.L, trials, sc.K), dtype=complex)
-    ub = np.zeros((sc.L, trials, sc.K))
-    ip = np.zeros((sc.L, trials, sc.K, sc.L * sc.K), dtype=complex)
-    for t in range(trials):
-        w, w_hat = replay_trial(sc, oracle, seed, t, cells)
-        for l in cells:
-            for k in range(sc.K):
-                v, _ = replay_combiner(sc, oracle, w_hat, l, k, combiner, sc.P_ul)
-                sig[l, t, k] = np.vdot(v, own_channel(sc, oracle, w, l, k))
-                ip[l, t, k] = replay_links(sc, oracle, v, w, l, k)
-                ub[l, t, k] = math.log2(1.0 + abs(sig[l, t, k]) ** 2 / (
-                    1.0 / sc.P_ul + (np.abs(ip[l, t, k]) ** 2).sum()))
-
-    alt = run_bounds(sc, "ul", ("alt",), trials, seed, combiner, cells)["alt"]
-    assert_replayed(sc, out, alt, cells, sig, ub, ip, sc.P_ul)
+    replay_ul(sc, op_level(sc), combiner, cells, 506)
 
 
 def replay_dl(sc, oracle, combiner, bases=None):
@@ -260,7 +294,7 @@ def replay_dl(sc, oracle, combiner, bases=None):
     ub = np.zeros((sc.L, trials, sc.K))
     ip = np.zeros((sc.L, trials, sc.K, sc.L * sc.K), dtype=complex)
     for t in range(trials):
-        w, w_hat = replay_trial(sc, oracle, seed, t, cells)
+        w, w_hat, _ = replay_trial(sc, oracle, seed, t, cells)
         g = {(l, k): replay_combiner(sc, oracle, w_hat, l, k, combiner, power)[0]
              for l, k in sc.users()}
         for l, k in sc.users():
