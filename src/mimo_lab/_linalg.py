@@ -7,8 +7,9 @@ from scipy.linalg import cho_factor, cho_solve
 
 
 def herm(A: np.ndarray) -> np.ndarray:
-    """Symmetrize a nominally Hermitian matrix (kills roundoff skew)."""
-    return 0.5 * (A + A.conj().T)
+    """Symmetrize a nominally Hermitian matrix, or a stack of them in the
+    last two axes (kills roundoff skew)."""
+    return 0.5 * (A + A.conj().swapaxes(-1, -2))
 
 
 def hermitian_solve(A: np.ndarray, B: np.ndarray):

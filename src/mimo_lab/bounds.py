@@ -18,7 +18,7 @@ import numpy as np
 
 from ._linalg import herm, hermitian_solve
 from .covmodel import NetworkScenario, complex_gaussian, stream
-from .training import PilotBudgetError, contaminators
+from .training import PilotBudgetError
 
 CHUNK = 64
 
@@ -87,6 +87,21 @@ def _nc_stats(sig, ip, power):
     }
 
 
+def _seen(P, w):
+    """Channels w [T, S, b] of S sources seen through the table P [S, N, q, b]
+    in N serving bases: [S, T, N, q], one (T x b)(b x N q) GEMM per source."""
+    S, N, q, b = P.shape
+    Pt = P.reshape(S, N * q, b).transpose(0, 2, 1)
+    return np.matmul(w.transpose(1, 0, 2), Pt).reshape(S, -1, N, q)
+
+
+def _inner(Y, u):
+    """u^H y for every seen channel: [T, N, S] from Y [S, T, N, q] and the
+    serving vectors u [T, N, q].  Y may hold one serving basis (N = 1) for
+    all the vectors of a shared cell."""
+    return np.matmul(Y.transpose(1, 2, 0, 3), u.conj()[..., None])[..., 0]
+
+
 class DrawEngine:
     """Vectorized evaluator for one covariance draw of a scenario.
 
@@ -98,6 +113,12 @@ class DrawEngine:
     d-restricted spreading, I_M for full-dimensional processing).  Per-link
     padding to the largest rank keeps everything rectangular: channels of
     rank r_cross < r_own are zero-extended, which changes no inner product.
+
+    The projection tables are source-major, so that one GEMM per source
+    channel gives its view in every serving basis of a cell:
+    P_own[l, j, k] = B_lk^H U_llj, P_x[l, i, p, k] = B_lk^H U_{l lp p} for the
+    i-th other cell lp, and P_est[l, j, k] = B_lk^H B_lj.  The users of
+    `jittered` had their estimator system regularised by hermitian_solve.
     """
 
     def __init__(self, scenario: NetworkScenario, combiner: str = "mmse",
@@ -112,6 +133,9 @@ class DrawEngine:
         L, K, r = sc.L, sc.K, sc.r_own
         self.r = r
         self.rmax = max(sc.r_own, sc.r_cross)
+        # largest cross-link rank: the padded columns beyond it are zero
+        self.rx = max((prof.r for (l, lp, _), prof in sc.profiles.items() if lp != l),
+                      default=0)
         self.nonorth = sc.scheme.kind == "nonorthogonal"
         if not self.nonorth and K > sc.T_c:
             raise PilotBudgetError(
@@ -126,106 +150,134 @@ class DrawEngine:
         # cells whose users all share one basis object (fig2's I_M)
         self.shared = [not self.eigen and all(self.bases[(l, k)] is self.bases[(l, 0)]
                                               for k in range(K)) for l in range(L)]
+        self.xcells = {l: [lp for lp in range(L) if lp != l] for l in range(L)}
 
         # sqrt-eigenvalue table for all links, padded: [L_rx, L_tx, K, rmax]
         self.sqrt_lam = np.zeros((L, L, K, self.rmax))
         for (l, lp, k), prof in sc.profiles.items():
             self.sqrt_lam[l, lp, k, : prof.r] = np.sqrt(prof.lam)
 
-        # true own-cell channels in the serving bases P_own[l][k, j] = B_{lk}^H U_{llj},
-        # and the estimates between serving bases P_est[l][k, j] = B_{lk}^H B_{lj}
-        # (the identity within a shared cell, so not stored if all cells share)
+        # the estimates between serving bases are the identity within a
+        # shared cell, so not stored if all cells share
         self.P_own = np.zeros((L, K, K, q, r), dtype=complex)
         self._P_est = (None if self.eigen or all(self.shared)
                        else np.zeros((L, K, K, q, q), dtype=complex))
-        for l in range(L):
-            Us = [sc.profile(l, l, k).U for k in range(K)]
-            for k in range(K):
-                Bk = self.bases[(l, k)].conj().T
-                for j in range(K):
-                    self.P_own[l, k, j] = np.eye(r) if j == k and self.eigen else Bk @ Us[j]
-                    if self._P_est is not None:
-                        self._P_est[l, k, j] = np.eye(q) if j == k else Bk @ self.bases[(l, j)]
-
-        # cross projections P_x[l][k, lp, kp] = B_{lk}^H U_{l lp kp} (lp != l), padded
-        self.xcells = {l: [lp for lp in range(L) if lp != l] for l in range(L)}
-        self.P_x = np.zeros((L, K, L - 1, K, q, self.rmax), dtype=complex) if L > 1 else None
-        for l in range(L):
-            for k in range(K):
-                Bk = self.bases[(l, k)].conj().T
-                for i, lp in enumerate(self.xcells[l]):
-                    for kp in range(K):
-                        src = sc.profile(l, lp, kp)
-                        self.P_x[l, k, i, kp, :, : src.r] = Bk @ src.U
-
-        def cov(l, k, key):
-            """B_lk^H R_key B_lk, read from the projection tables."""
-            _, lp, kp = key
-            src = sc.profile(l, lp, kp)
-            P = (self.P_own[l, k, kp] if lp == l
-                 else self.P_x[l, k, lp - (lp > l), kp, :, : src.r])
-            return (P * src.lam) @ P.conj().T
-
-        # per-user MMSE estimators in the serving bases: prior C = B^H R B,
-        # Xi = (C + sum of contaminating B^H R_src B + I / rho_p)^{-1},
-        # filter C Xi and error covariance C - C Xi C
+        self.P_x = np.zeros((L, L - 1, K, K, q, self.rmax), dtype=complex) if L > 1 else None
+        # per-user MMSE estimators in the serving bases, the own-cell
+        # estimation errors seen in each user's basis, and the cross-cell
+        # channel covariances
         self.filt = np.zeros((L, K, q, q), dtype=complex)
         self.err_cov = np.zeros((L, K, q, q), dtype=complex)
+        self.nproj_sum = np.zeros((L, K, q, q), dtype=complex)
+        self.s_inter = np.zeros((L, K, q, q), dtype=complex)
         if self.conditional:
             # exact Gaussian conditionals for the pilot-contaminated links:
             # mean filter R~ Xi per contaminating cell, and the coherent
             # denominator's covariance with the residuals in place of R~
             self.contam_filt = np.zeros((L, K, L - 1, q, q), dtype=complex)
             contam_res = np.zeros((L, K, q, q), dtype=complex)
+        jittered = []
         for l in range(L):
-            for k in range(K):
-                C = herm(cov(l, k, (l, l, k)))
-                acc = np.zeros((q, q), dtype=complex)
-                for key in contaminators(sc, l, k):
-                    acc += herm(cov(l, k, key))
-                xi, _ = hermitian_solve(C + acc + (1.0 / sc.rho_p) * np.eye(q),
-                                        np.eye(q, dtype=complex))
-                xi = herm(xi)
-                self.filt[l, k] = C @ xi
-                self.err_cov[l, k] = herm(C - herm(self.filt[l, k] @ C))
-                if self.conditional:
-                    res = np.zeros((q, q), dtype=complex)
-                    s_other = np.zeros((q, q), dtype=complex)
-                    for i, lp in enumerate(self.xcells[l]):
-                        rt = cov(l, k, (l, lp, k))
-                        self.contam_filt[l, k, i] = rt @ xi
-                        res += herm(rt - (rt @ xi) @ rt)
-                        for kp in range(K):
-                            if kp != k:
-                                s_other += cov(l, k, (l, lp, kp))
-                    contam_res[l, k] = herm(res) + herm(s_other)
-
-        # own-cell estimation errors seen in each user's basis, and the
-        # cross-cell channel covariances
-        self.nproj_sum = np.zeros((L, K, q, q), dtype=complex)
-        self.s_inter = np.zeros((L, K, q, q), dtype=complex)
-        for l in range(L):
-            for k in range(K):
-                acc = np.zeros((q, q), dtype=complex)
-                for j in range(K):
-                    if j == k:
-                        continue
-                    err = self.err_cov[l, j]
-                    if self.shared[l]:
-                        acc += err
-                    else:
-                        P = self.P_est[l, k, j]
-                        acc += (P @ err) @ P.conj().T
-                self.nproj_sum[l, k] = herm(acc)
-                s_int = np.zeros((q, q), dtype=complex)
-                for lp in self.xcells[l]:
-                    for kp in range(K):
-                        s_int += cov(l, k, (l, lp, kp))
-                self.s_inter[l, k] = herm(s_int)
+            res = self._cell_tables(l, jittered)
+            if self.conditional:
+                contam_res[l] = res
+        self.jittered = tuple(jittered)
         # the default design matrix of the combiner/precoder (assemble_Z)
         self.Z = self.err_cov + self.nproj_sum + self.s_inter
         if self.conditional:
             self.Z_cond = self.err_cov + self.nproj_sum + contam_res
+
+    def _cell_tables(self, l, jittered):
+        """Fill cell l's projections, estimators and design-matrix terms.
+
+        Every covariance projection B^H R B = (B^H U) diag(lam) (B^H U)^H of
+        the cell comes from one stacked GEMM over its links; a shared cell
+        projects once for all of its users.  Appends the users whose
+        estimator solve was regularised to `jittered`, and returns the
+        conditional denominator's covariances under conditional
+        contamination."""
+        sc = self.sc
+        L, K, M, r, q, rx = sc.L, sc.K, sc.M, self.r, self.q, self.rx
+        kk = np.arange(K)
+        nb = 1 if self.shared[l] else K  # distinct serving bases
+
+        def gram(A, B):
+            """A B^H per serving basis over the links in the trailing axes."""
+            n = A.shape[0]
+            return A.reshape(n, q, -1) @ B.reshape(n, q, -1).conj().swapaxes(-1, -2)
+
+        Bh = np.concatenate([self.bases[(l, k)] for k in range(nb)], axis=1).conj().T
+        lam_own = np.stack([sc.profile(l, l, j).lam for j in range(K)])  # [j, b]
+        U_own = np.concatenate([sc.profile(l, l, j).U for j in range(K)], axis=1)
+        R = (Bh @ U_own).reshape(nb, q, K, r)  # [k, a, j, b]
+        self.P_own[l] = R.transpose(2, 0, 1, 3)
+        if self.eigen:
+            self.P_own[l, kk, kk] = np.eye(r)
+        if self._P_est is not None:
+            Bcols = np.concatenate([self.bases[(l, j)] for j in range(K)], axis=1)
+            self._P_est[l] = (Bh @ Bcols).reshape(nb, q, K, q).transpose(2, 0, 1, 3)
+            self._P_est[l, kk, kk] = np.eye(q)
+
+        # contaminating covariances in each user's basis, summed
+        contam = np.zeros((K, q, q), dtype=complex)
+        if self.nonorth:
+            Rk = np.broadcast_to(R, (K, q, K, r))
+            Rl = Rk * lam_own
+            Rl[kk, :, kk] = 0.0  # the user's own channel does not contaminate
+            contam += herm(gram(Rl, Rk))
+        if L > 1:
+            U_x = np.zeros((M, L - 1, K, rx), dtype=complex)
+            lam_x = np.zeros((L - 1, K, rx))
+            for i, lp in enumerate(self.xcells[l]):
+                for p in range(K):
+                    src = sc.profile(l, lp, p)
+                    U_x[:, i, p, : src.r] = src.U
+                    lam_x[i, p, : src.r] = src.lam
+            X = (Bh @ U_x.reshape(M, -1)).reshape(nb, q, L - 1, K, rx)  # [k, a, i, p, b]
+            self.P_x[l, ..., :rx] = X.transpose(2, 3, 0, 1, 4)
+            self.s_inter[l] = herm(gram(X * lam_x, X))
+            if self.nonorth:
+                contam += self.s_inter[l]
+            else:  # the same pilot index in every other cell
+                Xk = np.broadcast_to(X, (K, q, L - 1, K, rx))
+                Xd = Xk[kk, :, :, kk]  # [k, a, i, b]
+                lam_d = lam_x[:, kk].transpose(1, 0, 2)[:, None]
+                contam += herm(gram(Xd * lam_d, Xd))
+
+        # prior C = B^H R B, Xi = (C + contamination + I / rho_p)^{-1},
+        # filter C Xi and error covariance C - C Xi C
+        own = self.P_own[l, kk, kk]  # [k, a, b]
+        C = herm((own * lam_own[:, None]) @ own.conj().swapaxes(-1, -2))
+        eye = np.eye(q, dtype=complex)
+        xi = np.empty((K, q, q), dtype=complex)
+        for k in range(K):
+            x, jit = hermitian_solve(C[k] + contam[k] + (1.0 / sc.rho_p) * eye, eye)
+            xi[k] = herm(x)
+            if jit:
+                jittered.append((l, k))
+        self.filt[l] = C @ xi
+        err = self.err_cov[l] = herm(C - herm(self.filt[l] @ C))
+
+        if self.shared[l]:
+            # P_est is the identity: the other users' errors are all minus own
+            self.nproj_sum[l] = herm(err.sum(axis=0) - err)
+        else:
+            P = self.P_est[l]  # [j, k, a, c]
+            PE = P @ err[:, None]
+            PE[kk, kk] = 0.0
+            A = PE.transpose(1, 2, 0, 3).reshape(K, q, K * q)
+            Pk = P.transpose(1, 2, 0, 3).reshape(K, q, K * q)
+            self.nproj_sum[l] = herm(A @ Pk.conj().swapaxes(-1, -2))
+
+        if self.conditional:
+            Xd = Xd.transpose(0, 2, 1, 3)  # [k, i, a, b]
+            rt = (Xd * lam_d.transpose(0, 2, 1, 3)) @ Xd.conj().swapaxes(-1, -2)
+            self.contam_filt[l] = rt @ xi[:, None]
+            res = herm(rt - self.contam_filt[l] @ rt).sum(axis=1)
+            Xo = Xk * lam_x
+            Xo[kk, :, :, kk] = 0.0  # the links of the other pilot indices
+            return herm(res) + herm(gram(Xo, Xk))
+        return None
 
     @property
     def P_est(self):
@@ -242,17 +294,19 @@ class DrawEngine:
         T = t1 - t0
         w = np.empty((T, L, L, K, rmax), dtype=complex)
         noise = np.empty((T, L, K, q), dtype=complex)
+        z = np.empty((T, L, sc.M), dtype=complex) if self.nonorth else None
         for i, t in enumerate(range(t0, t1)):
             rng = stream(base_seed, 1, t)
             w[i] = complex_gaussian(rng, L, L, K, rmax)
             if self.nonorth:
-                z = complex_gaussian(rng, L, sc.M)
-                for l in range(L):
-                    for k in range(K):
-                        noise[i, l, k] = self.bases[(l, k)].conj().T @ z[l]
+                z[i] = complex_gaussian(rng, L, sc.M)
             else:
                 # fresh pilot symbol per user: despread noise is plain CN(0, I_q)
                 noise[i] = complex_gaussian(rng, L, K, q)
+        if self.nonorth:
+            # one snapshot per BS, despread by each of its users
+            for (l, k), B in self.bases.items():
+                noise[:, l, k] = z[:, l] @ B.conj()
         w *= self.sqrt_lam[None]
         return w, noise
 
@@ -264,7 +318,8 @@ class DrawEngine:
         [T, L, K, q]; w_own holds the own channels in their eigen
         coordinates [T, L, K, r]."""
         sc = self.sc
-        L, K, r = sc.L, sc.K, self.r
+        L, K, r, rx = sc.L, sc.K, self.r, self.rx
+        kk = np.arange(K)
         T = w.shape[0]
         w_own = np.empty((T, L, K, r), dtype=complex)
         for l in range(L):
@@ -272,81 +327,87 @@ class DrawEngine:
         if self.eigen:
             x_own = w_own
         else:
-            own = self.P_own[:, np.arange(K), np.arange(K)]
-            x_own = np.einsum("lkab,tlkb->tlka", own, w_own)
+            own = self.P_own[:, kk, kk].swapaxes(-1, -2)  # [l, k, b, a]
+            x_own = np.matmul(w_own.transpose(1, 2, 0, 3), own).transpose(2, 0, 1, 3)
         s = x_own + noise / np.sqrt(sc.rho_p)
         for l in range(L):
             if self.nonorth:
-                for j in range(K):  # own-cell contamination of the shared pilot
-                    contrib = np.einsum(
-                        "kab,tb->tka", self.P_own[l, :, j], w_own[:, l, j]
-                    )
-                    contrib[:, j] = 0.0
-                    s[:, l] += contrib
-                if L > 1:
-                    s[:, l] += np.einsum(
-                        "kipab,tipb->tka", self.P_x[l], w[:, l, self.xcells[l]]
-                    )
-            elif L > 1:
+                # own-cell contamination of the shared pilot
+                Y = _seen(self.P_own[l], w_own[:, l])
+                Y[kk, :, kk] = 0.0
+                s[:, l] += Y.sum(axis=0)
+                for i, lp in enumerate(self.xcells[l]):
+                    s[:, l] += _seen(self.P_x[l, i, ..., :rx], w[:, l, lp, :, :rx]).sum(axis=0)
+            else:
                 for i, lp in enumerate(self.xcells[l]):
                     # same pilot index only
-                    s[:, l] += np.einsum(
-                        "kab,tkb->tka", self.P_x[l, :, i, :][np.arange(K), np.arange(K)],
-                        w[:, l, lp, :, : self.rmax],
-                    )
-        w_hat = np.einsum("lkab,tlkb->tlka", self.filt, s)
-        return w_hat, w_own, x_own, s
+                    D = self.P_x[l, i, kk, kk, :, :rx].swapaxes(-1, -2)  # [k, b, a]
+                    s[:, l] += np.matmul(w[:, l, lp, :, :rx].transpose(1, 0, 2), D
+                                         ).transpose(1, 0, 2)
+        w_hat = np.matmul(s.transpose(1, 2, 0, 3), self.filt.swapaxes(-1, -2))
+        return w_hat.transpose(2, 0, 1, 3), w_own, x_own, s
 
-    def _beamformers(self, w_hat, cells, power):
+    def _seen_estimates(self, w_hat, l):
+        """Cell l's estimates seen in each of its users' bases [j, T, k, q];
+        a shared cell's one basis gives [j, T, 1, q]."""
+        wl = w_hat[:, l]
+        if self.shared[l]:
+            return wl.transpose(1, 0, 2)[:, :, None]
+        return _seen(self.P_est[l], wl)
+
+    def _link_inner(self, l, P, w, u):
+        """u^H (B^H U w) for channels w [T, S, b] into BS l, seen through its
+        table P [S, K, q, b] by its users' vectors u [T, K, q]: [T, K, S]."""
+        return _inner(_seen(P[:, :1] if self.shared[l] else P, w), u)
+
+    def _beamformer(self, w_hat, l, power):
         """Unit-norm combining (power P_ul) or precoding (power P_dl per
-        user) vectors of the users of `cells` [T, len(cells), K, q]."""
-        K, q = self.sc.K, self.q
-        T = w_hat.shape[0]
-        v = np.empty((T, len(cells), K, q), dtype=complex)
-        for ci, l in enumerate(cells):
-            if self.combiner == "mf":
-                vv = w_hat[:, l].copy()
-            elif self.shared[l]:
-                # one basis for the whole cell: all its users share one Gram
-                # matrix (and Z), so one solve serves K right-hand sides
-                G = np.einsum("tja,tjb->tab", w_hat[:, l], w_hat[:, l].conj())
-                G += self.Z[l, 0][None] + (1.0 / power) * np.eye(q)[None]
-                vv = np.linalg.solve(G, w_hat[:, l].transpose(0, 2, 1)).transpose(0, 2, 1)
-            else:
-                w_proj = np.einsum("kjab,tjb->tkja", self.P_est[l], w_hat[:, l])
-                G = np.einsum("tkja,tkjb->tkab", w_proj, w_proj.conj())
-                G += self.Z[l][None] + (1.0 / power) * np.eye(q)[None, None]
-                vv = np.linalg.solve(G, w_hat[:, l][..., None])[..., 0]
-            v[:, ci] = vv / np.linalg.norm(vv, axis=-1, keepdims=True)
-        return v
+        user) vectors of cell l's users [T, K, q], and the estimates seen in
+        their bases that the MMSE design formed (_seen_estimates; None
+        under MF)."""
+        q = self.q
+        wl = w_hat[:, l]
+        Y = None if self.combiner == "mf" else self._seen_estimates(w_hat, l)
+        if Y is None:
+            v = wl
+        elif self.shared[l]:
+            # one basis for the whole cell: all its users share one Gram
+            # matrix (and Z), so one solve serves K right-hand sides
+            G = np.matmul(wl.swapaxes(1, 2), wl.conj())
+            G += self.Z[l, 0][None] + (1.0 / power) * np.eye(q)[None]
+            v = np.linalg.solve(G, wl.swapaxes(1, 2)).swapaxes(1, 2)
+        else:
+            G = np.matmul(Y.transpose(1, 2, 3, 0), Y.conj().transpose(1, 2, 0, 3))
+            G += self.Z[l][None] + (1.0 / power) * np.eye(q)[None, None]
+            v = np.linalg.solve(G, wl[..., None])[..., 0]
+        return v / np.linalg.norm(v, axis=-1, keepdims=True), Y
 
     # -- per-chunk statistics -----------------------------------------------
 
     def ul_chunk(self, base_seed, t0, t1, cells, want):
         sc = self.sc
-        K = sc.K
+        K, rx = sc.K, self.rx
+        kk = np.arange(K)
         w, noise = self._draw_chunk(base_seed, t0, t1)
         w_hat, w_own, x_own, s_obs = self._estimates(w, noise)
-        v = self._beamformers(w_hat, cells, sc.P_ul)
         out = {}
-        for ci, l in enumerate(cells):
-            vl = v[:, ci]  # [T, K, q]
+        for l in cells:
+            vl, Y = self._beamformer(w_hat, l, sc.P_ul)  # [T, K, q]
             if "coherent" in want:
-                w_proj = (np.broadcast_to(w_hat[:, l, None], (t1 - t0, K, K, self.q))
-                          if self.shared[l] else
-                          np.einsum("kjab,tjb->tkja", self.P_est[l], w_hat[:, l]))
-                num = np.abs(np.einsum("tka,tka->tk", vl.conj(), w_hat[:, l])) ** 2
+                if Y is None:
+                    Y = self._seen_estimates(w_hat, l)
+                ip2_hat = np.abs(_inner(Y, vl)) ** 2  # [T, k, j]
+                num = ip2_hat[:, kk, kk].copy()
+                ip2_hat[:, kk, kk] = 0.0
                 Cstat = self.Z_cond[l] if self.conditional else self.Z[l]
-                den = np.einsum(
-                    "tka,tka->tk", vl.conj(), np.einsum("kab,tkb->tka", Cstat, vl)
-                ).real
+                Cv = np.matmul(vl.transpose(1, 0, 2), Cstat.swapaxes(-1, -2))  # [k, T, a]
+                den = np.einsum("tka,kta->tk", vl.conj(), Cv).real
                 if self.conditional:
-                    cmean = np.einsum("kiab,tkb->tkia", self.contam_filt[l], s_obs[:, l])
-                    den += (np.abs(np.einsum("tka,tkia->tki", vl.conj(), cmean)) ** 2
-                            ).sum(axis=2)
-                ip_own_hat = np.einsum("tka,tkja->tkj", vl.conj(), w_proj)
-                mask = (~np.eye(K, dtype=bool)).astype(float)
-                den += (np.abs(ip_own_hat) ** 2 * mask[None]).sum(axis=2)
+                    # v^H R~ Xi s for each pilot-sharing cell
+                    cmean = np.matmul(self.contam_filt[l], s_obs[:, l, :, None, :, None])
+                    den += (np.abs(np.matmul(vl.conj()[:, :, None, None], cmean)) ** 2
+                            ).sum(axis=(2, 3, 4))
+                den += ip2_hat.sum(axis=2)
                 den += (np.linalg.norm(vl, axis=-1) ** 2) / sc.P_ul
                 sinr = num / den
                 out.setdefault("coherent", {})[l] = {
@@ -355,48 +416,36 @@ class DrawEngine:
                 }
             if want & {"noncoherent", "alt", "maxmin"}:
                 sig = np.einsum("tka,tka->tk", vl.conj(), x_own[:, l])
-                wc_own = np.einsum("kjab,tjb->tkja", self.P_own[l], w_own[:, l])
-                ip_own = np.einsum("tka,tkja->tkj", vl.conj(), wc_own)
-                ip_own[:, np.arange(K), np.arange(K)] = 0.0
-                if sc.L > 1:
-                    T = t1 - t0
-                    wx = w[:, l, self.xcells[l]]  # [T, L-1, K, rmax]
-                    ip_x = np.empty((T, K, (sc.L - 1) * K), dtype=complex)
-                    for k in range(K):
-                        pw = np.einsum("ipab,tipb->tipa", self.P_x[l, k], wx)
-                        ip_x[:, k] = np.einsum(
-                            "ta,tipa->tip", vl[:, k].conj(), pw
-                        ).reshape(T, -1)
-                    ip = np.concatenate([ip_own, ip_x], axis=2)
-                else:
-                    ip = ip_own
+                # true channels of every link into BS l, own cell first
+                ips = [self._link_inner(l, self.P_own[l], w_own[:, l], vl)]
+                ips[0][:, kk, kk] = 0.0
+                for i, lp in enumerate(self.xcells[l]):
+                    ips.append(self._link_inner(l, self.P_x[l, i, ..., :rx],
+                                                w[:, l, lp, :, :rx], vl))
+                ip = np.concatenate(ips, axis=2)
                 out.setdefault("_nc", {})[l] = _nc_stats(sig, ip, sc.P_ul)
         return out
 
     def dl_chunk(self, base_seed, t0, t1, cells, want):
         sc = self.sc
-        L, K = sc.L, sc.K
+        L, K, rx = sc.L, sc.K, self.rx
+        kk = np.arange(K)
         w, noise = self._draw_chunk(base_seed, t0, t1)
         w_hat, w_own, x_own, _ = self._estimates(w, noise)
-        g = self._beamformers(w_hat, range(L), sc.P_dl_per_user)
+        g = np.stack([self._beamformer(w_hat, l, sc.P_dl_per_user)[0] for l in range(L)],
+                     axis=1)
         out = {}
         for l in cells:
             # signal: (B_{lk}^H U_{llk} w_{llk})^H g_{lk}
             sig = np.einsum("tka,tka->tk", x_own[:, l].conj(), g[:, l])
-            # own-cell interference: (P_own[j,k] w_{llk})^H g_{lj}
-            wc = np.einsum("jkab,tkb->tkja", self.P_own[l], w_own[:, l])
-            ip_own = np.einsum("tkja,tja->tkj", wc.conj(), g[:, l])
-            ip_own[:, np.arange(K), np.arange(K)] = 0.0
-            ips = [ip_own]
-            for lp in range(L):
-                if lp == l:
-                    continue
-                # link from user (l, k) into BS lp, seen through precoder
-                # (lp, kp): its projection is already in the P_x table
-                Pd = self.P_x[lp, :, l - (l > lp)]  # [kp, k, q, rmax]
-                wlink = w[:, lp, l]  # [T, K, rmax]
-                wc_x = np.einsum("jkab,tkb->tkja", Pd, wlink)
-                ips.append(np.einsum("tkja,tja->tkj", wc_x.conj(), g[:, lp]))
+            # link from user (l, k) into BS lp seen through precoder (lp, j):
+            # (B_{lp j}^H U_{lp l k} w_{lp l k})^H g_{lp j}, own cell first
+            ips = []
+            for lp in [l] + self.xcells[l]:
+                P = self.P_own[l] if lp == l else self.P_x[lp, l - (l > lp), ..., :rx]
+                x = self._link_inner(lp, P, w[:, lp, l, :, : P.shape[-1]], g[:, lp])
+                ips.append(x.conj().swapaxes(1, 2))
+            ips[0][:, kk, kk] = 0.0
             ip = np.concatenate(ips, axis=2)
             out.setdefault("_nc", {})[l] = _nc_stats(sig, ip, sc.P_dl_per_user)
         return out

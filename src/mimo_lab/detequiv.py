@@ -240,7 +240,8 @@ def sinr_mmse_detequiv(
     from .beamform import assemble_Z
 
     l, k = user
-    bank = bank if bank is not None else EstimatorBank.build(scenario)
+    if bank is None:  # every term reads the estimators of cell l only
+        bank = EstimatorBank.build(scenario, [(l, j) for j in range(scenario.K)])
     est = bank.users[(l, k)]
     prof = scenario.profile(l, l, k)
     r = prof.r
@@ -279,7 +280,7 @@ def mf_psi(scenario: NetworkScenario, user: tuple, src_key,
     """Isotropic-average contamination factor of one link under MF:
     psi = (1/(r M)) tr Lambda_src tr(Xi' Lambda)."""
     l, k = user
-    bank = bank if bank is not None else EstimatorBank.build(scenario)
+    bank = bank if bank is not None else EstimatorBank.build(scenario, [user])
     est = bank.users[(l, k)]
     prof = scenario.profile(l, l, k)
     tr_xi_lam = float(np.real(np.sum(np.diagonal(est.xi) * prof.lam)))
@@ -302,7 +303,7 @@ def sinr_mf_detequiv(
     if scenario.scheme.kind != "nonorthogonal":
         raise DomainError("the MF SINR deterministic equivalent assumes non-orthogonal pilots")
     l, k = user
-    bank = bank if bank is not None else EstimatorBank.build(scenario)
+    bank = bank if bank is not None else EstimatorBank.build(scenario, [user])
     est = bank.users[(l, k)]
     prof = scenario.profile(l, l, k)
     M = scenario.M

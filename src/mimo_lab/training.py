@@ -111,9 +111,10 @@ class EstimatorBank:
     users: dict = field(default_factory=dict)
 
     @classmethod
-    def build(cls, scenario: NetworkScenario) -> "EstimatorBank":
+    def build(cls, scenario: NetworkScenario, users=None) -> "EstimatorBank":
+        """Estimators of `users`, (l, k) pairs; every user by default."""
         bank = cls(scenario=scenario)
-        for l, k in scenario.users():
+        for l, k in scenario.users() if users is None else users:
             bank.users[(l, k)] = build_estimator(scenario, l, k)
         return bank
 

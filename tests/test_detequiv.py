@@ -203,6 +203,35 @@ class TestSinrDetequiv:
             g = sinr_mf_detequiv(sc, (0, 0))
             assert np.isfinite(g) and g > 0
 
+    @pytest.mark.parametrize("pilot", ["orthogonal", "nonorthogonal"])
+    def test_own_bank_matches_prebuilt_full_bank(self, monkeypatch, pilot):
+        # without a bank each call builds only the estimators it reads: cell
+        # l's K users for the MMSE limit, user (l, k) alone for MF
+        from mimo_lab import training
+        from mimo_lab.detequiv import mf_psi
+
+        sc = make_scenario(seed=8, L=3, K=4, M=48, snr_db=10.0, r_own=6, pilot=pilot,
+                           model=CorrelationModel.PARTIAL_UNITARY)
+        full = training.EstimatorBank.build(sc)
+        built = []
+        build_estimator = training.build_estimator
+
+        def counted(scenario, l, k):
+            built.append((l, k))
+            return build_estimator(scenario, l, k)
+
+        monkeypatch.setattr(training, "build_estimator", counted)
+        for l, k in [(0, 0), (1, 2), (2, 3)]:
+            built.clear()
+            if pilot == "orthogonal":
+                assert sinr_mmse_detequiv(sc, (l, k)) == sinr_mmse_detequiv(sc, (l, k), full)
+                assert built == [(l, j) for j in range(sc.K)]
+            else:
+                assert sinr_mf_detequiv(sc, (l, k)) == sinr_mf_detequiv(sc, (l, k), full)
+                key = ((l + 1) % sc.L, l, 0)
+                assert mf_psi(sc, (l, k), key) == mf_psi(sc, (l, k), key, full)
+                assert built == [(l, k)] * 2
+
     def test_mf_matches_monte_carlo_moment_ratio(self):
         # Fig.4-style configuration: moment-ratio MF SINR vs its limit
         from mimo_lab.channel import realize_block

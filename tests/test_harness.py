@@ -144,19 +144,51 @@ class TestPersistence:
             write_results(ResultTable(), str(tmp_path / "no" / "dir" / "x.csv"), "csv")
 
 
+# large enough that the engine's table GEMMs (72 x 96 x 72 per cell) run on
+# several BLAS threads
+THREADED = """
+name = threaded
+L = 3
+K = 6
+M = 96
+T_c = 200
+r_own = 12
+pilot = orthogonal
+model = fourier
+snr_db = 10
+bounds = coherent_ul, alt_ul, alt_dl
+trials = 70
+seed = 3
+covariance_draws = 1
+"""
+
+
+def csv_bytes_across_threads(tmp_path, text):
+    """The CSV of one config under 1 and 3 pool threads, and under 1 and 2
+    BLAS threads."""
+    cfg = write_cfg(tmp_path, text)
+    outputs = []
+    for threads, blas in (("1", "1"), ("3", "1"), ("1", "2")):
+        env = dict(os.environ, MIMO_LAB_THREADS=threads,
+                   OPENBLAS_NUM_THREADS=blas, OMP_NUM_THREADS=blas)
+        out = str(tmp_path / f"out{threads}-{blas}.csv")
+        res = subprocess.run(
+            [sys.executable, "-m", "mimo_lab.cli", "run", cfg, "--out", out],
+            env=env, capture_output=True, text=True)
+        assert res.returncode == 0, res.stderr
+        outputs.append(open(out, "rb").read())
+    return outputs
+
+
 class TestDeterminismAcrossThreads:
     def test_thread_count_does_not_change_bytes(self, tmp_path):
-        cfg = write_cfg(tmp_path, MINIMAL)
-        outputs = []
-        for threads in ("1", "3"):
-            env = dict(os.environ, MIMO_LAB_THREADS=threads)
-            out = str(tmp_path / f"out{threads}.csv")
-            res = subprocess.run(
-                [sys.executable, "-m", "mimo_lab.cli", "run", cfg, "--out", out],
-                env=env, capture_output=True, text=True)
-            assert res.returncode == 0, res.stderr
-            outputs.append(open(out, "rb").read())
-        assert outputs[0] == outputs[1]
+        outputs = csv_bytes_across_threads(tmp_path, MINIMAL)
+        assert outputs[0] == outputs[1] == outputs[2]
+
+    def test_blas_thread_count_does_not_change_bytes(self, tmp_path):
+        # the engine's tables and per-trial contractions are GEMMs
+        outputs = csv_bytes_across_threads(tmp_path, THREADED)
+        assert outputs[0] == outputs[1] == outputs[2]
 
 
 class TestCli:
