@@ -16,22 +16,7 @@ from .covmodel import (
     sample_partial_unitary,
     stream,
 )
-from .channel import (
-    ChannelBlock,
-    angular_overlap,
-    cross_channel,
-    despread,
-    realize_block,
-    spread,
-)
-from .training import (
-    ChannelEstimate,
-    EstimatorBank,
-    fulldim_mmse_estimate,
-    mmse_estimate,
-    observe,
-)
-from .beamform import matched_filter, mmse_combiner, mmse_precoder
+from .training import EstimatorBank
 from .detequiv import (
     DetEquivProblem,
     DetEquivSolution,
@@ -43,12 +28,9 @@ from .detequiv import (
 )
 from .bounds import (
     RateReport,
-    alt_rate,
     asymptotic_capacity,
-    coherent_rate_ul,
     cutset_upper,
     legacy_scaling,
-    noncoherent_rate,
     run_bounds,
 )
 from .harness import (

@@ -111,14 +111,15 @@ class DrawEngine:
     eigenbasis U_llk by default (q = r_own), or bases[(l, k)], an M x q
     matrix shared in shape by all users (a column subset of U_llk for
     d-restricted spreading, I_M for full-dimensional processing).  Per-link
-    padding to the largest rank keeps everything rectangular: channels of
-    rank r_cross < r_own are zero-extended, which changes no inner product.
+    padding to the largest rank keeps the fading table rectangular: channels
+    of rank r_cross < r_own are zero-extended, which changes no inner product.
 
     The projection tables are source-major, so that one GEMM per source
     channel gives its view in every serving basis of a cell:
     P_own[l, j, k] = B_lk^H U_llj, P_x[l, i, p, k] = B_lk^H U_{l lp p} for the
-    i-th other cell lp, and P_est[l, j, k] = B_lk^H B_lj.  The users of
-    `jittered` had their estimator system regularised by hermitian_solve.
+    i-th other cell lp (rx columns, the largest cross-link rank), and
+    P_est[l, j, k] = B_lk^H B_lj.  The users of `jittered` had their
+    estimator system regularised by hermitian_solve.
     """
 
     def __init__(self, scenario: NetworkScenario, combiner: str = "mmse",
@@ -133,7 +134,7 @@ class DrawEngine:
         L, K, r = sc.L, sc.K, sc.r_own
         self.r = r
         self.rmax = max(sc.r_own, sc.r_cross)
-        # largest cross-link rank: the padded columns beyond it are zero
+        # largest cross-link rank: the columns of P_x
         self.rx = max((prof.r for (l, lp, _), prof in sc.profiles.items() if lp != l),
                       default=0)
         self.nonorth = sc.scheme.kind == "nonorthogonal"
@@ -162,7 +163,7 @@ class DrawEngine:
         self.P_own = np.zeros((L, K, K, q, r), dtype=complex)
         self._P_est = (None if self.eigen or all(self.shared)
                        else np.zeros((L, K, K, q, q), dtype=complex))
-        self.P_x = np.zeros((L, L - 1, K, K, q, self.rmax), dtype=complex) if L > 1 else None
+        self.P_x = np.zeros((L, L - 1, K, K, q, self.rx), dtype=complex) if L > 1 else None
         # per-user MMSE estimators in the serving bases, the own-cell
         # estimation errors seen in each user's basis, and the cross-cell
         # channel covariances
@@ -234,7 +235,7 @@ class DrawEngine:
                     U_x[:, i, p, : src.r] = src.U
                     lam_x[i, p, : src.r] = src.lam
             X = (Bh @ U_x.reshape(M, -1)).reshape(nb, q, L - 1, K, rx)  # [k, a, i, p, b]
-            self.P_x[l, ..., :rx] = X.transpose(2, 3, 0, 1, 4)
+            self.P_x[l] = X.transpose(2, 3, 0, 1, 4)
             self.s_inter[l] = herm(gram(X * lam_x, X))
             if self.nonorth:
                 contam += self.s_inter[l]
@@ -337,11 +338,11 @@ class DrawEngine:
                 Y[kk, :, kk] = 0.0
                 s[:, l] += Y.sum(axis=0)
                 for i, lp in enumerate(self.xcells[l]):
-                    s[:, l] += _seen(self.P_x[l, i, ..., :rx], w[:, l, lp, :, :rx]).sum(axis=0)
+                    s[:, l] += _seen(self.P_x[l, i], w[:, l, lp, :, :rx]).sum(axis=0)
             else:
                 for i, lp in enumerate(self.xcells[l]):
                     # same pilot index only
-                    D = self.P_x[l, i, kk, kk, :, :rx].swapaxes(-1, -2)  # [k, b, a]
+                    D = self.P_x[l, i, kk, kk].swapaxes(-1, -2)  # [k, b, a]
                     s[:, l] += np.matmul(w[:, l, lp, :, :rx].transpose(1, 0, 2), D
                                          ).transpose(1, 0, 2)
         w_hat = np.matmul(s.transpose(1, 2, 0, 3), self.filt.swapaxes(-1, -2))
@@ -420,15 +421,14 @@ class DrawEngine:
                 ips = [self._link_inner(l, self.P_own[l], w_own[:, l], vl)]
                 ips[0][:, kk, kk] = 0.0
                 for i, lp in enumerate(self.xcells[l]):
-                    ips.append(self._link_inner(l, self.P_x[l, i, ..., :rx],
-                                                w[:, l, lp, :, :rx], vl))
+                    ips.append(self._link_inner(l, self.P_x[l, i], w[:, l, lp, :, :rx], vl))
                 ip = np.concatenate(ips, axis=2)
                 out.setdefault("_nc", {})[l] = _nc_stats(sig, ip, sc.P_ul)
         return out
 
     def dl_chunk(self, base_seed, t0, t1, cells, want):
         sc = self.sc
-        L, K, rx = sc.L, sc.K, self.rx
+        L, K = sc.L, sc.K
         kk = np.arange(K)
         w, noise = self._draw_chunk(base_seed, t0, t1)
         w_hat, w_own, x_own, _ = self._estimates(w, noise)
@@ -442,7 +442,7 @@ class DrawEngine:
             # (B_{lp j}^H U_{lp l k} w_{lp l k})^H g_{lp j}, own cell first
             ips = []
             for lp in [l] + self.xcells[l]:
-                P = self.P_own[l] if lp == l else self.P_x[lp, l - (l > lp), ..., :rx]
+                P = self.P_own[l] if lp == l else self.P_x[lp, l - (l > lp)]
                 x = self._link_inner(lp, P, w[:, lp, l, :, : P.shape[-1]], g[:, lp])
                 ips.append(x.conj().swapaxes(1, 2))
             ips[0][:, kk, kk] = 0.0
@@ -599,31 +599,6 @@ def _seed_of(rng) -> int:
     if isinstance(rng, (int, np.integer)):
         return int(rng)
     return int(rng.integers(2 ** 62))
-
-
-def coherent_rate_ul(scenario, beamformer="mmse", trials=500, rng=0) -> RateReport:
-    """Coherent lower bound: per-block SINR with closed-form conditional
-    second moments in the denominator, averaged as log2(1 + SINR)."""
-    return run_bounds(scenario, "ul", ("coherent",), trials, _seed_of(rng), beamformer)[
-        "coherent"
-    ]
-
-
-def noncoherent_rate(scenario, beamformer="mmse", direction="ul", trials=500, rng=0) -> RateReport:
-    """Non-coherent (hardening) bound: single log of moment ratios."""
-    return run_bounds(scenario, direction, ("noncoherent",), trials, _seed_of(rng), beamformer)[
-        "noncoherent"
-    ]
-
-
-def alt_rate(scenario, beamformer="mmse", direction="ul", trials=500, rng=0):
-    """Alternative non-coherent bound and its max-min upper companion.
-
-    Returns (maxmin_report, alt_report); the alt rate may be negative and
-    also carries a floored-at-zero total.
-    """
-    reps = run_bounds(scenario, direction, ("maxmin", "alt"), trials, _seed_of(rng), beamformer)
-    return reps["maxmin"], reps["alt"]
 
 
 def legacy_scaling(kind: str, M: int, K: int, L: int, T_c: int,

@@ -130,10 +130,6 @@ class CovarianceProfile:
     r: int
     M: int
 
-    def covariance(self) -> np.ndarray:
-        """Materialize the full M x M covariance (only on demand)."""
-        return (self.U * self.lam) @ self.U.conj().T
-
     @property
     def energy(self) -> float:
         return float(self.lam.sum())

@@ -21,8 +21,6 @@ from .covmodel import CorrelationModel, Regime, ScenarioConfig, build_network, s
 
 DESK_M_CAP = 256
 DESK_TRIALS_CAP = 500
-# fig2's full-dimensional series serves every user in I_M: q = M tables
-FULLDIM_M_CAP = 512
 
 
 class ConfigError(ValueError):
@@ -400,13 +398,17 @@ def reproduce_figure(fig: str, scale: str = "desk", seed: int = 1,
     fig6: per-cell uplink rate vs r at T_c = 50 (orthogonal vs non-orthogonal).
     fig7: uplink rate vs T_c for r in {4, 8} under both pilot schemes.
     """
+    if trials is None:
+        trials = 300
+    elif trials < 1:
+        raise ConfigError("trials must be >= 1")
     table = ResultTable()
     if fig == "fig2":
         base = ExperimentSpec(
             name="fig2", L=4, K=5, M=100, T_c=500, r_own=8, iota=0.2, boost=2.0,
             pilot="orthogonal", model="fourier", sweep_axis="snr_db",
             sweep_values=(-10.0, 0.0, 10.0, 20.0, 30.0),
-            bounds=("alt_dl",), trials=trials or 300, seed=seed, covariance_draws=2,
+            bounds=("alt_dl",), trials=trials, seed=seed, covariance_draws=2,
         )
         base = _desk(base, scale, table)
         for si, snr_db in enumerate(base.sweep_values):
@@ -418,9 +420,6 @@ def reproduce_figure(fig: str, scale: str = "desk", seed: int = 1,
                 tots, ses = [], []
                 for dr, (scen, tseed) in enumerate(draws):
                     if d is None:  # conventional M-dimensional processing
-                        if scen.M > FULLDIM_M_CAP:
-                            raise MemoryError(
-                                f"full-dimensional baseline disabled for M={scen.M}")
                         eye = np.eye(scen.M, dtype=complex)
                         bases = {u: eye for u in scen.users()}
                     else:  # d of the r own-support columns, drawn per user
@@ -449,7 +448,7 @@ def reproduce_figure(fig: str, scale: str = "desk", seed: int = 1,
                 boost=2.0, pilot="orthogonal", model="fourier", sweep_axis="snr_db",
                 sweep_values=(-10.0, 0.0, 10.0, 20.0, 30.0),
                 bounds=("coherent_ul", "noncoherent_ul", "alt_ul", "asymptotic_lb_orth"),
-                trials=trials or 300, seed=seed, covariance_draws=2,
+                trials=trials, seed=seed, covariance_draws=2,
             )
             spec = _desk(spec, scale, table)
             table.extend(run_experiment(spec))
@@ -460,7 +459,7 @@ def reproduce_figure(fig: str, scale: str = "desk", seed: int = 1,
             name="fig5", L=7, K=8, M=40, T_c=500, r_own=4, iota=0.2, boost=2.0,
             pilot="orthogonal", model="fourier", sweep_axis="M",
             sweep_values=(40, 80, 160), snr_db=10.0,
-            bounds=("alt_dl",), trials=trials or 300, seed=seed, covariance_draws=2,
+            bounds=("alt_dl",), trials=trials, seed=seed, covariance_draws=2,
         )
         spec = _desk(spec, scale, table)
         # M/K = 5 and M/r = 10 fixed along the sweep
@@ -476,7 +475,7 @@ def reproduce_figure(fig: str, scale: str = "desk", seed: int = 1,
                 name=f"fig6:{pilot}", L=7, K=20, M=100, T_c=50, iota=0.2, boost=2.0,
                 pilot=pilot, model="fourier", sweep_axis="r",
                 sweep_values=(2, 4, 8, 16), snr_db=20.0,
-                bounds=("alt_ul",), trials=trials or 300, seed=seed, covariance_draws=2,
+                bounds=("alt_ul",), trials=trials, seed=seed, covariance_draws=2,
             )
             spec = _desk(spec, scale, table)
             table.extend(run_experiment(spec))
@@ -489,7 +488,7 @@ def reproduce_figure(fig: str, scale: str = "desk", seed: int = 1,
                     name=f"fig7:{pilot}:r={r}", L=7, K=10, M=100, r_own=r, iota=0.2,
                     boost=2.0, pilot=pilot, model="fourier", sweep_axis="T_c",
                     sweep_values=(25, 50, 100, 200, 400), snr_db=20.0,
-                    bounds=("alt_ul",), trials=trials or 300, seed=seed,
+                    bounds=("alt_ul",), trials=trials, seed=seed,
                     covariance_draws=2,
                 )
                 spec = _desk(spec, scale, table)

@@ -14,7 +14,7 @@ import time
 import numpy as np
 import pytest
 
-from mimo_lab.bounds import cutset_upper, run_bounds
+from mimo_lab.bounds import DrawEngine, cutset_upper, run_bounds
 from mimo_lab.covmodel import (
     CorrelationModel,
     complex_gaussian,
@@ -28,7 +28,7 @@ from mimo_lab.detequiv import (
     sinr_mmse_detequiv,
     solve_fixed_point,
 )
-from conftest import make_scenario
+from conftest import full_bases, make_scenario
 
 GOLDEN = (math.sqrt(5) - 1) / 2
 SILVER = math.sqrt(2) - 1
@@ -223,28 +223,17 @@ def test_criterion_6_linear_in_m_scaling():
 
 
 def test_criterion_7_lowdim_sufficiency():
-    from mimo_lab._linalg import hermitian_solve
-    from mimo_lab.channel import despread, realize_block
-    from mimo_lab.training import EstimatorBank, fulldim_noise_cov, observe_fulldim
-
-    def gap_at(M, trials=200):
+    # exact MSE gap between the own-eigenbasis estimator and the
+    # M-dimensional one (the I_M engine of fig2's full series) on one draw:
+    # (tr N_own - tr(U^H N_IM U)) / tr Lambda, N the error covariances
+    def gap_at(M):
         sc = make_scenario(seed=77, L=2, K=1, M=M, r_own=8, snr_db=10.0,
                            model=CorrelationModel.PARTIAL_UNITARY)
-        bank = EstimatorBank.build(sc)
         prof = sc.profile(0, 0, 0)
-        Q = fulldim_noise_cov(sc, 0, 0)
-        X, _ = hermitian_solve(Q, prof.U)
-        filt_full = (prof.lam[:, None] * X.conj().T)  # Lambda U^H Q^{-1}
-        g = stream(78, M)
-        mse_low = mse_full = 0.0
-        for _ in range(trials):
-            block = realize_block(sc, g)
-            s_bar = observe_fulldim(block, sc, g)[(0, 0)]
-            w = block.w[(0, 0, 0)]
-            s = despread(prof.U, s_bar)
-            mse_low += np.linalg.norm(bank.users[(0, 0)].estimate(s).w_hat - w) ** 2
-            mse_full += np.linalg.norm(filt_full @ s_bar - w) ** 2
-        return (mse_low - mse_full) / trials / prof.energy
+        err_own = DrawEngine(sc).err_cov[0, 0]
+        err_full = DrawEngine(sc, bases=full_bases(sc)).err_cov[0, 0]
+        mse_full = np.trace(prof.U.conj().T @ err_full @ prof.U).real
+        return (np.trace(err_own).real - mse_full) / prof.energy
 
     gaps = {M: gap_at(M) for M in (64, 128, 256)}
     mono = gaps[64] >= gaps[128] - 0.003 and gaps[128] >= gaps[256] - 0.003

@@ -1,84 +1,80 @@
 import numpy as np
 import pytest
 
-from mimo_lab.beamform import (
-    cell_precoders,
-    matched_filter,
-    mmse_combiner,
-    mmse_precoder,
-    precoder_to_antenna,
-    restrict_support,
-)
-from mimo_lab.bounds import run_bounds
-from mimo_lab.channel import realize_block
-from mimo_lab.covmodel import CorrelationModel, stream
-from mimo_lab.training import ChannelEstimate, EstimatorBank, observe
+from mimo_lab.beamform import restrict_support
+from mimo_lab.bounds import DrawEngine, run_bounds
+from mimo_lab.covmodel import CorrelationModel, _fourier_columns, stream
 
 from conftest import full_bases, make_scenario, restricted_bases, single_link_scenario
 
 
-def _est(vec):
-    r = len(vec)
-    return ChannelEstimate(w_hat=np.asarray(vec, dtype=complex),
-                           phi=np.eye(r), err_cov=np.zeros((r, r)))
+def cell_vectors(sc, seed, power, bases=None):
+    """Cell 0's unit-norm MMSE combiners (or precoders) and estimates of one
+    trial, [1, K, q]."""
+    eng = DrawEngine(sc, bases=bases)
+    w_hat = eng._estimates(*eng._draw_chunk(seed, 0, 1))[0]
+    return eng._beamformer(w_hat, 0, power)[0], w_hat[:, 0]
 
 
 class TestMatchedFilter:
     def test_basis_vector(self):
-        v = matched_filter(_est(np.eye(4)[:, 0])).v
-        assert np.allclose(v, np.eye(4)[:, 0])
-
-    def test_linearity(self):
-        w = np.array([1.0 + 1j, -2.0, 0.5j])
-        a = matched_filter(_est(3.0 * w)).v
-        assert np.allclose(a, 3.0 * matched_filter(_est(w)).v)
+        eng = DrawEngine(single_link_scenario(np.ones(4)), combiner="mf")
+        w_hat = np.eye(4, dtype=complex)[None, None, :1]  # [T, L, K, q]
+        v, Y = eng._beamformer(w_hat, 0, 1.0)
+        assert np.allclose(v[0, 0], np.eye(4)[0])
+        assert Y is None
 
 
 class TestMmseCombiner:
     def test_single_user_high_power_reduces_to_mf(self):
-        w = np.array([1.0, 2.0 - 1j, 0.3j, -0.5])
-        v = mmse_combiner([w], 0, np.zeros((4, 4)), 1e12).v
-        cos = abs(np.vdot(v, w)) / (np.linalg.norm(v) * np.linalg.norm(w))
+        # noiseless pilot: Z is the vanishing estimation error.  At power
+        # 1e12 the unguarded batched solve of the Gram system (condition
+        # number ~1e12) loses about 1e-4 of its accuracy, so 1e6 here.
+        sc = single_link_scenario([1.0, 2.0, 0.3, 0.5], boost=1e12)
+        v, w = cell_vectors(sc, 1, 1e6)
+        cos = abs(np.vdot(v[0, 0], w[0, 0])) / np.linalg.norm(w[0, 0])
         assert cos > 1 - 1e-9
 
     def test_orthogonal_estimates_decouple(self):
-        w1 = np.eye(4)[:, 0].astype(complex)
-        w2 = np.eye(4)[:, 1].astype(complex)
-        v1 = mmse_combiner([w1, w2], 0, np.zeros((4, 4)), 10.0).v
-        assert abs(np.vdot(v1, w2)) < 1e-9
+        # one cell, disjoint Fourier supports, I_M serving bases: user 0's
+        # combiner is orthogonal to user 1's estimate
+        sc = make_scenario(seed=2, L=1, K=2, M=16, r_own=4)
+        for k in range(2):
+            sc.profiles[(0, 0, k)].U = _fourier_columns(16, np.arange(4 * k, 4 * k + 4))
+        v, w = cell_vectors(sc, 3, 10.0, bases=full_bases(sc))
+        assert abs(np.vdot(v[0, 0], w[0, 1])) < 1e-9
 
-    def test_sinr_scale_invariance(self):
-        # replacing v by c v leaves the evaluated SINR unchanged
-        g = stream(33)
-        w_hat = g.standard_normal(5) + 1j * g.standard_normal(5)
-        others = g.standard_normal((3, 5)) + 1j * g.standard_normal((3, 5))
-        C = np.eye(5) * 0.3
-        def sinr(v):
-            num = abs(np.vdot(v, w_hat)) ** 2
-            den = np.vdot(v, C @ v).real + sum(
-                abs(np.vdot(v, o)) ** 2 for o in others) + np.vdot(v, v).real / 10.0
-            return num / den
-        v = mmse_combiner([w_hat] + list(others), 0, C, 10.0).v
-        assert abs(sinr(v) - sinr(3.7j * v)) / sinr(v) < 1e-9
+    def test_sinr_scale_invariance(self, monkeypatch):
+        # replacing v by c v leaves the evaluated coherent SINR unchanged
+        sc = make_scenario(seed=33, L=2, K=4, M=32, r_own=5)
+        sinr = DrawEngine(sc).ul_chunk(33, 0, 8, [0, 1], {"coherent"})["coherent"]
+        unit = DrawEngine._beamformer
+
+        def scaled(self, w_hat, l, power):
+            v, Y = unit(self, w_hat, l, power)
+            return 3.7j * v, Y
+
+        monkeypatch.setattr(DrawEngine, "_beamformer", scaled)
+        again = DrawEngine(sc).ul_chunk(33, 0, 8, [0, 1], {"coherent"})["coherent"]
+        for l in (0, 1):
+            np.testing.assert_allclose(again[l]["sinr"], sinr[l]["sinr"], rtol=1e-9)
 
 
 class TestMmsePrecoder:
     def test_single_user_high_power_is_transmit_mf(self):
-        w = np.array([0.5, 1.0 + 0.2j, -2.0])
-        g = mmse_precoder([w], 0, np.zeros((3, 3)), 1e12).g
-        cos = abs(np.vdot(g, w)) / np.linalg.norm(w)
+        sc = single_link_scenario([0.5, 1.0, 2.0], boost=1e12)
+        g, w = cell_vectors(sc, 2, 1e6)
+        cos = abs(np.vdot(g[0, 0], w[0, 0])) / np.linalg.norm(w[0, 0])
         assert cos > 1 - 1e-9
 
     def test_power_constraint(self):
+        # unit-norm precoders: ||g||^2 P_dl / K is each user's share, in
+        # the own eigenbases and spread over I_M alike
         sc = make_scenario(seed=3, L=2, K=3, M=32, r_own=4)
-        bank = EstimatorBank.build(sc)
-        block = realize_block(sc, stream(4))
-        ests = {u: bank.users[u].estimate(s)
-                for u, s in observe(block, sc, stream(5)).items()}
-        for k, prec in cell_precoders(sc, bank, ests, 0).items():
-            p = precoder_to_antenna(sc, 0, k, prec)
-            # ||U g||^2 E|d|^2 == P_dl / K with unit-norm spread precoder
-            assert abs(np.linalg.norm(p) ** 2 * prec.p_norm - sc.P_dl_per_user) < 1e-9
+        for bases in (None, full_bases(sc)):
+            g, _ = cell_vectors(sc, 4, sc.P_dl_per_user, bases=bases)
+            assert np.max(np.abs(np.linalg.norm(g, axis=-1) ** 2 * sc.P_dl_per_user
+                                 - sc.P_dl_per_user)) < 1e-9
 
     def test_restrict_support(self):
         U = np.eye(8)[:, :4]

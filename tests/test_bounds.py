@@ -7,13 +7,10 @@ from scipy import integrate, stats
 from mimo_lab.bounds import (
     DL_BOUNDS,
     UL_BOUNDS,
-    alt_rate,
     asymptotic_capacity,
-    coherent_rate_ul,
     cutset_upper,
     legacy_scaling,
     noncoherent_expression,
-    noncoherent_rate,
     prelog_factor,
     run_bounds,
 )
@@ -87,14 +84,14 @@ class TestCutset:
 class TestCoherentBound:
     def test_rate_vanishes_at_zero_power(self):
         sc = make_scenario(seed=1, L=2, K=2, M=32, r_own=4, snr_db=-140.0)
-        rep = coherent_rate_ul(sc, trials=50, rng=3)
+        rep = run_bounds(sc, "ul", ("coherent",), 50, 3)["coherent"]
         assert rep.sum_total < 1e-6
 
     def test_chi_square_quadrature_oracle(self):
         # L = K = 1 noiseless, r = 8, Lambda = I, P = 1: per-block SINR is
         # ||w||^2 ~ Gamma(8, 1); the rate matches quadrature of log2(1 + x)
         sc = single_link_scenario(np.ones(8), M=32, snr_db=0.0, boost=1e12)
-        rep = coherent_rate_ul(sc, trials=2000, rng=4)
+        rep = run_bounds(sc, "ul", ("coherent",), 2000, 4)["coherent"]
         oracle, _ = integrate.quad(
             lambda x: math.log2(1 + x) * stats.gamma(8).pdf(x), 0, 200)
         rate = rep.per_user[(0, 0)] / rep.prelog
@@ -121,13 +118,14 @@ class TestNonCoherentBounds:
         # r = 1 with MF: the hardening bound strictly loses to the coherent
         # bound because var[v^H w] stays order |lambda|^2
         sc = single_link_scenario([4.0], snr_db=0.0, boost=1e10)
-        coh = coherent_rate_ul(sc, "mf", trials=1500, rng=6)
-        ncoh = noncoherent_rate(sc, "mf", "ul", trials=1500, rng=6)
+        coh = run_bounds(sc, "ul", ("coherent",), 1500, 6, "mf")["coherent"]
+        ncoh = run_bounds(sc, "ul", ("noncoherent",), 1500, 6, "mf")["noncoherent"]
         assert ncoh.sum_total < coh.sum_total - 3 * (coh.stderr + ncoh.stderr)
 
     def test_penalty_vanishes_with_block_length(self):
         sc = make_scenario(seed=7, L=2, K=2, M=32, r_own=4, T_c=10 ** 9)
-        mm, alt = alt_rate(sc, trials=150, rng=7)
+        reps = run_bounds(sc, "ul", ("maxmin", "alt"), 150, 7)
+        mm, alt = reps["maxmin"], reps["alt"]
         assert abs(mm.sum_total - alt.sum_total) <= 1e-6 * mm.sum_total
 
     def test_disjoint_supports_zero_penalty(self):
@@ -139,7 +137,8 @@ class TestNonCoherentBounds:
         for i, key in enumerate(sorted(sc.profiles)):
             prof = sc.profiles[key]
             prof.U = _fourier_columns(64, np.arange(i * 8, (i + 1) * 8))
-        mm, alt = alt_rate(sc, trials=100, rng=8)
+        reps = run_bounds(sc, "ul", ("maxmin", "alt"), 100, 8)
+        mm, alt = reps["maxmin"], reps["alt"]
         assert alt.sum_total == pytest.approx(mm.sum_total, abs=1e-9)
 
     def test_fig3_hardening_bound_trails_at_high_snr(self):
@@ -185,14 +184,14 @@ class TestNonCoherentBounds:
     def test_ul_dl_symmetry(self):
         sc = make_scenario(seed=11, L=2, K=3, M=64, r_own=8, snr_db=10.0,
                            model=CorrelationModel.PARTIAL_FOURIER)
-        ul = noncoherent_rate(sc, "mmse", "ul", trials=400, rng=11)
-        dl = noncoherent_rate(sc, "mmse", "dl", trials=400, rng=12)
+        ul = run_bounds(sc, "ul", ("noncoherent",), 400, 11)["noncoherent"]
+        dl = run_bounds(sc, "dl", ("noncoherent",), 400, 12)["noncoherent"]
         tol = 3 * (ul.stderr + dl.stderr) + 0.05 * ul.sum_total
         assert abs(ul.sum_total - dl.sum_total) <= tol
 
     def test_alt_reports_floored_total(self):
         sc = make_scenario(seed=12, L=2, K=2, M=32, r_own=4, snr_db=10.0)
-        _, alt = alt_rate(sc, trials=100, rng=13)
+        alt = run_bounds(sc, "ul", ("alt",), 100, 13)["alt"]
         assert alt.sum_total_floored is not None
         assert alt.sum_total_floored >= alt.sum_total - 1e-12
 

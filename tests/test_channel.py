@@ -1,141 +1,130 @@
+"""Fading draws, despreading and cross-projections as DrawEngine makes them;
+angular-support overlaps and the concentration of random projections."""
+
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
 
+from mimo_lab.bounds import DrawEngine
 from mimo_lab.covmodel import (
-    InvalidProfile,
+    CorrelationModel,
+    _fourier_columns,
     complex_gaussian,
     sample_partial_fourier,
     sample_partial_unitary,
     fourier_support,
     stream,
 )
-from mimo_lab.channel import (
-    angular_overlap,
-    cross_channel,
-    despread,
-    full_channel,
-    realize_block,
-    spread,
-)
 
-from conftest import make_scenario, single_link_scenario
+from conftest import full_bases, make_scenario, single_link_scenario
+
+
+def own_bases(sc):
+    """Each user's own eigenbasis, passed in: the engine then computes its
+    own-link projections U^H U instead of taking them as the identity."""
+    return {(l, k): sc.profile(l, l, k).U for l, k in sc.users()}
 
 
 class TestRealizeBlock:
     def test_scalar_channel_second_moment(self):
         sc = single_link_scenario([4.0])
-        g = stream(31)
-        vals = np.array([abs(realize_block(sc, g).w[(0, 0, 0)][0]) ** 2
-                         for _ in range(10_000)])
+        w, _ = DrawEngine(sc)._draw_chunk(31, 0, 10_000)
+        vals = np.abs(w[:, 0, 0, 0, 0]) ** 2
         assert abs(vals.mean() - 4.0) / 4.0 < 0.05
 
     def test_parseval_per_link(self):
+        # in I_M serving bases a link's table entry is its own basis U, so
+        # the seen channel is the M-dimensional U w
         sc = make_scenario(L=2, K=2, M=32, r_own=4)
-        block = realize_block(sc, stream(37))
-        for key, w in block.w.items():
-            h = full_channel(sc, block, *key)
-            assert abs(np.linalg.norm(h) - np.linalg.norm(w)) < 1e-10
+        eng = DrawEngine(sc, bases=full_bases(sc))
+        w, noise = eng._draw_chunk(37, 0, 1)
+        _, _, x_own, _ = eng._estimates(w, noise)
+        for l, k in sc.users():
+            assert abs(np.linalg.norm(x_own[0, l, k]) - np.linalg.norm(w[0, l, l, k])) < 1e-10
+            for i, lp in enumerate(eng.xcells[l]):
+                h = eng.P_x[l, i, k, 0] @ w[0, l, lp, k, : eng.rx]
+                assert abs(np.linalg.norm(h) - np.linalg.norm(w[0, l, lp, k])) < 1e-10
 
     def test_fig3_energy(self):
         # tr Lambda = M = 200 under the strong regime
         sc = make_scenario(L=1, K=1, M=200, r_own=10)
-        g = stream(41)
-        vals = [np.linalg.norm(realize_block(sc, g).w[(0, 0, 0)]) ** 2
-                for _ in range(1000)]
+        w, _ = DrawEngine(sc)._draw_chunk(41, 0, 1000)
+        vals = np.linalg.norm(w[:, 0, 0, 0], axis=-1) ** 2
         assert abs(np.mean(vals) - 200.0) / 200.0 < 0.05
 
 
 class TestDespreadSpread:
     def test_despread_recovers_effective_channel(self):
-        U = sample_partial_unitary(16, 4, stream(2))
-        w = complex_gaussian(stream(3), 4)
-        assert np.max(np.abs(despread(U, U @ w) - w)) < 1e-12
-
-    def test_nullspace_despreads_to_zero(self):
-        U = sample_partial_unitary(16, 4, stream(4))
-        x = complex_gaussian(stream(5), 16)
-        y = x - U @ (U.conj().T @ x)
-        assert np.max(np.abs(despread(U, y))) < 1e-10
+        sc = make_scenario(L=2, K=2, M=16, r_own=4, model=CorrelationModel.PARTIAL_UNITARY)
+        eng = DrawEngine(sc, bases=own_bases(sc))
+        w, noise = eng._draw_chunk(3, 0, 1)
+        _, w_own, x_own, _ = eng._estimates(w, noise)
+        assert np.max(np.abs(x_own - w_own)) < 1e-12
 
     def test_fourier_despread_matches_fft(self):
-        M = 32
-        U = sample_partial_fourier(M, 5, stream(6))
-        idx = fourier_support(U)
-        y = complex_gaussian(stream(7), M)
-        expect = np.fft.fft(y)[idx] / np.sqrt(M)
-        assert np.max(np.abs(despread(U, y) - expect)) < 1e-10
-
-    def test_spread_first_basis_vector(self):
-        U = sample_partial_unitary(12, 3, stream(8))
-        assert np.allclose(spread(U, np.eye(3)[:, 0]), U[:, 0])
-
-    @given(st.integers(2, 24))
-    @settings(max_examples=20, deadline=None)
-    def test_roundtrip_and_isometry(self, m):
-        r = max(1, m // 3)
-        U = sample_partial_unitary(m, r, stream(9, m))
-        g = complex_gaussian(stream(10, m), r)
-        p = spread(U, g)
-        assert np.max(np.abs(despread(U, p) - g)) < 1e-12
-        assert abs(np.linalg.norm(p) ** 2 - np.linalg.norm(g) ** 2) < 1e-12
+        # the shared pilot's noise snapshot, despread by the user's basis
+        sc = make_scenario(L=1, K=1, M=32, r_own=5, pilot="nonorthogonal")
+        eng = DrawEngine(sc)
+        _, noise = eng._draw_chunk(7, 0, 1)
+        rng = stream(7, 1, 0)  # trial 0's stream: the fading table, then z
+        complex_gaussian(rng, 1, 1, 1, eng.rmax)
+        z = complex_gaussian(rng, 1, sc.M)[0]
+        idx = fourier_support(sc.profile(0, 0, 0).U)
+        expect = np.fft.fft(z)[idx] / np.sqrt(sc.M)
+        assert np.max(np.abs(noise[0, 0, 0] - expect)) < 1e-10
 
     def test_dimension_mismatch(self):
-        U = sample_partial_unitary(8, 2, stream(1))
+        sc = make_scenario(L=1, K=2, M=8, r_own=2)
         with pytest.raises(ValueError):
-            despread(U, np.zeros(7))
+            DrawEngine(sc, bases={(0, 0): np.eye(8)[:, :2], (0, 1): np.eye(7)[:, :2]})
         with pytest.raises(ValueError):
-            spread(U, np.zeros(3))
+            DrawEngine(sc, bases={(0, 0): np.eye(8)[:, :2], (0, 1): np.eye(8)[:, :3]})
 
 
 class TestCrossChannel:
     def test_identity_projection(self):
-        U = sample_partial_unitary(16, 4, stream(11))
-        w = complex_gaussian(stream(12), 4)
-        assert np.max(np.abs(cross_channel(U, U, w) - w)) < 1e-10
+        sc = make_scenario(L=1, K=3, M=16, r_own=4, model=CorrelationModel.PARTIAL_UNITARY)
+        eng = DrawEngine(sc, bases=own_bases(sc))
+        for k in range(sc.K):
+            assert np.max(np.abs(eng.P_own[0, k, k] - np.eye(4))) < 1e-10
 
     def test_disjoint_supports_give_zero(self):
-        g = stream(13)
-        while True:
-            Ua = sample_partial_fourier(32, 4, g)
-            Ub = sample_partial_fourier(32, 4, g)
-            if not set(fourier_support(Ua)) & set(fourier_support(Ub)):
-                break
-        w = complex_gaussian(g, 4)
-        assert np.max(np.abs(cross_channel(Ua, Ub, w))) < 1e-12
+        sc = make_scenario(L=2, K=1, M=32, r_own=4, r_cross=4)
+        for i, key in enumerate(sorted(sc.profiles)):
+            sc.profiles[key].U = _fourier_columns(32, np.arange(4 * i, 4 * i + 4))
+        assert np.max(np.abs(DrawEngine(sc).P_x)) < 1e-12
 
     def test_projection_never_grows(self):
-        g = stream(14)
-        for _ in range(50):
-            Ua = sample_partial_unitary(24, 5, g)
-            Ub = sample_partial_unitary(24, 3, g)
-            w = complex_gaussian(g, 3)
-            assert np.linalg.norm(cross_channel(Ua, Ub, w)) <= np.linalg.norm(w) + 1e-12
+        # 50 cross-projections U_a^H U_b of Haar bases: no singular value
+        # above 1, so no seen channel is longer than the channel itself
+        sc = make_scenario(seed=14, L=2, K=5, M=24, r_own=5, r_cross=3,
+                           model=CorrelationModel.PARTIAL_UNITARY)
+        assert np.linalg.svd(DrawEngine(sc).P_x, compute_uv=False).max() <= 1 + 1e-12
 
     def test_contamination_suppression_mean(self):
-        # E||w_cross||^2 / M = (r / M^2) tr Lambda for Haar bases
-        M, r, trials = 256, 16, 400
-        lam = np.full(r, M / r)
-        g = stream(15)
-        vals = np.empty(trials)
-        for t in range(trials):
-            Ua = sample_partial_unitary(M, r, g)
-            Ub = sample_partial_unitary(M, r, g)
-            w = np.sqrt(lam) * complex_gaussian(g, r)
-            vals[t] = np.linalg.norm(cross_channel(Ua, Ub, w)) ** 2 / M
-        target = (r / M ** 2) * lam.sum()
-        assert abs(vals.mean() - target) / target < 0.12
+        # E||U_a^H U_b w||^2 = (r / M) tr Lambda_b for Haar bases: the
+        # cross-cell covariance table s_inter over 392 basis pairs
+        M, r = 256, 16
+        sc = make_scenario(seed=15, L=2, K=14, M=M, r_own=r, r_cross=r,
+                           model=CorrelationModel.PARTIAL_UNITARY)
+        eng = DrawEngine(sc)
+        ratios = []
+        for l, k in sc.users():
+            energy = sum(sc.profile(l, lp, p).energy for lp in eng.xcells[l]
+                         for p in range(sc.K))
+            ratios.append(np.trace(eng.s_inter[l, k]).real / energy)
+        target = r / M
+        assert abs(np.mean(ratios) - target) / target < 0.12
 
 
 class TestAngularOverlap:
     def test_identical_and_disjoint(self):
         U = sample_partial_fourier(64, 8, stream(16))
-        assert angular_overlap(U, U) == 8
-        idx = set(fourier_support(U))
-        free = sorted(set(range(64)) - idx)[:8]
-        from mimo_lab.covmodel import _fourier_columns
+        idx = fourier_support(U)
+        assert len(np.intersect1d(idx, fourier_support(U))) == 8
+        free = sorted(set(range(64)) - set(idx))[:8]
         V = _fourier_columns(64, np.array(free))
-        assert angular_overlap(U, V) == 0
+        assert list(fourier_support(V)) == free
+        assert len(np.intersect1d(idx, fourier_support(V))) == 0
 
     def test_expected_overlap_hypergeometric(self):
         M, r, draws = 64, 8, 10_000
@@ -144,14 +133,8 @@ class TestAngularOverlap:
         for _ in range(draws):
             Ua = sample_partial_fourier(M, r, g)
             Ub = sample_partial_fourier(M, r, g)
-            tot += angular_overlap(Ua, Ub)
+            tot += len(np.intersect1d(fourier_support(Ua), fourier_support(Ub)))
         assert abs(tot / draws - r * r / M) / (r * r / M) < 0.10
-
-    def test_rejects_unitary_model(self):
-        Ua = sample_partial_unitary(16, 3, stream(18))
-        Ub = sample_partial_unitary(16, 3, stream(19))
-        with pytest.raises(InvalidProfile):
-            angular_overlap(Ua, Ub)
 
 
 class TestConcentrationProperties:

@@ -234,8 +234,7 @@ class TestSinrDetequiv:
 
     def test_mf_matches_monte_carlo_moment_ratio(self):
         # Fig.4-style configuration: moment-ratio MF SINR vs its limit
-        from mimo_lab.channel import realize_block
-        from mimo_lab.training import EstimatorBank, contaminators, observe, projection
+        from mimo_lab.training import EstimatorBank, contaminators, projection
 
         sc = make_scenario(seed=6, L=7, K=20, M=100, T_c=50, snr_db=20.0, r_own=8,
                            pilot="nonorthogonal",
@@ -248,14 +247,17 @@ class TestSinrDetequiv:
         vnorm2 = np.empty(trials)
         interf = np.empty(trials)
         projs = {key: projection(sc, 0, 0, key) for key in contaminators(sc, 0, 0)}
+        own = sc.profile(0, 0, 0)
         for t in range(trials):
-            block = realize_block(sc, g)
-            s = observe(block, sc, g)[(0, 0)]
-            v = bank.users[(0, 0)].estimate(s).w_hat
-            sig[t] = np.vdot(v, block.w[(0, 0, 0)])
+            # the links into BS 0 seen by user (0, 0), and its despread pilot
+            w = np.sqrt(own.lam) * complex_gaussian(g, own.r)
+            seen = [P @ (np.sqrt(sc.profiles[key].lam) * complex_gaussian(g, P.shape[1]))
+                    for key, P in projs.items()]
+            s = w + sum(seen) + complex_gaussian(g, own.r) / np.sqrt(sc.rho_p)
+            v = bank.users[(0, 0)].filt @ s
+            sig[t] = np.vdot(v, w)
             vnorm2[t] = np.vdot(v, v).real
-            interf[t] = sum(abs(np.vdot(v, P @ block.w[key])) ** 2
-                            for key, P in projs.items())
+            interf[t] = sum(abs(np.vdot(v, x)) ** 2 for x in seen)
         mc = abs(sig.mean()) ** 2 / (vnorm2.mean() / sc.P_ul + interf.mean())
         assert abs(mc - de) / de < 0.15
 

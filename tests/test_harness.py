@@ -5,6 +5,7 @@ import sys
 import numpy as np
 import pytest
 
+from mimo_lab import harness
 from mimo_lab.cli import main as cli_main
 from mimo_lab.harness import (
     ConfigError,
@@ -221,6 +222,15 @@ class TestCli:
     def test_lemma_check_subcommand(self, capsys):
         assert cli_main(["lemma-check", "TraceLemma", "32,64", "--trials", "100"]) == 0
         assert "slope" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("fig,trials", [("fig2", "-1"), ("fig5", "0")])
+    def test_reproduce_rejects_nonpositive_trials(self, fig, trials, monkeypatch, capsys):
+        def no_work(*args, **kwargs):
+            raise AssertionError("a figure started before its trial count was checked")
+
+        monkeypatch.setattr(harness, "build_network", no_work)
+        assert cli_main(["reproduce", fig, "--trials", trials]) == 2
+        assert "trials must be >= 1" in capsys.readouterr().err
 
 
 @pytest.mark.slow

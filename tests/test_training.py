@@ -1,17 +1,13 @@
 import numpy as np
 import pytest
 
-from mimo_lab.channel import despread, realize_block
+from mimo_lab.bounds import DrawEngine
 from mimo_lab.covmodel import CorrelationModel, stream
 from mimo_lab.training import (
     EstimatorBank,
     PilotBudgetError,
     build_estimator,
     contaminators,
-    fulldim_mmse_estimate,
-    mmse_estimate,
-    observe,
-    observe_fulldim,
     projected_cov,
 )
 
@@ -23,12 +19,24 @@ def fourier_scenario(seed=0, **kw):
     return make_scenario(seed=seed, **kw)
 
 
+def pilots(sc, seed, trials):
+    """DrawEngine's despread pilot observations s, MMSE estimates w_hat and
+    own channels w of every user over `trials` trials, each [T, L, K, q]."""
+    eng = DrawEngine(sc)
+    w_hat, _, x_own, s = eng._estimates(*eng._draw_chunk(seed, 0, trials))
+    return s, w_hat, x_own
+
+
+def residual_energy(sc, seed, trials):
+    """||s - w||^2 of user (0, 0) per trial: contamination plus noise."""
+    s, _, w = pilots(sc, seed, trials)
+    return np.linalg.norm(s[:, 0, 0] - w[:, 0, 0], axis=-1) ** 2
+
+
 class TestObservations:
     def test_noiseless_single_cell_recovers_channel(self):
         sc = single_link_scenario(np.full(4, 2.0), boost=1e12)
-        block = realize_block(sc, stream(1))
-        s = observe(block, sc, stream(2))[(0, 0)]
-        w = block.w[(0, 0, 0)]
+        s, _, w = pilots(sc, 1, 1)
         assert np.linalg.norm(s - w) / np.linalg.norm(w) < 1e-5
 
     def test_disjoint_supports_project_out_contamination(self):
@@ -40,10 +48,8 @@ class TestObservations:
             prof = sc.profiles[key]
             idx = np.arange(i * 16, i * 16 + prof.r)
             prof.U = _fourier_columns(64, idx)
-        block = realize_block(sc, stream(4))
-        s = observe(block, sc, stream(5))[(0, 0)]
-        w = block.w[(0, 0, 0)]
-        assert np.linalg.norm(s - w) / np.linalg.norm(w) < 1e-5
+        s, _, w = pilots(sc, 4, 1)
+        assert np.linalg.norm(s[0, 0, 0] - w[0, 0, 0]) / np.linalg.norm(w[0, 0, 0]) < 1e-5
 
     def test_orthogonal_contamination_second_moment(self):
         # E||s - w||^2 = sum tr R~ + r / rho_p
@@ -51,14 +57,8 @@ class TestObservations:
                               snr_db=3.0)
         rt = sum(projected_cov(sc, 0, 0, key) for key in contaminators(sc, 0, 0))
         expect = float(np.real(np.trace(rt))) + sc.profile(0, 0, 0).r / sc.rho_p
-        g = stream(8)
-        acc = 0.0
-        trials = 1200
-        for _ in range(trials):
-            block = realize_block(sc, g)
-            s = observe(block, sc, g)[(0, 0)]
-            acc += np.linalg.norm(s - block.w[(0, 0, 0)]) ** 2
-        assert abs(acc / trials - expect) / expect < 0.10
+        acc = residual_energy(sc, 8, 1200).mean()
+        assert abs(acc - expect) / expect < 0.10
 
     def test_contaminator_bookkeeping(self):
         sc = fourier_scenario(L=3, K=4)
@@ -68,16 +68,10 @@ class TestObservations:
 
     def test_single_user_schemes_agree_in_law(self):
         sc = single_link_scenario(np.full(4, 2.0), boost=2.0, pilot="nonorthogonal")
-        g = stream(9)
-        acc = 0.0
-        trials = 3000
-        for _ in range(trials):
-            block = realize_block(sc, g)
-            s = observe(block, sc, g)[(0, 0)]
-            acc += np.linalg.norm(s - block.w[(0, 0, 0)]) ** 2
         # no contamination: residual is pure noise with energy r / rho_p
         expect = 4 / sc.rho_p
-        assert abs(acc / trials - expect) / expect < 0.10
+        acc = residual_energy(sc, 9, 3000).mean()
+        assert abs(acc - expect) / expect < 0.10
 
     def test_nonorthogonal_contamination_ratio(self):
         # symmetric profiles: per-entry contamination variance ratio is
@@ -91,22 +85,15 @@ class TestObservations:
         for draw in range(8):
             sc_o = make_scenario(seed=100 + draw, pilot="orthogonal", **common)
             sc_n = make_scenario(seed=100 + draw, pilot="nonorthogonal", **common)
-            g_o, g_n = stream(12, draw), stream(12, draw)
-            for _ in range(trials):
-                b_o = realize_block(sc_o, g_o)
-                acc_o += np.linalg.norm(
-                    observe(b_o, sc_o, g_o)[(0, 0)] - b_o.w[(0, 0, 0)]) ** 2
-                b_n = realize_block(sc_n, g_n)
-                acc_n += np.linalg.norm(
-                    observe(b_n, sc_n, g_n)[(0, 0)] - b_n.w[(0, 0, 0)]) ** 2
+            acc_o += residual_energy(sc_o, 12 + draw, trials).sum()
+            acc_n += residual_energy(sc_n, 12 + draw, trials).sum()
         expect = (3 * 4 - 1) / (3 - 1)
         assert abs((acc_n / acc_o) - expect) / expect < 0.20
 
     def test_pilot_budget_error(self):
         sc = fourier_scenario(L=1, K=8, M=32, r_own=4, T_c=6)
-        block = realize_block(sc, stream(14))
         with pytest.raises(PilotBudgetError):
-            observe(block, sc, stream(15))
+            DrawEngine(sc)
 
 
 class TestMmseEstimate:
@@ -114,32 +101,25 @@ class TestMmseEstimate:
         # lambda = 2, rho_p = 1: w_hat = (2/3) s, Phi = 4/3, N = 2/3
         sc = single_link_scenario([2.0], snr_db=0.0, boost=1.0)
         assert abs(sc.rho_p - 1.0) < 1e-12
+        eng = DrawEngine(sc)
         s = np.array([1.5 - 0.5j])
-        est = mmse_estimate(s, 0, 0, sc)
-        assert np.allclose(est.w_hat, (2.0 / 3.0) * s)
-        assert abs(est.phi[0, 0] - 4.0 / 3.0) < 1e-12
-        assert abs(est.err_cov[0, 0] - 2.0 / 3.0) < 1e-12
+        # no channel, and pilot noise s: the observation is s itself
+        w_hat = eng._estimates(np.zeros((1, 1, 1, 1, 1), dtype=complex),
+                               s.reshape(1, 1, 1, 1))[0]
+        assert np.allclose(w_hat[0, 0, 0], (2.0 / 3.0) * s)
+        assert abs(sc.profile(0, 0, 0).lam[0] - eng.err_cov[0, 0, 0, 0] - 4.0 / 3.0) < 1e-12
+        assert abs(eng.err_cov[0, 0, 0, 0] - 2.0 / 3.0) < 1e-12
 
     def test_noiseless_limit(self):
         sc = single_link_scenario(np.full(3, 5.0), boost=1e12)
-        block = realize_block(sc, stream(16))
-        s = observe(block, sc, stream(17))[(0, 0)]
-        est = mmse_estimate(s, 0, 0, sc)
-        assert np.linalg.norm(est.w_hat - s) / np.linalg.norm(s) < 1e-6
-        assert np.real(np.trace(est.err_cov)) < 1e-6
+        s, w_hat, _ = pilots(sc, 16, 1)
+        assert np.linalg.norm(w_hat - s) / np.linalg.norm(s) < 1e-6
+        assert np.real(np.trace(DrawEngine(sc).err_cov[0, 0])) < 1e-6
 
     def test_orthogonality_principle(self):
         sc = single_link_scenario(np.full(1, 3.0), boost=2.0)
-        bank = EstimatorBank.build(sc)
-        g = stream(18)
-        what, err = [], []
-        for _ in range(10_000):
-            block = realize_block(sc, g)
-            s = observe(block, sc, g)[(0, 0)]
-            est = bank.users[(0, 0)].estimate(s)
-            what.append(est.w_hat[0])
-            err.append(block.w[(0, 0, 0)][0] - est.w_hat[0])
-        what, err = np.array(what), np.array(err)
+        _, what, w = pilots(sc, 18, 10_000)
+        what, err = what[:, 0, 0, 0], w[:, 0, 0, 0] - what[:, 0, 0, 0]
         corr = np.vdot(what, err) / (np.linalg.norm(what) * np.linalg.norm(err))
         assert abs(corr) < 0.02
 
@@ -153,15 +133,10 @@ class TestMmseEstimate:
     def test_estimate_covariance_consistency(self):
         sc = fourier_scenario(seed=20, L=2, K=2, M=32, r_own=4, snr_db=6.0)
         bank = EstimatorBank.build(sc)
-        g = stream(21)
-        acc = np.zeros(4)
-        trials = 12_000
-        for _ in range(trials):
-            block = realize_block(sc, g)
-            s = observe(block, sc, g)[(0, 0)]
-            acc += np.abs(bank.users[(0, 0)].estimate(s).w_hat) ** 2
+        _, w_hat, _ = pilots(sc, 21, 12_000)
+        acc = (np.abs(w_hat[:, 0, 0]) ** 2).mean(axis=0)
         diag = np.real(np.diag(bank.users[(0, 0)].phi))
-        assert np.max(np.abs(acc / trials - diag) / diag) < 0.05
+        assert np.max(np.abs(acc - diag) / diag) < 0.05
 
     def test_mmse_dominance(self):
         sc = fourier_scenario(seed=22, L=3, K=3, M=64, r_own=8, snr_db=-20.0)
@@ -177,41 +152,6 @@ class TestMmseEstimate:
         err_n = np.real(np.diag(
             build_estimator(fourier_scenario(pilot="nonorthogonal", **common), 0, 0).err_cov))
         assert np.all(err_n >= err_o - 1e-12)
-
-
-class TestFulldimEstimate:
-    def test_noiseless_recovery(self):
-        sc = single_link_scenario(np.full(4, 3.0), M=32, boost=1e12)
-        block = realize_block(sc, stream(24))
-        s_bar = observe_fulldim(block, sc, stream(25))[(0, 0)]
-        est = fulldim_mmse_estimate(s_bar, 0, 0, sc)
-        w = block.w[(0, 0, 0)]
-        assert np.linalg.norm(est.w_hat - w) / np.linalg.norm(w) < 1e-6
-
-    def test_memory_guard(self):
-        sc = single_link_scenario(np.full(2, 1.0), M=64)
-        with pytest.raises(MemoryError):
-            fulldim_mmse_estimate(np.zeros(64, dtype=complex), 0, 0, sc, m_cap=32)
-
-    def test_lowdim_close_to_fulldim(self):
-        # reduced-size version of the sufficiency check
-        sc = make_scenario(seed=26, L=2, K=1, M=128, r_own=8,
-                           model=CorrelationModel.PARTIAL_UNITARY, snr_db=6.0)
-        bank = EstimatorBank.build(sc)
-        g = stream(27)
-        mse_low = mse_full = 0.0
-        trials = 100
-        for _ in range(trials):
-            block = realize_block(sc, g)
-            s_bar = observe_fulldim(block, sc, g)[(0, 0)]
-            s = despread(sc.profile(0, 0, 0).U, s_bar)
-            w = block.w[(0, 0, 0)]
-            mse_low += np.linalg.norm(bank.users[(0, 0)].estimate(s).w_hat - w) ** 2
-            mse_full += np.linalg.norm(fulldim_mmse_estimate(s_bar, 0, 0, sc).w_hat - w) ** 2
-        # both errors vanish relative to the channel energy; the sufficiency
-        # gap is measured on that scale
-        gap = (mse_low - mse_full) / trials / sc.profile(0, 0, 0).energy
-        assert -0.005 < gap < 0.02
 
 
 class TestEstimateInvariants:
