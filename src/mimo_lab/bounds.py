@@ -246,17 +246,20 @@ class DrawEngine:
                 contam += herm(gram(Xd * lam_d, Xd))
 
         # prior C = B^H R B, Xi = (C + contamination + I / rho_p)^{-1},
-        # filter C Xi and error covariance C - C Xi C
+        # filter C Xi = (Xi C)^H and error covariance C - C Xi C.  The filter
+        # is solved for against C: formed as C times an explicit Xi, it
+        # would carry round-off of order eps * rho_p in I_M bases
         own = self.P_own[l, kk, kk]  # [k, a, b]
         C = herm((own * lam_own[:, None]) @ own.conj().swapaxes(-1, -2))
         eye = np.eye(q, dtype=complex)
         xi = np.empty((K, q, q), dtype=complex)
         for k in range(K):
-            x, jit = hermitian_solve(C[k] + contam[k] + (1.0 / sc.rho_p) * eye, eye)
-            xi[k] = herm(x)
+            x, jit = hermitian_solve(C[k] + contam[k] + (1.0 / sc.rho_p) * eye,
+                                     np.concatenate([C[k], eye], axis=1))
+            self.filt[l, k] = x[:, :q].conj().T
+            xi[k] = herm(x[:, q:])
             if jit:
                 jittered.append((l, k))
-        self.filt[l] = C @ xi
         err = self.err_cov[l] = herm(C - herm(self.filt[l] @ C))
 
         if self.shared[l]:

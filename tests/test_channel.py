@@ -7,6 +7,7 @@ import pytest
 from mimo_lab.bounds import DrawEngine
 from mimo_lab.covmodel import (
     CorrelationModel,
+    InvalidProfile,
     _fourier_columns,
     complex_gaussian,
     sample_partial_fourier,
@@ -59,6 +60,21 @@ class TestDespreadSpread:
         w, noise = eng._draw_chunk(3, 0, 1)
         _, w_own, x_own, _ = eng._estimates(w, noise)
         assert np.max(np.abs(x_own - w_own)) < 1e-12
+
+    def test_nullspace_despreads_to_zero(self):
+        # the other cell's channel lies in the null space of the user's basis
+        # U: with no pilot noise, the despread observation is the own channel
+        sc = make_scenario(L=2, K=1, M=16, r_own=4, r_cross=1,
+                           model=CorrelationModel.PARTIAL_UNITARY)
+        U = sample_partial_unitary(16, 4, stream(4))
+        x = complex_gaussian(stream(5), 16)
+        y = x - U @ (U.conj().T @ x)
+        sc.profiles[(0, 0, 0)].U = U
+        sc.profiles[(0, 1, 0)].U = (y / np.linalg.norm(y))[:, None]
+        eng = DrawEngine(sc)
+        w, noise = eng._draw_chunk(5, 0, 1)
+        _, _, x_own, s = eng._estimates(w, np.zeros_like(noise))
+        assert np.max(np.abs(s[0, 0, 0] - x_own[0, 0, 0])) < 1e-10
 
     def test_fourier_despread_matches_fft(self):
         # the shared pilot's noise snapshot, despread by the user's basis
@@ -116,15 +132,19 @@ class TestCrossChannel:
         assert abs(np.mean(ratios) - target) / target < 0.12
 
 
+def angular_overlap(Ua, Ub):
+    """Number of DFT columns shared by two partial Fourier bases."""
+    return len(np.intersect1d(fourier_support(Ua), fourier_support(Ub)))
+
+
 class TestAngularOverlap:
     def test_identical_and_disjoint(self):
         U = sample_partial_fourier(64, 8, stream(16))
-        idx = fourier_support(U)
-        assert len(np.intersect1d(idx, fourier_support(U))) == 8
-        free = sorted(set(range(64)) - set(idx))[:8]
+        assert angular_overlap(U, U) == 8
+        free = sorted(set(range(64)) - set(fourier_support(U)))[:8]
         V = _fourier_columns(64, np.array(free))
         assert list(fourier_support(V)) == free
-        assert len(np.intersect1d(idx, fourier_support(V))) == 0
+        assert angular_overlap(U, V) == 0
 
     def test_expected_overlap_hypergeometric(self):
         M, r, draws = 64, 8, 10_000
@@ -133,8 +153,14 @@ class TestAngularOverlap:
         for _ in range(draws):
             Ua = sample_partial_fourier(M, r, g)
             Ub = sample_partial_fourier(M, r, g)
-            tot += len(np.intersect1d(fourier_support(Ua), fourier_support(Ub)))
+            tot += angular_overlap(Ua, Ub)
         assert abs(tot / draws - r * r / M) / (r * r / M) < 0.10
+
+    def test_rejects_unitary_model(self):
+        Ua = sample_partial_unitary(16, 3, stream(18))
+        Ub = sample_partial_unitary(16, 3, stream(19))
+        with pytest.raises(InvalidProfile):
+            angular_overlap(Ua, Ub)
 
 
 class TestConcentrationProperties:

@@ -11,7 +11,7 @@ from mimo_lab.training import (
     projected_cov,
 )
 
-from conftest import make_scenario, single_link_scenario
+from conftest import full_bases, make_scenario, single_link_scenario
 
 
 def fourier_scenario(seed=0, **kw):
@@ -152,6 +152,38 @@ class TestMmseEstimate:
         err_n = np.real(np.diag(
             build_estimator(fourier_scenario(pilot="nonorthogonal", **common), 0, 0).err_cov))
         assert np.all(err_n >= err_o - 1e-12)
+
+
+class TestFulldimEstimate:
+    # the M-dimensional MMSE estimator: the engine in I_M serving bases
+    def test_noiseless_recovery(self):
+        # zero pilot noise at rho_p = 1e12: the estimate is the channel U w
+        # up to the 1/rho_p regularisation and round-off
+        sc = single_link_scenario(np.full(4, 3.0), M=32, boost=1e12)
+        eng = DrawEngine(sc, bases=full_bases(sc))
+        w, noise = eng._draw_chunk(24, 0, 1)
+        w_hat, _, x_own, _ = eng._estimates(w, np.zeros_like(noise))
+        assert np.linalg.norm(w_hat - x_own) / np.linalg.norm(x_own) < 1e-6
+
+    def test_lowdim_close_to_fulldim(self):
+        # reduced-size version of the sufficiency check: both estimators see
+        # the same pilots, the own-basis one despread by U
+        sc = make_scenario(seed=26, L=2, K=1, M=128, r_own=8,
+                           model=CorrelationModel.PARTIAL_UNITARY, snr_db=6.0)
+        trials = 100
+        full = DrawEngine(sc, bases=full_bases(sc))
+        w, z = full._draw_chunk(27, 0, trials)
+        noise = np.stack([z[:, l, k] @ sc.profile(l, l, k).U.conj()
+                          for l, k in sc.users()], axis=1).reshape(trials, sc.L, sc.K, -1)
+        w_low, w_own, _, _ = DrawEngine(sc)._estimates(w, noise)
+        w_full = full._estimates(w, z)[0]
+        U = sc.profile(0, 0, 0).U
+        mse_low = np.linalg.norm(w_low[:, 0, 0] - w_own[:, 0, 0]) ** 2
+        mse_full = np.linalg.norm(w_full[:, 0, 0] @ U.conj() - w_own[:, 0, 0]) ** 2
+        # both errors vanish relative to the channel energy; the sufficiency
+        # gap is measured on that scale
+        gap = (mse_low - mse_full) / trials / sc.profile(0, 0, 0).energy
+        assert -0.005 < gap < 0.02
 
 
 class TestEstimateInvariants:
