@@ -11,12 +11,13 @@ from __future__ import annotations
 
 import math
 import os
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._linalg import herm, hermitian_solve
+from ._linalg import guard, herm, hermitian_solve
 from .covmodel import NetworkScenario, complex_gaussian, stream
 from .training import PilotBudgetError
 
@@ -118,8 +119,19 @@ class DrawEngine:
     channel gives its view in every serving basis of a cell:
     P_own[l, j, k] = B_lk^H U_llj, P_x[l, i, p, k] = B_lk^H U_{l lp p} for the
     i-th other cell lp (rx columns, the largest cross-link rank), and
-    P_est[l, j, k] = B_lk^H B_lj.  The users of `jittered` had their
-    estimator system regularised by hermitian_solve.
+    P_est[l, j, k] = B_lk^H B_lj.
+
+    Every system the engine solves has a known eigenvalue floor, which it
+    hands to the guard of `_linalg` so that no eigenvalue pass runs where
+    the floor already certifies the system: C + contamination + I/rho_p
+    (the estimators, >= 1/rho_p) and W W^H + Z + I/p (the MMSE combiners
+    and precoders, >= 1/p).  The combiner and precoder solve depends on the
+    basis dimension: when q > K it factors Z + I/p once per serving basis
+    and power and solves a K x K system per trial (matrix inversion lemma);
+    when q <= K it solves the q x q system of each trial directly.  The
+    users of `jittered` had their estimator system regularised; those of
+    `beam_jittered` had a combiner or precoder system regularised (Z + I/p
+    when q > K, a trial's system when q <= K).
     """
 
     def __init__(self, scenario: NetworkScenario, combiner: str = "mmse",
@@ -187,6 +199,11 @@ class DrawEngine:
         self.Z = self.err_cov + self.nproj_sum + self.s_inter
         if self.conditional:
             self.Z_cond = self.err_cov + self.nproj_sum + contam_res
+        # (Z + I / power)^{-1} per power, and the users whose combiner or
+        # precoder system the guard regularised; chunks may share the engine
+        self._inverses = {}
+        self._beam_flags = set()
+        self._lock = threading.RLock()
 
     def _cell_tables(self, l, jittered):
         """Fill cell l's projections, estimators and design-matrix terms.
@@ -248,16 +265,20 @@ class DrawEngine:
         # prior C = B^H R B, Xi = (C + contamination + I / rho_p)^{-1},
         # filter C Xi = (Xi C)^H and error covariance C - C Xi C.  The filter
         # is solved for against C: formed as C times an explicit Xi, it
-        # would carry round-off of order eps * rho_p in I_M bases
+        # would carry round-off of order eps * rho_p in I_M bases.  The
+        # system's smallest eigenvalue is at least 1 / rho_p, and Xi itself
+        # is needed only by the conditional contamination tables
         own = self.P_own[l, kk, kk]  # [k, a, b]
         C = herm((own * lam_own[:, None]) @ own.conj().swapaxes(-1, -2))
         eye = np.eye(q, dtype=complex)
-        xi = np.empty((K, q, q), dtype=complex)
+        xi = np.empty((K, q, q), dtype=complex) if self.conditional else None
         for k in range(K):
-            x, jit = hermitian_solve(C[k] + contam[k] + (1.0 / sc.rho_p) * eye,
-                                     np.concatenate([C[k], eye], axis=1))
+            rhs = np.concatenate([C[k], eye], axis=1) if self.conditional else C[k]
+            x, jit = hermitian_solve(C[k] + contam[k] + (1.0 / sc.rho_p) * eye, rhs,
+                                     floor=1.0 / sc.rho_p)
             self.filt[l, k] = x[:, :q].conj().T
-            xi[k] = herm(x[:, q:])
+            if self.conditional:
+                xi[k] = herm(x[:, q:])
             if jit:
                 jittered.append((l, k))
         err = self.err_cov[l] = herm(C - herm(self.filt[l] @ C))
@@ -364,25 +385,85 @@ class DrawEngine:
         table P [S, K, q, b] by its users' vectors u [T, K, q]: [T, K, S]."""
         return _inner(_seen(P[:, :1] if self.shared[l] else P, w), u)
 
+    @property
+    def beam_jittered(self):
+        """Users whose MMSE combiner or precoder system the guard regularised,
+        in any trial evaluated so far, sorted."""
+        with self._lock:
+            return tuple(sorted(self._beam_flags))
+
+    def _flag_users(self, l, ks):
+        with self._lock:
+            self._beam_flags.update((l, int(k)) for k in ks)
+
+    def _static_inverse(self, power):
+        """(Z + I / power)^{-1} of every serving basis, [n, q, q] per cell
+        (n = 1 for a shared cell, else K): one guarded solve each, with floor
+        1 / power, computed once per power."""
+        with self._lock:
+            inv = self._inverses.get(power)
+            if inv is None:
+                K, q = self.sc.K, self.q
+                eye = np.eye(q, dtype=complex)
+                inv = []
+                for l in range(self.sc.L):
+                    nb = 1 if self.shared[l] else K
+                    A = np.empty((nb, q, q), dtype=complex)
+                    for k in range(nb):
+                        x, jit = hermitian_solve(self.Z[l, k] + (1.0 / power) * eye, eye,
+                                                 floor=1.0 / power)
+                        A[k] = herm(x)
+                        if jit:
+                            self._flag_users(l, range(K) if self.shared[l] else [k])
+                    inv.append(A)
+                self._inverses[power] = inv
+        return inv
+
     def _beamformer(self, w_hat, l, power):
         """Unit-norm combining (power P_ul) or precoding (power P_dl per
         user) vectors of cell l's users [T, K, q], and the estimates seen in
         their bases that the MMSE design formed (_seen_estimates; None
-        under MF)."""
-        q = self.q
+        under MF).
+
+        User k's MMSE vector is G^{-1} w_k with G = W W^H + A: the columns
+        of W are the cell's K estimates seen in the user's basis, and
+        A = Z + I / power.  When q > K the matrix inversion lemma gives
+        G^{-1} W = A^{-1} W S^{-1} with S = I + W^H A^{-1} W, which is K x K
+        with every eigenvalue at least 1; A^{-1} comes from one guarded solve
+        per basis (_static_inverse), so a trial solves S only.  When q <= K
+        each trial solves G directly, after `guard` has jittered the systems
+        that its floor 1 / power does not certify (recorded in
+        beam_jittered)."""
+        K, q = self.sc.K, self.q
         wl = w_hat[:, l]
+        T = wl.shape[0]
         Y = None if self.combiner == "mf" else self._seen_estimates(w_hat, l)
         if Y is None:
             v = wl
+        elif q > K:
+            Yt = Y.transpose(1, 2, 0, 3)  # [T, n, j, q]: the rows w_j^T
+            XT = np.matmul(Yt, self._static_inverse(power)[l].swapaxes(-1, -2)[None])
+            S = np.matmul(Yt.conj(), XT.swapaxes(-1, -2))  # W^H A^{-1} W
+            S += np.eye(K)
+            # the one basis of a shared cell serves all K users, the basis of
+            # user k only its own column
+            E = np.eye(K) if self.shared[l] else np.eye(K)[:, :, None]
+            v = np.matmul(np.linalg.solve(S, E).swapaxes(-1, -2), XT).reshape(T, K, q)
         elif self.shared[l]:
             # one basis for the whole cell: all its users share one Gram
             # matrix (and Z), so one solve serves K right-hand sides
             G = np.matmul(wl.swapaxes(1, 2), wl.conj())
             G += self.Z[l, 0][None] + (1.0 / power) * np.eye(q)[None]
+            G, flags = guard(G, 1.0 / power)
+            if flags.any():
+                self._flag_users(l, range(K))
             v = np.linalg.solve(G, wl.swapaxes(1, 2)).swapaxes(1, 2)
         else:
             G = np.matmul(Y.transpose(1, 2, 3, 0), Y.conj().transpose(1, 2, 0, 3))
             G += self.Z[l][None] + (1.0 / power) * np.eye(q)[None, None]
+            G, flags = guard(G, 1.0 / power)
+            if flags.any():
+                self._flag_users(l, np.flatnonzero(flags.any(axis=0)))
             v = np.linalg.solve(G, wl[..., None])[..., 0]
         return v / np.linalg.norm(v, axis=-1, keepdims=True), Y
 
@@ -479,6 +560,33 @@ def run_bounds(
 
     bases maps every user (l, k) to its M x q serving basis (see
     DrawEngine); None serves each user in its own eigenbasis.
+
+    The alternative bound of user (l, k), with prelog = 1 - kappa / T_c, is
+    the max-min term less a penalty for the unknown effective gains:
+
+        alt = prelog * E[log2(1 + |s|^2 / (1/P + sum_i |g_i|^2))]
+              - prelog * sum_i log2(1 + P * Var[g_i]) / T_c,
+
+    where s = u^H h is the user's own effective gain, g_i = u^H h_i runs
+    over the interfering links (the other users of the cell and every user
+    of the other cells; the own link's term is zero), P is the data power
+    and Var[g_i] = E|g_i|^2 - |E g_i|^2 comes from the trials' ip_mean and
+    ip2.  Derivation: over a block whose gains g = (s, g_i) are fixed and
+    unknown, I(x; y) >= I(x; y | g) - I(g; y | x).  Treating interference
+    as noise given g, the first term is the max-min term.  The second is
+    the information the block's outputs carry about the gains.  For
+    Gaussian inputs of power P it is largest for Gaussian gains: one channel
+    use carries at most sum_i log2(1 + P * Var[g_i]) about the g_i, and the
+    code charges that amount, scaled by prelog / T_c, per channel use.  The
+    n = prelog * T_c data uses of a block together carry up to
+    sum_i log2(1 + n * P * Var[g_i]) plus a term for s, which is 1/T_c of
+    that per channel use.  The paper's own form is not in this repository,
+    so which charge it makes is open.
+    The alt report's stderr is the max-min term's: the Monte Carlo error of
+    the penalty, estimated from the same trials, is not included.
+
+    Raises FloatingPointError, before returning, if a report's sum_total,
+    stderr or any per-user rate is not finite.
     """
     sc = scenario
     want = set(bounds)
@@ -488,6 +596,9 @@ def run_bounds(
     engine = DrawEngine(sc, combiner=combiner,
                         conditional_contamination=conditional_contamination,
                         bases=bases)
+    if combiner != "mf" and engine.q > sc.K:
+        # the draw-static factorisations, before the chunks share the engine
+        engine._static_inverse(sc.P_ul if direction == "ul" else sc.P_dl_per_user)
     edges = list(range(0, trials, CHUNK)) + [trials]
     spans = [(a, b) for a, b in zip(edges, edges[1:]) if b > a]
     fn = engine.ul_chunk if direction == "ul" else engine.dl_chunk
@@ -591,6 +702,10 @@ def run_bounds(
                 stderr=ub_stderr, trials=trials, prelog=prelog,
                 sum_total_floored=sum(max(v, 0.0) for v in alt_user.values()),
             )
+    for rep in reports.values():
+        if not np.isfinite([rep.sum_total, rep.stderr, *rep.per_user.values()]).all():
+            raise FloatingPointError(
+                f"non-finite {rep.bound_id} {direction} rate (trial seed {seed_key})")
     return reports
 
 

@@ -16,6 +16,19 @@ def cell_vectors(sc, seed, power, bases=None):
     return eng._beamformer(w_hat, 0, power)[0], w_hat[:, 0]
 
 
+def exact_direction_error(sc, seed, power):
+    """Distance, up to a phase, of user (0, 0)'s unit MMSE vector from the
+    exact single-user direction (Z + I/p)^{-1} w_hat, which the inversion
+    lemma gives for K = 1."""
+    eng = DrawEngine(sc)
+    w_hat = eng._estimates(*eng._draw_chunk(seed, 0, 1))[0]
+    v = eng._beamformer(w_hat, 0, power)[0][0, 0]
+    x = np.linalg.solve(eng.Z[0, 0] + np.eye(eng.q) / power, w_hat[0, 0, 0])
+    x /= np.linalg.norm(x)
+    phase = np.vdot(x, v)
+    return np.linalg.norm(v - phase / abs(phase) * x)
+
+
 class TestMatchedFilter:
     def test_basis_vector(self):
         eng = DrawEngine(single_link_scenario(np.ones(4)), combiner="mf")
@@ -28,12 +41,18 @@ class TestMatchedFilter:
 class TestMmseCombiner:
     def test_single_user_high_power_reduces_to_mf(self):
         # noiseless pilot: Z is the vanishing estimation error.  At power
-        # 1e12 the unguarded batched solve of the Gram system (condition
-        # number ~1e12) loses about 1e-4 of its accuracy, so 1e6 here.
+        # 1e12, Z ~ 1e-12 I is as large as I/p, so even the exact MMSE
+        # direction is up to 1.2e-9 short of the estimate's: 1e6 here, and
+        # the direction itself at 1e12 below
         sc = single_link_scenario([1.0, 2.0, 0.3, 0.5], boost=1e12)
         v, w = cell_vectors(sc, 1, 1e6)
         cos = abs(np.vdot(v[0, 0], w[0, 0])) / np.linalg.norm(w[0, 0])
         assert cos > 1 - 1e-9
+
+    def test_single_user_power_1e12_is_exact_mmse_direction(self):
+        sc = single_link_scenario([1.0, 2.0, 0.3, 0.5], boost=1e12)
+        for seed in range(1, 6):
+            assert exact_direction_error(sc, seed, 1e12) < 1e-9
 
     def test_orthogonal_estimates_decouple(self):
         # one cell, disjoint Fourier supports, I_M serving bases: user 0's
@@ -66,6 +85,11 @@ class TestMmsePrecoder:
         g, w = cell_vectors(sc, 2, 1e6)
         cos = abs(np.vdot(g[0, 0], w[0, 0])) / np.linalg.norm(w[0, 0])
         assert cos > 1 - 1e-9
+
+    def test_single_user_power_1e12_is_exact_mmse_direction(self):
+        sc = single_link_scenario([0.5, 1.0, 2.0], boost=1e12)
+        for seed in range(1, 6):
+            assert exact_direction_error(sc, seed, 1e12) < 1e-9
 
     def test_power_constraint(self):
         # unit-norm precoders: ||g||^2 P_dl / K is each user's share, in

@@ -8,6 +8,10 @@ projected_cov, build_estimator, assemble_Z), and in other serving bases
 user.
 """
 
+import sys
+import time
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 
@@ -15,7 +19,7 @@ from mimo_lab import bounds
 from mimo_lab._linalg import herm, hermitian_solve
 from mimo_lab.beamform import assemble_Z
 from mimo_lab.bounds import DrawEngine
-from mimo_lab.covmodel import CorrelationModel, stream
+from mimo_lab.covmodel import CorrelationModel, _fourier_columns, stream
 from mimo_lab.training import EstimatorBank, contaminators, projected_cov, projection
 
 from conftest import full_bases, make_scenario, restricted_bases
@@ -130,8 +134,8 @@ def test_regularised_estimators_are_recorded(monkeypatch):
     # solve reports jitter for the second and fifth users it is asked for
     solve, calls = bounds.hermitian_solve, []
 
-    def flagged(A, B):
-        X, _ = solve(A, B)
+    def flagged(A, B, floor=0.0):
+        X, _ = solve(A, B, floor)
         calls.append(None)
         return X, len(calls) in (2, 5)
 
@@ -141,3 +145,120 @@ def test_regularised_estimators_are_recorded(monkeypatch):
     eng = DrawEngine(sc)
     assert len(calls) == sc.L * sc.K
     assert eng.jittered == ((0, 1), (1, 1))
+
+
+def test_regularised_estimators_match_eigenvalue_criterion():
+    # pilot boost 1e14: in I_M bases each estimator system C + contamination
+    # + I/rho_p has smallest eigenvalue 1/rho_p.  Scaling user k's channels by
+    # 1, 1e-3 and 1e-6 puts its trace above the jitter threshold, between the
+    # threshold and the floor's certificate, and under the certificate
+    sc = make_scenario(**dict(POINT, pilot_boost=1e14))
+    for key, prof in sc.profiles.items():
+        prof.lam = prof.lam * [1.0, 1e-3, 1e-6][key[2]]
+    bases = full_bases(sc)
+    _, cov, _, _ = reference(sc, bases)
+    want = []
+    for l, k in sc.users():
+        A = herm(cov(l, k, (l, l, k)) + sum(cov(l, k, key) for key in contaminators(sc, l, k))
+                 + np.eye(sc.M) / sc.rho_p)
+        if np.linalg.eigvalsh(A)[0] < 1e-12 * np.trace(A).real / sc.M:
+            want.append((l, k))
+    assert DrawEngine(sc, bases=bases).jittered == tuple(want) == ((0, 0), (1, 0))
+
+
+RANK_K_BASES = {
+    "own": BASES["own"],
+    "full": BASES["full"],
+    "distinct I_M": lambda sc: {u: np.eye(sc.M, dtype=complex) for u in sc.users()},
+}
+
+
+@pytest.mark.parametrize("which", list(RANK_K_BASES))
+@pytest.mark.parametrize("power", [1e2, 1e16])
+def test_rank_k_static_systems_are_recorded(which, power):
+    # q > K: the guarded solves are those of Z + I/p, one per serving basis
+    # (one per cell when its users share one I_M)
+    sc = make_scenario(**POINT)
+    eng = DrawEngine(sc, bases=RANK_K_BASES[which](sc))
+    assert eng.q > sc.K
+    w_hat = eng._estimates(*eng._draw_chunk(3, 0, 5))[0]
+    for l in range(sc.L):
+        eng._beamformer(w_hat, l, power)
+    want = [(l, k) for l, k in sc.users()
+            if hermitian_solve(eng.Z[l, k] + np.eye(eng.q) / power, np.eye(eng.q))[1]]
+    assert eng.beam_jittered == tuple(want)
+
+
+def disjoint_pair():
+    """q = K = 2, disjoint Fourier supports and a noiseless pilot: user k's
+    combiner system is the rank-one w_k w_k^H plus Z_k + I/p, both ~1e-12 at
+    p = 1e11, so whether a trial's system is near-singular depends on its
+    ||w_k||^2.  User 1's channel is 1e-6 weaker, and its system never is."""
+    sc = make_scenario(seed=2, L=1, K=2, M=16, r_own=2, pilot_boost=1e16)
+    for k in range(2):
+        sc.profiles[(0, 0, k)].U = _fourier_columns(16, np.arange(2 * k, 2 * k + 2))
+    sc.profiles[(0, 0, 1)].lam = sc.profiles[(0, 0, 1)].lam * 1e-6
+    return sc
+
+
+def test_direct_systems_are_recorded_per_trial():
+    sc = disjoint_pair()
+    power, T = 1e11, 40
+    eng = DrawEngine(sc)
+    w_hat = eng._estimates(*eng._draw_chunk(5, 0, T))[0][:, 0]
+    flagged = np.zeros((T, sc.K), dtype=bool)
+    for t in range(T):
+        for k in range(sc.K):
+            Y = [eng.P_est[0, j, k] @ w_hat[t, j] for j in range(sc.K)]
+            G = sum(np.outer(y, y.conj()) for y in Y) + eng.Z[0, k] + np.eye(eng.q) / power
+            flagged[t, k] = np.linalg.eigvalsh(G)[0] < 1e-12 * np.trace(G).real / eng.q
+    assert 0 < flagged[:, 0].sum() < T and not flagged[:, 1].any()
+
+    def recorded(spans):
+        eng = DrawEngine(sc)
+        for t0, t1 in spans:
+            w = eng._estimates(*eng._draw_chunk(5, t0, t1))[0]
+            eng._beamformer(w, 0, power)
+        return eng.beam_jittered
+
+    assert recorded([(0, T)]) == recorded([(0, 13), (13, T)]) == ((0, 0),)
+    t = int(np.flatnonzero(~flagged[:, 0])[0])
+    assert recorded([(t, t + 1)]) == ()
+
+
+@pytest.mark.parametrize("which", ["direct", "rank-K"])
+def test_threads_share_the_record_and_the_inverses(which, monkeypatch):
+    # more workers than cores and a short switch interval: every chunk's
+    # flags reach the record, and the rank-K path factors Z + I/p once per
+    # serving basis although no chunk warmed it up
+    if which == "direct":
+        sc, bases, power = disjoint_pair(), None, 1e11
+    else:
+        sc, power = make_scenario(**POINT), 1e16
+        bases = RANK_K_BASES["distinct I_M"](sc)
+    solve, calls = bounds.hermitian_solve, []
+
+    def counted(A, B, floor=0.0):
+        calls.append(None)
+        time.sleep(1e-3)  # widens the window in which threads could race
+        return solve(A, B, floor)
+
+    serial = DrawEngine(sc, bases=bases)
+    w_hat = serial._estimates(*serial._draw_chunk(5, 0, 48))[0]
+    for l in range(sc.L):
+        serial._beamformer(w_hat, l, power)
+    assert serial.beam_jittered
+    eng = DrawEngine(sc, bases=bases)
+    monkeypatch.setattr(bounds, "hermitian_solve", counted)
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            futures = [pool.submit(eng._beamformer, w_hat[t:t + 3], l, power)
+                       for t in range(0, 48, 3) for l in range(sc.L)]
+            for f in futures:
+                f.result(timeout=120)
+    finally:
+        sys.setswitchinterval(old)
+    assert eng.beam_jittered == serial.beam_jittered
+    assert len(calls) == (0 if which == "direct" else sc.L * sc.K)

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from mimo_lab import harness
+from mimo_lab.bounds import DrawEngine
 from mimo_lab.cli import main as cli_main
 from mimo_lab.harness import (
     ConfigError,
@@ -204,6 +205,23 @@ class TestCli:
         prob = tmp_path / "bad.txt"
         prob.write_text("N = 2\nz = 1.0\ntheta = identity x 2\n")
         assert cli_main(["detequiv", str(prob)]) == 3
+
+    def test_non_finite_rate_exits_3_without_output(self, tmp_path, monkeypatch):
+        # one chunk of three returns a NaN max-min rate for one user
+        ul_chunk = DrawEngine.ul_chunk
+
+        def poisoned(self, base_seed, t0, t1, cells, want):
+            out = ul_chunk(self, base_seed, t0, t1, cells, want)
+            if t0 == 64:
+                out["_nc"][cells[0]]["ub"][0, 0] = np.nan
+            return out
+
+        monkeypatch.setattr(DrawEngine, "ul_chunk", poisoned)
+        cfg = write_cfg(tmp_path, MINIMAL.replace("coherent_ul", "alt_ul")
+                        .replace("trials = 40", "trials = 130"))
+        out = tmp_path / "rates.csv"
+        assert cli_main(["run", cfg, "--out", str(out)]) == 3
+        assert not out.exists()
 
     def test_detequiv_solves_scalar_problem(self, tmp_path, capsys):
         prob = tmp_path / "p.txt"
