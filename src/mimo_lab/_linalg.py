@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 
 
 def herm(A: np.ndarray) -> np.ndarray:
@@ -50,6 +49,18 @@ def guard(A: np.ndarray, floor: float = 0.0):
     return A, flags
 
 
+def diag_guard(d: np.ndarray):
+    """`guard` for a stack of diagonal matrices given by their diagonals
+    d [..., n]: the smallest eigenvalue is the smallest entry, so the test
+    needs no eigenvalue pass.  Returns the guarded diagonals and the flags."""
+    n = d.shape[-1]
+    scale = np.maximum(d.sum(axis=-1) / n, np.finfo(float).tiny)
+    flags = ~(d.min(axis=-1) >= 1e-12 * scale)
+    if flags.any():
+        d = d + np.where(flags, 1e-10 * scale, 0.0)[..., None]
+    return d, flags
+
+
 def hermitian_solve(A: np.ndarray, B: np.ndarray, floor: float = 0.0):
     """Solve A X = B for Hermitian positive-definite A, never inverting.
 
@@ -66,6 +77,10 @@ def hermitian_solve(A: np.ndarray, B: np.ndarray, floor: float = 0.0):
     jittered = _near_singular(A, scale, floor)
     if jittered:
         A = A + (1e-10 * scale) * np.eye(n)
+    # scipy is loaded by the first dense factorisation: the angular engine
+    # of the partial-Fourier model needs none
+    from scipy.linalg import cho_factor, cho_solve
+
     try:
         c = cho_factor(A, lower=True)
         X = cho_solve(c, B)

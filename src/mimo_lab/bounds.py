@@ -17,11 +17,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._linalg import guard, herm, hermitian_solve
-from .covmodel import NetworkScenario, complex_gaussian, stream
+from ._linalg import diag_guard, guard, herm, hermitian_solve
+from .covmodel import (CorrelationModel, InvalidProfile, NetworkScenario, complex_gaussian,
+                       dft_matrix, stream)
 from .training import PilotBudgetError
 
 CHUNK = 64
+# memory a partial-Fourier chunk may take per pass of its trials (DrawEngine.span)
+PASS_BYTES = 2 ** 24
 
 UL_BOUNDS = ("coherent", "noncoherent", "alt", "maxmin")
 DL_BOUNDS = ("noncoherent", "alt", "maxmin")
@@ -74,18 +77,27 @@ def noncoherent_expression(mean_sig, var_sig, interf_power, inv_power) -> float:
 # Per-draw Monte Carlo engine
 # ---------------------------------------------------------------------------
 
-def _nc_stats(sig, ip, power):
+def _nc_stats(sig, ip, power, prev=None):
     """Per-chunk statistics of the non-coherent bounds from the signal
-    sig [T, K] and the interference inner products ip [T, K, links]."""
+    sig [T, K] and the interference inner products ip [T, K, links].  prev
+    holds the statistics of the chunk's earlier trials, which these extend:
+    their sums over trials lead, so the sums still run in trial order."""
     ip2 = np.abs(ip) ** 2
     ip2_sum = np.einsum("tki->tk", ip2)
-    return {
+    out = {
         "sig": sig,
         "ip2_sum": ip2_sum,
-        "ip_mean": ip.sum(axis=0),
-        "ip2": ip2.sum(axis=0),
+        "ip_mean": ip,
+        "ip2": ip2,
         "ub": np.log2(1.0 + np.abs(sig) ** 2 / (1.0 / power + ip2_sum)),
     }
+    if prev is not None:
+        for key, x in out.items():
+            lead = prev[key][None] if key in ("ip_mean", "ip2") else prev[key]
+            out[key] = np.concatenate([lead, x])
+    out["ip_mean"] = out["ip_mean"].sum(axis=0)
+    out["ip2"] = out["ip2"].sum(axis=0)
+    return out
 
 
 def _seen(P, w):
@@ -103,6 +115,28 @@ def _inner(Y, u):
     return np.matmul(Y.transpose(1, 2, 0, 3), u.conj()[..., None])[..., 0]
 
 
+def _segments(keys):
+    """Starts of the runs of equal entries in the sorted keys, and the key of
+    each run: the CSR layout that np.add.reduceat sums."""
+    first = np.flatnonzero(np.diff(keys, prepend=-1))
+    return first, keys[first]
+
+
+def _segment_sums(x, first, ids, n):
+    """The sums of x's segments along its last axis (starts `first`), placed
+    at entries `ids` of a zero array of n entries."""
+    out = np.zeros(x.shape[:-1] + (n,), dtype=x.dtype)
+    if first.size:
+        out[..., ids] = np.add.reduceat(x, first, axis=-1)
+    return out
+
+
+def _zero_padded(x):
+    """x with one zero entry appended along its last axis: index -1 or
+    x.shape[-1] then reads as zero."""
+    return np.concatenate([x, np.zeros_like(x[..., :1])], axis=-1)
+
+
 class DrawEngine:
     """Vectorized evaluator for one covariance draw of a scenario.
 
@@ -115,18 +149,39 @@ class DrawEngine:
     padding to the largest rank keeps the fading table rectangular: channels
     of rank r_cross < r_own are zero-extended, which changes no inner product.
 
-    The projection tables are source-major, so that one GEMM per source
-    channel gives its view in every serving basis of a cell:
-    P_own[l, j, k] = B_lk^H U_llj, P_x[l, i, p, k] = B_lk^H U_{l lp p} for the
-    i-th other cell lp (rx columns, the largest cross-link rank), and
-    P_est[l, j, k] = B_lk^H B_lj.
+    The scenario's model label picks one of two representations (`angular`).
+
+    Dense (the partial-unitary model, and partial-Fourier draws served in
+    bases that are neither DFT columns nor M x M): every projection is a
+    complex table, source-major, so that one GEMM per source channel gives
+    its view in every serving basis of a cell: P_own[l, j, k] = B_lk^H U_llj,
+    P_x[l, i, p, k] = B_lk^H U_{l lp p} for the i-th other cell lp (rx
+    columns, the largest cross-link rank), and P_est[l, j, k] = B_lk^H B_lj.
+    filt, err_cov, nproj_sum, s_inter and Z are [L, K, q, q].
+
+    Angular (partial-Fourier draws): each eigenbasis is a set of DFT columns,
+    supp[l, lp, k] the indices of link (l, lp, k) (-1 pads), and each serving
+    basis is served in DFT columns too, serve[l, k].  A basis of DFT columns
+    is served in its own; an M x M basis B that is not (I_M) is served in all
+    M, and its users' orthogonal-pilot noise is rotated by F^H B, one FFT for
+    B = I.  MMSE and MF processing are unitarily equivariant, so every rate
+    is the dense one up to round-off.  Every projection B^H U is then a 0/1
+    selection: filt, err_cov, nproj_sum, s_inter and Z are diagonals
+    [L, K, q], and Z + I/p is inverted by a reciprocal.  The pilot
+    observation is one scatter-add of the fading into angular slots (BS,
+    and pilot index under orthogonal pilots) and one gather per user; the
+    link inner products are gather-sums over the matched index pairs of each
+    (BS, source cell) block, precomputed per draw (`pairs`, `segs`).  A
+    chunk is evaluated in passes of at most `span` trials, sized from the
+    scenario's shape to about PASS_BYTES; the dense representation takes a
+    chunk in one pass.
 
     Every system the engine solves has a known eigenvalue floor, which it
     hands to the guard of `_linalg` so that no eigenvalue pass runs where
     the floor already certifies the system: C + contamination + I/rho_p
     (the estimators, >= 1/rho_p) and W W^H + Z + I/p (the MMSE combiners
     and precoders, >= 1/p).  The combiner and precoder solve depends on the
-    basis dimension: when q > K it factors Z + I/p once per serving basis
+    basis dimension: when q > K it inverts Z + I/p once per serving basis
     and power and solves a K x K system per trial (matrix inversion lemma);
     when q <= K it solves the q x q system of each trial directly.  The
     users of `jittered` had their estimator system regularised; those of
@@ -160,38 +215,50 @@ class DrawEngine:
         self.q = q = self.bases[(0, 0)].shape[1]
         if any(self.bases[u].shape != (sc.M, q) for u in sc.users()):
             raise ValueError(f"every serving basis must be M x q = {sc.M} x {q}")
-        # cells whose users all share one basis object (fig2's I_M)
-        self.shared = [not self.eigen and all(self.bases[(l, k)] is self.bases[(l, 0)]
-                                              for k in range(K)) for l in range(L)]
         self.xcells = {l: [lp for lp in range(L) if lp != l] for l in range(L)}
 
-        # sqrt-eigenvalue table for all links, padded: [L_rx, L_tx, K, rmax]
-        self.sqrt_lam = np.zeros((L, L, K, self.rmax))
+        # eigenvalue and sqrt-eigenvalue tables of all links, padded:
+        # [L_rx, L_tx, K, rmax]
+        lam = np.zeros((L, L, K, self.rmax))
         for (l, lp, k), prof in sc.profiles.items():
-            self.sqrt_lam[l, lp, k, : prof.r] = np.sqrt(prof.lam)
+            lam[l, lp, k, : prof.r] = prof.lam
+        self.sqrt_lam = np.sqrt(lam)
 
+        self.angular = sc.model is CorrelationModel.PARTIAL_FOURIER and self._index_sets()
+        if self.angular:
+            # cells whose users are all served in the same DFT columns
+            self.shared = [bool((self.serve[l] == self.serve[l, 0]).all()) for l in range(L)]
+            tab, dtype = (L, K, q), float
+        else:
+            # cells whose users all share one basis object (fig2's I_M)
+            self.shared = [not self.eigen and all(self.bases[(l, k)] is self.bases[(l, 0)]
+                                                  for k in range(K)) for l in range(L)]
+            tab, dtype = (L, K, q, q), complex
         # the estimates between serving bases are the identity within a
         # shared cell, so not stored if all cells share
-        self.P_own = np.zeros((L, K, K, q, r), dtype=complex)
-        self._P_est = (None if self.eigen or all(self.shared)
-                       else np.zeros((L, K, K, q, q), dtype=complex))
-        self.P_x = np.zeros((L, L - 1, K, K, q, self.rx), dtype=complex) if L > 1 else None
+        dense = not self.angular
+        self.P_own = np.zeros((L, K, K, q, r), dtype=complex) if dense else None
+        self._P_est = (np.zeros((L, K, K, q, q), dtype=complex)
+                       if dense and not (self.eigen or all(self.shared)) else None)
+        self.P_x = (np.zeros((L, L - 1, K, K, q, self.rx), dtype=complex)
+                    if dense and L > 1 else None)
         # per-user MMSE estimators in the serving bases, the own-cell
         # estimation errors seen in each user's basis, and the cross-cell
         # channel covariances
-        self.filt = np.zeros((L, K, q, q), dtype=complex)
-        self.err_cov = np.zeros((L, K, q, q), dtype=complex)
-        self.nproj_sum = np.zeros((L, K, q, q), dtype=complex)
-        self.s_inter = np.zeros((L, K, q, q), dtype=complex)
+        self.filt = np.zeros(tab, dtype=dtype)
+        self.err_cov = np.zeros(tab, dtype=dtype)
+        self.nproj_sum = np.zeros(tab, dtype=dtype)
+        self.s_inter = np.zeros(tab, dtype=dtype)
         if self.conditional:
             # exact Gaussian conditionals for the pilot-contaminated links:
             # mean filter R~ Xi per contaminating cell, and the coherent
             # denominator's covariance with the residuals in place of R~
-            self.contam_filt = np.zeros((L, K, L - 1, q, q), dtype=complex)
-            contam_res = np.zeros((L, K, q, q), dtype=complex)
+            self.contam_filt = np.zeros((L, K, L - 1) + tab[2:], dtype=dtype)
+            contam_res = np.zeros(tab, dtype=dtype)
         jittered = []
         for l in range(L):
-            res = self._cell_tables(l, jittered)
+            res = (self._angular_tables(l, lam[l], jittered) if self.angular
+                   else self._cell_tables(l, jittered))
             if self.conditional:
                 contam_res[l] = res
         self.jittered = tuple(jittered)
@@ -199,11 +266,72 @@ class DrawEngine:
         self.Z = self.err_cov + self.nproj_sum + self.s_inter
         if self.conditional:
             self.Z_cond = self.err_cov + self.nproj_sum + contam_res
+        # trials per pass of a chunk: the angular representation bounds the
+        # memory of a pass by PASS_BYTES (one pass in the dense one)
+        self.span = CHUNK
+        if self.angular:
+            self._angular_plans()
+            per_trial = 16 * (L * L * K * self.rmax + 2 * self.obs_take.size + 4 * L * K * q
+                              + (1 if all(self.shared) else K) * 2 * K * q + 2 * L * K * K)
+            self.span = max(PASS_BYTES // per_trial, 1)
         # (Z + I / power)^{-1} per power, and the users whose combiner or
         # precoder system the guard regularised; chunks may share the engine
         self._inverses = {}
         self._beam_flags = set()
         self._lock = threading.RLock()
+
+    def _index_sets(self):
+        """Set supp and serve of a partial-Fourier draw (see the class
+        docstring) and the noise rotations of its M x M non-DFT serving
+        bases, and return True; return False, setting nothing, when a
+        serving basis with q < M is not DFT columns.
+
+        A basis's indices come in one vectorised pass: the phase step from
+        row 0 to row 1 of each column, then one comparison of the basis
+        with the DFT columns it names (the K links from one cell into one
+        BS at once)."""
+        sc = self.sc
+        L, K, M, q = sc.L, sc.K, sc.M, self.q
+        F = dft_matrix(M)
+        row = min(1, M - 1)
+
+        def columns(U):
+            idx = np.rint(np.angle(U[row]) * (M / (2.0 * np.pi))).astype(np.intp) % M
+            return idx if np.abs(U - F[:, idx]).max() <= 1e-8 else None
+
+        serve = np.zeros((L, K, q), dtype=np.intp)
+        rotations = {}  # id(B) -> (B, or None for I_M; its users)
+        if not self.eigen:
+            found = {}
+            for (l, k), B in self.bases.items():
+                if id(B) not in found:
+                    idx = columns(B)
+                    if idx is None:
+                        if q < M:
+                            return False
+                        idx = np.arange(M)
+                        rotations[id(B)] = (None if np.array_equal(B, np.eye(M)) else B, [])
+                    found[id(B)] = idx
+                serve[l, k] = found[id(B)]
+                if id(B) in rotations:
+                    rotations[id(B)][1].append((l, k))
+        supp = np.full((L, L, K, self.rmax), -1, dtype=np.intp)
+        for l, lp in np.ndindex(L, L):
+            links = [sc.profile(l, lp, k) for k in range(K)]
+            idx = columns(np.concatenate([prof.U for prof in links], axis=1))
+            if idx is None:
+                raise InvalidProfile(
+                    "a partial-Fourier draw's eigenbases must be DFT columns")
+            end = 0
+            for k, prof in enumerate(links):
+                supp[l, lp, k, : prof.r] = idx[end: end + prof.r]
+                end += prof.r
+        if self.eigen:
+            ll = np.arange(L)
+            serve[:] = supp[ll, ll, :, :q]
+        self.supp, self.serve = supp, serve
+        self._rotations = [(B, tuple(np.array(users).T)) for B, users in rotations.values()]
+        return True
 
     def _cell_tables(self, l, jittered):
         """Fill cell l's projections, estimators and design-matrix terms.
@@ -304,6 +432,98 @@ class DrawEngine:
             return herm(res) + herm(gram(Xo, Xk))
         return None
 
+    def _angular_tables(self, l, lam, jittered):
+        """`_cell_tables` in the angular representation, where every table is
+        a diagonal: a link's projected covariance B^H R B is its eigenvalues
+        lam [L, K, rmax] placed at its DFT indices and read at the serving
+        basis's.  Each estimator system is diagonal too, so `diag_guard`
+        reads its smallest eigenvalue off the diagonal."""
+        sc = self.sc
+        L, K, M = sc.L, sc.K, sc.M
+        T = self.serve[l]  # [k, a]
+        # power of every link into BS l at each DFT index (padding at M)
+        pw = np.zeros((L, K, M + 1))
+        pw[np.arange(L)[:, None, None], np.arange(K)[:, None], self.supp[l]] = lam
+        own, cross = pw[l, :, :M], pw[self.xcells[l], :, :M]
+        C = np.take_along_axis(own, T, axis=-1)
+        self.s_inter[l] = cross.sum(axis=(0, 1))[T]
+        if self.nonorth:
+            contam = own.sum(axis=0)[T] - C + self.s_inter[l]
+        else:  # the same pilot index in every other cell
+            rt = np.take_along_axis(cross, T[None], axis=-1)  # [i, k, a]
+            contam = rt.sum(axis=0)
+        d, jit = diag_guard(C + contam + 1.0 / sc.rho_p)
+        jittered.extend((l, int(k)) for k in np.flatnonzero(jit))
+        filt = self.filt[l] = C / d
+        err = self.err_cov[l] = C - filt * C
+        # every user's error at its DFT indices, less the user's own
+        self.nproj_sum[l] = np.bincount(T.ravel(), err.ravel(), minlength=M)[T] - err
+        if self.conditional:
+            rt = rt.transpose(1, 0, 2)  # [k, i, a]
+            self.contam_filt[l] = rt / d[:, None]
+            res = (rt - self.contam_filt[l] * rt).sum(axis=1)
+            return res + (self.s_inter[l] - contam)
+        return None
+
+    def _angular_plans(self):
+        """The angular representation's per-draw index plans.
+
+        own_pos [L, K, q]: position of each serving index among the user's
+        own eigencolumns (r: none).  est_pos [L, k, j, q]: where user k's
+        serving indices sit among user j's, as flat indices j * (q + 1) + a
+        into the zero-padded estimates (a = q: not among them), for cells
+        that do not share.  obs_take, obs_first and obs_slot: the fading
+        entries sorted by angular slot, the CSR segments of the slots, and
+        each user's serving slots among them (one past the last: none).
+        pairs [2, P] (n * q + a, p * rmax + b) and segs [2, S] (start,
+        n * K + p) of each (BS l, source cell c) block, at ptr[:, l * L + c]:
+        serving basis n's coordinate a and source p's eigencolumn b share a
+        DFT index."""
+        sc = self.sc
+        L, K, M, q, r, rmax = sc.L, sc.K, sc.M, self.q, self.r, self.rmax
+        ll, kk = np.arange(L)[:, None, None], np.arange(K)[:, None]
+
+        def inverse(idx, width, none):
+            """inv[..., m] = position of m in idx[..., :], `none` elsewhere
+            (and at m = M, where the -1 padding reads)."""
+            inv = np.full(idx.shape[:-1] + (M + 1,), none, dtype=np.intp)
+            np.put_along_axis(inv, idx, np.arange(width), axis=-1)
+            inv[..., M] = none
+            return inv
+
+        self.own_pos = (None if self.eigen else np.take_along_axis(
+            inverse(self.supp[np.arange(L), np.arange(L), :, :r], r, r), self.serve, axis=-1))
+        inv = inverse(self.serve, q, q)  # [l, j, m]
+        self.est_pos = (None if all(self.shared) else
+                        kk * (q + 1) + inv[ll[..., None], kk, self.serve[:, :, None]])
+
+        # pilot slots: (BS, DFT index) for the shared pilot, (BS, pilot
+        # index, DFT index) for orthogonal ones
+        group = ll[..., None] if self.nonorth else ll[..., None] * K + kk
+        slot = np.where(self.supp >= 0, group * M + self.supp, -1).ravel()
+        take = np.flatnonzero(slot >= 0)
+        self.obs_take = take[np.argsort(slot[take], kind="stable")]
+        self.obs_first, slots = _segments(slot[self.obs_take])
+        want = ((ll if self.nonorth else ll * K + kk[None]) * M + self.serve).ravel()
+        at = np.minimum(np.searchsorted(slots, want), max(slots.size - 1, 0))
+        hit = slots.size > 0 and (slots[at] == want)
+        self.obs_slot = np.where(hit, at, slots.size).reshape(L, K, q)
+
+        pairs, segs, ptr = [], [], [[0], [0]]
+        for l in range(L):
+            nb = 1 if self.shared[l] else K
+            for c in range(L):
+                A = inv[l, :nb][:, self.supp[l, c]]  # [n, p, b]
+                n, p, b = np.nonzero(A < q)
+                first, ids = _segments(n * K + p)
+                pairs.append(np.stack([n * q + A[n, p, b], p * rmax + b]))
+                segs.append(np.stack([first, ids]))
+                ptr[0].append(ptr[0][-1] + n.size)
+                ptr[1].append(ptr[1][-1] + first.size)
+        self.pairs = np.concatenate(pairs, axis=1)
+        self.segs = np.concatenate(segs, axis=1)
+        self.ptr = np.array(ptr)
+
     @property
     def P_est(self):
         """Estimate projections between serving bases; in the own eigenbases
@@ -328,10 +548,19 @@ class DrawEngine:
             else:
                 # fresh pilot symbol per user: despread noise is plain CN(0, I_q)
                 noise[i] = complex_gaussian(rng, L, K, q)
-        if self.nonorth:
+        if self.nonorth and self.angular:
+            # one snapshot per BS in DFT coordinates, read by each user
+            zf = np.fft.fft(z, axis=-1, norm="ortho")
+            noise = zf[:, np.arange(L)[:, None, None], self.serve]
+        elif self.nonorth:
             # one snapshot per BS, despread by each of its users
             for (l, k), B in self.bases.items():
                 noise[:, l, k] = z[:, l] @ B.conj()
+        elif self.angular:
+            # noise drawn in an M x M basis B, seen in DFT coordinates: F^H B n
+            for B, (ls, ks) in self._rotations:
+                x = noise[:, ls, ks] if B is None else noise[:, ls, ks] @ B.T
+                noise[:, ls, ks] = np.fft.fft(x, axis=-1, norm="ortho")
         w *= self.sqrt_lam[None]
         return w, noise
 
@@ -351,9 +580,18 @@ class DrawEngine:
             w_own[:, l] = w[:, l, l, :, :r]
         if self.eigen:
             x_own = w_own
+        elif self.angular:
+            x_own = np.take_along_axis(_zero_padded(w_own), self.own_pos[None], axis=-1)
         else:
             own = self.P_own[:, kk, kk].swapaxes(-1, -2)  # [l, k, b, a]
             x_own = np.matmul(w_own.transpose(1, 2, 0, 3), own).transpose(2, 0, 1, 3)
+        if self.angular:
+            # every pilot-sharing link scattered to its slots, read per user
+            obs = _segment_sums(np.take(w.reshape(T, -1), self.obs_take, axis=1),
+                                self.obs_first, slice(None, -1), self.obs_first.size + 1)
+            s = np.take(obs, self.obs_slot, axis=1)
+            s += noise / np.sqrt(sc.rho_p)
+            return self.filt * s, w_own, x_own, s
         s = x_own + noise / np.sqrt(sc.rho_p)
         for l in range(L):
             if self.nonorth:
@@ -378,12 +616,33 @@ class DrawEngine:
         wl = w_hat[:, l]
         if self.shared[l]:
             return wl.transpose(1, 0, 2)[:, :, None]
+        if self.angular:
+            # [T, k, j, q] in memory: the MMSE products read contiguous rows
+            T = wl.shape[0]
+            Y = np.take(_zero_padded(wl).reshape(T, -1), self.est_pos[l], axis=1)
+            return Y.transpose(2, 0, 1, 3)
         return _seen(self.P_est[l], wl)
 
-    def _link_inner(self, l, P, w, u):
-        """u^H (B^H U w) for channels w [T, S, b] into BS l, seen through its
-        table P [S, K, q, b] by its users' vectors u [T, K, q]: [T, K, S]."""
-        return _inner(_seen(P[:, :1] if self.shared[l] else P, w), u)
+    def _link_inner(self, l, c, w, u):
+        """u^H (B^H U w) for the channels from cell c's users into BS l, seen
+        by its users' vectors u [T, K, q]: [T, K, K] (vector, source user),
+        from the fading table w [T, L, L, K, rmax]."""
+        K = self.sc.K
+        if not self.angular:
+            P = self.P_own[l] if c == l else self.P_x[l, c - (c > l)]
+            x = w[:, l, c, :, : P.shape[-1]]
+            return _inner(_seen(P[:, :1] if self.shared[l] else P, x), u)
+        blk = l * self.sc.L + c
+        (p0, p1), (s0, s1) = self.ptr[:, blk: blk + 2]
+        ua, src = self.pairs[:, p0:p1]
+        first, ids = self.segs[:, s0:s1]
+        T = u.shape[0]
+        x = np.take(w[:, l, c].reshape(T, -1), src, axis=1)
+        if self.shared[l]:  # one set of pairs for every user's vector
+            x = np.take(u.conj(), ua, axis=2) * x[:, None]
+            return _segment_sums(x, first, ids, K)
+        x *= np.take(u.conj().reshape(T, -1), ua, axis=1)
+        return _segment_sums(x, first, ids, K * K).reshape(T, K, K)
 
     @property
     def beam_jittered(self):
@@ -399,7 +658,8 @@ class DrawEngine:
     def _static_inverse(self, power):
         """(Z + I / power)^{-1} of every serving basis, [n, q, q] per cell
         (n = 1 for a shared cell, else K): one guarded solve each, with floor
-        1 / power, computed once per power."""
+        1 / power, computed once per power.  In the angular representation
+        the inverses are reciprocals of diagonals, [n, q] per cell."""
         with self._lock:
             inv = self._inverses.get(power)
             if inv is None:
@@ -408,6 +668,13 @@ class DrawEngine:
                 inv = []
                 for l in range(self.sc.L):
                     nb = 1 if self.shared[l] else K
+                    if self.angular:
+                        d, jit = diag_guard(self.Z[l, :nb] + 1.0 / power)
+                        inv.append(1.0 / d)
+                        if jit.any():
+                            self._flag_users(l, range(K) if self.shared[l]
+                                             else np.flatnonzero(jit))
+                        continue
                     A = np.empty((nb, q, q), dtype=complex)
                     for k in range(nb):
                         x, jit = hermitian_solve(self.Z[l, k] + (1.0 / power) * eye, eye,
@@ -418,6 +685,16 @@ class DrawEngine:
                     inv.append(A)
                 self._inverses[power] = inv
         return inv
+
+    def _with_design(self, G, Zl, power):
+        """G + Z + I / power for the design matrices Zl of a cell (diagonals
+        in the angular representation)."""
+        if self.angular:
+            i = np.arange(self.q)
+            G[..., i, i] += Zl + 1.0 / power
+        else:
+            G += Zl + (1.0 / power) * np.eye(self.q)
+        return G
 
     def _beamformer(self, w_hat, l, power):
         """Unit-norm combining (power P_ul) or precoding (power P_dl per
@@ -430,10 +707,10 @@ class DrawEngine:
         A = Z + I / power.  When q > K the matrix inversion lemma gives
         G^{-1} W = A^{-1} W S^{-1} with S = I + W^H A^{-1} W, which is K x K
         with every eigenvalue at least 1; A^{-1} comes from one guarded solve
-        per basis (_static_inverse), so a trial solves S only.  When q <= K
-        each trial solves G directly, after `guard` has jittered the systems
-        that its floor 1 / power does not certify (recorded in
-        beam_jittered)."""
+        per basis (_static_inverse; a reciprocal in the angular
+        representation), so a trial solves S only.  When q <= K each trial
+        solves G directly, after `guard` has jittered the systems that its
+        floor 1 / power does not certify (recorded in beam_jittered)."""
         K, q = self.sc.K, self.q
         wl = w_hat[:, l]
         T = wl.shape[0]
@@ -442,25 +719,34 @@ class DrawEngine:
             v = wl
         elif q > K:
             Yt = Y.transpose(1, 2, 0, 3)  # [T, n, j, q]: the rows w_j^T
-            XT = np.matmul(Yt, self._static_inverse(power)[l].swapaxes(-1, -2)[None])
-            S = np.matmul(Yt.conj(), XT.swapaxes(-1, -2))  # W^H A^{-1} W
+            inv = self._static_inverse(power)[l]
+            if self.angular:  # the rows of (A^{-1} W)^H
+                XT = Yt.conj()
+                XT *= inv[None, :, None]
+                S = np.matmul(XT, Yt.swapaxes(-1, -2))
+            else:  # the rows of A^{-1} W
+                XT = np.matmul(Yt, inv.swapaxes(-1, -2)[None])
+                S = np.matmul(Yt.conj(), XT.swapaxes(-1, -2))  # W^H A^{-1} W
             S += np.eye(K)
             # the one basis of a shared cell serves all K users, the basis of
             # user k only its own column
             E = np.eye(K) if self.shared[l] else np.eye(K)[:, :, None]
-            v = np.matmul(np.linalg.solve(S, E).swapaxes(-1, -2), XT).reshape(T, K, q)
+            X = np.linalg.solve(S, E).swapaxes(-1, -2)
+            v = (np.matmul(X.conj(), XT).conj() if self.angular
+                 else np.matmul(X, XT)).reshape(T, K, q)
         elif self.shared[l]:
             # one basis for the whole cell: all its users share one Gram
             # matrix (and Z), so one solve serves K right-hand sides
-            G = np.matmul(wl.swapaxes(1, 2), wl.conj())
-            G += self.Z[l, 0][None] + (1.0 / power) * np.eye(q)[None]
+            G = self._with_design(np.matmul(wl.swapaxes(1, 2), wl.conj()),
+                                  self.Z[l, 0][None], power)
             G, flags = guard(G, 1.0 / power)
             if flags.any():
                 self._flag_users(l, range(K))
             v = np.linalg.solve(G, wl.swapaxes(1, 2)).swapaxes(1, 2)
         else:
-            G = np.matmul(Y.transpose(1, 2, 3, 0), Y.conj().transpose(1, 2, 0, 3))
-            G += self.Z[l][None] + (1.0 / power) * np.eye(q)[None, None]
+            G = self._with_design(
+                np.matmul(Y.transpose(1, 2, 3, 0), Y.conj().transpose(1, 2, 0, 3)),
+                self.Z[l][None], power)
             G, flags = guard(G, 1.0 / power)
             if flags.any():
                 self._flag_users(l, np.flatnonzero(flags.any(axis=0)))
@@ -470,12 +756,31 @@ class DrawEngine:
     # -- per-chunk statistics -----------------------------------------------
 
     def ul_chunk(self, base_seed, t0, t1, cells, want):
+        return self._chunk(self._ul_pass, base_seed, t0, t1, cells, want)
+
+    def dl_chunk(self, base_seed, t0, t1, cells, want):
+        return self._chunk(self._dl_pass, base_seed, t0, t1, cells, want)
+
+    def _chunk(self, one_pass, base_seed, t0, t1, cells, want):
+        """Statistics of trials [t0, t1), evaluated in passes of at most
+        `span` trials, each folded into the chunk's statistics cell by cell.
+        Every trial is computed on its own and the sums over trials run in
+        trial order, so the split changes no value, only the memory a chunk
+        holds."""
+        n = max(-(-(t1 - t0) // self.span), 1)
+        edges = [t0 + (t1 - t0) * i // n for i in range(n + 1)]
+        out = {}
+        for a, b in zip(edges, edges[1:]):
+            one_pass(base_seed, a, b, cells, want, out)
+        return out
+
+    def _ul_pass(self, base_seed, t0, t1, cells, want, out):
         sc = self.sc
-        K, rx = sc.K, self.rx
+        K = sc.K
         kk = np.arange(K)
         w, noise = self._draw_chunk(base_seed, t0, t1)
-        w_hat, w_own, x_own, s_obs = self._estimates(w, noise)
-        out = {}
+        w_hat, _, x_own, s_obs = self._estimates(w, noise)
+        del noise
         for l in cells:
             vl, Y = self._beamformer(w_hat, l, sc.P_ul)  # [T, K, q]
             if "coherent" in want:
@@ -485,54 +790,56 @@ class DrawEngine:
                 num = ip2_hat[:, kk, kk].copy()
                 ip2_hat[:, kk, kk] = 0.0
                 Cstat = self.Z_cond[l] if self.conditional else self.Z[l]
-                Cv = np.matmul(vl.transpose(1, 0, 2), Cstat.swapaxes(-1, -2))  # [k, T, a]
-                den = np.einsum("tka,kta->tk", vl.conj(), Cv).real
+                if self.angular:
+                    den = (np.abs(vl) ** 2 * Cstat).sum(axis=-1)
+                else:
+                    Cv = np.matmul(vl.transpose(1, 0, 2), Cstat.swapaxes(-1, -2))  # [k, T, a]
+                    den = np.einsum("tka,kta->tk", vl.conj(), Cv).real
                 if self.conditional:
                     # v^H R~ Xi s for each pilot-sharing cell
-                    cmean = np.matmul(self.contam_filt[l], s_obs[:, l, :, None, :, None])
-                    den += (np.abs(np.matmul(vl.conj()[:, :, None, None], cmean)) ** 2
-                            ).sum(axis=(2, 3, 4))
+                    if self.angular:
+                        cm = (vl.conj()[:, :, None] * self.contam_filt[l]
+                              * s_obs[:, l, :, None, :]).sum(axis=-1)
+                        den += (np.abs(cm) ** 2).sum(axis=2)
+                    else:
+                        cmean = np.matmul(self.contam_filt[l], s_obs[:, l, :, None, :, None])
+                        den += (np.abs(np.matmul(vl.conj()[:, :, None, None], cmean)) ** 2
+                                ).sum(axis=(2, 3, 4))
                 den += ip2_hat.sum(axis=2)
                 den += (np.linalg.norm(vl, axis=-1) ** 2) / sc.P_ul
                 sinr = num / den
-                out.setdefault("coherent", {})[l] = {
-                    "rate": np.log2(1.0 + sinr),
-                    "sinr": sinr,
-                }
+                prev = out.setdefault("coherent", {}).get(l)
+                if prev is not None:
+                    sinr = np.concatenate([prev["sinr"], sinr])
+                out["coherent"][l] = {"rate": np.log2(1.0 + sinr), "sinr": sinr}
+            del Y
             if want & {"noncoherent", "alt", "maxmin"}:
                 sig = np.einsum("tka,tka->tk", vl.conj(), x_own[:, l])
                 # true channels of every link into BS l, own cell first
-                ips = [self._link_inner(l, self.P_own[l], w_own[:, l], vl)]
+                ips = [self._link_inner(l, c, w, vl) for c in [l] + self.xcells[l]]
                 ips[0][:, kk, kk] = 0.0
-                for i, lp in enumerate(self.xcells[l]):
-                    ips.append(self._link_inner(l, self.P_x[l, i], w[:, l, lp, :, :rx], vl))
-                ip = np.concatenate(ips, axis=2)
-                out.setdefault("_nc", {})[l] = _nc_stats(sig, ip, sc.P_ul)
-        return out
+                nc = out.setdefault("_nc", {})
+                nc[l] = _nc_stats(sig, np.concatenate(ips, axis=2), sc.P_ul, nc.get(l))
 
-    def dl_chunk(self, base_seed, t0, t1, cells, want):
+    def _dl_pass(self, base_seed, t0, t1, cells, want, out):
         sc = self.sc
         L, K = sc.L, sc.K
         kk = np.arange(K)
         w, noise = self._draw_chunk(base_seed, t0, t1)
-        w_hat, w_own, x_own, _ = self._estimates(w, noise)
+        w_hat, _, x_own, _ = self._estimates(w, noise)
+        del noise
         g = np.stack([self._beamformer(w_hat, l, sc.P_dl_per_user)[0] for l in range(L)],
                      axis=1)
-        out = {}
+        nc = out.setdefault("_nc", {})
         for l in cells:
             # signal: (B_{lk}^H U_{llk} w_{llk})^H g_{lk}
             sig = np.einsum("tka,tka->tk", x_own[:, l].conj(), g[:, l])
             # link from user (l, k) into BS lp seen through precoder (lp, j):
             # (B_{lp j}^H U_{lp l k} w_{lp l k})^H g_{lp j}, own cell first
-            ips = []
-            for lp in [l] + self.xcells[l]:
-                P = self.P_own[l] if lp == l else self.P_x[lp, l - (l > lp)]
-                x = self._link_inner(lp, P, w[:, lp, l, :, : P.shape[-1]], g[:, lp])
-                ips.append(x.conj().swapaxes(1, 2))
+            ips = [self._link_inner(lp, l, w, g[:, lp]).conj().swapaxes(1, 2)
+                   for lp in [l] + self.xcells[l]]
             ips[0][:, kk, kk] = 0.0
-            ip = np.concatenate(ips, axis=2)
-            out.setdefault("_nc", {})[l] = _nc_stats(sig, ip, sc.P_dl_per_user)
-        return out
+            nc[l] = _nc_stats(sig, np.concatenate(ips, axis=2), sc.P_dl_per_user, nc.get(l))
 
 
 def run_bounds(

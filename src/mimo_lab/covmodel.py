@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import lru_cache
 
 import numpy as np
 
@@ -63,9 +64,19 @@ def sample_partial_unitary(M: int, r: int, rng: np.random.Generator) -> np.ndarr
     return q
 
 
-def _fourier_columns(M: int, idx: np.ndarray) -> np.ndarray:
+@lru_cache(maxsize=8)
+def dft_matrix(M: int) -> np.ndarray:
+    """The M-point unitary DFT matrix F[j, i] = exp(2 pi i j i / M) / sqrt(M),
+    built once per M and read-only: partial Fourier bases are its columns."""
     j = np.arange(M)[:, None]
-    return np.exp(2j * np.pi * j * idx[None, :] / M) / np.sqrt(M)
+    F = np.exp(2j * np.pi * j * np.arange(M)[None, :] / M) / np.sqrt(M)
+    F.flags.writeable = False
+    return F
+
+
+def _fourier_columns(M: int, idx: np.ndarray) -> np.ndarray:
+    """Columns idx of the M-point unitary DFT matrix (a copy)."""
+    return dft_matrix(M)[:, np.asarray(idx)]
 
 
 def sample_partial_fourier(M: int, r: int, rng: np.random.Generator) -> np.ndarray:

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,12 @@ def make_scenario(seed=0, **kw):
     """Network scenario from keyword overrides of the defaults."""
     cfg = ScenarioConfig(**kw)
     return build_network(cfg, stream(seed, 0))
+
+
+def dense_twin(sc):
+    """The same draw labelled partial-unitary: DrawEngine serves it in its
+    dense tables, built from the same (DFT-column) eigenbases."""
+    return replace(sc, model=CorrelationModel.PARTIAL_UNITARY)
 
 
 def single_link_scenario(lam, seed=0, M=None, snr_db=0.0, boost=1.0,

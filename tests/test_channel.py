@@ -16,7 +16,7 @@ from mimo_lab.covmodel import (
     stream,
 )
 
-from conftest import full_bases, make_scenario, single_link_scenario
+from conftest import dense_twin, full_bases, make_scenario, single_link_scenario
 
 
 def own_bases(sc):
@@ -35,7 +35,7 @@ class TestRealizeBlock:
     def test_parseval_per_link(self):
         # in I_M serving bases a link's table entry is its own basis U, so
         # the seen channel is the M-dimensional U w
-        sc = make_scenario(L=2, K=2, M=32, r_own=4)
+        sc = dense_twin(make_scenario(L=2, K=2, M=32, r_own=4))
         eng = DrawEngine(sc, bases=full_bases(sc))
         w, noise = eng._draw_chunk(37, 0, 1)
         _, _, x_own, _ = eng._estimates(w, noise)
@@ -107,7 +107,7 @@ class TestCrossChannel:
         sc = make_scenario(L=2, K=1, M=32, r_own=4, r_cross=4)
         for i, key in enumerate(sorted(sc.profiles)):
             sc.profiles[key].U = _fourier_columns(32, np.arange(4 * i, 4 * i + 4))
-        assert np.max(np.abs(DrawEngine(sc).P_x)) < 1e-12
+        assert np.max(np.abs(DrawEngine(dense_twin(sc)).P_x)) < 1e-12
 
     def test_projection_never_grows(self):
         # 50 cross-projections U_a^H U_b of Haar bases: no singular value

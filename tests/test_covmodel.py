@@ -11,6 +11,8 @@ from mimo_lab.covmodel import (
     InvalidProfile,
     RankExceedsDimension,
     Regime,
+    _fourier_columns,
+    dft_matrix,
     eigen_profile,
     fourier_support,
     sample_partial_fourier,
@@ -89,6 +91,20 @@ class TestPartialFourier:
             if not set(fourier_support(Ua)) & set(fourier_support(Ub)):
                 break
         assert np.max(np.abs(Ua.conj().T @ Ub)) < 1e-12
+
+    def test_cached_columns_equal_the_direct_formula(self):
+        # slices of the cached DFT matrix, bit for bit the per-column exp
+        g = np.random.default_rng(11)
+        for M in (1, 2, 7, 8, 64, 100, 120, 333, 1000):
+            j = np.arange(M)[:, None]
+            for r in sorted({1, M // 3 + 1, M}):
+                idx = np.sort(g.choice(M, size=r, replace=False))
+                direct = np.exp(2j * np.pi * j * idx[None, :] / M) / np.sqrt(M)
+                assert np.array_equal(_fourier_columns(M, idx), direct)
+        assert not dft_matrix(8).flags.writeable
+        cols = _fourier_columns(8, np.array([1, 5]))
+        cols[0, 0] = 0.0  # a copy: the cache stays intact
+        assert dft_matrix(8)[0, 1] == 1 / np.sqrt(8)
 
     def test_support_recovery_rejects_unitary_model(self):
         U = sample_partial_unitary(16, 3, stream(2))

@@ -10,7 +10,9 @@ The engine forms its estimators from its own projection tables, so the
 replays check its estimator step too.  Replays cover UL and DL, orthogonal
 and shared pilots, MMSE and MF, the Fourier and Haar models, one cell, and
 the exact conditionals of the pilot-sharing links, through to the reduced
-per-user rates.
+per-user rates.  Every Fourier replay runs on both of the engine's
+representations: the angular one its model label selects, and the dense
+tables of the same draw relabelled partial-unitary (dense=True).
 """
 
 import math
@@ -25,7 +27,7 @@ from mimo_lab.bounds import DrawEngine, prelog_factor, run_bounds
 from mimo_lab.covmodel import CorrelationModel, complex_gaussian, stream
 from mimo_lab.training import EstimatorBank, contaminators, projected_cov, projection
 
-from conftest import full_bases, make_scenario, restricted_bases
+from conftest import dense_twin, full_bases, make_scenario, restricted_bases
 
 TOL = 1e-9
 
@@ -194,11 +196,14 @@ def conditional(sc, oracle):
     return Z, mean
 
 
-def replay_ul(sc, oracle, combiner, cells, seed, conditional_contamination=False):
+def replay_ul(sc, oracle, combiner, cells, seed, conditional_contamination=False,
+              dense=False):
     """Replay DrawEngine.ul_chunk trial by trial and check it on `cells`:
-    the coherent rate, then sig, ub, ip and the reduced alt rate."""
+    the coherent rate, then sig, ub, ip and the reduced alt rate.  dense
+    runs the engine on the draw's dense twin."""
     trials = 3
-    out = DrawEngine(sc, combiner=combiner,
+    esc = dense_twin(sc) if dense else sc
+    out = DrawEngine(esc, combiner=combiner,
                      conditional_contamination=conditional_contamination).ul_chunk(
         seed, 0, trials, cells, {"coherent", "alt", "maxmin"})
     Zc, mean = conditional(sc, oracle) if conditional_contamination else (oracle.Z, None)
@@ -230,7 +235,7 @@ def replay_ul(sc, oracle, combiner, cells, seed, conditional_contamination=False
     for l in cells:
         np.testing.assert_allclose(out["coherent"][l]["rate"], coherent[l], rtol=0,
                                    atol=TOL, err_msg=f"coherent rate at cell {l}")
-    alt = run_bounds(sc, "ul", ("alt",), trials, seed, combiner, cells,
+    alt = run_bounds(esc, "ul", ("alt",), trials, seed, combiner, cells,
                      conditional_contamination)["alt"]
     assert_replayed(sc, out["_nc"], alt, cells, sig, ub, ip, sc.P_ul)
 
@@ -247,21 +252,21 @@ FIG6 = dict(seed=60, L=7, K=20, M=100, r_own=8, T_c=50, snr_db=20.0)
     (dict(ORTH, L=1), "orthogonal"),
     (dict(ORTH, L=1), "nonorthogonal"),
 ], ids=["two-cell", "one-cell", "one-cell-shared-pilot"])
-def test_engine_matches_loop_per_trial(point, pilot, combiner):
+def test_engine_matches_loop_per_trial(point, pilot, combiner, dense=False):
     # one cell: no cross projection table, and under the shared pilot only
     # the own cell contaminates
     sc = make_scenario(pilot=pilot, **point)
-    replay_ul(sc, op_level(sc), combiner, list(range(sc.L)), 505)
+    replay_ul(sc, op_level(sc), combiner, list(range(sc.L)), 505, dense=dense)
 
 
 @pytest.mark.parametrize("combiner", ["mmse", "mf"])
 @pytest.mark.parametrize("model", [FOURIER, HAAR], ids=["fourier", "haar"])
-def test_conditional_contamination_matches_loop_per_trial(model, combiner):
+def test_conditional_contamination_matches_loop_per_trial(model, combiner, dense=False):
     # under Haar bases with decaying eigenvalues R~ and Xi do not commute,
     # so the mean filter R~ Xi differs from Xi R~
     sc = make_scenario(**dict(ORTH, model=model, eigen_shape="exp_decay", eigen_rate=0.5))
     replay_ul(sc, op_level(sc), combiner, list(range(sc.L)), 505,
-              conditional_contamination=True)
+              conditional_contamination=True, dense=dense)
 
 
 @pytest.mark.parametrize("point, model, combiner, cells", [
@@ -273,20 +278,22 @@ def test_conditional_contamination_matches_loop_per_trial(model, combiner):
     (FIG6, FOURIER, "mf", [0]),
 ], ids=["small-fourier-mmse", "small-fourier-mf", "small-haar-mmse",
         "small-haar-mf", "fig6-fourier-mmse", "fig6-fourier-mf"])
-def test_nonorthogonal_ul_matches_loop_per_trial(point, model, combiner, cells):
+def test_nonorthogonal_ul_matches_loop_per_trial(point, model, combiner, cells, dense=False):
     # the shared-pilot estimate path: every other link of the network leaks
     # into each despread observation, and one noise snapshot per BS is
     # despread by all of its users; r_cross < r_own exercises the padding
     sc = make_scenario(pilot="nonorthogonal", model=model, **point)
     assert sc.r_cross < sc.r_own
-    replay_ul(sc, op_level(sc), combiner, cells, 506)
+    replay_ul(sc, op_level(sc), combiner, cells, 506, dense=dense)
 
 
-def replay_dl(sc, oracle, combiner, bases=None):
-    """Replay DrawEngine.dl_chunk trial by trial and check it, all cells."""
+def replay_dl(sc, oracle, combiner, bases=None, dense=False):
+    """Replay DrawEngine.dl_chunk trial by trial and check it, all cells
+    (dense: on the draw's dense twin)."""
     seed, trials = 507, 3
     cells = list(range(sc.L))
-    out = DrawEngine(sc, combiner=combiner, bases=bases).dl_chunk(
+    esc = dense_twin(sc) if dense else sc
+    out = DrawEngine(esc, combiner=combiner, bases=bases).dl_chunk(
         seed, 0, trials, cells, {"alt", "maxmin"})["_nc"]
 
     power = sc.P_dl_per_user
@@ -303,16 +310,16 @@ def replay_dl(sc, oracle, combiner, bases=None):
             ub[l, t, k] = math.log2(1.0 + abs(sig[l, t, k]) ** 2 / (
                 1.0 / power + (np.abs(ip[l, t, k]) ** 2).sum()))
 
-    alt = run_bounds(sc, "dl", ("alt",), trials, seed, combiner, bases=bases)["alt"]
+    alt = run_bounds(esc, "dl", ("alt",), trials, seed, combiner, bases=bases)["alt"]
     assert_replayed(sc, out, alt, cells, sig, ub, ip, power)
 
 
 @pytest.mark.parametrize("combiner", ["mmse", "mf"])
 @pytest.mark.parametrize("model", [FOURIER, HAAR], ids=["fourier", "haar"])
 @pytest.mark.parametrize("pilot", ["orthogonal", "nonorthogonal"])
-def test_dl_matches_loop_per_trial(pilot, model, combiner):
+def test_dl_matches_loop_per_trial(pilot, model, combiner, dense=False):
     sc = make_scenario(pilot=pilot, model=model, **SMALL)
-    replay_dl(sc, op_level(sc), combiner)
+    replay_dl(sc, op_level(sc), combiner, dense=dense)
 
 
 @pytest.mark.parametrize("pilot, which", [("nonorthogonal", "d=3"), ("orthogonal", "full")],
@@ -325,3 +332,51 @@ def test_dl_in_serving_bases_matches_loop_per_trial(pilot, which):
                        **SMALL)
     bases = restricted_bases(sc, 3, stream(8)) if which == "d=3" else full_bases(sc)
     replay_dl(sc, in_basis(sc, bases), "mmse", bases)
+
+
+SERVING = {
+    "d=3": lambda sc: restricted_bases(sc, 3, stream(8)),
+    "I_M": full_bases,
+    "distinct I_M": lambda sc: {u: np.eye(sc.M, dtype=complex) for u in sc.users()},
+}
+
+
+@pytest.mark.parametrize("dense", [False, True], ids=["angular", "dense"])
+@pytest.mark.parametrize("which", list(SERVING))
+@pytest.mark.parametrize("pilot", ["orthogonal", "nonorthogonal"])
+def test_fourier_dl_in_serving_bases_matches_loop_per_trial(pilot, which, dense):
+    # the angular engine serves d-restricted bases in their DFT columns and
+    # I_M in all M of them, rotating each user's orthogonal-pilot noise by
+    # F^H; the oracle works in the bases themselves
+    sc = make_scenario(pilot=pilot, model=FOURIER, eigen_shape="exp_decay", eigen_rate=0.5,
+                       **SMALL)
+    bases = SERVING[which](sc)
+    replay_dl(sc, in_basis(sc, bases), "mmse", bases, dense=dense)
+
+
+FOURIER_REPLAYS = {
+    "two-cell": (test_engine_matches_loop_per_trial, dict(point=ORTH, pilot="orthogonal")),
+    "one-cell": (test_engine_matches_loop_per_trial,
+                 dict(point=dict(ORTH, L=1), pilot="orthogonal")),
+    "one-cell-shared-pilot": (test_engine_matches_loop_per_trial,
+                              dict(point=dict(ORTH, L=1), pilot="nonorthogonal")),
+    "conditional": (test_conditional_contamination_matches_loop_per_trial,
+                    dict(model=FOURIER)),
+    "small-shared-pilot": (test_nonorthogonal_ul_matches_loop_per_trial,
+                           dict(point=SMALL, model=FOURIER, cells=[0, 1])),
+    "fig6-shared-pilot": (test_nonorthogonal_ul_matches_loop_per_trial,
+                          dict(point=FIG6, model=FOURIER, cells=[0])),
+    "dl-orthogonal": (test_dl_matches_loop_per_trial,
+                      dict(pilot="orthogonal", model=FOURIER)),
+    "dl-shared-pilot": (test_dl_matches_loop_per_trial,
+                        dict(pilot="nonorthogonal", model=FOURIER)),
+}
+
+
+@pytest.mark.parametrize("combiner", ["mmse", "mf"])
+@pytest.mark.parametrize("case", list(FOURIER_REPLAYS))
+def test_fourier_replays_on_dense_tables(case, combiner):
+    # the Fourier replays above ran the angular engine; here the same draws
+    # run the dense tables, against the same oracle and tolerance
+    replay, kwargs = FOURIER_REPLAYS[case]
+    replay(combiner=combiner, dense=True, **kwargs)

@@ -22,7 +22,7 @@ from mimo_lab.bounds import DrawEngine
 from mimo_lab.covmodel import CorrelationModel, _fourier_columns, stream
 from mimo_lab.training import EstimatorBank, contaminators, projected_cov, projection
 
-from conftest import full_bases, make_scenario, restricted_bases
+from conftest import dense_twin, full_bases, make_scenario, restricted_bases
 
 POINT = dict(seed=31, L=2, K=3, M=24, r_own=4, snr_db=7.0,
              model=CorrelationModel.PARTIAL_UNITARY, eigen_shape="exp_decay", eigen_rate=0.5)
@@ -202,7 +202,7 @@ def disjoint_pair():
 
 
 def test_direct_systems_are_recorded_per_trial():
-    sc = disjoint_pair()
+    sc = dense_twin(disjoint_pair())
     power, T = 1e11, 40
     eng = DrawEngine(sc)
     w_hat = eng._estimates(*eng._draw_chunk(5, 0, T))[0][:, 0]

@@ -188,9 +188,11 @@ class TestDeterminismAcrossThreads:
         assert outputs[0] == outputs[1] == outputs[2]
 
     def test_blas_thread_count_does_not_change_bytes(self, tmp_path):
-        # the engine's tables and per-trial contractions are GEMMs
-        outputs = csv_bytes_across_threads(tmp_path, THREADED)
-        assert outputs[0] == outputs[1] == outputs[2]
+        # the dense engine's tables and per-trial contractions are GEMMs (the
+        # unitary twin); the Fourier config runs the angular engine
+        for text in (THREADED, THREADED.replace("model = fourier", "model = unitary")):
+            outputs = csv_bytes_across_threads(tmp_path, text)
+            assert outputs[0] == outputs[1] == outputs[2]
 
 
 class TestCli:

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from mimo_lab._linalg import guard, herm, hermitian_solve
+from mimo_lab._linalg import diag_guard, guard, herm, hermitian_solve
 
 
 def test_well_conditioned_matches_direct_solve():
@@ -73,3 +73,12 @@ def test_guard_flags_a_stack_as_hermitian_solve_does():
     want = [hermitian_solve(A, np.eye(6))[1] for A in stack]
     assert flags.tolist() == want
     assert want == [False, False, False, True, True]
+
+
+def test_diag_guard_matches_guard_on_diagonal_stacks():
+    # smallest entries around the jitter threshold 1e-12 * trace/n
+    d = np.array([[1.0, 2.0, 3.0], [2e-12, 1.0, 2.0], [1e-13, 1.0, 2.0], [0.0, 0.0, 0.0]])
+    want, want_flags = guard(np.stack([np.diag(x) for x in d]).astype(complex))
+    got, flags = diag_guard(d)
+    assert flags.tolist() == want_flags.tolist() == [False, False, True, True]
+    assert np.array_equal(got, np.real(np.diagonal(want, axis1=-2, axis2=-1)))

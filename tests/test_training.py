@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from mimo_lab import training
 from mimo_lab.bounds import DrawEngine
 from mimo_lab.covmodel import CorrelationModel, stream
 from mimo_lab.training import (
@@ -144,6 +145,26 @@ class TestMmseEstimate:
             est = build_estimator(sc, l, k)
             lam_sum = sc.profile(l, l, k).lam.sum()
             assert np.real(np.trace(est.err_cov)) <= lam_sum + 1e-9
+
+    def test_bank_floor_skips_the_eigenvalue_pass(self, monkeypatch):
+        # 1/rho_p bounds every estimator system from below, so a
+        # well-conditioned draw needs no eigvalsh, and the estimators are
+        # bit for bit those of the floor-free guard
+        sc = make_scenario(seed=24, L=2, K=3, M=32, r_own=4, snr_db=10.0,
+                           model=CorrelationModel.PARTIAL_UNITARY)
+        solve = training.hermitian_solve
+        monkeypatch.setattr(training, "hermitian_solve", lambda A, B, floor=0.0: solve(A, B))
+        want = EstimatorBank.build(sc)
+        monkeypatch.setattr(training, "hermitian_solve", solve)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("an eigenvalue pass ran")
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+        got = EstimatorBank.build(sc)
+        for u in sc.users():
+            for name in ("xi", "phi", "err_cov", "filt", "jittered"):
+                assert np.array_equal(getattr(got.users[u], name), getattr(want.users[u], name))
 
     def test_scheme_ordering(self):
         common = dict(seed=23, L=2, K=3, M=64, r_own=6, snr_db=3.0)
