@@ -4,7 +4,8 @@ limits, and the concentration estimators backing the property suite.
 The fixed point characterizes m(z) = (1/N) tr Q (XX^H + A - zI)^{-1} for X
 with independent columns of covariance Theta_i / N, allowing the rescaled
 spectral norms ||b_i Theta_i|| (rather than the norms themselves) to stay
-bounded.  All resolvent evaluations are Hermitian solves at negative real z.
+bounded.  All resolvent evaluations are Hermitian solves at negative real z,
+whose matrices -z bounds from below.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from .covmodel import (
     sample_partial_fourier,
     sample_partial_unitary,
 )
-from .training import EstimatorBank, projected_cov
+from .training import EstimatorBank, projected_cov, projection
 
 
 class DivergenceError(RuntimeError):
@@ -35,17 +36,29 @@ class NearCriticalPoint(RuntimeError):
     pass
 
 
+# relative size of the skew and negative eigenvalues a PSD input may carry
+_ROUNDOFF = 1e-10
+
+
 @dataclass
 class DetEquivProblem:
     """Resolvent problem data.
 
-    thetas: the n column-covariance matrices Theta_i (N x N Hermitian PSD);
-    counts lets identical Theta classes be stored once with a multiplicity.
-    A and Q are N x N Hermitian PSD; z must be negative real.  betas carry
-    the per-class trace normalizations (all 1 in the homogeneous case).
+    thetas: the n column-covariance matrices Theta_i (N x N Hermitian PSD),
+    kept as one (n, N, N) stack; counts lets identical Theta classes be
+    stored once with a multiplicity.  A and Q are N x N Hermitian PSD; z must
+    be negative real.  betas carry the per-class trace normalizations (all 1
+    in the homogeneous case).
+
+    Construction checks what makes -z a floor on the spectrum of every
+    resolvent matrix sum_i c_i/(1+e_i) Theta_i/N + A - zI: every Theta_i and
+    A is Hermitian PSD within round-off (no skew entry and no negative
+    eigenvalue larger than _ROUNDOFF times the spectral norm of the matrix's
+    Hermitian part), counts are non-negative and betas positive.  Otherwise
+    it raises DomainError.
     """
 
-    thetas: list
+    thetas: np.ndarray
     A: np.ndarray
     Q: np.ndarray
     z: float
@@ -54,9 +67,10 @@ class DetEquivProblem:
     beta0: float = 1.0
 
     def __post_init__(self):
-        self.thetas = [np.atleast_2d(np.asarray(t, dtype=complex)) for t in self.thetas]
         self.A = np.atleast_2d(np.asarray(self.A, dtype=complex))
         self.Q = np.atleast_2d(np.asarray(self.Q, dtype=complex))
+        self.thetas = np.asarray(self.thetas, dtype=complex).reshape(
+            len(self.thetas), self.N, self.N)
         n = len(self.thetas)
         self.counts = (
             np.ones(n) if self.counts is None else np.asarray(self.counts, dtype=float)
@@ -64,6 +78,20 @@ class DetEquivProblem:
         self.betas = (
             np.ones(n) if self.betas is None else np.asarray(self.betas, dtype=float)
         )
+        if self.counts.shape != (n,) or not np.all(self.counts >= 0):
+            raise DomainError(f"counts must be {n} non-negative numbers, got {self.counts}")
+        if self.betas.shape != (n,) or not np.all(self.betas > 0):
+            raise DomainError(f"betas must be {n} positive numbers, got {self.betas}")
+        mats = np.concatenate([self.thetas, self.A[None]])
+        if not np.all(np.isfinite(mats)):
+            raise DomainError("Theta and A must be finite")
+        skew = np.abs(mats - mats.conj().swapaxes(1, 2)).max(axis=(1, 2))
+        eig = np.linalg.eigvalsh(herm(mats))
+        tol = _ROUNDOFF * np.abs(eig).max(axis=1)
+        bad = np.flatnonzero((skew > tol) | (eig[:, 0] < -tol))
+        if bad.size:
+            name = "A" if bad[0] == n else f"Theta_{bad[0]}"
+            raise DomainError(f"{name} is not Hermitian positive semi-definite")
 
     @property
     def N(self) -> int:
@@ -88,14 +116,19 @@ class PrimedSolution:
     v: np.ndarray
 
 
+def _traces(stack: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """Re tr(X_i B) for every matrix X_i of a stack."""
+    return np.einsum("nij,ji->n", stack, B).real
+
+
 def _resolvent(problem: DetEquivProblem, e: np.ndarray) -> np.ndarray:
     N = problem.N
-    denom = sum(
-        (c / (1.0 + ei)) * Th
-        for c, ei, Th in zip(problem.counts, e, problem.thetas)
+    M = (
+        np.tensordot(problem.counts / (1.0 + e), problem.thetas, axes=1) / N
+        + problem.A - problem.z * np.eye(N)
     )
-    M = (denom / N if len(problem.thetas) else 0.0) + problem.A - problem.z * np.eye(N)
-    T, _ = hermitian_solve(M, np.eye(N, dtype=complex))
+    # A and every Theta_i are PSD (checked at construction) and z < 0
+    T, _ = hermitian_solve(M, np.eye(N, dtype=complex), floor=-problem.z)
     return herm(T)
 
 
@@ -118,12 +151,7 @@ def solve_fixed_point(
     history = []
     for it in range(1, max_iter + 1):
         T = _resolvent(problem, e)
-        e_new = np.array(
-            [
-                np.real(np.trace(Th @ T)) / (b * N)
-                for Th, b in zip(problem.thetas, problem.betas)
-            ]
-        )
+        e_new = _traces(problem.thetas, T) / (problem.betas * N)
         residual = float(np.max(np.abs(e_new - e) / (1.0 + np.abs(e_new))))
         history.append(residual)
         e = e_new
@@ -159,35 +187,25 @@ def solve_primed(
             e_prime=np.empty(0), T_prime=herm(TOT), J=np.empty((0, 0)), v=np.empty(0)
         )
     e = base.e
-    TTh = [T @ Th for Th in problem.thetas]  # cached products
-    v = np.array(
-        [
-            np.real(np.trace(Th @ TOT)) / (b * N)
-            for Th, b in zip(problem.thetas, problem.betas)
-        ]
+    TTh = T @ problem.thetas
+    v = _traces(problem.thetas, TOT) / (problem.betas * N)
+    # column convention: the (1+e_j)^2 damping sits on the class being
+    # differentiated, which is what d e_i / dz requires
+    J = (
+        np.einsum("iab,jba->ij", TTh, TTh).real
+        * (problem.counts / (1.0 + e) ** 2)[None, :]
+        / (problem.betas[:, None] * N * N)
     )
-    J = np.empty((n, n))
-    for i in range(n):
-        for j in range(n):
-            # column convention: the (1+e_j)^2 damping sits on the class being
-            # differentiated, which is what d e_i / dz requires
-            J[i, j] = (
-                problem.counts[j]
-                * np.real(np.trace(TTh[i] @ TTh[j]))
-                / (problem.betas[i] * N * N * (1.0 + e[j]) ** 2)
-            )
     I_minus_J = np.eye(n) - J
-    if abs(np.linalg.det(I_minus_J)) < 1e-14 * max(1.0, abs(np.linalg.det(np.eye(n)))):
+    if abs(np.linalg.det(I_minus_J)) < 1e-14:
         raise NearCriticalPoint("(I - J) is singular; z too close to the spectrum")
     try:
         e_prime = np.linalg.solve(I_minus_J, v)
     except np.linalg.LinAlgError as exc:
         raise NearCriticalPoint("(I - J) is singular; z too close to the spectrum") from exc
-    corr = sum(
-        (c * ep / (1.0 + ei) ** 2) * Th
-        for c, ep, ei, Th in zip(problem.counts, e_prime, e, problem.thetas)
-    )
-    T_prime = herm(TOT + T @ (corr / N) @ T)
+    # T corr T = sum_j w_j (T Theta_j) T
+    w = problem.counts * e_prime / (N * (1.0 + e) ** 2)
+    T_prime = herm(TOT + np.tensordot(w, TTh, axes=1) @ T)
     return PrimedSolution(e_prime=e_prime, T_prime=T_prime, J=J, v=v)
 
 
@@ -204,19 +222,12 @@ def mmse_detequiv_problem(
     other own-cell users' projected estimate covariances (leave-one-out in
     the served user), A = Z/r, z = -1/(P_ul r).
     """
-    from .training import projection  # local import to avoid cycle at module load
-
-    prof = scenario.profile(l, l, k)
-    r = prof.r
-    thetas = []
-    for j in range(scenario.K):
-        if j == k:
-            continue
-        P = projection(scenario, l, k, (l, l, j))
-        phi_j = bank.users[(l, j)].phi
-        thetas.append(herm((P @ phi_j) @ P.conj().T))
+    r = scenario.profile(l, l, k).r
+    others = [j for j in range(scenario.K) if j != k]
+    P = np.array([projection(scenario, l, k, (l, l, j)) for j in others]).reshape(-1, r, r)
+    phi = np.array([bank.users[(l, j)].phi for j in others]).reshape(-1, r, r)
     return DetEquivProblem(
-        thetas=thetas,
+        thetas=herm(P @ phi @ P.conj().swapaxes(1, 2)),
         A=Z / r,
         Q=bank.users[(l, k)].phi,
         z=-1.0 / (scenario.P_ul * r),
@@ -237,6 +248,7 @@ def sinr_mmse_detequiv(
     """
     if scenario.scheme.kind != "orthogonal":
         raise DomainError("the MMSE SINR deterministic equivalent assumes orthogonal pilots")
+    # imported at call time: the benchmark's tracer patches beamform.assemble_Z
     from .beamform import assemble_Z
 
     l, k = user
@@ -261,8 +273,7 @@ def sinr_mmse_detequiv(
     den = np.real(np.trace(d_stat @ primed_phi.T_prime)) / (r * r)
 
     # own-cell estimate residuals, MMSE-suppressed by (1 + e_j)^2
-    for theta, ej in zip(problem.thetas, base.e):
-        den += np.real(np.trace(theta @ primed_phi.T_prime)) / (r * r * (1.0 + ej) ** 2)
+    den += np.sum(_traces(problem.thetas, primed_phi.T_prime) / (r * r * (1.0 + base.e) ** 2))
 
     # coherent pilot contamination: same pilot index, other cells
     xi_lam_T = (est.xi * prof.lam[None, :]) @ T

@@ -3,6 +3,9 @@ import time
 import numpy as np
 import pytest
 
+from mimo_lab import detequiv
+from mimo_lab._linalg import herm, hermitian_solve
+from mimo_lab.beamform import assemble_Z
 from mimo_lab.bounds import run_bounds
 from mimo_lab.covmodel import CorrelationModel, complex_gaussian, stream
 from mimo_lab.detequiv import (
@@ -11,11 +14,13 @@ from mimo_lab.detequiv import (
     DivergenceError,
     DomainError,
     concentration_check,
+    mmse_detequiv_problem,
     sinr_mf_detequiv,
     sinr_mmse_detequiv,
     solve_fixed_point,
     solve_primed,
 )
+from mimo_lab.training import EstimatorBank, projected_cov, projection
 
 from conftest import make_scenario
 
@@ -37,6 +42,176 @@ def random_problem(N, n, seed, scale=1.0):
     Xa = complex_gaussian(g, N, N)
     A = 0.2 * (Xa @ Xa.conj().T) / N
     return DetEquivProblem(thetas=thetas, A=A, Q=np.eye(N), z=-0.8)
+
+
+# ---------------------------------------------------------------------------
+# Literal per-class formulas: the loop forms the stacked solver replaces
+# ---------------------------------------------------------------------------
+
+def loop_resolvent(p, e):
+    N = p.N
+    denom = sum((c / (1.0 + ei)) * Th for c, ei, Th in zip(p.counts, e, p.thetas))
+    T, _ = hermitian_solve(denom / N + p.A - p.z * np.eye(N), np.eye(N, dtype=complex))
+    return herm(T)
+
+
+def loop_fixed_point(p, tol=1e-10):
+    N = p.N
+    e = np.full(len(p.thetas), -1.0 / p.z)
+    history = []
+    for it in range(1, 10_001):
+        T = loop_resolvent(p, e)
+        e_new = np.array([np.real(np.trace(Th @ T)) / (b * N)
+                          for Th, b in zip(p.thetas, p.betas)])
+        residual = float(np.max(np.abs(e_new - e) / (1.0 + np.abs(e_new))))
+        history.append(residual)
+        e = e_new
+        if residual < tol:
+            T = loop_resolvent(p, e)
+            m = float(np.real(np.trace(p.Q @ T))) / (p.beta0 * N)
+            return e, T, m, it, history
+    raise DivergenceError("loop oracle did not converge")
+
+
+def loop_primed(p, e, T, omega):
+    N, n = p.N, len(p.thetas)
+    TOT = T @ omega @ T
+    TTh = [T @ Th for Th in p.thetas]
+    v = np.array([np.real(np.trace(Th @ TOT)) / (b * N) for Th, b in zip(p.thetas, p.betas)])
+    J = np.empty((n, n))
+    for i in range(n):
+        for j in range(n):
+            J[i, j] = (p.counts[j] * np.real(np.trace(TTh[i] @ TTh[j]))
+                       / (p.betas[i] * N * N * (1.0 + e[j]) ** 2))
+    e_prime = np.linalg.solve(np.eye(n) - J, v)
+    corr = sum((c * ep / (1.0 + ei) ** 2) * Th
+               for c, ep, ei, Th in zip(p.counts, e_prime, e, p.thetas))
+    return J, v, e_prime, herm(TOT + T @ (corr / N) @ T)
+
+
+def loop_mmse_problem(sc, l, k, bank, Z):
+    P = {j: projection(sc, l, k, (l, l, j)) for j in range(sc.K) if j != k}
+    thetas = [herm((P[j] @ bank.users[(l, j)].phi) @ P[j].conj().T) for j in P]
+    r = sc.profile(l, l, k).r
+    return DetEquivProblem(thetas=thetas, A=Z / r, Q=bank.users[(l, k)].phi,
+                           z=-1.0 / (sc.P_ul * r))
+
+
+def loop_sinr_mmse(sc, l, k, bank):
+    est = bank.users[(l, k)]
+    prof = sc.profile(l, l, k)
+    r = prof.r
+    Z = assemble_Z(sc, l, k, bank)
+    p = loop_mmse_problem(sc, l, k, bank, Z)
+    e, T, _, _, _ = loop_fixed_point(p)
+    delta = np.real(np.trace(est.phi @ T)) / r
+    Tp = loop_primed(p, e, T, est.phi)[3]
+    den = np.real(np.trace((Z + np.eye(r) / sc.P_ul) @ Tp)) / (r * r)
+    for theta, ej in zip(p.thetas, e):
+        den += np.real(np.trace(theta @ Tp)) / (r * r * (1.0 + ej) ** 2)
+    xi_lam_T = (est.xi * prof.lam[None, :]) @ T
+    for lp in range(sc.L):
+        if lp != l:
+            den += abs(np.trace(xi_lam_T @ projected_cov(sc, l, k, (l, lp, k))) / r) ** 2
+    return float(delta ** 2 / den)
+
+
+def assert_close(got, want, rtol=1e-12):
+    """Largest entry error at most rtol times the largest entry of want."""
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.shape == want.shape
+    assert np.max(np.abs(got - want)) <= rtol * np.max(np.abs(want))
+
+
+def haar_case():
+    sc = make_scenario(seed=21, L=3, K=6, M=64, r_own=8, snr_db=15.0,
+                       model=CorrelationModel.PARTIAL_UNITARY)
+    bank = EstimatorBank.build(sc, [(1, j) for j in range(sc.K)])
+    return sc, bank
+
+
+class TestStackedFormsMatchLoops:
+    """The stacked solver against the literal per-class formulas, to 1e-12."""
+
+    def cases(self, seed):
+        sc, bank = haar_case()
+        Z = assemble_Z(sc, 1, 2, bank)
+        return [
+            (random_problem(10, 6, seed), random_problem(10, 1, seed + 50).thetas[0]),
+            (mmse_detequiv_problem(sc, 1, 2, bank, Z), bank.users[(1, 2)].phi),
+        ]
+
+    @pytest.mark.parametrize("seed", [4, 13])
+    def test_fixed_point_and_primed_system(self, seed):
+        for p, omega in self.cases(seed):
+            e, T, m, iterations, history = loop_fixed_point(p)
+            sol = solve_fixed_point(p)
+            assert sol.iterations == iterations
+            assert_close(sol.e, e)
+            assert_close(sol.T, T)
+            assert_close(sol.m, m)
+            assert_close(sol.residual_history, history)
+            J, v, e_prime, T_prime = loop_primed(p, e, T, omega)
+            pr = solve_primed(p, sol, omega)
+            assert_close(pr.J, J)
+            assert_close(pr.v, v)
+            assert_close(pr.e_prime, e_prime)
+            assert_close(pr.T_prime, T_prime)
+
+    def test_leave_one_out_thetas(self):
+        sc, bank = haar_case()
+        for k in (0, 3, 5):
+            Z = assemble_Z(sc, 1, k, bank)
+            got = mmse_detequiv_problem(sc, 1, k, bank, Z)
+            want = loop_mmse_problem(sc, 1, k, bank, Z)
+            assert_close(got.thetas, np.array(want.thetas))
+            assert np.array_equal(got.A, want.A) and got.z == want.z
+
+    def test_sinr_mmse(self):
+        sc, bank = haar_case()
+        for k in range(sc.K):
+            assert_close(sinr_mmse_detequiv(sc, (1, k), bank), loop_sinr_mmse(sc, 1, k, bank))
+
+    def test_fixed_point_skips_the_eigenvalue_pass(self, monkeypatch):
+        # A and every Theta_i are PSD (checked when the problem is built) and
+        # z < 0, so -z bounds every resolvent matrix from below: no eigvalsh,
+        # and the solution is bit for bit that of the floor-free guard
+        p = random_problem(10, 6, seed=4)
+        solve = detequiv.hermitian_solve
+        monkeypatch.setattr(detequiv, "hermitian_solve", lambda A, B, floor=0.0: solve(A, B))
+        want = solve_fixed_point(p)
+        monkeypatch.setattr(detequiv, "hermitian_solve", solve)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("an eigenvalue pass ran")
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+        got = solve_fixed_point(p)
+        assert got.iterations == want.iterations
+        assert np.array_equal(got.e, want.e) and np.array_equal(got.T, want.T)
+
+
+class TestProblemValidation:
+    def test_accepts_psd_data(self):
+        assert random_problem(6, 3, seed=2).thetas.shape == (3, 6, 6)
+        empty = DetEquivProblem(thetas=[], A=np.zeros((2, 2)), Q=np.eye(2), z=-1.0)
+        assert empty.thetas.shape == (0, 2, 2)
+
+    @pytest.mark.parametrize("bad", [
+        dict(thetas=[np.diag([1.0, -0.5])]),
+        dict(A=np.diag([0.2, -1e-6])),
+        dict(A=np.array([[1.0, 0.5], [0.0, 1.0]])),
+        dict(thetas=[np.array([[1.0, 1j], [1j, 1.0]])]),
+        dict(thetas=[np.diag([1.0, np.nan])]),
+        dict(counts=[-1.0]),
+        dict(betas=[0.0]),
+        dict(counts=[1.0, 2.0]),
+    ])
+    def test_rejects(self, bad):
+        kw = dict(thetas=[np.eye(2)], A=np.zeros((2, 2)), Q=np.eye(2), z=-1.0)
+        kw.update(bad)
+        with pytest.raises(DomainError):
+            DetEquivProblem(**kw)
 
 
 class TestFixedPoint:

@@ -225,6 +225,17 @@ class TestCli:
         assert cli_main(["run", cfg, "--out", str(out)]) == 3
         assert not out.exists()
 
+    @pytest.mark.parametrize("line,message", [
+        ("theta = 1,-0.5,1", "Theta_1 is not Hermitian positive semi-definite"),
+        ("A = 0.2,-0.1,0.2", "A is not Hermitian positive semi-definite"),
+        ("theta = identity x -2", "counts must be 2 non-negative numbers"),
+    ])
+    def test_detequiv_rejects_indefinite_problem(self, tmp_path, capsys, line, message):
+        prob = tmp_path / "bad.txt"
+        prob.write_text(f"N = 3\nz = -1.0\ntheta = identity x 3\n{line}\n")
+        assert cli_main(["detequiv", str(prob)]) == 3
+        assert message in capsys.readouterr().err
+
     def test_detequiv_solves_scalar_problem(self, tmp_path, capsys):
         prob = tmp_path / "p.txt"
         prob.write_text("N = 3\nz = -1.0\ntheta = identity x 3\nA = zero\nQ = identity\n")

@@ -30,3 +30,24 @@ def test_uninstall_restores_every_patched_name(tracing):
         tracer.uninstall()
     for (owner, attr), old in originals.items():
         assert vars(owner)[attr] is old, f"{owner.__name__}.{attr} not restored"
+
+
+def test_detequiv_layers_are_attributed(tracing):
+    # sinr_mmse_detequiv reaches the solver, the derivative system and Z
+    # through the names the tracer patches; a refactor that bypasses them
+    # would zero the benchmark's per-layer evidence
+    from conftest import make_scenario
+    from mimo_lab import detequiv
+    from mimo_lab.covmodel import CorrelationModel
+
+    sc = make_scenario(seed=8, L=2, K=3, M=32, r_own=4, snr_db=10.0,
+                       model=CorrelationModel.PARTIAL_UNITARY)
+    tracer = tracing.install()
+    try:
+        detequiv.sinr_mmse_detequiv(sc, (0, 1))
+    finally:
+        tracer.uninstall()
+    layers = tracing.layer_metrics(tracer, 0.0)
+    for name in ("detequiv.solve_fixed_point.calls", "detequiv.fixed_point_iters",
+                 "detequiv.solve_primed.busy_s", "beamform.assemble_Z.calls"):
+        assert layers[name] > 0, name
