@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 
 
@@ -61,15 +63,30 @@ def diag_guard(d: np.ndarray):
     return d, flags
 
 
+@lru_cache(maxsize=None)
+def _lapack(name: str, *dtypes: str):
+    """LAPACK routine `name` for operands of the given dtype characters,
+    picked as scipy's cho_factor (potrf by A) and cho_solve (potrs by the
+    factor and B) pick it.  scipy is imported here, by the first dense
+    factorisation: the angular engine of the partial-Fourier model needs
+    none."""
+    from scipy.linalg.lapack import get_lapack_funcs
+
+    return get_lapack_funcs((name,), tuple(np.empty(0, dtype=d) for d in dtypes))[0]
+
+
 def hermitian_solve(A: np.ndarray, B: np.ndarray, floor: float = 0.0):
     """Solve A X = B for Hermitian positive-definite A, never inverting.
 
     The near-singular test and jitter of `guard` run first (floor is a known
     lower bound on A's smallest eigenvalue, 0 if none: a positive floor
     skips the eigenvalue pass where it certifies A without changing which
-    systems are jittered), then one Cholesky factor-and-solve.  Should the
-    factorisation still fail, jitter 1e-8 * (trace/n) * I is added and A
-    solved by LU.  The returned flag reports either jitter.
+    systems are jittered), then one Cholesky factor-and-solve, the LAPACK
+    calls of scipy's cho_factor/cho_solve (lower factor) without their
+    wrappers.  Should the factorisation still fail, jitter
+    1e-8 * (trace/n) * I is added and A solved by LU.  The returned flag
+    reports either jitter.  Raises ValueError when A or B holds a NaN or an
+    infinity.
     """
     A = herm(A)
     n = A.shape[0]
@@ -77,15 +94,15 @@ def hermitian_solve(A: np.ndarray, B: np.ndarray, floor: float = 0.0):
     jittered = _near_singular(A, scale, floor)
     if jittered:
         A = A + (1e-10 * scale) * np.eye(n)
-    # scipy is loaded by the first dense factorisation: the angular engine
-    # of the partial-Fourier model needs none
-    from scipy.linalg import cho_factor, cho_solve
-
-    try:
-        c = cho_factor(A, lower=True)
-        X = cho_solve(c, B)
-    except np.linalg.LinAlgError:
+    B = np.asarray(B)
+    if not (np.isfinite(A).all() and np.isfinite(B).all()):
+        raise ValueError("array must not contain infs or NaNs")
+    c, info = _lapack("potrf", A.dtype.char)(A, lower=1, clean=0)
+    if info > 0:  # a leading minor is not positive definite
         A = A + (1e-8 * scale) * np.eye(n)
-        jittered = True
-        X = np.linalg.solve(A, B)
+        return np.linalg.solve(A, B), True
+    if info == 0:
+        X, info = _lapack("potrs", c.dtype.char, B.dtype.char)(c, B, lower=1)
+    if info < 0:
+        raise ValueError(f"LAPACK reported an illegal value in argument {-info}")
     return X, jittered

@@ -168,6 +168,10 @@ def main(argv=None) -> int:
             else:
                 _print_table(table)
         elif args.cmd == "detequiv":
+            if args.max_iter < 1:
+                raise ConfigError(f"--max-iter must be >= 1, got {args.max_iter}")
+            if not (np.isfinite(args.tol) and args.tol > 0):
+                raise ConfigError(f"--tol must be a positive finite number, got {args.tol}")
             problem = _parse_detequiv_problem(args.problem)
             sol = solve_fixed_point(problem, tol=args.tol, max_iter=args.max_iter)
             print("e:", " ".join(f"{x:.12g}" for x in sol.e))

@@ -197,6 +197,12 @@ class NetworkScenario:
     Homogeneous power mapping: every user transmits at P_ul = snr / K in
     uplink and is allocated P_dl / K = snr / K in downlink, so `snr` is the
     per-cell sum-power SNR in both directions.
+
+    cell_estimators memoises, per cell l, the dict of cell l's K
+    `training.UserEstimator`s that `detequiv.sinr_mmse_detequiv` builds when
+    it is given no bank.  The profiles are fixed once drawn: a scenario whose
+    profiles are edited in place must be rebuilt (`dataclasses.replace` gives
+    an empty memo).
     """
 
     L: int
@@ -211,6 +217,7 @@ class NetworkScenario:
     model: CorrelationModel
     scheme: PilotScheme
     profiles: dict = field(repr=False, default_factory=dict)
+    cell_estimators: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def P_ul(self) -> float:

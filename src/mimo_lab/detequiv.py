@@ -51,11 +51,11 @@ class DetEquivProblem:
     in the homogeneous case).
 
     Construction checks what makes -z a floor on the spectrum of every
-    resolvent matrix sum_i c_i/(1+e_i) Theta_i/N + A - zI: every Theta_i and
-    A is Hermitian PSD within round-off (no skew entry and no negative
-    eigenvalue larger than _ROUNDOFF times the spectral norm of the matrix's
-    Hermitian part), counts are non-negative and betas positive.  Otherwise
-    it raises DomainError.
+    resolvent matrix sum_i c_i/(1+e_i) Theta_i/N + A - zI: z is a finite
+    negative real, every Theta_i and A is Hermitian PSD within round-off (no
+    skew entry and no negative eigenvalue larger than _ROUNDOFF times the
+    spectral norm of the matrix's Hermitian part), counts are non-negative
+    and betas positive.  Otherwise it raises DomainError.
     """
 
     thetas: np.ndarray
@@ -67,6 +67,8 @@ class DetEquivProblem:
     beta0: float = 1.0
 
     def __post_init__(self):
+        if not (np.isreal(self.z) and np.isfinite(self.z) and np.real(self.z) < 0):
+            raise DomainError(f"z must be a finite negative real, got {self.z}")
         self.A = np.atleast_2d(np.asarray(self.A, dtype=complex))
         self.Q = np.atleast_2d(np.asarray(self.Q, dtype=complex))
         self.thetas = np.asarray(self.thetas, dtype=complex).reshape(
@@ -123,8 +125,10 @@ def _traces(stack: np.ndarray, B: np.ndarray) -> np.ndarray:
 
 def _resolvent(problem: DetEquivProblem, e: np.ndarray) -> np.ndarray:
     N = problem.N
+    n = len(problem.thetas)
+    # the one GEMV tensordot reaches, without its reshaping: same sums, same order
     M = (
-        np.tensordot(problem.counts / (1.0 + e), problem.thetas, axes=1) / N
+        ((problem.counts / (1.0 + e)) @ problem.thetas.reshape(n, N * N)).reshape(N, N) / N
         + problem.A - problem.z * np.eye(N)
     )
     # A and every Theta_i are PSD (checked at construction) and z < 0
@@ -137,8 +141,6 @@ def solve_fixed_point(
 ) -> DetEquivSolution:
     """Iterate the fixed point from e^(0) = -1/z until the relative change of
     every e_i drops below tol."""
-    if not np.isreal(problem.z) or problem.z >= 0:
-        raise DomainError(f"z must be negative real, got {problem.z}")
     N = problem.N
     n = len(problem.thetas)
     if n == 0:
@@ -244,7 +246,9 @@ def sinr_mmse_detequiv(
 
     Orthogonal pilots only.  Assembles the signal, noise, coherent pilot
     contamination, and residual interference terms from the fixed point and
-    its derivative system.
+    its derivative system.  Without a bank, cell l's K estimators are built
+    on the scenario's first call for that cell and kept in
+    `scenario.cell_estimators`.
     """
     if scenario.scheme.kind != "orthogonal":
         raise DomainError("the MMSE SINR deterministic equivalent assumes orthogonal pilots")
@@ -252,8 +256,15 @@ def sinr_mmse_detequiv(
     from .beamform import assemble_Z
 
     l, k = user
-    if bank is None:  # every term reads the estimators of cell l only
-        bank = EstimatorBank.build(scenario, [(l, j) for j in range(scenario.K)])
+    if bank is None:
+        # every term reads the estimators of cell l only; the memo keeps them
+        # without the bank, whose back-reference to the scenario would make a
+        # reference cycle
+        users = scenario.cell_estimators.get(l)
+        if users is None:
+            users = EstimatorBank.build(scenario, [(l, j) for j in range(scenario.K)]).users
+            scenario.cell_estimators[l] = users
+        bank = EstimatorBank(scenario=scenario, users=users)
     est = bank.users[(l, k)]
     prof = scenario.profile(l, l, k)
     r = prof.r

@@ -1,4 +1,7 @@
+import gc
 import time
+import weakref
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -206,6 +209,10 @@ class TestProblemValidation:
         dict(counts=[-1.0]),
         dict(betas=[0.0]),
         dict(counts=[1.0, 2.0]),
+        dict(z=0.0),
+        dict(z=np.nan),
+        dict(z=-np.inf),
+        dict(z=-1.0 + 0.5j),
     ])
     def test_rejects(self, bad):
         kw = dict(thetas=[np.eye(2)], A=np.zeros((2, 2)), Q=np.eye(2), z=-1.0)
@@ -406,6 +413,45 @@ class TestSinrDetequiv:
                 key = ((l + 1) % sc.L, l, 0)
                 assert mf_psi(sc, (l, k), key) == mf_psi(sc, (l, k), key, full)
                 assert built == [(l, k)] * 2
+
+    def test_bankless_calls_build_each_cell_once(self, monkeypatch):
+        from mimo_lab import training
+
+        sc = make_scenario(seed=8, L=4, K=10, M=64, snr_db=20.0, r_own=6,
+                           model=CorrelationModel.PARTIAL_UNITARY)
+        full = training.EstimatorBank.build(sc)
+        built = []
+        build_estimator = training.build_estimator
+
+        def counted(scenario, l, k):
+            built.append((l, k))
+            return build_estimator(scenario, l, k)
+
+        monkeypatch.setattr(training, "build_estimator", counted)
+        got = [sinr_mmse_detequiv(sc, u) for u in sc.users()]
+        assert sorted(built) == sc.users()
+        assert got == [sinr_mmse_detequiv(sc, u, full) for u in sc.users()]
+
+        # a replaced scenario starts with no estimators of its own
+        built.clear()
+        louder = replace(sc, snr=10 * sc.snr)
+        assert sinr_mmse_detequiv(louder, (2, 3)) != got[2 * sc.K + 3]
+        assert built == [(2, j) for j in range(sc.K)]
+
+    def test_estimator_memo_makes_no_reference_cycle(self):
+        # freed by reference counting alone: the memo keeps the estimators,
+        # not the bank that points back to its scenario
+        sc = make_scenario(seed=8, L=2, K=3, M=32, r_own=4,
+                           model=CorrelationModel.PARTIAL_UNITARY)
+        gc.disable()
+        try:
+            sinr_mmse_detequiv(sc, (1, 0))
+            assert sc.cell_estimators
+            ref = weakref.ref(sc)
+            del sc
+            assert ref() is None
+        finally:
+            gc.enable()
 
     def test_mf_matches_monte_carlo_moment_ratio(self):
         # Fig.4-style configuration: moment-ratio MF SINR vs its limit

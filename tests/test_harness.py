@@ -236,6 +236,27 @@ class TestCli:
         assert cli_main(["detequiv", str(prob)]) == 3
         assert message in capsys.readouterr().err
 
+    def test_detequiv_rejects_nan_z(self, tmp_path, capsys):
+        prob = tmp_path / "nan.txt"
+        prob.write_text("N = 3\nz = nan\ntheta = identity x 3\n")
+        assert cli_main(["detequiv", str(prob)]) == 3
+        assert "z must be a finite negative real" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("option,value", [
+        ("--max-iter", "0"), ("--max-iter", "-3"),
+        ("--tol", "0"), ("--tol", "-1"), ("--tol", "nan"), ("--tol", "inf"),
+    ])
+    def test_detequiv_rejects_bad_solver_options(self, tmp_path, monkeypatch, capsys,
+                                                 option, value):
+        def no_solve(*args, **kwargs):
+            raise AssertionError("the fixed point started before its options were checked")
+
+        monkeypatch.setattr("mimo_lab.cli.solve_fixed_point", no_solve)
+        prob = tmp_path / "p.txt"
+        prob.write_text("N = 3\nz = -1.0\ntheta = identity x 3\n")
+        assert cli_main(["detequiv", str(prob), option, value]) == 2
+        assert option in capsys.readouterr().err
+
     def test_detequiv_solves_scalar_problem(self, tmp_path, capsys):
         prob = tmp_path / "p.txt"
         prob.write_text("N = 3\nz = -1.0\ntheta = identity x 3\nA = zero\nQ = identity\n")

@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -82,3 +87,89 @@ def test_diag_guard_matches_guard_on_diagonal_stacks():
     got, flags = diag_guard(d)
     assert flags.tolist() == want_flags.tolist() == [False, False, True, True]
     assert np.array_equal(got, np.real(np.diagonal(want, axis1=-2, axis2=-1)))
+
+
+def spd(n, dtype, seed=2):
+    g = np.random.default_rng(seed)
+    X = g.standard_normal((n, n))
+    if dtype is complex:
+        X = X + 1j * g.standard_normal((n, n))
+    return herm(X @ X.conj().T + n * np.eye(n))
+
+
+def rhs(shape, dtype, seed=3):
+    g = np.random.default_rng(seed)
+    B = g.standard_normal(shape)
+    return B + 1j * g.standard_normal(shape) if dtype is complex else B
+
+
+@pytest.mark.parametrize("a_type,b_type,b_form", [
+    (complex, complex, "matrix"),
+    (float, float, "matrix"),
+    (complex, float, "matrix"),
+    (float, complex, "matrix"),
+    (complex, complex, "vector"),
+    (complex, complex, "strided"),
+    (float, complex, "strided"),
+])
+def test_lapack_solve_matches_scipy_bitwise(a_type, b_type, b_form):
+    # hermitian_solve calls potrf/potrs as cho_factor/cho_solve do
+    from scipy.linalg import cho_factor, cho_solve
+
+    A = spd(10, a_type)
+    B = {"matrix": rhs((10, 3), b_type),
+         "vector": rhs(10, b_type),
+         "strided": rhs((10, 8), b_type)[:, ::2]}[b_form]
+    X, jittered = hermitian_solve(A, B)
+    want = cho_solve(cho_factor(herm(A), lower=True), B)
+    assert not jittered
+    assert X.dtype == want.dtype and X.shape == want.shape == B.shape
+    assert np.array_equal(X, want)
+
+
+# the guard's eigenvalue pass flags the non-finite A and jitters it first
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("where", ["A", "B"])
+def test_non_finite_input_raises(bad, where):
+    A, B = spd(4, complex), rhs((4, 2), complex)
+    (A if where == "A" else B)[1, 1] = bad
+    with pytest.raises(ValueError, match="infs or NaNs"):
+        hermitian_solve(A, B)
+
+
+def test_indefinite_matrix_past_a_floor_takes_the_lu_fallback():
+    # a floor that wrongly certifies A skips the eigenvalue pass; the
+    # Cholesky factorisation then fails and the jittered LU solve answers
+    A = np.diag([2.0, -1.0, 3.0]).astype(complex)
+    B = np.eye(3, dtype=complex)
+    X, jittered = hermitian_solve(A, B, floor=1.0)
+    assert jittered
+    scale = np.trace(A).real / 3
+    np.testing.assert_allclose((A + 1e-8 * scale * np.eye(3)) @ X, B, atol=1e-12)
+
+
+FOURIER_THEN_HAAR = """
+import sys
+from dataclasses import replace
+from mimo_lab import bounds
+from mimo_lab.covmodel import CorrelationModel, ScenarioConfig, build_network, stream
+sc = build_network(ScenarioConfig(L=2, K=3, M=32, r_own=4), stream(0))
+for direction in ("ul", "dl"):
+    bounds.run_bounds(sc, direction, bounds.UL_BOUNDS, 8, 0)
+print("scipy.linalg" in sys.modules)
+bounds.run_bounds(replace(sc, model=CorrelationModel.PARTIAL_UNITARY), "ul", ("coherent",), 8, 0)
+print("scipy.linalg" in sys.modules)
+"""
+
+
+def test_fourier_only_runs_never_load_scipy():
+    # scipy's import costs peak memory that a partial-Fourier run never needs;
+    # the dense (Haar) twin loads it at its first factorisation
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    res = subprocess.run([sys.executable, "-c", FOURIER_THEN_HAAR], env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.split() == ["False", "True"]

@@ -44,10 +44,13 @@ def test_detequiv_layers_are_attributed(tracing):
                        model=CorrelationModel.PARTIAL_UNITARY)
     tracer = tracing.install()
     try:
-        detequiv.sinr_mmse_detequiv(sc, (0, 1))
+        for user in sc.users():
+            detequiv.sinr_mmse_detequiv(sc, user)
     finally:
         tracer.uninstall()
     layers = tracing.layer_metrics(tracer, 0.0)
     for name in ("detequiv.solve_fixed_point.calls", "detequiv.fixed_point_iters",
                  "detequiv.solve_primed.busy_s", "beamform.assemble_Z.calls"):
         assert layers[name] > 0, name
+    # bank-less calls build each cell's estimators once, through the traced name
+    assert layers["training.EstimatorBank.build.calls"] == sc.L
