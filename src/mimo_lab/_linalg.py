@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from functools import lru_cache
-
 import numpy as np
 
 
@@ -63,46 +61,29 @@ def diag_guard(d: np.ndarray):
     return d, flags
 
 
-@lru_cache(maxsize=None)
-def _lapack(name: str, *dtypes: str):
-    """LAPACK routine `name` for operands of the given dtype characters,
-    picked as scipy's cho_factor (potrf by A) and cho_solve (potrs by the
-    factor and B) pick it.  scipy is imported here, by the first dense
-    factorisation: the angular engine of the partial-Fourier model needs
-    none."""
-    from scipy.linalg.lapack import get_lapack_funcs
-
-    return get_lapack_funcs((name,), tuple(np.empty(0, dtype=d) for d in dtypes))[0]
-
-
-def hermitian_solve(A: np.ndarray, B: np.ndarray, floor: float = 0.0):
-    """Solve A X = B for Hermitian positive-definite A, never inverting.
+def hermitian_solve(A: np.ndarray, B: np.ndarray | None, floor: float = 0.0):
+    """Solve A X = B for Hermitian positive-definite A; B = None asks for
+    A's inverse.
 
     The near-singular test and jitter of `guard` run first (floor is a known
     lower bound on A's smallest eigenvalue, 0 if none: a positive floor
     skips the eigenvalue pass where it certifies A without changing which
-    systems are jittered), then one Cholesky factor-and-solve, the LAPACK
-    calls of scipy's cho_factor/cho_solve (lower factor) without their
-    wrappers.  Should the factorisation still fail, jitter
-    1e-8 * (trace/n) * I is added and A solved by LU.  The returned flag
-    reports either jitter.  Raises ValueError when A or B holds a NaN or an
-    infinity.
+    systems are jittered).  numpy's Cholesky factorisation then tests that A
+    is positive definite; should it fail, jitter 1e-8 * (trace/n) * I is
+    added.  A is solved (or inverted) by LU.  The returned flag reports
+    either jitter.  Raises ValueError when A or B holds a NaN or an infinity.
     """
     A = herm(A)
     n = A.shape[0]
-    scale = max(np.real(np.trace(A)) / n, np.finfo(float).tiny)
+    scale = max(A.trace().real / n, np.finfo(float).tiny)
     jittered = _near_singular(A, scale, floor)
     if jittered:
         A = A + (1e-10 * scale) * np.eye(n)
-    B = np.asarray(B)
-    if not (np.isfinite(A).all() and np.isfinite(B).all()):
+    if not (np.isfinite(A).all() and (B is None or np.isfinite(B).all())):
         raise ValueError("array must not contain infs or NaNs")
-    c, info = _lapack("potrf", A.dtype.char)(A, lower=1, clean=0)
-    if info > 0:  # a leading minor is not positive definite
+    try:
+        np.linalg.cholesky(A)
+    except np.linalg.LinAlgError:  # a leading minor is not positive definite
         A = A + (1e-8 * scale) * np.eye(n)
-        return np.linalg.solve(A, B), True
-    if info == 0:
-        X, info = _lapack("potrs", c.dtype.char, B.dtype.char)(c, B, lower=1)
-    if info < 0:
-        raise ValueError(f"LAPACK reported an illegal value in argument {-info}")
-    return X, jittered
+        jittered = True
+    return (np.linalg.inv(A) if B is None else np.linalg.solve(A, B)), jittered

@@ -677,7 +677,7 @@ class DrawEngine:
                         continue
                     A = np.empty((nb, q, q), dtype=complex)
                     for k in range(nb):
-                        x, jit = hermitian_solve(self.Z[l, k] + (1.0 / power) * eye, eye,
+                        x, jit = hermitian_solve(self.Z[l, k] + (1.0 / power) * eye, None,
                                                  floor=1.0 / power)
                         A[k] = herm(x)
                         if jit:

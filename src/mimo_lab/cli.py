@@ -174,6 +174,8 @@ def main(argv=None) -> int:
                 raise ConfigError(f"--tol must be a positive finite number, got {args.tol}")
             problem = _parse_detequiv_problem(args.problem)
             sol = solve_fixed_point(problem, tol=args.tol, max_iter=args.max_iter)
+            if not np.isfinite(sol.m):
+                raise FloatingPointError(f"non-finite m ({sol.m})")
             print("e:", " ".join(f"{x:.12g}" for x in sol.e))
             print(f"m: {sol.m:.12g}")
             print(f"iterations: {sol.iterations}")

@@ -51,11 +51,12 @@ class DetEquivProblem:
     in the homogeneous case).
 
     Construction checks what makes -z a floor on the spectrum of every
-    resolvent matrix sum_i c_i/(1+e_i) Theta_i/N + A - zI: z is a finite
-    negative real, every Theta_i and A is Hermitian PSD within round-off (no
-    skew entry and no negative eigenvalue larger than _ROUNDOFF times the
-    spectral norm of the matrix's Hermitian part), counts are non-negative
-    and betas positive.  Otherwise it raises DomainError.
+    resolvent matrix sum_i c_i/(1+e_i) Theta_i/N + A - zI, and what keeps
+    m = (1/N) tr Q T finite and non-negative: z is a finite negative real,
+    every Theta_i, A and Q is Hermitian PSD within round-off (no skew entry
+    and no negative eigenvalue larger than _ROUNDOFF times the spectral norm
+    of the matrix's Hermitian part), counts are non-negative and betas
+    positive.  Otherwise it raises DomainError.
     """
 
     thetas: np.ndarray
@@ -84,16 +85,19 @@ class DetEquivProblem:
             raise DomainError(f"counts must be {n} non-negative numbers, got {self.counts}")
         if self.betas.shape != (n,) or not np.all(self.betas > 0):
             raise DomainError(f"betas must be {n} positive numbers, got {self.betas}")
-        mats = np.concatenate([self.thetas, self.A[None]])
-        if not np.all(np.isfinite(mats)):
-            raise DomainError("Theta and A must be finite")
+        if self.Q.shape != self.A.shape:
+            raise DomainError(f"Q must be {self.N} x {self.N}, got shape {self.Q.shape}")
+        mats = np.concatenate([self.thetas, self.A[None], self.Q[None]])
+        names = [f"Theta_{i}" for i in range(n)] + ["A", "Q"]
+        finite = np.isfinite(mats).all(axis=(1, 2))
+        if not finite.all():
+            raise DomainError(f"{names[np.argmin(finite)]} must be finite")
         skew = np.abs(mats - mats.conj().swapaxes(1, 2)).max(axis=(1, 2))
         eig = np.linalg.eigvalsh(herm(mats))
         tol = _ROUNDOFF * np.abs(eig).max(axis=1)
         bad = np.flatnonzero((skew > tol) | (eig[:, 0] < -tol))
         if bad.size:
-            name = "A" if bad[0] == n else f"Theta_{bad[0]}"
-            raise DomainError(f"{name} is not Hermitian positive semi-definite")
+            raise DomainError(f"{names[bad[0]]} is not Hermitian positive semi-definite")
 
     @property
     def N(self) -> int:
@@ -123,16 +127,14 @@ def _traces(stack: np.ndarray, B: np.ndarray) -> np.ndarray:
     return np.einsum("nij,ji->n", stack, B).real
 
 
-def _resolvent(problem: DetEquivProblem, e: np.ndarray) -> np.ndarray:
+def _resolvent(problem: DetEquivProblem, e: np.ndarray, shifted: np.ndarray) -> np.ndarray:
+    """T = (sum_i c_i/(1+e_i) Theta_i/N + A - zI)^{-1}, given shifted = A - zI."""
     N = problem.N
     n = len(problem.thetas)
     # the one GEMV tensordot reaches, without its reshaping: same sums, same order
-    M = (
-        ((problem.counts / (1.0 + e)) @ problem.thetas.reshape(n, N * N)).reshape(N, N) / N
-        + problem.A - problem.z * np.eye(N)
-    )
+    M = ((problem.counts / (1.0 + e)) @ problem.thetas.reshape(n, N * N)).reshape(N, N) / N
     # A and every Theta_i are PSD (checked at construction) and z < 0
-    T, _ = hermitian_solve(M, np.eye(N, dtype=complex), floor=-problem.z)
+    T, _ = hermitian_solve(M + shifted, None, floor=-problem.z)
     return herm(T)
 
 
@@ -143,8 +145,9 @@ def solve_fixed_point(
     every e_i drops below tol."""
     N = problem.N
     n = len(problem.thetas)
+    shifted = problem.A - problem.z * np.eye(N)
     if n == 0:
-        T = _resolvent(problem, np.empty(0))
+        T = _resolvent(problem, np.empty(0), shifted)
         m = float(np.real(np.trace(problem.Q @ T))) / (problem.beta0 * N)
         return DetEquivSolution(e=np.empty(0), T=T, m=m, iterations=0, residual=0.0)
 
@@ -152,13 +155,13 @@ def solve_fixed_point(
     residual = np.inf
     history = []
     for it in range(1, max_iter + 1):
-        T = _resolvent(problem, e)
+        T = _resolvent(problem, e, shifted)
         e_new = _traces(problem.thetas, T) / (problem.betas * N)
-        residual = float(np.max(np.abs(e_new - e) / (1.0 + np.abs(e_new))))
+        residual = float((np.abs(e_new - e) / (1.0 + np.abs(e_new))).max())
         history.append(residual)
         e = e_new
         if residual < tol:
-            T = _resolvent(problem, e)
+            T = _resolvent(problem, e, shifted)
             m = float(np.real(np.trace(problem.Q @ T))) / (problem.beta0 * N)
             return DetEquivSolution(
                 e=e, T=T, m=m, iterations=it, residual=residual,

@@ -71,7 +71,7 @@ def build_estimator(scenario: NetworkScenario, l: int, k: int) -> UserEstimator:
         rtilde_sum += projected_cov(scenario, l, k, key)
     cond = prior + rtilde_sum + (1.0 / scenario.rho_p) * np.eye(prof.r)
     # the prior and every R~ are PSD: 1 / rho_p bounds cond's spectrum below
-    xi, jit = hermitian_solve(cond, np.eye(prof.r, dtype=complex), floor=1.0 / scenario.rho_p)
+    xi, jit = hermitian_solve(cond, None, floor=1.0 / scenario.rho_p)
     xi = herm(xi)
     # diagonal prior: scale rows and columns
     filt = prof.lam[:, None] * xi

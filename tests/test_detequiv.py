@@ -220,6 +220,18 @@ class TestProblemValidation:
         with pytest.raises(DomainError):
             DetEquivProblem(**kw)
 
+    @pytest.mark.parametrize("Q,message", [
+        (np.diag([np.nan, 1.0]), "Q must be finite"),
+        (np.diag([1.0, -0.5]), "Q is not Hermitian positive semi-definite"),
+        (np.array([[1.0, 0.5], [0.0, 1.0]]), "Q is not Hermitian positive semi-definite"),
+        (np.eye(3), "Q must be 2 x 2"),
+    ])
+    def test_rejects_bad_Q_by_name(self, Q, message):
+        # Q enters only m = (1/N) tr Q T, which a NaN or an indefinite Q
+        # would turn into a non-finite or negative number without an error
+        with pytest.raises(DomainError, match=message):
+            DetEquivProblem(thetas=[np.eye(2)], A=np.zeros((2, 2)), Q=Q, z=-1.0)
+
 
 class TestFixedPoint:
     def test_scalar_class_golden_ratio(self):

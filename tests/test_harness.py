@@ -242,6 +242,21 @@ class TestCli:
         assert cli_main(["detequiv", str(prob)]) == 3
         assert "z must be a finite negative real" in capsys.readouterr().err
 
+    # a NaN in Q is rejected with the problem; a finite Q whose m overflows
+    # is caught after the solve, before anything is printed
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
+                                "ignore:invalid value:RuntimeWarning")
+    @pytest.mark.parametrize("lines,message", [
+        ("z = -1.0\nQ = nan,1,1", "Q must be finite"),
+        ("z = -1e-4\nQ = 1e306,1e306,1e306", "non-finite m"),
+    ])
+    def test_detequiv_exits_3_on_a_non_finite_m(self, tmp_path, capsys, lines, message):
+        prob = tmp_path / "q.txt"
+        prob.write_text(f"N = 3\ntheta = identity x 3\n{lines}\n")
+        assert cli_main(["detequiv", str(prob)]) == 3
+        captured = capsys.readouterr()
+        assert message in captured.err and captured.out == ""
+
     @pytest.mark.parametrize("option,value", [
         ("--max-iter", "0"), ("--max-iter", "-3"),
         ("--tol", "0"), ("--tol", "-1"), ("--tol", "nan"), ("--tol", "inf"),

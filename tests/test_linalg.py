@@ -112,8 +112,9 @@ def rhs(shape, dtype, seed=3):
     (complex, complex, "strided"),
     (float, complex, "strided"),
 ])
-def test_lapack_solve_matches_scipy_bitwise(a_type, b_type, b_form):
-    # hermitian_solve calls potrf/potrs as cho_factor/cho_solve do
+def test_solve_matches_scipy_cho_solve(a_type, b_type, b_form):
+    # numpy's LU solve against scipy's Cholesky solve: equal to round-off,
+    # with the dtype and shape scipy gives
     from scipy.linalg import cho_factor, cho_solve
 
     A = spd(10, a_type)
@@ -124,7 +125,16 @@ def test_lapack_solve_matches_scipy_bitwise(a_type, b_type, b_form):
     want = cho_solve(cho_factor(herm(A), lower=True), B)
     assert not jittered
     assert X.dtype == want.dtype and X.shape == want.shape == B.shape
-    assert np.array_equal(X, want)
+    np.testing.assert_allclose(X, want, rtol=1e-13, atol=0)
+
+
+@pytest.mark.parametrize("a_type", [complex, float])
+def test_no_right_hand_side_gives_the_inverse(a_type):
+    A = spd(10, a_type)
+    X, jittered = hermitian_solve(A, None)
+    want, _ = hermitian_solve(A, np.eye(10))
+    assert not jittered and X.dtype == want.dtype
+    np.testing.assert_allclose(X, want, rtol=1e-13, atol=1e-15)
 
 
 # the guard's eigenvalue pass flags the non-finite A and jitters it first
@@ -149,27 +159,31 @@ def test_indefinite_matrix_past_a_floor_takes_the_lu_fallback():
     np.testing.assert_allclose((A + 1e-8 * scale * np.eye(3)) @ X, B, atol=1e-12)
 
 
-FOURIER_THEN_HAAR = """
+NO_SCIPY = """
 import sys
 from dataclasses import replace
-from mimo_lab import bounds
+from mimo_lab import bounds, cli, detequiv
 from mimo_lab.covmodel import CorrelationModel, ScenarioConfig, build_network, stream
 sc = build_network(ScenarioConfig(L=2, K=3, M=32, r_own=4), stream(0))
 for direction in ("ul", "dl"):
     bounds.run_bounds(sc, direction, bounds.UL_BOUNDS, 8, 0)
-print("scipy.linalg" in sys.modules)
-bounds.run_bounds(replace(sc, model=CorrelationModel.PARTIAL_UNITARY), "ul", ("coherent",), 8, 0)
-print("scipy.linalg" in sys.modules)
+haar = replace(sc, model=CorrelationModel.PARTIAL_UNITARY)
+bounds.run_bounds(haar, "ul", ("coherent",), 8, 0)
+detequiv.sinr_mmse_detequiv(haar, (0, 0))
+assert cli.main(["detequiv", sys.argv[1]]) == 0
+print(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
 """
 
 
-def test_fourier_only_runs_never_load_scipy():
-    # scipy's import costs peak memory that a partial-Fourier run never needs;
-    # the dense (Haar) twin loads it at its first factorisation
+def test_no_package_path_loads_scipy(tmp_path):
+    # scipy's import costs start-up time and peak memory; the package solves
+    # with numpy alone, on the Fourier and the dense (Haar) paths alike
+    problem = tmp_path / "p.txt"
+    problem.write_text("N = 3\nz = -1.0\ntheta = identity x 3\nA = zero\nQ = identity\n")
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
-    res = subprocess.run([sys.executable, "-c", FOURIER_THEN_HAAR], env=env,
+    res = subprocess.run([sys.executable, "-c", NO_SCIPY, str(problem)], env=env,
                          capture_output=True, text=True, timeout=120)
     assert res.returncode == 0, res.stderr
-    assert res.stdout.split() == ["False", "True"]
+    assert res.stdout.splitlines()[-1] == "[]"
