@@ -160,8 +160,9 @@ class DrawEngine:
     filt, err_cov, nproj_sum, s_inter and Z are [L, K, q, q].
 
     Angular (partial-Fourier draws): each eigenbasis is a set of DFT columns,
-    supp[l, lp, k] the indices of link (l, lp, k) (-1 pads), and each serving
-    basis is served in DFT columns too, serve[l, k].  A basis of DFT columns
+    supp[l, lp, k] the indices the profile of link (l, lp, k) stores (-1
+    pads), and each serving basis is served in DFT columns too, serve[l, k];
+    no eigenbasis is formed as a matrix.  A basis of DFT columns
     is served in its own; an M x M basis B that is not (I_M) is served in all
     M, and its users' orthogonal-pilot noise is rotated by F^H B, one FFT for
     B = I.  MMSE and MF processing are unitarily equivariant, so every rate
@@ -210,10 +211,9 @@ class DrawEngine:
                 f"orthogonal pilots need K={K} <= T_c={sc.T_c} channel uses"
             )
         self.eigen = bases is None
-        self.bases = bases if bases is not None else {
-            (l, k): sc.profile(l, l, k).U for l, k in sc.users()}
-        self.q = q = self.bases[(0, 0)].shape[1]
-        if any(self.bases[u].shape != (sc.M, q) for u in sc.users()):
+        self.bases = bases
+        self.q = q = r if self.eigen else bases[(0, 0)].shape[1]
+        if not self.eigen and any(bases[u].shape != (sc.M, q) for u in sc.users()):
             raise ValueError(f"every serving basis must be M x q = {sc.M} x {q}")
         self.xcells = {l: [lp for lp in range(L) if lp != l] for l in range(L)}
 
@@ -225,6 +225,8 @@ class DrawEngine:
         self.sqrt_lam = np.sqrt(lam)
 
         self.angular = sc.model is CorrelationModel.PARTIAL_FOURIER and self._index_sets()
+        if self.eigen and not self.angular:
+            self.bases = {(l, k): sc.profile(l, l, k).U for l, k in sc.users()}
         if self.angular:
             # cells whose users are all served in the same DFT columns
             self.shared = [bool((self.serve[l] == self.serve[l, 0]).all()) for l in range(L)]
@@ -286,10 +288,11 @@ class DrawEngine:
         bases, and return True; return False, setting nothing, when a
         serving basis with q < M is not DFT columns.
 
-        A basis's indices come in one vectorised pass: the phase step from
-        row 0 to row 1 of each column, then one comparison of the basis
-        with the DFT columns it names (the K links from one cell into one
-        BS at once)."""
+        supp is read from the profiles' stored DFT indices; a link without
+        r distinct indices in [0, M) raises InvalidProfile.  An explicit
+        serving basis's indices come from the phase step from row 0 to row
+        1 of each column, then one comparison of the basis with the DFT
+        columns it names."""
         sc = self.sc
         L, K, M, q = sc.L, sc.K, sc.M, self.q
         F = dft_matrix(M)
@@ -316,16 +319,17 @@ class DrawEngine:
                 if id(B) in rotations:
                     rotations[id(B)][1].append((l, k))
         supp = np.full((L, L, K, self.rmax), -1, dtype=np.intp)
-        for l, lp in np.ndindex(L, L):
-            links = [sc.profile(l, lp, k) for k in range(K)]
-            idx = columns(np.concatenate([prof.U for prof in links], axis=1))
-            if idx is None:
-                raise InvalidProfile(
-                    "a partial-Fourier draw's eigenbases must be DFT columns")
-            end = 0
-            for k, prof in enumerate(links):
-                supp[l, lp, k, : prof.r] = idx[end: end + prof.r]
-                end += prof.r
+        rank = np.zeros((L, L, K), dtype=np.intp)
+        for key, prof in sc.profiles.items():
+            if prof.idx is None or np.shape(prof.idx) != (prof.r,):
+                raise InvalidProfile(f"partial-Fourier link {key} needs r={prof.r} DFT indices")
+            supp[key][: prof.r] = prof.idx
+            rank[key] = prof.r
+        held = np.arange(self.rmax) < rank[..., None]
+        ordered = np.sort(supp, axis=-1)
+        if (((supp >= 0) != held) | (supp >= M)).any() or (
+                (ordered[..., 1:] == ordered[..., :-1]) & (ordered[..., 1:] >= 0)).any():
+            raise InvalidProfile("a partial-Fourier link's DFT indices must be distinct, in [0, M)")
         if self.eigen:
             ll = np.arange(L)
             serve[:] = supp[ll, ll, :, :q]

@@ -3,7 +3,9 @@
 Each user-to-BS link carries second-order statistics R = U diag(lam) U^H with
 an M x r orthonormal eigenbasis U and positive eigenvalues lam.  Two stochastic
 models for U are supported: Haar-distributed partial unitary matrices and
-random partial (subsampled) Fourier matrices.  A network scenario collects one
+random partial (subsampled) Fourier matrices.  A partial-Fourier link is
+stored as its r sorted DFT indices (its angular support), a partial-unitary
+link as its basis; U is read from either.  A network scenario collects one
 such profile per (cell, cell', user) link together with the system parameters.
 """
 
@@ -74,35 +76,12 @@ def dft_matrix(M: int) -> np.ndarray:
     return F
 
 
-def _fourier_columns(M: int, idx: np.ndarray) -> np.ndarray:
-    """Columns idx of the M-point unitary DFT matrix (a copy)."""
-    return dft_matrix(M)[:, np.asarray(idx)]
-
-
 def sample_partial_fourier(M: int, r: int, rng: np.random.Generator) -> np.ndarray:
-    """Draw r distinct DFT columns of the M-point unitary DFT, uniformly
-    without replacement."""
+    """Draw the sorted indices of r distinct columns of the M-point unitary
+    DFT, uniformly without replacement; the basis is dft_matrix(M)[:, idx]."""
     if not 1 <= r <= M:
         raise RankExceedsDimension(f"rank r={r} must satisfy 1 <= r <= M={M}")
-    idx = rng.choice(M, size=r, replace=False)
-    return _fourier_columns(M, np.sort(idx))
-
-
-def fourier_support(U: np.ndarray) -> np.ndarray:
-    """Recover the DFT column indices of a partial Fourier basis.
-
-    Raises InvalidProfile when the columns are not constant-modulus DFT
-    columns (e.g. a partial unitary basis).
-    """
-    M = U.shape[0]
-    if not np.allclose(np.abs(U), 1.0 / np.sqrt(M), atol=1e-8):
-        raise InvalidProfile("basis columns are not constant-modulus DFT columns")
-    ratio = U[1, :] / U[0, :]
-    idx = np.round(np.angle(ratio) * M / (2 * np.pi)).astype(int) % M
-    rebuilt = _fourier_columns(M, idx) * U[0, :] * np.sqrt(M)
-    if not np.allclose(rebuilt, U, atol=1e-8):
-        raise InvalidProfile("basis columns are not DFT columns")
-    return idx
+    return np.sort(rng.choice(M, size=r, replace=False))
 
 
 @dataclass
@@ -134,12 +113,22 @@ def eigen_profile(profile: EigenProfile, r: int) -> np.ndarray:
 
 @dataclass
 class CovarianceProfile:
-    """One link's second-order statistics: R = U diag(lam) U^H, rank r."""
+    """One link's second-order statistics: R = U diag(lam) U^H, rank r.
 
-    U: np.ndarray
+    A partial-Fourier link stores idx, its r sorted DFT indices, and a
+    partial-unitary link its M x r basis.  U is built from idx on every read
+    (columns of the cached dft_matrix, a fresh copy), or is the stored basis.
+    """
+
     lam: np.ndarray
     r: int
     M: int
+    idx: np.ndarray | None = None
+    basis: np.ndarray | None = None
+
+    @property
+    def U(self) -> np.ndarray:
+        return self.basis if self.idx is None else dft_matrix(self.M)[:, self.idx]
 
     @property
     def energy(self) -> float:
@@ -252,24 +241,21 @@ def link_energy(cfg: ScenarioConfig, own: bool) -> float:
 def build_network(cfg: ScenarioConfig, rng: np.random.Generator) -> NetworkScenario:
     """Draw the L*L*K independent covariance profiles of a homogeneous network."""
     r_cross = cfg.resolved_r_cross()
-    if cfg.model is CorrelationModel.PARTIAL_FOURIER and cfg.r_own > cfg.M:
+    fourier = cfg.model is CorrelationModel.PARTIAL_FOURIER
+    if fourier and cfg.r_own > cfg.M:
         raise RankExceedsDimension(f"r_own={cfg.r_own} exceeds M={cfg.M}")
-    sampler = (
-        sample_partial_unitary
-        if cfg.model is CorrelationModel.PARTIAL_UNITARY
-        else sample_partial_fourier
-    )
     profiles = {}
     for l in range(cfg.L):
         for lp in range(cfg.L):
             for k in range(cfg.K):
                 own = l == lp
                 r = cfg.r_own if own else r_cross
-                U = sampler(cfg.M, r, rng)
+                stored = (dict(idx=sample_partial_fourier(cfg.M, r, rng)) if fourier
+                          else dict(basis=sample_partial_unitary(cfg.M, r, rng)))
                 lam = eigen_profile(
                     EigenProfile(cfg.eigen_shape, cfg.eigen_rate, link_energy(cfg, own)), r
                 )
-                profiles[(l, lp, k)] = CovarianceProfile(U=U, lam=lam, r=r, M=cfg.M)
+                profiles[(l, lp, k)] = CovarianceProfile(lam=lam, r=r, M=cfg.M, **stored)
     scheme = PilotScheme(kind=cfg.pilot, boost=cfg.pilot_boost)
     return NetworkScenario(
         L=cfg.L,

@@ -18,6 +18,7 @@ from ._linalg import herm, hermitian_solve
 from .covmodel import (
     NetworkScenario,
     complex_gaussian,
+    dft_matrix,
     sample_partial_fourier,
     sample_partial_unitary,
 )
@@ -416,12 +417,13 @@ def _deviation_samples(kind: str, n: int, trials: int, rng) -> np.ndarray:
         return np.abs(np.einsum("ti,ti->t", x.conj(), y))
     if kind in ("HaarProduct", "FourierProduct"):
         r = 8
-        sampler = sample_partial_unitary if kind == "HaarProduct" else sample_partial_fourier
         devs = np.empty(trials)
         target = (r / n) * np.eye(r)
         for t in range(trials):
-            U = sampler(n, r, rng)
-            V = sampler(n, r, rng)
+            if kind == "HaarProduct":
+                U, V = (sample_partial_unitary(n, r, rng) for _ in range(2))
+            else:
+                U, V = (dft_matrix(n)[:, sample_partial_fourier(n, r, rng)] for _ in range(2))
             W = U.conj().T @ V
             devs[t] = np.max(np.abs(W @ W.conj().T - target))
         return devs

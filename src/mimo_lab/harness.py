@@ -19,7 +19,6 @@ from . import bounds as bnd
 from .beamform import restrict_support
 from .covmodel import CorrelationModel, Regime, ScenarioConfig, build_network, stream
 
-DESK_M_CAP = 256
 DESK_TRIALS_CAP = 500
 
 
@@ -373,16 +372,11 @@ def run_experiment(spec: ExperimentSpec) -> ResultTable:
 
 def _desk(spec: ExperimentSpec, scale: str, table: ResultTable) -> ExperimentSpec:
     if scale == "desk":
-        capped = []
-        if spec.M > DESK_M_CAP:
-            spec = replace(spec, M=DESK_M_CAP)
-            capped.append(f"M->{DESK_M_CAP}")
+        capped = "none applied"
         if spec.trials > DESK_TRIALS_CAP:
             spec = replace(spec, trials=DESK_TRIALS_CAP)
-            capped.append(f"trials->{DESK_TRIALS_CAP}")
-        table.audit.append(
-            "scale=desk caps: " + (", ".join(capped) if capped else "none applied")
-        )
+            capped = f"trials->{DESK_TRIALS_CAP}"
+        table.audit.append(f"scale=desk caps: {capped}")
     else:
         table.audit.append("scale=full")
     return spec

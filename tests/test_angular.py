@@ -14,8 +14,8 @@ import pytest
 from mimo_lab.bounds import CHUNK, DL_BOUNDS, UL_BOUNDS, DrawEngine, run_bounds
 from mimo_lab.covmodel import (
     CorrelationModel,
+    CovarianceProfile,
     InvalidProfile,
-    _fourier_columns,
     sample_partial_unitary,
     stream,
 )
@@ -138,15 +138,35 @@ def test_model_label_picks_the_representation():
 
 
 def test_fourier_label_needs_dft_columns():
+    # a Haar basis in a Fourier-labelled draw has no DFT indices
     sc = make_scenario(**POINT)
-    sc.profiles[(1, 0, 2)].U = sample_partial_unitary(sc.M, sc.r_cross, stream(13))
+    prof = sc.profiles[(1, 0, 2)]
+    prof.idx, prof.basis = None, sample_partial_unitary(sc.M, sc.r_cross, stream(13))
     with pytest.raises(InvalidProfile):
         DrawEngine(sc)
-    # a DFT column times a phase is not one: B^H U would not be a selection
-    sc = make_scenario(**POINT)
-    sc.profiles[(0, 0, 1)].U = _fourier_columns(sc.M, np.arange(4)) * 1j
-    with pytest.raises(InvalidProfile):
-        DrawEngine(sc)
+    # r indices that are not r distinct DFT columns: a duplicate, and one
+    # out of [0, M) on either side
+    for idx in ([0, 2, 2, 5], [0, 2, 5, 24], [-1, 0, 2, 5]):
+        sc = make_scenario(**POINT)
+        sc.profiles[(0, 0, 1)].idx = np.array(idx)
+        with pytest.raises(InvalidProfile):
+            DrawEngine(sc)
+
+
+@pytest.mark.parametrize("direction", ["ul", "dl"])
+@pytest.mark.parametrize("pilot", ["orthogonal", "nonorthogonal"])
+def test_own_eigenbasis_runs_never_form_a_basis(monkeypatch, direction, pilot):
+    # served in their own eigenbases, partial-Fourier runs read only the
+    # stored DFT indices: no M x r matrix U is built
+    sc = make_scenario(**POINT, pilot=pilot)
+
+    def unread(prof):
+        raise AssertionError("CovarianceProfile.U was read")
+
+    monkeypatch.setattr(CovarianceProfile, "U", property(unread))
+    bounds = UL_BOUNDS if direction == "ul" else DL_BOUNDS
+    reps = run_bounds(sc, direction, bounds, 8, 3)
+    assert all(np.isfinite(reps[b].sum_total) for b in bounds)
 
 
 @pytest.mark.parametrize("direction", ["ul", "dl"])

@@ -3,7 +3,7 @@ import pytest
 
 from mimo_lab.beamform import restrict_support
 from mimo_lab.bounds import DrawEngine, run_bounds
-from mimo_lab.covmodel import CorrelationModel, _fourier_columns, stream
+from mimo_lab.covmodel import CorrelationModel, stream
 
 from conftest import full_bases, make_scenario, restricted_bases, single_link_scenario
 
@@ -59,7 +59,7 @@ class TestMmseCombiner:
         # combiner is orthogonal to user 1's estimate
         sc = make_scenario(seed=2, L=1, K=2, M=16, r_own=4)
         for k in range(2):
-            sc.profiles[(0, 0, k)].U = _fourier_columns(16, np.arange(4 * k, 4 * k + 4))
+            sc.profiles[(0, 0, k)].idx = np.arange(4 * k, 4 * k + 4)
         v, w = cell_vectors(sc, 3, 10.0, bases=full_bases(sc))
         assert abs(np.vdot(v[0, 0], w[0, 1])) < 1e-9
 

@@ -15,7 +15,7 @@ from mimo_lab.bounds import (
     run_bounds,
 )
 from mimo_lab import training
-from mimo_lab.covmodel import CorrelationModel, _fourier_columns, stream
+from mimo_lab.covmodel import CorrelationModel, stream
 
 from conftest import full_bases, make_scenario, restricted_bases, single_link_scenario
 
@@ -135,8 +135,7 @@ class TestNonCoherentBounds:
                            pilot_boost=1e12,
                            model=CorrelationModel.PARTIAL_FOURIER)
         for i, key in enumerate(sorted(sc.profiles)):
-            prof = sc.profiles[key]
-            prof.U = _fourier_columns(64, np.arange(i * 8, (i + 1) * 8))
+            sc.profiles[key].idx = np.arange(i * 8, (i + 1) * 8)
         reps = run_bounds(sc, "ul", ("maxmin", "alt"), 100, 8)
         mm, alt = reps["maxmin"], reps["alt"]
         assert alt.sum_total == pytest.approx(mm.sum_total, abs=1e-9)

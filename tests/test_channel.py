@@ -1,6 +1,8 @@
 """Fading draws, despreading and cross-projections as DrawEngine makes them;
 angular-support overlaps and the concentration of random projections."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -8,11 +10,9 @@ from mimo_lab.bounds import DrawEngine
 from mimo_lab.covmodel import (
     CorrelationModel,
     InvalidProfile,
-    _fourier_columns,
     complex_gaussian,
     sample_partial_fourier,
     sample_partial_unitary,
-    fourier_support,
     stream,
 )
 
@@ -69,8 +69,8 @@ class TestDespreadSpread:
         U = sample_partial_unitary(16, 4, stream(4))
         x = complex_gaussian(stream(5), 16)
         y = x - U @ (U.conj().T @ x)
-        sc.profiles[(0, 0, 0)].U = U
-        sc.profiles[(0, 1, 0)].U = (y / np.linalg.norm(y))[:, None]
+        sc.profiles[(0, 0, 0)].basis = U
+        sc.profiles[(0, 1, 0)].basis = (y / np.linalg.norm(y))[:, None]
         eng = DrawEngine(sc)
         w, noise = eng._draw_chunk(5, 0, 1)
         _, _, x_own, s = eng._estimates(w, np.zeros_like(noise))
@@ -84,7 +84,7 @@ class TestDespreadSpread:
         rng = stream(7, 1, 0)  # trial 0's stream: the fading table, then z
         complex_gaussian(rng, 1, 1, 1, eng.rmax)
         z = complex_gaussian(rng, 1, sc.M)[0]
-        idx = fourier_support(sc.profile(0, 0, 0).U)
+        idx = sc.profile(0, 0, 0).idx
         expect = np.fft.fft(z)[idx] / np.sqrt(sc.M)
         assert np.max(np.abs(noise[0, 0, 0] - expect)) < 1e-10
 
@@ -106,7 +106,7 @@ class TestCrossChannel:
     def test_disjoint_supports_give_zero(self):
         sc = make_scenario(L=2, K=1, M=32, r_own=4, r_cross=4)
         for i, key in enumerate(sorted(sc.profiles)):
-            sc.profiles[key].U = _fourier_columns(32, np.arange(4 * i, 4 * i + 4))
+            sc.profiles[key].idx = np.arange(4 * i, 4 * i + 4)
         assert np.max(np.abs(DrawEngine(dense_twin(sc)).P_x)) < 1e-12
 
     def test_projection_never_grows(self):
@@ -132,35 +132,36 @@ class TestCrossChannel:
         assert abs(np.mean(ratios) - target) / target < 0.12
 
 
-def angular_overlap(Ua, Ub):
-    """Number of DFT columns shared by two partial Fourier bases."""
-    return len(np.intersect1d(fourier_support(Ua), fourier_support(Ub)))
+def angular_overlap(a, b):
+    """Number of DFT columns shared by two partial Fourier supports."""
+    return len(np.intersect1d(a, b))
 
 
 class TestAngularOverlap:
     def test_identical_and_disjoint(self):
-        U = sample_partial_fourier(64, 8, stream(16))
-        assert angular_overlap(U, U) == 8
-        free = sorted(set(range(64)) - set(fourier_support(U)))[:8]
-        V = _fourier_columns(64, np.array(free))
-        assert list(fourier_support(V)) == free
-        assert angular_overlap(U, V) == 0
+        a = sample_partial_fourier(64, 8, stream(16))
+        assert angular_overlap(a, a) == 8
+        free = sorted(set(range(64)) - set(a))[:8]
+        assert angular_overlap(a, np.array(free)) == 0
 
     def test_expected_overlap_hypergeometric(self):
         M, r, draws = 64, 8, 10_000
         g = stream(17)
         tot = 0
         for _ in range(draws):
-            Ua = sample_partial_fourier(M, r, g)
-            Ub = sample_partial_fourier(M, r, g)
-            tot += angular_overlap(Ua, Ub)
+            a = sample_partial_fourier(M, r, g)
+            b = sample_partial_fourier(M, r, g)
+            tot += angular_overlap(a, b)
         assert abs(tot / draws - r * r / M) / (r * r / M) < 0.10
 
     def test_rejects_unitary_model(self):
-        Ua = sample_partial_unitary(16, 3, stream(18))
-        Ub = sample_partial_unitary(16, 3, stream(19))
+        # a partial-unitary draw has no angular support: labelled
+        # partial-Fourier, the engine refuses it
+        sc = make_scenario(seed=18, L=2, K=2, M=16, r_own=3,
+                           model=CorrelationModel.PARTIAL_UNITARY)
+        assert all(prof.idx is None for prof in sc.profiles.values())
         with pytest.raises(InvalidProfile):
-            angular_overlap(Ua, Ub)
+            DrawEngine(replace(sc, model=CorrelationModel.PARTIAL_FOURIER))
 
 
 class TestConcentrationProperties:

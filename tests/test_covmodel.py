@@ -11,10 +11,10 @@ from mimo_lab.covmodel import (
     InvalidProfile,
     RankExceedsDimension,
     Regime,
-    _fourier_columns,
+    ScenarioConfig,
+    build_network,
     dft_matrix,
     eigen_profile,
-    fourier_support,
     sample_partial_fourier,
     sample_partial_unitary,
     stream,
@@ -61,14 +61,14 @@ class TestPartialUnitary:
 
 class TestPartialFourier:
     def test_full_selection_is_dft_permutation(self):
-        U = sample_partial_fourier(4, 4, stream(5))
+        idx = sample_partial_fourier(4, 4, stream(5))
+        U = dft_matrix(4)[:, idx]
         gram = U.conj().T @ U
         assert np.max(np.abs(gram - np.eye(4))) < 1e-12
-        idx = fourier_support(U)
-        assert sorted(idx) == [0, 1, 2, 3]
+        assert list(idx) == [0, 1, 2, 3]
 
     def test_constant_modulus(self):
-        U = sample_partial_fourier(8, 2, stream(3))
+        U = dft_matrix(8)[:, sample_partial_fourier(8, 2, stream(3))]
         assert np.allclose(np.abs(U), 1 / np.sqrt(8))
 
     def test_shared_column_probability(self):
@@ -78,38 +78,52 @@ class TestPartialFourier:
         g = stream(17)
         hits = 0
         for _ in range(pairs):
-            a = set(fourier_support(sample_partial_fourier(M, r, g)))
-            b = set(fourier_support(sample_partial_fourier(M, r, g)))
+            a = set(sample_partial_fourier(M, r, g))
+            b = set(sample_partial_fourier(M, r, g))
             hits += bool(a & b)
         assert abs(hits / pairs - p_expected) < 0.03
 
     def test_disjoint_supports_are_orthogonal(self):
         g = stream(23)
         while True:
-            Ua = sample_partial_fourier(32, 4, g)
-            Ub = sample_partial_fourier(32, 4, g)
-            if not set(fourier_support(Ua)) & set(fourier_support(Ub)):
+            a = sample_partial_fourier(32, 4, g)
+            b = sample_partial_fourier(32, 4, g)
+            if not set(a) & set(b):
                 break
-        assert np.max(np.abs(Ua.conj().T @ Ub)) < 1e-12
+        F = dft_matrix(32)
+        assert np.max(np.abs(F[:, a].conj().T @ F[:, b])) < 1e-12
 
     def test_cached_columns_equal_the_direct_formula(self):
-        # slices of the cached DFT matrix, bit for bit the per-column exp
-        g = np.random.default_rng(11)
+        # a Fourier profile holds the sorted draw of its one rng.choice, and
+        # its U is bit for bit the cached DFT matrix's columns and the
+        # per-column exp, a fresh copy on every read
         for M in (1, 2, 7, 8, 64, 100, 120, 333, 1000):
             j = np.arange(M)[:, None]
             for r in sorted({1, M // 3 + 1, M}):
-                idx = np.sort(g.choice(M, size=r, replace=False))
-                direct = np.exp(2j * np.pi * j * idx[None, :] / M) / np.sqrt(M)
-                assert np.array_equal(_fourier_columns(M, idx), direct)
+                cfg = ScenarioConfig(L=2, K=2, M=M, r_own=r, r_cross=max(r // 2, 1))
+                sc = build_network(cfg, stream(11, M, r))
+                g = stream(11, M, r)
+                for key in sorted(sc.profiles):
+                    prof = sc.profiles[key]
+                    drawn = np.sort(g.choice(M, size=prof.r, replace=False))
+                    assert np.array_equal(prof.idx, drawn)
+                    direct = np.exp(2j * np.pi * j * drawn[None, :] / M) / np.sqrt(M)
+                    assert np.array_equal(prof.U, dft_matrix(M)[:, drawn])
+                    assert np.array_equal(prof.U, direct)
         assert not dft_matrix(8).flags.writeable
-        cols = _fourier_columns(8, np.array([1, 5]))
+        prof = make_scenario(L=1, K=1, M=8, r_own=2).profile(0, 0, 0)
+        cols = prof.U
+        assert cols is not prof.U
         cols[0, 0] = 0.0  # a copy: the cache stays intact
-        assert dft_matrix(8)[0, 1] == 1 / np.sqrt(8)
+        assert np.all(dft_matrix(8)[0] == 1 / np.sqrt(8))
+        with pytest.raises(AttributeError):
+            prof.U = cols
 
-    def test_support_recovery_rejects_unitary_model(self):
-        U = sample_partial_unitary(16, 3, stream(2))
-        with pytest.raises(InvalidProfile):
-            fourier_support(U)
+    def test_unitary_profiles_store_their_basis(self):
+        sc = make_scenario(L=2, K=2, M=16, r_own=3, model=CorrelationModel.PARTIAL_UNITARY)
+        for prof in sc.profiles.values():
+            assert prof.idx is None
+            assert prof.U is prof.basis and prof.basis.shape == (16, prof.r)
 
 
 class TestEigenProfile:

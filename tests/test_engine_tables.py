@@ -19,7 +19,7 @@ from mimo_lab import bounds
 from mimo_lab._linalg import herm, hermitian_solve
 from mimo_lab.beamform import assemble_Z
 from mimo_lab.bounds import DrawEngine
-from mimo_lab.covmodel import CorrelationModel, _fourier_columns, stream
+from mimo_lab.covmodel import CorrelationModel, stream
 from mimo_lab.training import EstimatorBank, contaminators, projected_cov, projection
 
 from conftest import dense_twin, full_bases, make_scenario, restricted_bases
@@ -196,7 +196,7 @@ def disjoint_pair():
     ||w_k||^2.  User 1's channel is 1e-6 weaker, and its system never is."""
     sc = make_scenario(seed=2, L=1, K=2, M=16, r_own=2, pilot_boost=1e16)
     for k in range(2):
-        sc.profiles[(0, 0, k)].U = _fourier_columns(16, np.arange(2 * k, 2 * k + 2))
+        sc.profiles[(0, 0, k)].idx = np.arange(2 * k, 2 * k + 2)
     sc.profiles[(0, 0, 1)].lam = sc.profiles[(0, 0, 1)].lam * 1e-6
     return sc
 

@@ -54,3 +54,25 @@ def test_detequiv_layers_are_attributed(tracing):
         assert layers[name] > 0, name
     # bank-less calls build each cell's estimators once, through the traced name
     assert layers["training.EstimatorBank.build.calls"] == sc.L
+
+
+def test_fourier_draws_are_traced(tracing):
+    # the tracer fingerprints each bank build's scenario from its profiles'
+    # eigenbases; a partial-Fourier draw builds them from its DFT indices
+    from conftest import make_scenario
+    from mimo_lab import bounds, detequiv
+
+    sc = make_scenario(seed=8, L=2, K=3, M=32, r_own=4, snr_db=10.0)
+    tracer = tracing.install()
+    try:
+        bounds.run_bounds(sc, "ul", ("coherent",), 8, 3)
+        bounds.run_bounds(sc, "dl", ("alt",), 8, 3)
+        detequiv.sinr_mmse_detequiv(sc, (0, 0))
+    finally:
+        tracer.uninstall()
+    layers = tracing.layer_metrics(tracer, 0.0)
+    for name in ("bounds.DrawEngine.init.calls", "bounds.ul_chunk.busy_s",
+                 "bounds.dl_chunk.busy_s", "bounds.run_bounds.self_s",
+                 "detequiv.sinr_mmse_detequiv.calls", "detequiv.solve_fixed_point.busy_s",
+                 "training.EstimatorBank.build.calls", "training.EstimatorBank.build.busy_s"):
+        assert layers[name] > 0, name

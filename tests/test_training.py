@@ -44,11 +44,9 @@ class TestObservations:
         # L = 2 with hand-made disjoint Fourier supports: the other cell's
         # pilot vanishes after despreading
         sc = fourier_scenario(seed=3, L=2, K=1, M=64, r_own=8, pilot_boost=1e12)
-        from mimo_lab.covmodel import _fourier_columns
         for i, key in enumerate(sorted(sc.profiles)):
             prof = sc.profiles[key]
-            idx = np.arange(i * 16, i * 16 + prof.r)
-            prof.U = _fourier_columns(64, idx)
+            prof.idx = np.arange(i * 16, i * 16 + prof.r)
         s, _, w = pilots(sc, 4, 1)
         assert np.linalg.norm(s[0, 0, 0] - w[0, 0, 0]) / np.linalg.norm(w[0, 0, 0]) < 1e-5
 
