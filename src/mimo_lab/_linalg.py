@@ -11,6 +11,13 @@ def herm(A: np.ndarray) -> np.ndarray:
     return 0.5 * (A + A.conj().swapaxes(-1, -2))
 
 
+def _scales(A: np.ndarray) -> np.ndarray:
+    """trace/n of every matrix of a Hermitian stack A [..., n, n], at least
+    the smallest positive float."""
+    n = A.shape[-1]
+    return np.maximum(np.trace(A, axis1=-2, axis2=-1).real / n, np.finfo(float).tiny)
+
+
 def _near_singular(A: np.ndarray, scale: float, floor: float) -> bool:
     """Whether the smallest eigenvalue of Hermitian A falls below
     1e-12 * scale (scale = trace/n); no eigenvalue pass when floor certifies
@@ -39,13 +46,12 @@ def guard(A: np.ndarray, floor: float = 0.0):
     boolean flags [...] of the jittered matrices.
     """
     n = A.shape[-1]
-    scale = np.maximum(np.trace(A, axis1=-2, axis2=-1).real / n, np.finfo(float).tiny)
+    scale = _scales(A)
     flags = np.zeros(scale.shape, dtype=bool)
-    for i in zip(*np.nonzero(floor <= 1e-10 * scale)):
+    for i in map(tuple, np.argwhere(floor <= 1e-10 * scale)):
         flags[i] = _near_singular(A[i], scale[i], floor)
     if flags.any():
-        A = A.copy()
-        A[flags] += (1e-10 * scale[flags])[:, None, None] * np.eye(n)
+        A = A + (1e-10 * scale * flags)[..., None, None] * np.eye(n)
     return A, flags
 
 
@@ -62,28 +68,37 @@ def diag_guard(d: np.ndarray):
 
 
 def hermitian_solve(A: np.ndarray, B: np.ndarray | None, floor: float = 0.0):
-    """Solve A X = B for Hermitian positive-definite A; B = None asks for
-    A's inverse.
+    """Solve A X = B for Hermitian positive-definite A, or for every matrix
+    of a stack A [..., n, n] (B then [..., n, m]); B = None asks for the
+    inverses.
 
     The near-singular test and jitter of `guard` run first (floor is a known
-    lower bound on A's smallest eigenvalue, 0 if none: a positive floor
-    skips the eigenvalue pass where it certifies A without changing which
-    systems are jittered).  numpy's Cholesky factorisation then tests that A
-    is positive definite; should it fail, jitter 1e-8 * (trace/n) * I is
-    added.  A is solved (or inverted) by LU.  The returned flag reports
-    either jitter.  Raises ValueError when A or B holds a NaN or an infinity.
+    lower bound on the smallest eigenvalues, 0 if none: a positive floor
+    skips the eigenvalue pass where it certifies a matrix without changing
+    which systems are jittered).  numpy's Cholesky factorisation then tests
+    that each matrix is positive definite; the ones that fail get jitter
+    1e-8 * (trace/n) * I.  The systems are solved (or inverted) by LU, one
+    LAPACK call per matrix, so a stack gives every member the bits of its
+    solo solve.  The returned flags report either jitter: a bool for one
+    matrix, a bool array [...] for a stack.  Raises ValueError when A or B
+    holds a NaN or an infinity.
     """
     A = herm(A)
-    n = A.shape[0]
-    scale = max(A.trace().real / n, np.finfo(float).tiny)
-    jittered = _near_singular(A, scale, floor)
-    if jittered:
-        A = A + (1e-10 * scale) * np.eye(n)
     if not (np.isfinite(A).all() and (B is None or np.isfinite(B).all())):
         raise ValueError("array must not contain infs or NaNs")
+    n = A.shape[-1]
+    scale = _scales(A)
+    A, flags = guard(A, floor)
     try:
         np.linalg.cholesky(A)
     except np.linalg.LinAlgError:  # a leading minor is not positive definite
-        A = A + (1e-8 * scale) * np.eye(n)
-        jittered = True
-    return (np.linalg.inv(A) if B is None else np.linalg.solve(A, B)), jittered
+        failed = np.zeros(flags.shape, dtype=bool)
+        for i in np.ndindex(flags.shape):
+            try:
+                np.linalg.cholesky(A[i])
+            except np.linalg.LinAlgError:
+                failed[i] = True
+        A = A + (1e-8 * scale * failed)[..., None, None] * np.eye(n)
+        flags |= failed
+    X = np.linalg.inv(A) if B is None else np.linalg.solve(A, B)
+    return X, (flags if flags.ndim else bool(flags))

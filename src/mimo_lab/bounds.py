@@ -403,16 +403,13 @@ class DrawEngine:
         own = self.P_own[l, kk, kk]  # [k, a, b]
         C = herm((own * lam_own[:, None]) @ own.conj().swapaxes(-1, -2))
         eye = np.eye(q, dtype=complex)
-        xi = np.empty((K, q, q), dtype=complex) if self.conditional else None
-        for k in range(K):
-            rhs = np.concatenate([C[k], eye], axis=1) if self.conditional else C[k]
-            x, jit = hermitian_solve(C[k] + contam[k] + (1.0 / sc.rho_p) * eye, rhs,
-                                     floor=1.0 / sc.rho_p)
-            self.filt[l, k] = x[:, :q].conj().T
-            if self.conditional:
-                xi[k] = herm(x[:, q:])
-            if jit:
-                jittered.append((l, k))
+        rhs = (np.concatenate([C, np.broadcast_to(eye, C.shape)], axis=-1)
+               if self.conditional else C)
+        x, jit = hermitian_solve(C + contam + (1.0 / sc.rho_p) * eye, rhs,
+                                 floor=1.0 / sc.rho_p)
+        self.filt[l] = x[..., :q].conj().swapaxes(-1, -2)
+        xi = herm(x[..., q:]) if self.conditional else None
+        jittered.extend((l, int(k)) for k in np.flatnonzero(jit))
         err = self.err_cov[l] = herm(C - herm(self.filt[l] @ C))
 
         if self.shared[l]:

@@ -45,9 +45,20 @@ def stream(*key) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence([int(k) for k in key]))
 
 
+_INV_SQRT2 = 1.0 / np.sqrt(2.0)
+
+
 def complex_gaussian(rng, *shape):
-    """I.i.d. CN(0, 1) array of the requested shape."""
-    return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2.0)
+    """I.i.d. CN(0, 1) array of the requested shape.
+
+    One draw gives the real parts, then the imaginary parts.  Each is scaled
+    by 1/sqrt(2), which is what dividing the complex array by sqrt(2) does,
+    so the bits are those of (re + 1j * im) / sqrt(2) from two draws."""
+    x = rng.standard_normal((2,) + shape)
+    out = np.empty(shape, dtype=complex)
+    np.multiply(x[0], _INV_SQRT2, out=out.real)
+    np.multiply(x[1], _INV_SQRT2, out=out.imag)
+    return out
 
 
 def sample_partial_unitary(M: int, r: int, rng: np.random.Generator) -> np.ndarray:
@@ -187,11 +198,11 @@ class NetworkScenario:
     uplink and is allocated P_dl / K = snr / K in downlink, so `snr` is the
     per-cell sum-power SNR in both directions.
 
-    cell_estimators memoises, per cell l, the dict of cell l's K
-    `training.UserEstimator`s that `detequiv.sinr_mmse_detequiv` builds when
-    it is given no bank.  The profiles are fixed once drawn: a scenario whose
-    profiles are edited in place must be rebuilt (`dataclasses.replace` gives
-    an empty memo).
+    cell_mmse_sinr memoises, per cell l, the vector of cell l's K MMSE SINR
+    deterministic equivalents that `detequiv.sinr_mmse_detequiv` computes
+    when it is given no bank.  The profiles are fixed once drawn: a scenario
+    whose profiles are edited in place must be rebuilt
+    (`dataclasses.replace` gives an empty memo).
     """
 
     L: int
@@ -206,7 +217,7 @@ class NetworkScenario:
     model: CorrelationModel
     scheme: PilotScheme
     profiles: dict = field(repr=False, default_factory=dict)
-    cell_estimators: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    cell_mmse_sinr: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def P_ul(self) -> float:

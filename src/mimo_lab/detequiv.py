@@ -22,7 +22,7 @@ from .covmodel import (
     sample_partial_fourier,
     sample_partial_unitary,
 )
-from .training import EstimatorBank, projected_cov, projection
+from .training import EstimatorBank, cell_projections, projected_cov
 
 
 class DivergenceError(RuntimeError):
@@ -41,6 +41,13 @@ class NearCriticalPoint(RuntimeError):
 _ROUNDOFF = 1e-10
 
 
+def _members(S: tuple, flat) -> str:
+    """Labels of the members at flat indices of a stack of shape S: an
+    index for a one-axis stack, else an index tuple."""
+    idx = [tuple(int(i) for i in np.unravel_index(p, S)) for p in flat]
+    return ", ".join(str(i[0]) if len(S) == 1 else str(i) for i in idx)
+
+
 @dataclass
 class DetEquivProblem:
     """Resolvent problem data.
@@ -51,13 +58,18 @@ class DetEquivProblem:
     be negative real.  betas carry the per-class trace normalizations (all 1
     in the homogeneous case).
 
+    A stack of problems that share z carries leading axes S: A and Q are
+    S + (N, N), thetas S + (n, N, N), counts and betas S + (n,) (their
+    default ones take that shape).  An unstacked problem has S = ().
+
     Construction checks what makes -z a floor on the spectrum of every
     resolvent matrix sum_i c_i/(1+e_i) Theta_i/N + A - zI, and what keeps
     m = (1/N) tr Q T finite and non-negative: z is a finite negative real,
     every Theta_i, A and Q is Hermitian PSD within round-off (no skew entry
     and no negative eigenvalue larger than _ROUNDOFF times the spectral norm
     of the matrix's Hermitian part), counts are non-negative and betas
-    positive.  Otherwise it raises DomainError.
+    positive.  Otherwise it raises DomainError, naming the matrix that
+    failed and, in a stack, its member.
     """
 
     thetas: np.ndarray
@@ -73,40 +85,67 @@ class DetEquivProblem:
             raise DomainError(f"z must be a finite negative real, got {self.z}")
         self.A = np.atleast_2d(np.asarray(self.A, dtype=complex))
         self.Q = np.atleast_2d(np.asarray(self.Q, dtype=complex))
-        self.thetas = np.asarray(self.thetas, dtype=complex).reshape(
-            len(self.thetas), self.N, self.N)
-        n = len(self.thetas)
+        S, N = self.stack_shape, self.N
+        thetas = np.asarray(self.thetas, dtype=complex)
+        if thetas.size == 0:
+            thetas = thetas.reshape(S + (0, N, N))
+        if thetas.ndim != len(S) + 3 or thetas.shape[:len(S)] != S or thetas.shape[-2:] != (N, N):
+            raise DomainError(f"thetas must be {' x '.join(map(str, S + ('n', N, N)))}, "
+                              f"got shape {thetas.shape}")
+        self.thetas = thetas
+        shape = thetas.shape[:-2]
+        n = shape[-1]
+        size = shape if S else n
         self.counts = (
-            np.ones(n) if self.counts is None else np.asarray(self.counts, dtype=float)
+            np.ones(shape) if self.counts is None else np.asarray(self.counts, dtype=float)
         )
         self.betas = (
-            np.ones(n) if self.betas is None else np.asarray(self.betas, dtype=float)
+            np.ones(shape) if self.betas is None else np.asarray(self.betas, dtype=float)
         )
-        if self.counts.shape != (n,) or not np.all(self.counts >= 0):
-            raise DomainError(f"counts must be {n} non-negative numbers, got {self.counts}")
-        if self.betas.shape != (n,) or not np.all(self.betas > 0):
-            raise DomainError(f"betas must be {n} positive numbers, got {self.betas}")
+        if self.counts.shape != shape or not np.all(self.counts >= 0):
+            raise DomainError(f"counts must be {size} non-negative numbers, got {self.counts}")
+        if self.betas.shape != shape or not np.all(self.betas > 0):
+            raise DomainError(f"betas must be {size} positive numbers, got {self.betas}")
         if self.Q.shape != self.A.shape:
-            raise DomainError(f"Q must be {self.N} x {self.N}, got shape {self.Q.shape}")
-        mats = np.concatenate([self.thetas, self.A[None], self.Q[None]])
+            raise DomainError(f"Q must be {' x '.join(map(str, self.A.shape))}, "
+                              f"got shape {self.Q.shape}")
+        # every matrix of every member, one eigenvalue pass: [member, matrix]
+        mats = np.concatenate([thetas, self.A[..., None, :, :], self.Q[..., None, :, :]],
+                              axis=-3).reshape(-1, n + 2, N, N)
         names = [f"Theta_{i}" for i in range(n)] + ["A", "Q"]
-        finite = np.isfinite(mats).all(axis=(1, 2))
+
+        def failed(bad, what):
+            member, i = np.argwhere(bad)[0]
+            where = f"member {_members(S, [member])}: " if S else ""
+            raise DomainError(f"{where}{names[i]} {what}")
+
+        finite = np.isfinite(mats).all(axis=(-2, -1))
         if not finite.all():
-            raise DomainError(f"{names[np.argmin(finite)]} must be finite")
-        skew = np.abs(mats - mats.conj().swapaxes(1, 2)).max(axis=(1, 2))
+            failed(~finite, "must be finite")
+        skew = np.abs(mats - mats.conj().swapaxes(-1, -2)).max(axis=(-2, -1))
         eig = np.linalg.eigvalsh(herm(mats))
-        tol = _ROUNDOFF * np.abs(eig).max(axis=1)
-        bad = np.flatnonzero((skew > tol) | (eig[:, 0] < -tol))
-        if bad.size:
-            raise DomainError(f"{names[bad[0]]} is not Hermitian positive semi-definite")
+        tol = _ROUNDOFF * np.abs(eig).max(axis=-1)
+        bad = (skew > tol) | (eig[..., 0] < -tol)
+        if bad.any():
+            failed(bad, "is not Hermitian positive semi-definite")
 
     @property
     def N(self) -> int:
-        return self.A.shape[0]
+        return self.A.shape[-1]
+
+    @property
+    def stack_shape(self) -> tuple:
+        return self.A.shape[:-2]
 
 
 @dataclass
 class DetEquivSolution:
+    """Fixed point of a problem.  For a stack, e, T and m carry its leading
+    axes, iterations is the sum of the members' counts (a plain int), and
+    residual and residual_history hold each member's, the history as one
+    list per member in row-major order; a member's count is the length of
+    its history."""
+
     e: np.ndarray
     T: np.ndarray
     m: float
@@ -124,18 +163,22 @@ class PrimedSolution:
 
 
 def _traces(stack: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """Re tr(X_i B) for every matrix X_i of a stack."""
-    return np.einsum("nij,ji->n", stack, B).real
+    """Re tr(X_i B) for every matrix X_i of a stack [..., n, N, N] and B
+    [..., N, N]: one matrix-vector product per member, vec(X_i) . vec(B^T),
+    so a member's traces do not depend on the stack around it."""
+    N = B.shape[-1]
+    flat = stack.reshape(stack.shape[:-2] + (N * N,))
+    return (flat @ B.swapaxes(-1, -2).reshape(B.shape[:-2] + (N * N, 1)))[..., 0].real
 
 
-def _resolvent(problem: DetEquivProblem, e: np.ndarray, shifted: np.ndarray) -> np.ndarray:
-    """T = (sum_i c_i/(1+e_i) Theta_i/N + A - zI)^{-1}, given shifted = A - zI."""
-    N = problem.N
-    n = len(problem.thetas)
-    # the one GEMV tensordot reaches, without its reshaping: same sums, same order
-    M = ((problem.counts / (1.0 + e)) @ problem.thetas.reshape(n, N * N)).reshape(N, N) / N
+def _resolvent(thetas: np.ndarray, w: np.ndarray, shifted: np.ndarray, z: float) -> np.ndarray:
+    """T = (sum_i w_i Theta_i/N + A - zI)^{-1} for every member of a flat
+    stack: thetas [P, n, N, N], weights w = c_i/(1+e_i) [P, n] and
+    shifted = A - zI [P, N, N]."""
+    P, n, N = thetas.shape[:3]
+    M = (w[:, None, :] @ thetas.reshape(P, n, N * N)).reshape(P, N, N) / N
     # A and every Theta_i are PSD (checked at construction) and z < 0
-    T, _ = hermitian_solve(M + shifted, None, floor=-problem.z)
+    T, _ = hermitian_solve(M + shifted, None, floor=-z)
     return herm(T)
 
 
@@ -143,35 +186,52 @@ def solve_fixed_point(
     problem: DetEquivProblem, tol: float = 1e-10, max_iter: int = 10_000
 ) -> DetEquivSolution:
     """Iterate the fixed point from e^(0) = -1/z until the relative change of
-    every e_i drops below tol."""
-    N = problem.N
-    n = len(problem.thetas)
-    shifted = problem.A - problem.z * np.eye(N)
-    if n == 0:
-        T = _resolvent(problem, np.empty(0), shifted)
-        m = float(np.real(np.trace(problem.Q @ T))) / (problem.beta0 * N)
-        return DetEquivSolution(e=np.empty(0), T=T, m=m, iterations=0, residual=0.0)
+    every e_i drops below tol.
 
-    e = np.full(n, -1.0 / problem.z)
-    residual = np.inf
-    history = []
-    for it in range(1, max_iter + 1):
-        T = _resolvent(problem, e, shifted)
-        e_new = _traces(problem.thetas, T) / (problem.betas * N)
-        residual = float((np.abs(e_new - e) / (1.0 + np.abs(e_new))).max())
-        history.append(residual)
-        e = e_new
-        if residual < tol:
-            T = _resolvent(problem, e, shifted)
-            m = float(np.real(np.trace(problem.Q @ T))) / (problem.beta0 * N)
-            return DetEquivSolution(
-                e=e, T=T, m=m, iterations=it, residual=residual,
-                residual_history=history,
-            )
-    raise DivergenceError(
-        f"fixed point did not reach tol={tol} in {max_iter} iterations "
-        f"(last residual {residual:.3e})"
-    )
+    A stack iterates its members in lockstep.  Each member stops at its own
+    tolerance and is frozen there, and every step is one LAPACK or BLAS
+    call per member, so a member's iterates, count and history are those of
+    its solo solve."""
+    S, N = problem.stack_shape, problem.N
+    n = problem.thetas.shape[-3]
+    P = int(np.prod(S))
+    thetas = problem.thetas.reshape(P, n, N, N)
+    counts = problem.counts.reshape(P, n)
+    betas = problem.betas.reshape(P, n)
+    shifted = problem.A.reshape(P, N, N) - problem.z * np.eye(N)
+
+    e = np.full((P, n), -1.0 / problem.z)
+    residual = np.zeros(P) if n == 0 else np.full(P, np.inf)
+    history = [[] for _ in range(P)]
+    live = np.arange(P if n else 0)  # members still iterating
+    it = 0
+    while live.size and it < max_iter:
+        it += 1
+        at = slice(None) if live.size == P else live
+        T = _resolvent(thetas[at], counts[at] / (1.0 + e[at]), shifted[at], problem.z)
+        e_new = _traces(thetas[at], T) / (betas[at] * N)
+        step = (np.abs(e_new - e[at]) / (1.0 + np.abs(e_new))).max(axis=-1)
+        e[at] = e_new
+        residual[live] = step
+        for p, x in zip(live, step):
+            history[p].append(float(x))
+        live = live[step >= tol]
+    if live.size:
+        where = f" for member(s) {_members(S, live)}" if S else ""
+        raise DivergenceError(
+            f"fixed point did not reach tol={tol} in {max_iter} iterations{where} "
+            f"(last residual {residual[live].max():.3e})"
+        )
+    T = _resolvent(thetas, counts / (1.0 + e), shifted, problem.z)
+    m = _traces(problem.Q.reshape(P, 1, N, N), T)[:, 0] / (problem.beta0 * N)
+    T = T.reshape(S + (N, N))
+    iterations = sum(len(h) for h in history)
+    if not S:
+        return DetEquivSolution(e=e[0], T=T, m=float(m[0]), iterations=iterations,
+                                residual=float(residual[0]), residual_history=history[0])
+    return DetEquivSolution(e=e.reshape(S + (n,)), T=T, m=m.reshape(S),
+                            iterations=iterations, residual=residual.reshape(S),
+                            residual_history=history)
 
 
 def solve_primed(
@@ -182,36 +242,41 @@ def solve_primed(
     Assembles the n x n linear system for e' and forms
     T' = T omega T + T [(1/N) sum_j c_j Theta_j e'_j / (1+e_j)^2] T.
     With omega = I this is exactly dT/dz (differentiate the fixed point).
+    A stack solves each member's system; omega is one matrix for all
+    members or one per member.
     """
-    N = problem.N
-    n = len(problem.thetas)
+    S, N = problem.stack_shape, problem.N
+    n = problem.thetas.shape[-3]
     T = base.T
     omega = np.atleast_2d(np.asarray(omega, dtype=complex))
     TOT = T @ omega @ T
     if n == 0:
-        return PrimedSolution(
-            e_prime=np.empty(0), T_prime=herm(TOT), J=np.empty((0, 0)), v=np.empty(0)
-        )
+        return PrimedSolution(e_prime=np.empty(S + (0,)), T_prime=herm(TOT),
+                              J=np.empty(S + (0, 0)), v=np.empty(S + (0,)))
     e = base.e
-    TTh = T @ problem.thetas
+    TTh = T[..., None, :, :] @ problem.thetas
     v = _traces(problem.thetas, TOT) / (problem.betas * N)
-    # column convention: the (1+e_j)^2 damping sits on the class being
-    # differentiated, which is what d e_i / dz requires
+    # J_ij = tr(TTh_i TTh_j) = vec(TTh_i) . vec(TTh_j^T), one product per
+    # member; column convention: the (1+e_j)^2 damping sits on the class
+    # being differentiated, which is what d e_i / dz requires
+    flat = TTh.reshape(S + (n, N * N))
     J = (
-        np.einsum("iab,jba->ij", TTh, TTh).real
-        * (problem.counts / (1.0 + e) ** 2)[None, :]
-        / (problem.betas[:, None] * N * N)
+        (flat @ TTh.swapaxes(-1, -2).reshape(S + (n, N * N)).swapaxes(-1, -2)).real
+        * (problem.counts / (1.0 + e) ** 2)[..., None, :]
+        / (problem.betas[..., :, None] * N * N)
     )
     I_minus_J = np.eye(n) - J
-    if abs(np.linalg.det(I_minus_J)) < 1e-14:
-        raise NearCriticalPoint("(I - J) is singular; z too close to the spectrum")
+    near = np.abs(np.linalg.det(I_minus_J)) < 1e-14
+    if near.any():
+        where = f" for member(s) {_members(S, np.flatnonzero(near))}" if S else ""
+        raise NearCriticalPoint(f"(I - J) is singular{where}; z too close to the spectrum")
     try:
-        e_prime = np.linalg.solve(I_minus_J, v)
+        e_prime = np.linalg.solve(I_minus_J, v[..., None])[..., 0]
     except np.linalg.LinAlgError as exc:
         raise NearCriticalPoint("(I - J) is singular; z too close to the spectrum") from exc
     # T corr T = sum_j w_j (T Theta_j) T
     w = problem.counts * e_prime / (N * (1.0 + e) ** 2)
-    T_prime = herm(TOT + np.tensordot(w, TTh, axes=1) @ T)
+    T_prime = herm(TOT + (w[..., None, :] @ flat).reshape(S + (N, N)) @ T)
     return PrimedSolution(e_prime=e_prime, T_prime=T_prime, J=J, v=v)
 
 
@@ -220,85 +285,95 @@ def solve_primed(
 # ---------------------------------------------------------------------------
 
 def mmse_detequiv_problem(
-    scenario: NetworkScenario, l: int, k: int, bank: EstimatorBank, Z: np.ndarray
+    scenario: NetworkScenario, l: int, k: int | None, bank: EstimatorBank, Z: np.ndarray
 ) -> DetEquivProblem:
-    """Fixed-point problem behind user (l, k)'s MMSE combiner.
+    """Fixed-point problems behind the MMSE combiners of cell l's users.
 
     Works on the 1/r-rescaled combiner resolvent: the column classes are the
     other own-cell users' projected estimate covariances (leave-one-out in
-    the served user), A = Z/r, z = -1/(P_ul r).
+    the served user), A = Z/r, z = -1/(P_ul r).  The thetas of all K users
+    come from one GEMM of the cell's bases.  k = None gives the cell's K
+    problems as one stack, with Z [K, r, r] from assemble_Z; else user k's
+    problem, with its Z [r, r].
     """
-    r = scenario.profile(l, l, k).r
-    others = [j for j in range(scenario.K) if j != k]
-    P = np.array([projection(scenario, l, k, (l, l, j)) for j in others]).reshape(-1, r, r)
-    phi = np.array([bank.users[(l, j)].phi for j in others]).reshape(-1, r, r)
-    return DetEquivProblem(
-        thetas=herm(P @ phi @ P.conj().swapaxes(1, 2)),
-        A=Z / r,
-        Q=bank.users[(l, k)].phi,
-        z=-1.0 / (scenario.P_ul * r),
-    )
+    K = scenario.K
+    P = cell_projections(scenario, l, [l])[0][:, 0]  # [k, j, a, b]
+    r = P.shape[-2]
+    phi = np.stack([bank.users[(l, j)].phi for j in range(K)])
+    thetas = herm(P @ phi @ P.conj().swapaxes(-1, -2))
+    # leave-one-out: user k's classes are the users j != k, in order
+    thetas = thetas[~np.eye(K, dtype=bool)].reshape(K, K - 1, r, r)
+    if k is not None:
+        thetas, phi = thetas[k], phi[k]
+    return DetEquivProblem(thetas=thetas, A=Z / r, Q=phi, z=-1.0 / (scenario.P_ul * r))
+
+
+def _cell_sinr_mmse(scenario: NetworkScenario, l: int, bank: EstimatorBank) -> np.ndarray:
+    """The uplink MMSE SINR deterministic equivalents of cell l's K users,
+    evaluated as one stacked problem."""
+    # imported at call time: the benchmark's tracer patches beamform.assemble_Z
+    from .beamform import assemble_Z
+
+    L, K = scenario.L, scenario.K
+    kk = np.arange(K)
+    Z = assemble_Z(scenario, l, None, bank)
+    r = Z.shape[-1]
+    problem = mmse_detequiv_problem(scenario, l, None, bank, Z)
+    base = solve_fixed_point(problem)
+    T = base.T
+    phi = problem.Q
+
+    delta = _traces(phi[:, None], T)[:, 0] / r
+
+    # one derivative solve covers every static quadratic form through the
+    # symmetry tr(Phi T'_D) = tr(D T'_Phi): noise, other-cell covariances,
+    # and error covariances all live inside D_stat = Z + P_ul^{-1} I
+    T_prime = solve_primed(problem, base, phi).T_prime
+    d_stat = Z + (1.0 / scenario.P_ul) * np.eye(r)
+    den = _traces(d_stat[:, None], T_prime)[:, 0] / (r * r)
+
+    # own-cell estimate residuals, MMSE-suppressed by (1 + e_j)^2
+    den += np.sum(_traces(problem.thetas, T_prime) / (r * r * (1.0 + base.e) ** 2), axis=-1)
+
+    # coherent pilot contamination: same pilot index, other cells
+    if L > 1:
+        xi = np.stack([bank.users[(l, j)].xi for j in range(K)])
+        lam = np.stack([scenario.profile(l, l, j).lam for j in range(K)])
+        xi_lam_T = (xi * lam[:, None, :]) @ T
+        X, lam_x = cell_projections(scenario, l, [lp for lp in range(L) if lp != l])
+        Xd = X[kk, :, kk]  # user k against user k of each other cell: [k, i, a, b]
+        lam_d = lam_x[:, kk].transpose(1, 0, 2)[:, :, None, :]
+        rt = herm((Xd * lam_d) @ Xd.conj().swapaxes(-1, -2))
+        den += np.sum(np.abs(np.trace(xi_lam_T[:, None] @ rt, axis1=-2, axis2=-1) / r) ** 2,
+                      axis=-1)
+
+    return delta ** 2 / den
 
 
 def sinr_mmse_detequiv(
-    scenario: NetworkScenario,
-    user: tuple,
-    bank: EstimatorBank | None = None,
-    Z: np.ndarray | None = None,
+    scenario: NetworkScenario, user: tuple, bank: EstimatorBank | None = None
 ) -> float:
     """Deterministic equivalent of the uplink MMSE post-combining SINR.
 
     Orthogonal pilots only.  Assembles the signal, noise, coherent pilot
     contamination, and residual interference terms from the fixed point and
-    its derivative system.  Without a bank, cell l's K estimators are built
-    on the scenario's first call for that cell and kept in
-    `scenario.cell_estimators`.
+    its derivative system, for all K users of cell l at once.  Without a
+    bank, the scenario's first call for cell l builds the cell's K
+    estimators and keeps the cell's K SINRs in `scenario.cell_mmse_sinr`,
+    so the cell's other calls do no work.  A call with a bank evaluates the
+    cell and keeps no memo.
     """
     if scenario.scheme.kind != "orthogonal":
         raise DomainError("the MMSE SINR deterministic equivalent assumes orthogonal pilots")
-    # imported at call time: the benchmark's tracer patches beamform.assemble_Z
-    from .beamform import assemble_Z
-
     l, k = user
-    if bank is None:
-        # every term reads the estimators of cell l only; the memo keeps them
-        # without the bank, whose back-reference to the scenario would make a
-        # reference cycle
-        users = scenario.cell_estimators.get(l)
-        if users is None:
-            users = EstimatorBank.build(scenario, [(l, j) for j in range(scenario.K)]).users
-            scenario.cell_estimators[l] = users
-        bank = EstimatorBank(scenario=scenario, users=users)
-    est = bank.users[(l, k)]
-    prof = scenario.profile(l, l, k)
-    r = prof.r
-    Z = Z if Z is not None else assemble_Z(scenario, l, k, bank)
-
-    problem = mmse_detequiv_problem(scenario, l, k, bank, Z)
-    base = solve_fixed_point(problem)
-    T = base.T
-
-    delta = np.real(np.trace(est.phi @ T)) / r
-
-    # one derivative solve covers every static quadratic form through the
-    # symmetry tr(Phi T'_D) = tr(D T'_Phi): noise, other-cell covariances,
-    # and error covariances all live inside D_stat = Z + P_ul^{-1} I
-    primed_phi = solve_primed(problem, base, est.phi)
-    d_stat = Z + (1.0 / scenario.P_ul) * np.eye(r)
-    den = np.real(np.trace(d_stat @ primed_phi.T_prime)) / (r * r)
-
-    # own-cell estimate residuals, MMSE-suppressed by (1 + e_j)^2
-    den += np.sum(_traces(problem.thetas, primed_phi.T_prime) / (r * r * (1.0 + base.e) ** 2))
-
-    # coherent pilot contamination: same pilot index, other cells
-    xi_lam_T = (est.xi * prof.lam[None, :]) @ T
-    for lp in range(scenario.L):
-        if lp == l:
-            continue
-        rt = projected_cov(scenario, l, k, (l, lp, k))
-        den += abs(np.trace(xi_lam_T @ rt) / r) ** 2
-
-    return float(delta ** 2 / den)
+    if bank is not None:
+        return float(_cell_sinr_mmse(scenario, l, bank)[k])
+    sinr = scenario.cell_mmse_sinr.get(l)
+    if sinr is None:
+        # every term reads the estimators of cell l only
+        bank = EstimatorBank.build(scenario, [(l, j) for j in range(scenario.K)])
+        sinr = scenario.cell_mmse_sinr[l] = _cell_sinr_mmse(scenario, l, bank)
+    return float(sinr[k])
 
 
 def mf_psi(scenario: NetworkScenario, user: tuple, src_key,

@@ -13,6 +13,7 @@ from mimo_lab.covmodel import (
     Regime,
     ScenarioConfig,
     build_network,
+    complex_gaussian,
     dft_matrix,
     eigen_profile,
     sample_partial_fourier,
@@ -21,6 +22,18 @@ from mimo_lab.covmodel import (
 )
 
 from conftest import make_scenario
+
+
+@pytest.mark.parametrize("seed", [0, 5, 123])
+@pytest.mark.parametrize("shape", [(6,), (4, 3), (7, 7, 24, 12), (0,), (2, 0, 3)])
+def test_complex_gaussian_bits_match_two_draws_over_sqrt2(seed, shape):
+    # one draw for both parts gives the bits of the two-draw formula: the
+    # same stream order, and the same scaling as complex division by sqrt(2)
+    got = complex_gaussian(stream(seed), *shape)
+    g = stream(seed)
+    want = (g.standard_normal(shape) + 1j * g.standard_normal(shape)) / np.sqrt(2.0)
+    assert got.shape == want.shape and got.dtype == want.dtype
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
 class TestPartialUnitary:

@@ -92,6 +92,25 @@ def loop_primed(p, e, T, omega):
     return J, v, e_prime, herm(TOT + T @ (corr / N) @ T)
 
 
+def loop_assemble_Z(sc, l, k, bank):
+    """Z_{lk} link by link: other-cell projected covariances plus own-cell
+    projected estimation-error covariances."""
+    r = sc.profile(l, l, k).r
+    Z = np.zeros((r, r), dtype=complex)
+    for lp in range(sc.L):
+        for kp in range(sc.K):
+            if lp != l:
+                Z += projected_cov(sc, l, k, (l, lp, kp))
+            else:
+                err = bank.users[(l, kp)].err_cov
+                if kp == k:
+                    Z += err
+                else:
+                    P = projection(sc, l, k, (l, l, kp))
+                    Z += (P @ err) @ P.conj().T
+    return herm(Z)
+
+
 def loop_mmse_problem(sc, l, k, bank, Z):
     P = {j: projection(sc, l, k, (l, l, j)) for j in range(sc.K) if j != k}
     thetas = [herm((P[j] @ bank.users[(l, j)].phi) @ P[j].conj().T) for j in P]
@@ -104,7 +123,7 @@ def loop_sinr_mmse(sc, l, k, bank):
     est = bank.users[(l, k)]
     prof = sc.profile(l, l, k)
     r = prof.r
-    Z = assemble_Z(sc, l, k, bank)
+    Z = loop_assemble_Z(sc, l, k, bank)
     p = loop_mmse_problem(sc, l, k, bank, Z)
     e, T, _, _, _ = loop_fixed_point(p)
     delta = np.real(np.trace(est.phi @ T)) / r
@@ -163,12 +182,34 @@ class TestStackedFormsMatchLoops:
 
     def test_leave_one_out_thetas(self):
         sc, bank = haar_case()
+        cell = mmse_detequiv_problem(sc, 1, None, bank, assemble_Z(sc, 1, None, bank))
+        assert cell.stack_shape == (sc.K,)
         for k in (0, 3, 5):
             Z = assemble_Z(sc, 1, k, bank)
             got = mmse_detequiv_problem(sc, 1, k, bank, Z)
             want = loop_mmse_problem(sc, 1, k, bank, Z)
             assert_close(got.thetas, np.array(want.thetas))
             assert np.array_equal(got.A, want.A) and got.z == want.z
+            # a user's problem is its member of the cell's stack
+            for name in ("thetas", "A", "Q", "counts", "betas"):
+                assert np.array_equal(getattr(got, name), getattr(cell, name)[k])
+
+    @pytest.mark.parametrize("case", ["haar", "nonorthogonal", "wide cross links"])
+    def test_stacked_Z_matches_the_loop(self, case):
+        # the cell's one GEMM against the literal per-link sums, every user;
+        # cross links narrower (default) and wider than the own ones
+        if case == "haar":
+            sc = haar_case()[0]
+        else:
+            sc = make_scenario(seed=23, L=3, K=4, M=40, r_own=4, snr_db=12.0,
+                               r_cross=6 if case == "wide cross links" else 0,
+                               pilot="nonorthogonal", model=CorrelationModel.PARTIAL_UNITARY)
+        bank = EstimatorBank.build(sc)
+        for l in range(sc.L):
+            cell = assemble_Z(sc, l, None, bank)
+            for k in range(sc.K):
+                assert_close(cell[k], loop_assemble_Z(sc, l, k, bank))
+                assert np.array_equal(assemble_Z(sc, l, k, bank), cell[k])
 
     def test_sinr_mmse(self):
         sc, bank = haar_case()
@@ -192,6 +233,69 @@ class TestStackedFormsMatchLoops:
         got = solve_fixed_point(p)
         assert got.iterations == want.iterations
         assert np.array_equal(got.e, want.e) and np.array_equal(got.T, want.T)
+
+
+def stacked(problems):
+    """One stacked problem from problems that share z."""
+    return DetEquivProblem(
+        thetas=np.stack([p.thetas for p in problems]), A=np.stack([p.A for p in problems]),
+        Q=np.stack([p.Q for p in problems]), z=problems[0].z,
+        counts=np.stack([p.counts for p in problems]),
+        betas=np.stack([p.betas for p in problems]))
+
+
+class TestStack:
+    """A stack of problems against its members solved alone."""
+
+    def members(self):
+        # scales 1e-2 to 1e2 converge in different numbers of iterations
+        return [random_problem(8, 4, seed, scale) for seed, scale in
+                [(30, 1e-2), (31, 1.0), (32, 30.0), (33, 1e2)]]
+
+    def test_members_get_their_solo_solutions(self):
+        members = self.members()
+        omegas = [random_problem(8, 1, 40 + i).thetas[0] for i in range(len(members))]
+        solo = [solve_fixed_point(p) for p in members]
+        assert len({s.iterations for s in solo}) > 1
+        stack = stacked(members)
+        sol = solve_fixed_point(stack)
+        assert type(sol.iterations) is int
+        assert sol.iterations == sum(s.iterations for s in solo)
+        primed = solve_primed(stack, sol, np.stack(omegas))
+        for i, (p, s, omega) in enumerate(zip(members, solo, omegas)):
+            assert len(sol.residual_history[i]) == s.iterations
+            assert_close(sol.residual_history[i], s.residual_history)
+            assert_close(sol.e[i], s.e)
+            assert_close(sol.T[i], s.T)
+            assert_close(sol.m[i], s.m)
+            assert sol.residual[i] == s.residual_history[-1]
+            want = solve_primed(p, s, omega)
+            for name in ("J", "v", "e_prime", "T_prime"):
+                assert_close(getattr(primed, name)[i], getattr(want, name))
+
+    def test_divergence_names_the_members_left(self):
+        members = self.members()
+        counts = [solve_fixed_point(p).iterations for p in members]
+        with pytest.raises(DivergenceError) as err:
+            solve_fixed_point(stacked(members), max_iter=min(counts))
+        slow = [str(i) for i, c in enumerate(counts) if c > min(counts)]
+        assert f"member(s) {', '.join(slow)} " in str(err.value)
+
+    @pytest.mark.parametrize("where,value,message", [
+        ("thetas", (1, 2), "member 1: Theta_2 is not Hermitian positive semi-definite"),
+        ("A", 2, "member 2: A is not Hermitian positive semi-definite"),
+        ("Q", 3, "member 3: Q must be finite"),
+    ])
+    def test_bad_member_is_named(self, where, value, message):
+        stack = stacked(self.members())
+        data = dict(thetas=stack.thetas, A=stack.A, Q=stack.Q)
+        data[where] = bad = data[where].copy()
+        if message.endswith("must be finite"):
+            bad[value][0, 0] = np.nan
+        else:
+            bad[value][0, 0] = -10.0 * np.abs(bad[value]).max()
+        with pytest.raises(DomainError, match=f"^{message}$"):
+            DetEquivProblem(z=stack.z, **data)
 
 
 class TestProblemValidation:
@@ -450,15 +554,37 @@ class TestSinrDetequiv:
         assert sinr_mmse_detequiv(louder, (2, 3)) != got[2 * sc.K + 3]
         assert built == [(2, j) for j in range(sc.K)]
 
-    def test_estimator_memo_makes_no_reference_cycle(self):
-        # freed by reference counting alone: the memo keeps the estimators,
-        # not the bank that points back to its scenario
+    def test_bankless_calls_solve_each_cell_once(self, monkeypatch):
+        # the first bank-less call for a cell evaluates all of its users; the
+        # others read the memo.  A call with a bank keeps no memo
+        from mimo_lab import training
+
+        sc = make_scenario(seed=8, L=3, K=4, M=48, snr_db=10.0, r_own=6,
+                           model=CorrelationModel.PARTIAL_UNITARY)
+        first = sinr_mmse_detequiv(sc, (1, 2))
+        solve = detequiv.solve_fixed_point
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a fixed point was solved again")
+
+        monkeypatch.setattr(detequiv, "solve_fixed_point", refuse)
+        got = [sinr_mmse_detequiv(sc, (1, k)) for k in range(sc.K)]
+        assert got[2] == first
+        monkeypatch.setattr(detequiv, "solve_fixed_point", solve)
+        full = training.EstimatorBank.build(sc)
+        fresh = replace(sc)
+        assert got == [sinr_mmse_detequiv(fresh, (1, k), full) for k in range(sc.K)]
+        assert fresh.cell_mmse_sinr == {}
+
+    def test_memo_makes_no_reference_cycle(self):
+        # freed by reference counting alone: the memo keeps the cell's
+        # SINRs, not the bank that points back to its scenario
         sc = make_scenario(seed=8, L=2, K=3, M=32, r_own=4,
                            model=CorrelationModel.PARTIAL_UNITARY)
         gc.disable()
         try:
             sinr_mmse_detequiv(sc, (1, 0))
-            assert sc.cell_estimators
+            assert sc.cell_mmse_sinr
             ref = weakref.ref(sc)
             del sc
             assert ref() is None

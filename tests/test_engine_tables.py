@@ -130,21 +130,22 @@ def test_conditional_tables_match_per_link_definitions(which):
 
 
 def test_regularised_estimators_are_recorded(monkeypatch):
-    # the engine keeps hermitian_solve's jitter flag per user; here the
-    # solve reports jitter for the second and fifth users it is asked for
+    # the engine solves each cell's estimator systems as one stack and keeps
+    # hermitian_solve's jitter flag per user; here the solve reports jitter
+    # for the second user of the first cell and the third of the second
     solve, calls = bounds.hermitian_solve, []
 
     def flagged(A, B, floor=0.0):
         X, _ = solve(A, B, floor)
-        calls.append(None)
-        return X, len(calls) in (2, 5)
+        calls.append(len(A))
+        return X, np.arange(len(A)) == len(calls)
 
     sc = make_scenario(**POINT)
     assert DrawEngine(sc).jittered == ()
     monkeypatch.setattr(bounds, "hermitian_solve", flagged)
     eng = DrawEngine(sc)
-    assert len(calls) == sc.L * sc.K
-    assert eng.jittered == ((0, 1), (1, 1))
+    assert calls == [sc.K] * sc.L
+    assert eng.jittered == ((0, 1), (1, 2))
 
 
 def test_regularised_estimators_match_eigenvalue_criterion():

@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -127,7 +128,7 @@ class TestPersistence:
     def test_empty_table_header_only(self, tmp_path):
         path = str(tmp_path / "empty.csv")
         write_results(ResultTable(), path, "csv")
-        lines = open(path).read().strip().splitlines()
+        lines = Path(path).read_text().strip().splitlines()
         assert lines == ["experiment,sweep_value,M,K,r,T_c,bound_id,direction,"
                          "per_user_rate,sum_per_cell,sum_total,stderr,trials,seed"]
 
@@ -137,7 +138,7 @@ class TestPersistence:
         table = run_experiment(spec)
         path = str(tmp_path / "out.dat")
         write_results(table, path, "plotdata")
-        text = open(path).read()
+        text = Path(path).read_text()
         curves = {(r.experiment, r.bound_id, r.direction) for r in table.rows}
         assert text.count("# curve:") == len(curves)
 
@@ -178,7 +179,7 @@ def csv_bytes_across_threads(tmp_path, text):
             [sys.executable, "-m", "mimo_lab.cli", "run", cfg, "--out", out],
             env=env, capture_output=True, text=True)
         assert res.returncode == 0, res.stderr
-        outputs.append(open(out, "rb").read())
+        outputs.append(Path(out).read_bytes())
     return outputs
 
 

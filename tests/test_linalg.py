@@ -159,6 +159,25 @@ def test_indefinite_matrix_past_a_floor_takes_the_lu_fallback():
     np.testing.assert_allclose((A + 1e-8 * scale * np.eye(3)) @ X, B, atol=1e-12)
 
 
+@pytest.mark.parametrize("B", [None, "rhs"])
+def test_stack_gives_each_member_its_solo_solve(B):
+    # well-conditioned members, a near-singular one whose trace is too
+    # large for the floor to certify (the guard's jitter) and an indefinite
+    # one the floor wrongly certifies (the Cholesky fallback): each keeps
+    # the bits and the flag of its own solve
+    floor = 1e-9
+    stack = np.stack([spd(6, complex, seed=4), 1e12 * near_singular(1e-14),
+                      np.diag([2.0, -1.0, 3.0, 1.0, 1.0, 1.0]).astype(complex),
+                      spd(6, complex, seed=5)])
+    B = None if B is None else rhs((4, 6, 2), complex)
+    X, flags = hermitian_solve(stack, B, floor)
+    assert flags.tolist() == [False, True, True, False]
+    for i, A in enumerate(stack):
+        want, jittered = hermitian_solve(A, None if B is None else B[i], floor)
+        assert jittered == flags[i]
+        np.testing.assert_array_equal(X[i], want)
+
+
 NO_SCIPY = """
 import sys
 from dataclasses import replace
