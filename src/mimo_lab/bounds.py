@@ -56,21 +56,64 @@ class RateReport:
     sum_total_floored: float | None = None  # alt bound may go negative
     mean_sinr: dict = field(default_factory=dict, repr=False)
 
-    @property
-    def per_user_rate(self) -> float:
-        return self.sum_total / max(len(self.per_user), 1)
-
 
 def prelog_factor(scenario: NetworkScenario) -> float:
     kappa = scenario.scheme.channel_uses(scenario.K, scenario.T_c)
     return 1.0 - kappa / scenario.T_c
 
 
-def noncoherent_expression(mean_sig, var_sig, interf_power, inv_power) -> float:
+def noncoherent_expression(mean_sig, var_sig, interf_power, inv_power):
     """Single-log non-coherent rate: useful-mean power over noise, signal
-    fluctuation, and interference."""
-    sinr = abs(mean_sig) ** 2 / (inv_power + var_sig + interf_power)
-    return math.log2(1.0 + sinr)
+    fluctuation, and interference; scalars or arrays of users alike."""
+    mean_sig = np.asarray(mean_sig)
+    sinr = np.hypot(mean_sig.real, mean_sig.imag) ** 2 / (inv_power + var_sig + interf_power)
+    return np.log2(1.0 + sinr)
+
+
+def _users_leading(x):
+    """Per-trial statistics x [..., trials, K] as a contiguous [..., K, trials]:
+    a mean over its last axis rounds like the column mean x[:, k].mean()
+    (numpy's pairwise sum), where x.mean(axis=-2) sums trial by trial."""
+    return np.ascontiguousarray(x.swapaxes(-1, -2))
+
+
+def _hardening(sig, ip2_sum, inv_p):
+    """Each user's channel-hardening rate (without prelog) from its signal
+    sig and interference power ip2_sum, both users-leading [..., K, trials]."""
+    mean_sig = sig.mean(axis=-1)
+    mean_pow = np.hypot(mean_sig.real, mean_sig.imag) ** 2
+    var_sig = np.maximum((np.abs(sig) ** 2).mean(axis=-1) - mean_pow, 0.0)
+    return noncoherent_expression(mean_sig, var_sig, ip2_sum.mean(axis=-1), inv_p)
+
+
+def _cell_sums(x):
+    """Each cell's ordered Python sum of its users' rates x [cells, K]."""
+    return [sum(row.tolist()) for row in x]
+
+
+def _stderr(prelog, totals):
+    """prelog times the standard error of the mean of sum rates (per trial or
+    per batch of trials)."""
+    n = len(totals)
+    return prelog * float(totals.std(ddof=1) / np.sqrt(n)) if n > 1 else 0.0
+
+
+def _report(bound_id, direction, cells, per_user, stderr, trials, prelog, per_cell=None,
+            mean_sinr=None, floored=False) -> RateReport:
+    """The RateReport of per-user rates per_user [cells, K], row i for cell
+    cells[i].  A cell's sum is the ordered sum of its users' rates unless
+    per_cell [cells] gives it, and the total is the ordered sum of the cells';
+    floored adds the total of the rates floored at zero."""
+    def by_user(x):
+        return {(l, k): v for l, row in zip(cells, x) for k, v in enumerate(row.tolist())}
+
+    sums = dict(zip(cells, _cell_sums(per_user) if per_cell is None else per_cell.tolist()))
+    return RateReport(
+        bound_id=bound_id, direction=direction, per_user=by_user(per_user),
+        sum_per_cell=sums, sum_total=sum(sums.values()), stderr=stderr, trials=trials,
+        prelog=prelog, mean_sinr={} if mean_sinr is None else by_user(mean_sinr),
+        sum_total_floored=sum(np.maximum(per_user, 0.0).ravel().tolist()) if floored else None,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -182,8 +225,9 @@ class DrawEngine:
     the floor already certifies the system: C + contamination + I/rho_p
     (the estimators, >= 1/rho_p) and W W^H + Z + I/p (the MMSE combiners
     and precoders, >= 1/p).  The combiner and precoder solve depends on the
-    basis dimension: when q > K it inverts Z + I/p once per serving basis
-    and power and solves a K x K system per trial (matrix inversion lemma);
+    basis dimension: when q > K it inverts Z + I/p of every serving basis
+    once per power, one stacked solve per cell, and solves a K x K system per
+    trial (matrix inversion lemma);
     when q <= K it solves the q x q system of each trial directly.  The
     users of `jittered` had their estimator system regularised; those of
     `beam_jittered` had a combiner or precoder system regularised (Z + I/p
@@ -658,32 +702,27 @@ class DrawEngine:
 
     def _static_inverse(self, power):
         """(Z + I / power)^{-1} of every serving basis, [n, q, q] per cell
-        (n = 1 for a shared cell, else K): one guarded solve each, with floor
-        1 / power, computed once per power.  In the angular representation
-        the inverses are reciprocals of diagonals, [n, q] per cell."""
+        (n = 1 for a shared cell, else K): one stacked guarded solve per cell,
+        with floor 1 / power, computed once per power.  In the angular
+        representation the inverses are reciprocals of diagonals, [n, q] per
+        cell."""
         with self._lock:
             inv = self._inverses.get(power)
             if inv is None:
-                K, q = self.sc.K, self.q
-                eye = np.eye(q, dtype=complex)
+                K = self.sc.K
+                eye = np.eye(self.q, dtype=complex)
                 inv = []
                 for l in range(self.sc.L):
                     nb = 1 if self.shared[l] else K
                     if self.angular:
                         d, jit = diag_guard(self.Z[l, :nb] + 1.0 / power)
                         inv.append(1.0 / d)
-                        if jit.any():
-                            self._flag_users(l, range(K) if self.shared[l]
-                                             else np.flatnonzero(jit))
-                        continue
-                    A = np.empty((nb, q, q), dtype=complex)
-                    for k in range(nb):
-                        x, jit = hermitian_solve(self.Z[l, k] + (1.0 / power) * eye, None,
+                    else:
+                        x, jit = hermitian_solve(self.Z[l, :nb] + (1.0 / power) * eye, None,
                                                  floor=1.0 / power)
-                        A[k] = herm(x)
-                        if jit:
-                            self._flag_users(l, range(K) if self.shared[l] else [k])
-                    inv.append(A)
+                        inv.append(herm(x))
+                    if jit.any():
+                        self._flag_users(l, range(K) if self.shared[l] else np.flatnonzero(jit))
                 self._inverses[power] = inv
         return inv
 
@@ -858,8 +897,16 @@ def run_bounds(
 
     Returns {bound_name: RateReport}; bound names are 'coherent',
     'noncoherent', 'alt', 'maxmin'.  The per-trial work is chunked and the
-    chunks may run on a thread pool; every reduction walks chunks in index
-    order, so the output is bitwise independent of the thread count.
+    chunks may run on a thread pool.  Each per-trial statistic is gathered
+    once, in trial order, as a [cells, trials, K] array and reduced as arrays
+    whose sums run in a fixed order, so the output is bitwise independent of
+    the thread count.  A user's mean over trials is taken over a
+    users-leading contiguous copy (`_users_leading`); per-trial sums run over
+    the users, then the cells in order; the alt penalty's per-link sums run
+    over each chunk's trials, then the chunks in order, one cell at a time.
+    A cell's rate is the ordered Python sum of its users' (for the coherent
+    bound, the mean of its per-trial sums), and the total the ordered sum of
+    the cells'.
 
     conditional_contamination switches the coherent bound's denominator from
     the unconditional projected covariances R~ of the pilot-sharing links to
@@ -918,98 +965,53 @@ def run_bounds(
         chunks = [fn(seed_key, a, b, cells, want) for a, b in spans]
 
     prelog = prelog_factor(sc)
-    K = sc.K
     reports = {}
 
-    if "coherent" in want and direction == "ul":
-        per_user, per_cell, mean_sinr = {}, {}, {}
-        sum_trials = None
-        for l in cells:
-            rates = np.concatenate([c["coherent"][l]["rate"] for c in chunks], axis=0)
-            sinrs = np.concatenate([c["coherent"][l]["sinr"] for c in chunks], axis=0)
-            for k in range(K):
-                per_user[(l, k)] = prelog * float(rates[:, k].mean())
-                mean_sinr[(l, k)] = float(sinrs[:, k].mean())
-            per_cell[l] = prelog * float(rates.sum(axis=1).mean())
-            cell_tot = rates.sum(axis=1)
-            sum_trials = cell_tot if sum_trials is None else sum_trials + cell_tot
-        stderr = (prelog * float(sum_trials.std(ddof=1) / np.sqrt(trials))
-                  if trials > 1 else 0.0)
-        reports["coherent"] = RateReport(
-            bound_id="CoherentUL", direction="ul", per_user=per_user,
-            sum_per_cell=per_cell, sum_total=sum(per_cell.values()),
-            stderr=stderr, trials=trials, prelog=prelog, mean_sinr=mean_sinr,
-        )
+    def gather(group, key):
+        """Per-trial statistic `key` of every cell, [cells, trials, K]."""
+        return np.stack([np.concatenate([c[group][l][key] for c in chunks]) for l in cells])
+
+    if "coherent" in want:
+        rate = gather("coherent", "rate")
+        cell_trials = rate.sum(axis=-1)
+        reports["coherent"] = _report(
+            "CoherentUL", "ul", cells, prelog * _users_leading(rate).mean(axis=-1),
+            _stderr(prelog, cell_trials.sum(axis=0)), trials, prelog,
+            per_cell=prelog * cell_trials.mean(axis=-1),
+            mean_sinr=_users_leading(gather("coherent", "sinr")).mean(axis=-1))
 
     if want & {"noncoherent", "alt", "maxmin"}:
         inv_p = 1.0 / (sc.P_ul if direction == "ul" else sc.P_dl_per_user)
-        nbatch = max(min(10, trials // 2), 1)
-        bedges = np.linspace(0, trials, nbatch + 1).astype(int)
-
-        nc_user, nc_cell = {}, {}
-        ub_user, ub_cell, ub_sum_trials = {}, {}, None
-        alt_user, alt_cell = {}, {}
-        nc_batch_tot = np.zeros(nbatch)
-        for l in cells:
-            sig = np.concatenate([c["_nc"][l]["sig"] for c in chunks], axis=0)
-            ip2_sum = np.concatenate([c["_nc"][l]["ip2_sum"] for c in chunks], axis=0)
-            ub = np.concatenate([c["_nc"][l]["ub"] for c in chunks], axis=0)
-            ip_mean = sum(c["_nc"][l]["ip_mean"] for c in chunks) / trials
-            ip2 = sum(c["_nc"][l]["ip2"] for c in chunks) / trials
-            ip_var = np.maximum(ip2 - np.abs(ip_mean) ** 2, 0.0)
-
-            for k in range(K):
-                mean_sig = sig[:, k].mean()
-                var_sig = max(float((np.abs(sig[:, k]) ** 2).mean() - abs(mean_sig) ** 2), 0.0)
-                nc_user[(l, k)] = prelog * noncoherent_expression(
-                    mean_sig, var_sig, float(ip2_sum[:, k].mean()), inv_p
-                )
-                ub_user[(l, k)] = prelog * float(ub[:, k].mean())
-                power = 1.0 / inv_p
-                penalty = float(np.log2(1.0 + power * ip_var[k]).sum()) / sc.T_c
-                alt_user[(l, k)] = ub_user[(l, k)] - prelog * penalty
-            nc_cell[l] = sum(nc_user[(l, k)] for k in range(K))
-            ub_cell[l] = sum(ub_user[(l, k)] for k in range(K))
-            alt_cell[l] = sum(alt_user[(l, k)] for k in range(K))
-            cell_tot = ub.sum(axis=1)
-            ub_sum_trials = cell_tot if ub_sum_trials is None else ub_sum_trials + cell_tot
-
-            # batch estimates for the moment-based bound's stderr
-            for b in range(nbatch):
-                sl = slice(bedges[b], bedges[b + 1])
-                bsum_nc = 0.0
-                for k in range(K):
-                    ms = sig[sl, k].mean()
-                    vs = max(float((np.abs(sig[sl, k]) ** 2).mean() - abs(ms) ** 2), 0.0)
-                    bsum_nc += noncoherent_expression(
-                        ms, vs, float(ip2_sum[sl, k].mean()), inv_p
-                    )
-                nc_batch_tot[b] += prelog * bsum_nc
-        ub_stderr = (prelog * float(ub_sum_trials.std(ddof=1) / np.sqrt(trials))
-                     if trials > 1 else 0.0)
-        nc_stderr = float(nc_batch_tot.std(ddof=1) / np.sqrt(nbatch)) if nbatch > 1 else 0.0
-
-        dirname = direction
+        ub = gather("_nc", "ub")
+        ub_user = prelog * _users_leading(ub).mean(axis=-1)
+        ub_stderr = _stderr(prelog, ub.sum(axis=-1).sum(axis=0))
         if "noncoherent" in want:
-            reports["noncoherent"] = RateReport(
-                bound_id="NonCoherent", direction=dirname, per_user=nc_user,
-                sum_per_cell=nc_cell, sum_total=sum(nc_cell.values()),
-                stderr=nc_stderr, trials=trials, prelog=prelog,
-            )
+            sig = _users_leading(gather("_nc", "sig"))
+            ip2_sum = _users_leading(gather("_nc", "ip2_sum"))
+            # batch estimates for the moment-based bound's stderr
+            nbatch = max(min(10, trials // 2), 1)
+            bedges = np.linspace(0, trials, nbatch + 1).astype(int)
+            batch_tot = np.array([
+                sum(_cell_sums(prelog * _hardening(sig[..., a:b], ip2_sum[..., a:b], inv_p)))
+                for a, b in zip(bedges, bedges[1:])])
+            reports["noncoherent"] = _report(
+                "NonCoherent", direction, cells, prelog * _hardening(sig, ip2_sum, inv_p),
+                _stderr(1.0, batch_tot), trials, prelog)
         if "maxmin" in want:
-            reports["maxmin"] = RateReport(
-                bound_id="MaxMinUB", direction=dirname, per_user=ub_user,
-                sum_per_cell=ub_cell, sum_total=sum(ub_cell.values()),
-                stderr=ub_stderr, trials=trials, prelog=prelog,
-            )
+            reports["maxmin"] = _report("MaxMinUB", direction, cells, ub_user, ub_stderr,
+                                        trials, prelog)
         if "alt" in want:
-            tot = sum(alt_cell.values())
-            reports["alt"] = RateReport(
-                bound_id="AltNonCoherent", direction=dirname, per_user=alt_user,
-                sum_per_cell=alt_cell, sum_total=tot,
-                stderr=ub_stderr, trials=trials, prelog=prelog,
-                sum_total_floored=sum(max(v, 0.0) for v in alt_user.values()),
-            )
+            # cell by cell: stacked over the cells, the [cells, K, links]
+            # temporaries raise a run's peak memory
+            penalty = []
+            for l in cells:
+                ip_mean = sum(c["_nc"][l]["ip_mean"] for c in chunks) / trials
+                ip2 = sum(c["_nc"][l]["ip2"] for c in chunks) / trials
+                ip_var = np.maximum(ip2 - np.abs(ip_mean) ** 2, 0.0)
+                penalty.append(np.log2(1.0 + (1.0 / inv_p) * ip_var).sum(axis=-1) / sc.T_c)
+            reports["alt"] = _report("AltNonCoherent", direction, cells,
+                                     ub_user - prelog * np.array(penalty), ub_stderr, trials,
+                                     prelog, floored=True)
     for rep in reports.values():
         if not np.isfinite([rep.sum_total, rep.stderr, *rep.per_user.values()]).all():
             raise FloatingPointError(
@@ -1072,21 +1074,14 @@ def cutset_upper(scenario, trials: int = 2000, rng=0) -> RateReport:
     evaluated by Monte Carlo over the fading of each own link."""
     seed = _seed_of(rng)
     pre = 1.0 - 1.0 / scenario.T_c
-    per_user = {}
+    rate = np.empty((scenario.L, scenario.K))
     tot_trials = np.zeros(trials)
     for (l, k) in scenario.users():
         prof = scenario.profile(l, l, k)
         g = stream(seed, 7, l, k)
         h2 = (np.abs(complex_gaussian(g, trials, prof.r)) ** 2 * prof.lam[None]).sum(axis=1)
         rates = np.log2(1.0 + scenario.P_ul * h2)
-        per_user[(l, k)] = pre * float(rates.mean())
+        rate[l, k] = rates.mean()
         tot_trials += rates
-    cells = {l: sum(v for (ll, k), v in per_user.items() if ll == l)
-             for l in range(scenario.L)}
-    return RateReport(
-        bound_id="CutsetPerUser", direction="ul", per_user=per_user,
-        sum_per_cell=cells, sum_total=sum(cells.values()),
-        stderr=(pre * float(tot_trials.std(ddof=1) / np.sqrt(trials))
-                if trials > 1 else 0.0),
-        trials=trials, prelog=pre,
-    )
+    return _report("CutsetPerUser", "ul", range(scenario.L), pre * rate,
+                   _stderr(pre, tot_trials), trials, pre)

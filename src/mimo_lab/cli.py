@@ -13,7 +13,6 @@ from dataclasses import replace
 
 import numpy as np
 
-from . import bounds as bnd
 from .covmodel import stream
 from .detequiv import (
     CONCENTRATION_KINDS,
@@ -24,11 +23,21 @@ from .detequiv import (
     concentration_check,
     solve_fixed_point,
 )
-from .harness import ConfigError, load_config, reproduce_figure, run_experiment, write_results
+from .harness import (ConfigError, closed_form, csv_text, load_config, reproduce_figure,
+                      run_experiment, write_results)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
+
+# scaling kinds -> (closed-form bound id, regime)
+SCALING_KINDS = {
+    "contaminated": ("LegacyContaminated", "strong"),
+    "global-orth": ("LegacyGlobalOrth", "strong"),
+    "coherent-orth": ("AsymptoticLB_Orth", "strong"),
+    "strong": ("AsymptoticScaling", "strong"),
+    "verystrong": ("AsymptoticScaling", "verystrong"),
+}
 
 
 def _parse_detequiv_problem(path: str) -> DetEquivProblem:
@@ -122,8 +131,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_de.add_argument("--max-iter", type=int, default=10_000)
 
     p_sc = sub.add_parser("scaling", help="closed-form scaling laws")
-    p_sc.add_argument("kind", choices=("contaminated", "global-orth",
-                                       "coherent-orth", "strong", "verystrong"))
+    p_sc.add_argument("kind", choices=tuple(SCALING_KINDS))
     p_sc.add_argument("--M", type=int, required=True)
     p_sc.add_argument("--K", type=int, required=True)
     p_sc.add_argument("--L", type=int, required=True)
@@ -154,19 +162,9 @@ def main(argv=None) -> int:
             if args.trials is not None:
                 spec = replace(spec, trials=args.trials).validate()
             table = run_experiment(spec)
-            if args.out:
-                write_results(table, args.out, args.format)
-                print(f"wrote {len(table.rows)} rows to {args.out}")
-            else:
-                _print_table(table)
         elif args.cmd == "reproduce":
             table = reproduce_figure(args.fig, scale=args.scale, seed=args.seed,
                                      trials=args.trials)
-            if args.out:
-                write_results(table, args.out, args.format)
-                print(f"wrote {len(table.rows)} rows to {args.out}")
-            else:
-                _print_table(table)
         elif args.cmd == "detequiv":
             if args.max_iter < 1:
                 raise ConfigError(f"--max-iter must be >= 1, got {args.max_iter}")
@@ -180,25 +178,19 @@ def main(argv=None) -> int:
             print(f"m: {sol.m:.12g}")
             print(f"iterations: {sol.iterations}")
         elif args.cmd == "scaling":
-            snr = 10.0 ** (args.snr_db / 10.0)
-            if args.kind == "contaminated":
-                val = bnd.legacy_scaling("Contaminated", args.M, args.K, args.L,
-                                         args.T_c, args.iota, snr)
-            elif args.kind == "global-orth":
-                val = bnd.legacy_scaling("GlobalOrth", args.M, args.K, args.L,
-                                         args.T_c, args.iota, snr)
-            elif args.kind == "coherent-orth":
-                val = bnd.asymptotic_capacity("strong", "ul", args.M, args.K, args.L,
-                                              args.T_c, snr, r=args.r, pilot="orthogonal")
-            else:
-                val = bnd.asymptotic_capacity(args.kind, "ul", args.M, args.K, args.L,
-                                              args.T_c, snr, r=args.r,
-                                              pilot="nonorthogonal")
+            val = closed_form(*SCALING_KINDS[args.kind], args.M, args.K, args.L, args.T_c,
+                              args.snr_db, args.iota, args.r)
             print(f"{val:.12g}")
         elif args.cmd == "lemma-check":
             dims = [int(x) for x in str(args.dims).split(",")]
             rep = concentration_check(args.kind, dims, args.trials, stream(args.seed, 9))
             print(rep)
+        if args.cmd in ("run", "reproduce"):
+            if args.out:
+                write_results(table, args.out, args.format)
+                print(f"wrote {len(table.rows)} rows to {args.out}")
+            else:
+                print(csv_text(table), end="")
     except (DivergenceError, DomainError, NearCriticalPoint, FloatingPointError,
             np.linalg.LinAlgError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
@@ -207,15 +199,6 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     return EXIT_OK
-
-
-def _print_table(table):
-    for a in table.audit:
-        print(f"# {a}")
-    from .harness import CSV_COLUMNS, _fmt
-    print(CSV_COLUMNS)
-    for row in table.rows:
-        print(",".join(_fmt(getattr(row, c)) for c in CSV_COLUMNS.split(",")))
 
 
 if __name__ == "__main__":

@@ -11,7 +11,7 @@ stream, and reductions walk fixed index order.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -41,6 +41,10 @@ BOUND_TOKENS = {
     "asymptotic_lb_orth": ("closed", "AsymptoticLB_Orth", "ul"),
     "asymptotic_scaling": ("closed", "AsymptoticScaling", "ul"),
 }
+
+# the run_bounds reports behind each Monte Carlo bound id (alt brings its max-min term)
+MC_NAMES = {"CoherentUL": ("coherent",), "NonCoherent": ("noncoherent",),
+            "AltNonCoherent": ("alt", "maxmin"), "MaxMinUB": ("maxmin",)}
 
 SWEEP_AXES = ("snr_db", "M", "r", "T_c")
 
@@ -88,8 +92,14 @@ class ExperimentSpec:
             raise ConfigError(f"regime must be strong|verystrong, got {self.regime!r}")
         if self.combiner not in ("mmse", "mf"):
             raise ConfigError(f"combiner must be mmse|mf, got {self.combiner!r}")
+        if self.sweep_axis != "snr_db" and not all(float(v).is_integer()
+                                                   for v in self.sweep_values):
+            raise ConfigError(f"{self.sweep_axis} must be an integer, got {self.sweep_values}")
         for value in self.sweep_values:
             sc = self.scenario_config(value)
+            for key in ("L", "K", "M", "T_c"):
+                if getattr(sc, key) < 1:
+                    raise ConfigError(f"{key} must be >= 1, got {getattr(sc, key)}")
             if self.pilot == "orthogonal" and sc.K > sc.T_c:
                 raise ConfigError(
                     f"K={sc.K} exceeds T_c={sc.T_c}: orthogonal pilots do not fit the block"
@@ -135,24 +145,22 @@ def load_config(path: str) -> ExperimentSpec:
         key, val = key.strip(), val.strip()
         if not val:
             raise ConfigError(f"{path}:{lineno}: empty value for {key!r}")
-        is_list = "," in val
         try:
             if key in SWEEP_AXES:
-                if is_list:
+                values = tuple(float(x) for x in val.split(","))
+                if key != "snr_db" and not all(v.is_integer() for v in values):
+                    raise ConfigError(f"{path}:{lineno}: {key} must be an integer, got {val!r}")
+                if len(values) > 1:
                     if sweep_axis is not None:
                         raise ConfigError(
                             f"{path}:{lineno}: second sweep axis {key!r} "
                             f"(already sweeping {sweep_axis!r})"
                         )
                     sweep_axis = key
-                    values = tuple(float(x) for x in val.split(","))
                     spec = replace(spec, sweep_axis=key, sweep_values=values)
                 else:
-                    fval = float(val)
-                    spec = replace(
-                        spec, **{("r_own" if key == "r" else key):
-                                 (int(fval) if key != "snr_db" else fval)}
-                    )
+                    spec = replace(spec, **{("r_own" if key == "r" else key):
+                                            (values[0] if key == "snr_db" else int(values[0]))})
             elif key in _INT_KEYS:
                 spec = replace(spec, **{key: int(val)})
             elif key in _FLOAT_KEYS:
@@ -195,18 +203,13 @@ class ResultRow:
 class ResultTable:
     rows: list = field(default_factory=list)
     audit: list = field(default_factory=list)
-    per_draw: dict = field(default_factory=dict)  # (exp, sweep, bound, dir) -> [sum_total]
 
     def extend(self, other: "ResultTable"):
         self.rows.extend(other.rows)
         self.audit.extend(a for a in other.audit if a not in self.audit)
-        self.per_draw.update(other.per_draw)
 
 
-CSV_COLUMNS = (
-    "experiment,sweep_value,M,K,r,T_c,bound_id,direction,"
-    "per_user_rate,sum_per_cell,sum_total,stderr,trials,seed"
-)
+CSV_COLUMNS = ",".join(f.name for f in fields(ResultRow))
 
 
 def _fmt(x) -> str:
@@ -215,15 +218,20 @@ def _fmt(x) -> str:
     return str(x)
 
 
+def csv_text(table: ResultTable) -> str:
+    """The table as CSV text: its audit lines as comments, the header, and
+    one line per row in the fixed column order."""
+    lines = [f"# {a}" for a in table.audit] + [CSV_COLUMNS]
+    lines += [",".join(_fmt(getattr(row, c)) for c in CSV_COLUMNS.split(","))
+              for row in table.rows]
+    return "\n".join(lines) + "\n"
+
+
 def write_results(table: ResultTable, path: str, format: str = "csv"):
-    """Persist a result table as CSV (fixed column order) or as plotdata
-    blocks, one `# curve:` block per (experiment, bound_id, direction)."""
+    """Persist a result table as CSV (`csv_text`) or as plotdata blocks, one
+    `# curve:` block per (experiment, bound_id, direction)."""
     if format == "csv":
-        lines = [f"# {a}" for a in table.audit]
-        lines.append(CSV_COLUMNS)
-        for row in table.rows:
-            lines.append(",".join(_fmt(getattr(row, c)) for c in CSV_COLUMNS.split(",")))
-        text = "\n".join(lines) + "\n"
+        text = csv_text(table)
     elif format == "plotdata":
         lines = [f"# {a}" for a in table.audit]
         curves = {}
@@ -248,26 +256,18 @@ def write_results(table: ResultTable, path: str, format: str = "csv"):
 
 
 def parse_csv(path: str) -> ResultTable:
+    """Read a CSV written by `write_results` back into a table."""
     table = ResultTable()
+    # each column's type, from ResultRow's annotations
+    kinds = {f.name: {"int": int, "float": float}.get(f.type, str) for f in fields(ResultRow)}
     with open(path) as fh:
         for raw in fh:
             line = raw.rstrip("\n")
-            if not line or line.startswith("#") or line.startswith("experiment,"):
-                if line.startswith("# "):
-                    table.audit.append(line[2:])
-                continue
-            vals = line.split(",")
-            names = CSV_COLUMNS.split(",")
-            kw = {}
-            for name, v in zip(names, vals):
-                if name in ("M", "K", "r", "T_c", "trials", "seed"):
-                    kw[name] = int(v)
-                elif name in ("sweep_value", "per_user_rate", "sum_per_cell",
-                              "sum_total", "stderr"):
-                    kw[name] = float(v)
-                else:
-                    kw[name] = v
-            table.rows.append(ResultRow(**kw))
+            if line.startswith("# "):
+                table.audit.append(line[2:])
+            elif line and not line.startswith(("#", "experiment,")):
+                values = zip(CSV_COLUMNS.split(","), line.split(","))
+                table.rows.append(ResultRow(**{name: kinds[name](v) for name, v in values}))
     return table
 
 
@@ -280,6 +280,33 @@ def _pool(values, stderrs):
     return mean, math.sqrt(se2)
 
 
+def _row(name, value, cfg, bound_id, direction, tot, stderr, trials, seed) -> ResultRow:
+    """The result row of total rate tot at one sweep value of scenario cfg."""
+    return ResultRow(
+        experiment=name, sweep_value=float(value), M=cfg.M, K=cfg.K, r=cfg.r_own,
+        T_c=cfg.T_c, bound_id=bound_id, direction=direction,
+        per_user_rate=tot / (cfg.L * cfg.K), sum_per_cell=tot / cfg.L, sum_total=tot,
+        stderr=stderr, trials=trials, seed=seed,
+    )
+
+
+def _add_pooled(table, name, value, cfg, reps, trials, seed):
+    """Pool one bound's reports over the covariance draws into a row of table."""
+    tot, se = _pool([r.sum_total for r in reps], [r.stderr for r in reps])
+    bid, dname = reps[0].bound_id, reps[0].direction
+    table.rows.append(_row(name, value, cfg, bid, dname, tot, se, trials, seed))
+
+
+def closed_form(bound_id, regime, M, K, L, T_c, snr_db, iota, r) -> float:
+    """The total rate of a closed-form bound id of BOUND_TOKENS (the legacy
+    laws, or the asymptotic law under orthogonal or non-orthogonal pilots)."""
+    snr = 10.0 ** (snr_db / 10.0)
+    if bound_id.startswith("Legacy"):
+        return bnd.legacy_scaling(bound_id.removeprefix("Legacy"), M, K, L, T_c, iota, snr)
+    pilot = "orthogonal" if bound_id == "AsymptoticLB_Orth" else "nonorthogonal"
+    return bnd.asymptotic_capacity(regime, "ul", M, K, L, T_c, snr, r=r, pilot=pilot)
+
+
 def run_experiment(spec: ExperimentSpec) -> ResultTable:
     """Evaluate every requested bound on every (sweep value x covariance draw)
     and pool draws into one row per (sweep value, bound, direction)."""
@@ -289,11 +316,11 @@ def run_experiment(spec: ExperimentSpec) -> ResultTable:
         f"experiment={spec.name} seed={spec.seed} trials={spec.trials} "
         f"draws={spec.covariance_draws} sweep={spec.sweep_axis}"
     )
-    mc_tokens = [b for b in spec.bounds if BOUND_TOKENS[b][0] == "mc"]
-    by_direction = {}
-    for tok in mc_tokens:
-        _, bid, dname = BOUND_TOKENS[tok]
-        by_direction.setdefault(dname, set()).add(bid)
+    names = {}  # direction -> run_bounds names
+    for tok in spec.bounds:
+        kind, bid, dname = BOUND_TOKENS[tok]
+        if kind == "mc":
+            names.setdefault(dname, set()).update(MC_NAMES[bid])
 
     for si, value in enumerate(spec.sweep_values):
         cfg = spec.scenario_config(value)
@@ -303,66 +330,22 @@ def run_experiment(spec: ExperimentSpec) -> ResultTable:
             trial_seed = int(
                 np.random.SeedSequence([spec.seed, 200 + si, d]).generate_state(1)[0]
             )
-            for dname, bids in by_direction.items():
-                names = set()
-                if "CoherentUL" in bids:
-                    names.add("coherent")
-                if "NonCoherent" in bids:
-                    names.add("noncoherent")
-                if "AltNonCoherent" in bids:
-                    names.update(("alt", "maxmin"))
-                if "MaxMinUB" in bids:
-                    names.add("maxmin")
-                reps = bnd.run_bounds(
-                    scen, dname, tuple(names), spec.trials, trial_seed, spec.combiner
-                )
-                for rep in reps.values():
-                    if rep.bound_id in bids or (
-                        rep.bound_id == "MaxMinUB" and "AltNonCoherent" in bids
-                    ):
-                        acc.setdefault((rep.bound_id, rep.direction), []).append(rep)
-            for tok in spec.bounds:
-                kind, bid, dname = BOUND_TOKENS[tok]
-                if kind == "cutset":
-                    rep = bnd.cutset_upper(scen, trials=spec.trials, rng=trial_seed)
-                    acc.setdefault((bid, dname), []).append(rep)
-
-        for (bid, dname), reps in acc.items():
-            tot, se = _pool([r.sum_total for r in reps], [r.stderr for r in reps])
-            n_users = cfg.L * cfg.K
-            table.per_draw[(spec.name, value, bid, dname)] = [r.sum_total for r in reps]
-            table.rows.append(ResultRow(
-                experiment=spec.name, sweep_value=float(value), M=cfg.M, K=cfg.K,
-                r=cfg.r_own, T_c=cfg.T_c, bound_id=bid, direction=dname,
-                per_user_rate=tot / n_users, sum_per_cell=tot / cfg.L, sum_total=tot,
-                stderr=se, trials=spec.trials, seed=spec.seed,
-            ))
+            reps = [rep for dname, want in names.items()
+                    for rep in bnd.run_bounds(scen, dname, tuple(want), spec.trials,
+                                              trial_seed, spec.combiner).values()]
+            reps += [bnd.cutset_upper(scen, trials=spec.trials, rng=trial_seed)
+                     for tok in spec.bounds if BOUND_TOKENS[tok][0] == "cutset"]
+            for rep in reps:
+                acc.setdefault((rep.bound_id, rep.direction), []).append(rep)
+        for reps in acc.values():
+            _add_pooled(table, spec.name, value, cfg, reps, spec.trials, spec.seed)
         for tok in spec.bounds:
             kind, bid, dname = BOUND_TOKENS[tok]
-            if kind != "closed":
-                continue
-            snr = 10.0 ** (cfg.snr_db / 10.0)
-            if bid == "LegacyContaminated":
-                tot = bnd.legacy_scaling("Contaminated", cfg.M, cfg.K, cfg.L,
-                                         cfg.T_c, cfg.iota, snr)
-            elif bid == "LegacyGlobalOrth":
-                tot = bnd.legacy_scaling("GlobalOrth", cfg.M, cfg.K, cfg.L,
-                                         cfg.T_c, cfg.iota, snr)
-            elif bid == "AsymptoticLB_Orth":
-                tot = bnd.asymptotic_capacity(spec.regime, dname, cfg.M, cfg.K, cfg.L,
-                                              cfg.T_c, snr, r=cfg.r_own,
-                                              pilot="orthogonal")
-            else:
-                tot = bnd.asymptotic_capacity(spec.regime, dname, cfg.M, cfg.K, cfg.L,
-                                              cfg.T_c, snr, r=cfg.r_own,
-                                              pilot="nonorthogonal")
-            n_users = cfg.L * cfg.K
-            table.rows.append(ResultRow(
-                experiment=spec.name, sweep_value=float(value), M=cfg.M, K=cfg.K,
-                r=cfg.r_own, T_c=cfg.T_c, bound_id=bid, direction=dname,
-                per_user_rate=tot / n_users, sum_per_cell=tot / cfg.L, sum_total=tot,
-                stderr=0.0, trials=0, seed=spec.seed,
-            ))
+            if kind == "closed":
+                tot = closed_form(bid, spec.regime, cfg.M, cfg.K, cfg.L, cfg.T_c, cfg.snr_db,
+                                  cfg.iota, cfg.r_own)
+                table.rows.append(_row(spec.name, value, cfg, bid, dname, tot, 0.0, 0,
+                                       spec.seed))
     return table
 
 
@@ -411,7 +394,7 @@ def reproduce_figure(fig: str, scale: str = "desk", seed: int = 1,
                       int(np.random.SeedSequence([seed, 300 + si, dr]).generate_state(1)[0]))
                      for dr in range(base.covariance_draws)]
             for series, d in (("fulldim", None), ("d=8", 8), ("d=6", 6), ("d=4", 4)):
-                tots, ses = [], []
+                alts = []
                 for dr, (scen, tseed) in enumerate(draws):
                     if d is None:  # conventional M-dimensional processing
                         eye = np.eye(scen.M, dtype=complex)
@@ -421,31 +404,9 @@ def reproduce_figure(fig: str, scale: str = "desk", seed: int = 1,
                         bases = {(l, k): restrict_support(scen.profile(l, l, k).U, d,
                                                           support_rng)
                                  for l, k in scen.users()}
-                    alt = bnd.run_bounds(scen, "dl", ("alt",), base.trials, tseed,
-                                         bases=bases)["alt"]
-                    tots.append(alt.sum_total)
-                    ses.append(alt.stderr)
-                tot, se = _pool(tots, ses)
-                table.per_draw[(f"fig2:{series}", snr_db, "AltNonCoherent", "dl")] = tots
-                table.rows.append(ResultRow(
-                    experiment=f"fig2:{series}", sweep_value=snr_db, M=cfg.M, K=cfg.K,
-                    r=cfg.r_own, T_c=cfg.T_c, bound_id="AltNonCoherent", direction="dl",
-                    per_user_rate=tot / (cfg.L * cfg.K), sum_per_cell=tot / cfg.L,
-                    sum_total=tot, stderr=se, trials=base.trials, seed=seed,
-                ))
-        return table
-
-    if fig == "fig3":
-        for r in (10, 30, 100):
-            spec = ExperimentSpec(
-                name=f"fig3:r={r}", L=4, K=10, M=200, T_c=500, r_own=r, iota=0.2,
-                boost=2.0, pilot="orthogonal", model="fourier", sweep_axis="snr_db",
-                sweep_values=(-10.0, 0.0, 10.0, 20.0, 30.0),
-                bounds=("coherent_ul", "noncoherent_ul", "alt_ul", "asymptotic_lb_orth"),
-                trials=trials, seed=seed, covariance_draws=2,
-            )
-            spec = _desk(spec, scale, table)
-            table.extend(run_experiment(spec))
+                    alts.append(bnd.run_bounds(scen, "dl", ("alt",), base.trials, tseed,
+                                               bases=bases)["alt"])
+                _add_pooled(table, f"fig2:{series}", snr_db, cfg, alts, base.trials, seed)
         return table
 
     if fig == "fig5":
@@ -463,30 +424,30 @@ def reproduce_figure(fig: str, scale: str = "desk", seed: int = 1,
             table.extend(run_experiment(sub))
         return table
 
-    if fig == "fig6":
-        for pilot in ("orthogonal", "nonorthogonal"):
-            spec = ExperimentSpec(
-                name=f"fig6:{pilot}", L=7, K=20, M=100, T_c=50, iota=0.2, boost=2.0,
-                pilot=pilot, model="fourier", sweep_axis="r",
-                sweep_values=(2, 4, 8, 16), snr_db=20.0,
-                bounds=("alt_ul",), trials=trials, seed=seed, covariance_draws=2,
-            )
-            spec = _desk(spec, scale, table)
-            table.extend(run_experiment(spec))
-        return table
-
-    if fig == "fig7":
-        for pilot in ("orthogonal", "nonorthogonal"):
-            for r in (4, 8):
-                spec = ExperimentSpec(
-                    name=f"fig7:{pilot}:r={r}", L=7, K=10, M=100, r_own=r, iota=0.2,
-                    boost=2.0, pilot=pilot, model="fourier", sweep_axis="T_c",
-                    sweep_values=(25, 50, 100, 200, 400), snr_db=20.0,
-                    bounds=("alt_ul",), trials=trials, seed=seed,
-                    covariance_draws=2,
-                )
-                spec = _desk(spec, scale, table)
-                table.extend(run_experiment(spec))
-        return table
-
-    raise ConfigError(f"unknown figure {fig!r}; valid: fig2, fig3, fig5, fig6, fig7")
+    if fig == "fig3":
+        specs = [ExperimentSpec(
+            name=f"fig3:r={r}", L=4, K=10, M=200, T_c=500, r_own=r, iota=0.2,
+            boost=2.0, pilot="orthogonal", model="fourier", sweep_axis="snr_db",
+            sweep_values=(-10.0, 0.0, 10.0, 20.0, 30.0),
+            bounds=("coherent_ul", "noncoherent_ul", "alt_ul", "asymptotic_lb_orth"),
+            trials=trials, seed=seed, covariance_draws=2,
+        ) for r in (10, 30, 100)]
+    elif fig == "fig6":
+        specs = [ExperimentSpec(
+            name=f"fig6:{pilot}", L=7, K=20, M=100, T_c=50, iota=0.2, boost=2.0,
+            pilot=pilot, model="fourier", sweep_axis="r",
+            sweep_values=(2, 4, 8, 16), snr_db=20.0,
+            bounds=("alt_ul",), trials=trials, seed=seed, covariance_draws=2,
+        ) for pilot in ("orthogonal", "nonorthogonal")]
+    elif fig == "fig7":
+        specs = [ExperimentSpec(
+            name=f"fig7:{pilot}:r={r}", L=7, K=10, M=100, r_own=r, iota=0.2,
+            boost=2.0, pilot=pilot, model="fourier", sweep_axis="T_c",
+            sweep_values=(25, 50, 100, 200, 400), snr_db=20.0,
+            bounds=("alt_ul",), trials=trials, seed=seed, covariance_draws=2,
+        ) for pilot in ("orthogonal", "nonorthogonal") for r in (4, 8)]
+    else:
+        raise ConfigError(f"unknown figure {fig!r}; valid: fig2, fig3, fig5, fig6, fig7")
+    for spec in specs:
+        table.extend(run_experiment(_desk(spec, scale, table)))
+    return table

@@ -5,8 +5,11 @@ import pytest
 from scipy import integrate, stats
 
 from mimo_lab.bounds import (
+    CHUNK,
     DL_BOUNDS,
     UL_BOUNDS,
+    DrawEngine,
+    RateReport,
     asymptotic_capacity,
     cutset_upper,
     legacy_scaling,
@@ -278,3 +281,119 @@ class TestServingBases:
         for name, rep in copies.items():
             for u, rate in rep.per_user.items():
                 assert shared[name].per_user[u] == pytest.approx(rate, rel=1e-12, abs=1e-12)
+
+
+def loop_reports(sc, direction, bounds, trials, seed_key, cells):
+    """run_bounds' reports reduced by per-user Python loops over the engine's
+    own chunk statistics: the literal reduction that the array code replaced,
+    kept as its oracle (math.log2 and scalar moments per user and batch)."""
+    want = set(bounds) & set(DL_BOUNDS if direction == "dl" else UL_BOUNDS)
+    engine = DrawEngine(sc)
+    fn = engine.ul_chunk if direction == "ul" else engine.dl_chunk
+    chunks = [fn(seed_key, a, min(a + CHUNK, trials), cells, want)
+              for a in range(0, trials, CHUNK)]
+
+    def nc_rate(mean_sig, var_sig, interf_power, inv_power):
+        return math.log2(1.0 + abs(mean_sig) ** 2 / (inv_power + var_sig + interf_power))
+
+    prelog = prelog_factor(sc)
+    K = sc.K
+    reports = {}
+    if "coherent" in want:
+        per_user, per_cell, mean_sinr = {}, {}, {}
+        sum_trials = None
+        for l in cells:
+            rates = np.concatenate([c["coherent"][l]["rate"] for c in chunks], axis=0)
+            sinrs = np.concatenate([c["coherent"][l]["sinr"] for c in chunks], axis=0)
+            for k in range(K):
+                per_user[(l, k)] = prelog * float(rates[:, k].mean())
+                mean_sinr[(l, k)] = float(sinrs[:, k].mean())
+            per_cell[l] = prelog * float(rates.sum(axis=1).mean())
+            cell_tot = rates.sum(axis=1)
+            sum_trials = cell_tot if sum_trials is None else sum_trials + cell_tot
+        stderr = (prelog * float(sum_trials.std(ddof=1) / np.sqrt(trials))
+                  if trials > 1 else 0.0)
+        reports["coherent"] = RateReport(
+            bound_id="CoherentUL", direction="ul", per_user=per_user,
+            sum_per_cell=per_cell, sum_total=sum(per_cell.values()),
+            stderr=stderr, trials=trials, prelog=prelog, mean_sinr=mean_sinr)
+    if want & {"noncoherent", "alt", "maxmin"}:
+        inv_p = 1.0 / (sc.P_ul if direction == "ul" else sc.P_dl_per_user)
+        nbatch = max(min(10, trials // 2), 1)
+        bedges = np.linspace(0, trials, nbatch + 1).astype(int)
+        nc_user, nc_cell = {}, {}
+        ub_user, ub_cell, ub_sum_trials = {}, {}, None
+        alt_user, alt_cell = {}, {}
+        nc_batch_tot = np.zeros(nbatch)
+        for l in cells:
+            sig = np.concatenate([c["_nc"][l]["sig"] for c in chunks], axis=0)
+            ip2_sum = np.concatenate([c["_nc"][l]["ip2_sum"] for c in chunks], axis=0)
+            ub = np.concatenate([c["_nc"][l]["ub"] for c in chunks], axis=0)
+            ip_mean = sum(c["_nc"][l]["ip_mean"] for c in chunks) / trials
+            ip2 = sum(c["_nc"][l]["ip2"] for c in chunks) / trials
+            ip_var = np.maximum(ip2 - np.abs(ip_mean) ** 2, 0.0)
+            for k in range(K):
+                mean_sig = sig[:, k].mean()
+                var_sig = max(float((np.abs(sig[:, k]) ** 2).mean() - abs(mean_sig) ** 2), 0.0)
+                nc_user[(l, k)] = prelog * nc_rate(
+                    mean_sig, var_sig, float(ip2_sum[:, k].mean()), inv_p)
+                ub_user[(l, k)] = prelog * float(ub[:, k].mean())
+                power = 1.0 / inv_p
+                penalty = float(np.log2(1.0 + power * ip_var[k]).sum()) / sc.T_c
+                alt_user[(l, k)] = ub_user[(l, k)] - prelog * penalty
+            nc_cell[l] = sum(nc_user[(l, k)] for k in range(K))
+            ub_cell[l] = sum(ub_user[(l, k)] for k in range(K))
+            alt_cell[l] = sum(alt_user[(l, k)] for k in range(K))
+            cell_tot = ub.sum(axis=1)
+            ub_sum_trials = cell_tot if ub_sum_trials is None else ub_sum_trials + cell_tot
+            for b in range(nbatch):
+                sl = slice(bedges[b], bedges[b + 1])
+                bsum_nc = 0.0
+                for k in range(K):
+                    ms = sig[sl, k].mean()
+                    vs = max(float((np.abs(sig[sl, k]) ** 2).mean() - abs(ms) ** 2), 0.0)
+                    bsum_nc += nc_rate(ms, vs, float(ip2_sum[sl, k].mean()), inv_p)
+                nc_batch_tot[b] += prelog * bsum_nc
+        ub_stderr = (prelog * float(ub_sum_trials.std(ddof=1) / np.sqrt(trials))
+                     if trials > 1 else 0.0)
+        nc_stderr = float(nc_batch_tot.std(ddof=1) / np.sqrt(nbatch)) if nbatch > 1 else 0.0
+        common = dict(direction=direction, trials=trials, prelog=prelog)
+        if "noncoherent" in want:
+            reports["noncoherent"] = RateReport(
+                bound_id="NonCoherent", per_user=nc_user, sum_per_cell=nc_cell,
+                sum_total=sum(nc_cell.values()), stderr=nc_stderr, **common)
+        if "maxmin" in want:
+            reports["maxmin"] = RateReport(
+                bound_id="MaxMinUB", per_user=ub_user, sum_per_cell=ub_cell,
+                sum_total=sum(ub_cell.values()), stderr=ub_stderr, **common)
+        if "alt" in want:
+            reports["alt"] = RateReport(
+                bound_id="AltNonCoherent", per_user=alt_user, sum_per_cell=alt_cell,
+                sum_total=sum(alt_cell.values()), stderr=ub_stderr,
+                sum_total_floored=sum(max(v, 0.0) for v in alt_user.values()), **common)
+    return reports
+
+
+class TestArrayReductionsMatchLoops:
+    """run_bounds reduces users as arrays; the per-user loops it replaced
+    give the same reports bit for bit.  Only the non-coherent bound may
+    differ, at round-off: np.log2 and math.log2 can round apart."""
+
+    @pytest.mark.parametrize("trials", [1, 3, 130])
+    @pytest.mark.parametrize("model", [CorrelationModel.PARTIAL_FOURIER,
+                                       CorrelationModel.PARTIAL_UNITARY],
+                             ids=["fourier", "haar"])
+    @pytest.mark.parametrize("direction, bounds", [("ul", UL_BOUNDS), ("dl", DL_BOUNDS)],
+                             ids=["ul", "dl"])
+    def test_reports_equal_the_loop_oracle(self, direction, bounds, model, trials):
+        sc = make_scenario(seed=20, L=2, K=3, M=24, r_own=4, snr_db=10.0, model=model)
+        got = run_bounds(sc, direction, bounds, trials, 21, cells=[1])
+        want = loop_reports(sc, direction, bounds, trials, 21, [1])
+        assert list(got) == list(want) == [b for b in ("coherent", "noncoherent", "maxmin",
+                                                       "alt") if b in bounds]
+        for name, rep in want.items():
+            ours, rel = got[name], (1e-15 if name == "noncoherent" else 0.0)
+            for field in ("per_user", "sum_per_cell", "mean_sinr", "sum_total", "stderr"):
+                assert getattr(ours, field) == pytest.approx(
+                    getattr(rep, field), rel=rel, abs=0.0), (name, field)
+            assert ours.sum_total_floored == rep.sum_total_floored

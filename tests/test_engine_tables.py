@@ -230,8 +230,8 @@ def test_direct_systems_are_recorded_per_trial():
 @pytest.mark.parametrize("which", ["direct", "rank-K"])
 def test_threads_share_the_record_and_the_inverses(which, monkeypatch):
     # more workers than cores and a short switch interval: every chunk's
-    # flags reach the record, and the rank-K path factors Z + I/p once per
-    # serving basis although no chunk warmed it up
+    # flags reach the record, and the rank-K path inverts Z + I/p in one
+    # stacked solve per cell although no chunk warmed it up
     if which == "direct":
         sc, bases, power = disjoint_pair(), None, 1e11
     else:
@@ -262,4 +262,4 @@ def test_threads_share_the_record_and_the_inverses(which, monkeypatch):
     finally:
         sys.setswitchinterval(old)
     assert eng.beam_jittered == serial.beam_jittered
-    assert len(calls) == (0 if which == "direct" else sc.L * sc.K)
+    assert len(calls) == (0 if which == "direct" else sc.L)

@@ -77,6 +77,23 @@ class TestLoadConfig:
         with pytest.raises(ConfigError, match=":2"):
             load_config(cfg)
 
+    @pytest.mark.parametrize("line, key", [
+        ("M = 40.7", "M"), ("M = 40, 60.5", "M"), ("r = 4.5", "r"), ("r = 4, 6.5", "r"),
+        ("T_c = 200.5", "T_c"), ("T_c = 100, 200.5", "T_c"),
+        ("L = 0", "L"), ("K = 0", "K"), ("M = 0", "M"), ("M = 32, 0", "M"), ("T_c = 0", "T_c"),
+    ])
+    def test_cli_rejects_bad_integers_and_sizes(self, tmp_path, capsys, line, key):
+        # a non-integer M, r or T_c is not truncated, and no size below 1
+        # reaches the engine: both exit 2 and name the key
+        cfg = write_cfg(tmp_path, "name = bad\nL = 2\nK = 2\nM = 32\nr_own = 4\nT_c = 200\n"
+                                  f"bounds = coherent_ul\ntrials = 4\n{line}\n")
+        assert cli_main(["run", cfg]) == 2
+        assert f"{key} must be" in capsys.readouterr().err
+
+    def test_spec_rejects_non_integer_sweep_values(self):
+        with pytest.raises(ConfigError, match="M must be an integer"):
+            harness.ExperimentSpec(sweep_axis="M", sweep_values=(40.0, 60.5)).validate()
+
 
 class TestRunExperiment:
     def test_reruns_are_identical(self, tmp_path):
@@ -280,6 +297,30 @@ class TestCli:
         out = capsys.readouterr().out
         e = float(out.splitlines()[0].split()[1])
         assert abs(e - (np.sqrt(5) - 1) / 2) < 1e-9
+
+    def test_run_stdout_is_the_csv_file(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path, MINIMAL)
+        out = tmp_path / "out.csv"
+        assert cli_main(["run", cfg]) == 0
+        printed = capsys.readouterr().out
+        assert cli_main(["run", cfg, "--out", str(out)]) == 0
+        assert printed.encode() == out.read_bytes()
+
+    @pytest.mark.parametrize("kind, token, regime", [
+        ("contaminated", "legacy_contaminated", "strong"),
+        ("global-orth", "legacy_global_orth", "strong"),
+        ("coherent-orth", "asymptotic_lb_orth", "strong"),
+        ("strong", "asymptotic_scaling", "strong"),
+        ("verystrong", "asymptotic_scaling", "verystrong"),
+    ])
+    def test_scaling_kind_equals_closed_form_row(self, capsys, kind, token, regime):
+        assert cli_main(["scaling", kind, "--M", "100", "--K", "10", "--L", "4",
+                         "--T-c", "500", "--snr-db", "15", "--iota", "0.3", "--r", "8"]) == 0
+        spec = harness.ExperimentSpec(name="s", L=4, K=10, M=100, T_c=500, snr_db=15.0,
+                                      iota=0.3, r_own=8, regime=regime, bounds=(token,),
+                                      sweep_values=(15.0,), trials=1, covariance_draws=1)
+        (row,) = run_experiment(spec).rows
+        assert capsys.readouterr().out == f"{row.sum_total:.12g}\n"
 
     def test_scaling_subcommand(self, capsys):
         assert cli_main(["scaling", "contaminated", "--M", "100", "--K", "10",
