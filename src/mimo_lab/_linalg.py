@@ -86,19 +86,69 @@ def hermitian_solve(A: np.ndarray, B: np.ndarray | None, floor: float = 0.0):
     A = herm(A)
     if not (np.isfinite(A).all() and (B is None or np.isfinite(B).all())):
         raise ValueError("array must not contain infs or NaNs")
+    A, flags, _ = _factor(A, floor)
+    X = np.linalg.inv(A) if B is None else np.linalg.solve(A, B)
+    return X, (flags if flags.ndim else bool(flags))
+
+
+def _factor(A: np.ndarray, floor: float):
+    """`guard` A, then factor it by Cholesky, one LAPACK potrf per matrix;
+    the matrices whose factorisation fails get jitter 1e-8 * (trace/n) * I
+    and are factored again.  Returns the regularised A, the flags of either
+    jitter and the lower factors L (A = L L^H); L is None when a jittered
+    matrix still fails, which only an indefinite A can do."""
     n = A.shape[-1]
     scale = _scales(A)
     A, flags = guard(A, floor)
     try:
-        np.linalg.cholesky(A)
+        return A, flags, np.linalg.cholesky(A)
     except np.linalg.LinAlgError:  # a leading minor is not positive definite
-        failed = np.zeros(flags.shape, dtype=bool)
-        for i in np.ndindex(flags.shape):
-            try:
-                np.linalg.cholesky(A[i])
-            except np.linalg.LinAlgError:
-                failed[i] = True
-        A = A + (1e-8 * scale * failed)[..., None, None] * np.eye(n)
-        flags |= failed
-    X = np.linalg.inv(A) if B is None else np.linalg.solve(A, B)
-    return X, (flags if flags.ndim else bool(flags))
+        pass
+    failed = np.zeros(flags.shape, dtype=bool)
+    for i in np.ndindex(flags.shape):
+        try:
+            np.linalg.cholesky(A[i])
+        except np.linalg.LinAlgError:
+            failed[i] = True
+    A = A + (1e-8 * scale * failed)[..., None, None] * np.eye(n)
+    try:
+        L = np.linalg.cholesky(A)
+    except np.linalg.LinAlgError:
+        L = None
+    return A, flags | failed, L
+
+
+def cholesky_solve(A: np.ndarray, B: np.ndarray, floor: float = 0.0):
+    """Solve A X = B for every matrix of a stack A [..., n, n] of Hermitian
+    positive-definite matrices, B [..., n, m]: the per-trial MMSE systems.
+
+    The guard, the Cholesky test and the jitter are those of
+    `hermitian_solve` (floor likewise).  The Cholesky factors A = L L^H come
+    from one batched np.linalg.cholesky, one LAPACK potrf per matrix; the
+    forward substitution L Y = B and the back substitution L^H X = Y then run
+    row by row as array operations over the whole stack.  Every operation
+    acts on each member alone, so a member's bits do not depend on its
+    position in the stack or on the stack's size.  Only the lower triangle
+    of A is read.  Returns X and the flags [...] of the jittered matrices.
+    Raises np.linalg.LinAlgError if a matrix is indefinite beyond the jitter.
+    """
+    A, flags, L = _factor(A, floor)
+    if L is None:
+        raise np.linalg.LinAlgError("a matrix is not positive definite")
+    S, n, m = A.shape[:-2], A.shape[-1], B.shape[-1]
+    L = L.reshape((-1, n, n))
+    inv = 1.0 / np.diagonal(L, axis1=-2, axis2=-1).real  # [P, n]
+    # the right-hand sides along the last axis, X [P, m, n]: each row's
+    # products with Y are a reduction over contiguous entries
+    X = np.array(B.reshape((-1, n, m)).swapaxes(-1, -2), dtype=np.result_type(L, B))
+    for j in range(n):
+        if j:
+            X[..., j] -= np.einsum("pi,pmi->pm", L[:, j, :j], X[..., :j])
+        X[..., j] *= inv[:, None, j]
+    # L^H X = Y as L^T conj(X) = conj(Y): the rows of L again, as updates
+    X = X.conj()
+    for j in range(n - 1, 0, -1):
+        X[..., j] *= inv[:, None, j]
+        X[..., :j] -= L[:, None, j, :j] * X[..., j, None]
+    X[..., 0] *= inv[:, None, 0]
+    return X.conj().swapaxes(-1, -2).reshape(S + (n, m)), flags

@@ -5,9 +5,9 @@ design-matrix table DrawEngine.Z.  assemble_Z is the reference definition
 of one cell's entries of that table: the projected covariances of all
 other-cell links plus the projected error covariances of the own-cell
 estimates, all expressed in the serving user's eigenbasis (the despread
-observation makes every such term an r x r object).  detequiv and the
-engine's exact replays read it.  restrict_support draws the serving bases
-of fig2's d-restricted spreading series."""
+observation makes every such term an r x r object).  The engine's exact
+replays and detequiv calls given an explicit bank read it.  restrict_support
+draws the serving bases of fig2's d-restricted spreading series."""
 
 from __future__ import annotations
 

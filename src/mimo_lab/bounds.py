@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._linalg import diag_guard, guard, herm, hermitian_solve
+from ._linalg import cholesky_solve, diag_guard, herm, hermitian_solve
 from .covmodel import (CorrelationModel, InvalidProfile, NetworkScenario, complex_gaussian,
                        dft_matrix, stream)
 from .training import PilotBudgetError
@@ -228,21 +228,34 @@ class DrawEngine:
     basis dimension: when q > K it inverts Z + I/p of every serving basis
     once per power, one stacked solve per cell, and solves a K x K system per
     trial (matrix inversion lemma);
-    when q <= K it solves the q x q system of each trial directly.  The
+    when q <= K it solves the q x q system of each trial directly, all of a
+    pass's systems through one `_linalg.cholesky_solve`: one LAPACK potrf
+    per matrix, then forward and back substitution vectorised over the
+    stack, so a trial's bits do not depend on how trials are chunked.  The
     users of `jittered` had their estimator system regularised; those of
     `beam_jittered` had a combiner or precoder system regularised (Z + I/p
     when q > K, a trial's system when q <= K).
+
+    One engine serves a covariance draw: `default_engine` memoises the
+    default one (MMSE, unconditional contamination, own eigenbases) on the
+    scenario, and both `run_bounds` and the bank-less
+    `detequiv.sinr_mmse_detequiv` read it, the latter through
+    `detequiv_tables`.  So that the memo makes no reference cycle, the
+    engine keeps the few scenario scalars its passes read (L, K, M, rho_p,
+    P_ul, P_dl), not the scenario; its records (`beam_jittered`, the cached
+    inverses) then span every run on the draw.
     """
 
     def __init__(self, scenario: NetworkScenario, combiner: str = "mmse",
                  conditional_contamination: bool = False, bases=None):
-        self.sc = scenario
+        sc = scenario
+        self.L, self.K, self.M = sc.L, sc.K, sc.M
+        self.rho_p, self.P_ul, self.P_dl = sc.rho_p, sc.P_ul, sc.P_dl_per_user
         self.combiner = combiner
         self.conditional = (
             conditional_contamination and scenario.scheme.kind == "orthogonal"
             and scenario.L > 1
         )
-        sc = scenario
         L, K, r = sc.L, sc.K, sc.r_own
         self.r = r
         self.rmax = max(sc.r_own, sc.r_cross)
@@ -266,9 +279,9 @@ class DrawEngine:
         lam = np.zeros((L, L, K, self.rmax))
         for (l, lp, k), prof in sc.profiles.items():
             lam[l, lp, k, : prof.r] = prof.lam
-        self.sqrt_lam = np.sqrt(lam)
+        self.lam, self.sqrt_lam = lam, np.sqrt(lam)
 
-        self.angular = sc.model is CorrelationModel.PARTIAL_FOURIER and self._index_sets()
+        self.angular = sc.model is CorrelationModel.PARTIAL_FOURIER and self._index_sets(sc)
         if self.eigen and not self.angular:
             self.bases = {(l, k): sc.profile(l, l, k).U for l, k in sc.users()}
         if self.angular:
@@ -304,7 +317,7 @@ class DrawEngine:
         jittered = []
         for l in range(L):
             res = (self._angular_tables(l, lam[l], jittered) if self.angular
-                   else self._cell_tables(l, jittered))
+                   else self._cell_tables(sc, l, jittered))
             if self.conditional:
                 contam_res[l] = res
         self.jittered = tuple(jittered)
@@ -326,7 +339,7 @@ class DrawEngine:
         self._beam_flags = set()
         self._lock = threading.RLock()
 
-    def _index_sets(self):
+    def _index_sets(self, sc):
         """Set supp and serve of a partial-Fourier draw (see the class
         docstring) and the noise rotations of its M x M non-DFT serving
         bases, and return True; return False, setting nothing, when a
@@ -337,7 +350,6 @@ class DrawEngine:
         serving basis's indices come from the phase step from row 0 to row
         1 of each column, then one comparison of the basis with the DFT
         columns it names."""
-        sc = self.sc
         L, K, M, q = sc.L, sc.K, sc.M, self.q
         F = dft_matrix(M)
         row = min(1, M - 1)
@@ -381,7 +393,7 @@ class DrawEngine:
         self._rotations = [(B, tuple(np.array(users).T)) for B, users in rotations.values()]
         return True
 
-    def _cell_tables(self, l, jittered):
+    def _cell_tables(self, sc, l, jittered):
         """Fill cell l's projections, estimators and design-matrix terms.
 
         Every covariance projection B^H R B = (B^H U) diag(lam) (B^H U)^H of
@@ -390,7 +402,6 @@ class DrawEngine:
         estimator solve was regularised to `jittered`, and returns the
         conditional denominator's covariances under conditional
         contamination."""
-        sc = self.sc
         L, K, M, r, q, rx = sc.L, sc.K, sc.M, self.r, self.q, self.rx
         kk = np.arange(K)
         nb = 1 if self.shared[l] else K  # distinct serving bases
@@ -483,8 +494,7 @@ class DrawEngine:
         lam [L, K, rmax] placed at its DFT indices and read at the serving
         basis's.  Each estimator system is diagonal too, so `diag_guard`
         reads its smallest eigenvalue off the diagonal."""
-        sc = self.sc
-        L, K, M = sc.L, sc.K, sc.M
+        L, K, M = self.L, self.K, self.M
         T = self.serve[l]  # [k, a]
         # power of every link into BS l at each DFT index (padding at M)
         pw = np.zeros((L, K, M + 1))
@@ -497,7 +507,7 @@ class DrawEngine:
         else:  # the same pilot index in every other cell
             rt = np.take_along_axis(cross, T[None], axis=-1)  # [i, k, a]
             contam = rt.sum(axis=0)
-        d, jit = diag_guard(C + contam + 1.0 / sc.rho_p)
+        d, jit = diag_guard(C + contam + 1.0 / self.rho_p)
         jittered.extend((l, int(k)) for k in np.flatnonzero(jit))
         filt = self.filt[l] = C / d
         err = self.err_cov[l] = C - filt * C
@@ -524,8 +534,7 @@ class DrawEngine:
         n * K + p) of each (BS l, source cell c) block, at ptr[:, l * L + c]:
         serving basis n's coordinate a and source p's eigencolumn b share a
         DFT index."""
-        sc = self.sc
-        L, K, M, q, r, rmax = sc.L, sc.K, sc.M, self.q, self.r, self.rmax
+        L, K, M, q, r, rmax = self.L, self.K, self.M, self.q, self.r, self.rmax
         ll, kk = np.arange(L)[:, None, None], np.arange(K)[:, None]
 
         def inverse(idx, width, none):
@@ -575,21 +584,49 @@ class DrawEngine:
         they coincide with the true-channel table, so P_own itself."""
         return self.P_own if self.eigen else self._P_est
 
+    def detequiv_tables(self, l):
+        """Cell l's inputs of the uplink MMSE deterministic equivalent
+        (`detequiv`), dense in both representations and laid out as
+        `training.cell_projections` lays out its projections:
+
+        P_own [k, j, a, b] = U_llk^H U_llj; P_x [k, i, p, a, b] =
+        U_llk^H U_{l lp p} for the i-th other cell lp (None when L = 1) and
+        its eigenvalues lam_x [i, p, b]; phi [k, a, b] = Lambda Xi Lambda;
+        xi_lam [k, a, b] = Xi Lambda, the conjugate transpose of filt; Z
+        [k, a, b].  The angular representation expands its diagonals, and
+        its projections into the 0/1 selections they are.  Needs the own
+        eigenbases (bases=None)."""
+        if not self.eigen:
+            raise ValueError("the deterministic-equivalent tables need the own eigenbases")
+        r, rx, xcells = self.r, self.rx, self.xcells[l]
+        lam_own, lam_x = self.lam[l, l, :, :r], self.lam[l, xcells, :, :rx]
+        if self.angular:
+            own = self.serve[l]  # [k, a]: the own DFT indices
+            P_own = (own[:, None, :, None] == own[None, :, None, :]).astype(complex)
+            P_x = ((own[:, None, None, :, None] == self.supp[l, xcells, :, None, :rx])
+                   .astype(complex) if xcells else None)
+            filt, Z = self.filt[l][..., None] * np.eye(r), self.Z[l][..., None] * np.eye(r)
+        else:
+            P_own = self.P_own[l].swapaxes(0, 1)
+            P_x = None if self.P_x is None else self.P_x[l].transpose(2, 0, 1, 3, 4)
+            filt, Z = self.filt[l], self.Z[l]
+        phi = herm(filt * lam_own[:, None, :])
+        return P_own, P_x, lam_x, phi, filt.conj().swapaxes(-1, -2), Z
+
     # -- trial synthesis ----------------------------------------------------
 
     def _draw_chunk(self, base_seed: int, t0: int, t1: int):
         """Fading + pilot noise for trials [t0, t1), one RNG stream each."""
-        sc = self.sc
-        L, K, rmax, q = sc.L, sc.K, self.rmax, self.q
+        L, K, M, rmax, q = self.L, self.K, self.M, self.rmax, self.q
         T = t1 - t0
         w = np.empty((T, L, L, K, rmax), dtype=complex)
         noise = np.empty((T, L, K, q), dtype=complex)
-        z = np.empty((T, L, sc.M), dtype=complex) if self.nonorth else None
+        z = np.empty((T, L, M), dtype=complex) if self.nonorth else None
         for i, t in enumerate(range(t0, t1)):
             rng = stream(base_seed, 1, t)
             w[i] = complex_gaussian(rng, L, L, K, rmax)
             if self.nonorth:
-                z[i] = complex_gaussian(rng, L, sc.M)
+                z[i] = complex_gaussian(rng, L, M)
             else:
                 # fresh pilot symbol per user: despread noise is plain CN(0, I_q)
                 noise[i] = complex_gaussian(rng, L, K, q)
@@ -616,8 +653,7 @@ class DrawEngine:
         observations s and the own channels x_own are in the serving bases
         [T, L, K, q]; w_own holds the own channels in their eigen
         coordinates [T, L, K, r]."""
-        sc = self.sc
-        L, K, r, rx = sc.L, sc.K, self.r, self.rx
+        L, K, r, rx = self.L, self.K, self.r, self.rx
         kk = np.arange(K)
         T = w.shape[0]
         w_own = np.empty((T, L, K, r), dtype=complex)
@@ -635,9 +671,9 @@ class DrawEngine:
             obs = _segment_sums(np.take(w.reshape(T, -1), self.obs_take, axis=1),
                                 self.obs_first, slice(None, -1), self.obs_first.size + 1)
             s = np.take(obs, self.obs_slot, axis=1)
-            s += noise / np.sqrt(sc.rho_p)
+            s += noise / np.sqrt(self.rho_p)
             return self.filt * s, w_own, x_own, s
-        s = x_own + noise / np.sqrt(sc.rho_p)
+        s = x_own + noise / np.sqrt(self.rho_p)
         for l in range(L):
             if self.nonorth:
                 # own-cell contamination of the shared pilot
@@ -672,12 +708,12 @@ class DrawEngine:
         """u^H (B^H U w) for the channels from cell c's users into BS l, seen
         by its users' vectors u [T, K, q]: [T, K, K] (vector, source user),
         from the fading table w [T, L, L, K, rmax]."""
-        K = self.sc.K
+        K = self.K
         if not self.angular:
             P = self.P_own[l] if c == l else self.P_x[l, c - (c > l)]
             x = w[:, l, c, :, : P.shape[-1]]
             return _inner(_seen(P[:, :1] if self.shared[l] else P, x), u)
-        blk = l * self.sc.L + c
+        blk = l * self.L + c
         (p0, p1), (s0, s1) = self.ptr[:, blk: blk + 2]
         ua, src = self.pairs[:, p0:p1]
         first, ids = self.segs[:, s0:s1]
@@ -709,10 +745,10 @@ class DrawEngine:
         with self._lock:
             inv = self._inverses.get(power)
             if inv is None:
-                K = self.sc.K
+                K = self.K
                 eye = np.eye(self.q, dtype=complex)
                 inv = []
-                for l in range(self.sc.L):
+                for l in range(self.L):
                     nb = 1 if self.shared[l] else K
                     if self.angular:
                         d, jit = diag_guard(self.Z[l, :nb] + 1.0 / power)
@@ -749,9 +785,11 @@ class DrawEngine:
         with every eigenvalue at least 1; A^{-1} comes from one guarded solve
         per basis (_static_inverse; a reciprocal in the angular
         representation), so a trial solves S only.  When q <= K each trial
-        solves G directly, after `guard` has jittered the systems that its
-        floor 1 / power does not certify (recorded in beam_jittered)."""
-        K, q = self.sc.K, self.q
+        solves G directly by Cholesky (`cholesky_solve`), after `guard` has
+        jittered the systems that its floor 1 / power does not certify; those
+        and the systems whose factorisation fails are recorded in
+        beam_jittered."""
+        K, q = self.K, self.q
         wl = w_hat[:, l]
         T = wl.shape[0]
         Y = None if self.combiner == "mf" else self._seen_estimates(w_hat, l)
@@ -779,18 +817,18 @@ class DrawEngine:
             # matrix (and Z), so one solve serves K right-hand sides
             G = self._with_design(np.matmul(wl.swapaxes(1, 2), wl.conj()),
                                   self.Z[l, 0][None], power)
-            G, flags = guard(G, 1.0 / power)
+            v, flags = cholesky_solve(G, wl.swapaxes(1, 2), 1.0 / power)
             if flags.any():
                 self._flag_users(l, range(K))
-            v = np.linalg.solve(G, wl.swapaxes(1, 2)).swapaxes(1, 2)
+            v = v.swapaxes(1, 2)
         else:
             G = self._with_design(
                 np.matmul(Y.transpose(1, 2, 3, 0), Y.conj().transpose(1, 2, 0, 3)),
                 self.Z[l][None], power)
-            G, flags = guard(G, 1.0 / power)
+            v, flags = cholesky_solve(G, wl[..., None], 1.0 / power)
             if flags.any():
                 self._flag_users(l, np.flatnonzero(flags.any(axis=0)))
-            v = np.linalg.solve(G, wl[..., None])[..., 0]
+            v = v[..., 0]
         return v / np.linalg.norm(v, axis=-1, keepdims=True), Y
 
     # -- per-chunk statistics -----------------------------------------------
@@ -815,14 +853,13 @@ class DrawEngine:
         return out
 
     def _ul_pass(self, base_seed, t0, t1, cells, want, out):
-        sc = self.sc
-        K = sc.K
+        K = self.K
         kk = np.arange(K)
         w, noise = self._draw_chunk(base_seed, t0, t1)
         w_hat, _, x_own, s_obs = self._estimates(w, noise)
         del noise
         for l in cells:
-            vl, Y = self._beamformer(w_hat, l, sc.P_ul)  # [T, K, q]
+            vl, Y = self._beamformer(w_hat, l, self.P_ul)  # [T, K, q]
             if "coherent" in want:
                 if Y is None:
                     Y = self._seen_estimates(w_hat, l)
@@ -846,7 +883,7 @@ class DrawEngine:
                         den += (np.abs(np.matmul(vl.conj()[:, :, None, None], cmean)) ** 2
                                 ).sum(axis=(2, 3, 4))
                 den += ip2_hat.sum(axis=2)
-                den += (np.linalg.norm(vl, axis=-1) ** 2) / sc.P_ul
+                den += (np.linalg.norm(vl, axis=-1) ** 2) / self.P_ul
                 sinr = num / den
                 prev = out.setdefault("coherent", {}).get(l)
                 if prev is not None:
@@ -859,16 +896,15 @@ class DrawEngine:
                 ips = [self._link_inner(l, c, w, vl) for c in [l] + self.xcells[l]]
                 ips[0][:, kk, kk] = 0.0
                 nc = out.setdefault("_nc", {})
-                nc[l] = _nc_stats(sig, np.concatenate(ips, axis=2), sc.P_ul, nc.get(l))
+                nc[l] = _nc_stats(sig, np.concatenate(ips, axis=2), self.P_ul, nc.get(l))
 
     def _dl_pass(self, base_seed, t0, t1, cells, want, out):
-        sc = self.sc
-        L, K = sc.L, sc.K
+        L, K = self.L, self.K
         kk = np.arange(K)
         w, noise = self._draw_chunk(base_seed, t0, t1)
         w_hat, _, x_own, _ = self._estimates(w, noise)
         del noise
-        g = np.stack([self._beamformer(w_hat, l, sc.P_dl_per_user)[0] for l in range(L)],
+        g = np.stack([self._beamformer(w_hat, l, self.P_dl)[0] for l in range(L)],
                      axis=1)
         nc = out.setdefault("_nc", {})
         for l in cells:
@@ -879,7 +915,18 @@ class DrawEngine:
             ips = [self._link_inner(lp, l, w, g[:, lp]).conj().swapaxes(1, 2)
                    for lp in [l] + self.xcells[l]]
             ips[0][:, kk, kk] = 0.0
-            nc[l] = _nc_stats(sig, np.concatenate(ips, axis=2), sc.P_dl_per_user, nc.get(l))
+            nc[l] = _nc_stats(sig, np.concatenate(ips, axis=2), self.P_dl, nc.get(l))
+
+
+def default_engine(scenario: NetworkScenario) -> DrawEngine:
+    """The scenario's default engine: MMSE processing, unconditional
+    contamination, every user served in its own eigenbasis.  Built on first
+    use and kept in `scenario.draw_engine`, so that `run_bounds` and the
+    bank-less `detequiv.sinr_mmse_detequiv` calls of one covariance draw
+    share it; `dataclasses.replace` gives a scenario without one."""
+    if scenario.draw_engine is None:
+        scenario.draw_engine = DrawEngine(scenario)
+    return scenario.draw_engine
 
 
 def run_bounds(
@@ -914,7 +961,10 @@ def run_bounds(
     default follows the plain-R~ evaluation.
 
     bases maps every user (l, k) to its M x q serving basis (see
-    DrawEngine); None serves each user in its own eigenbasis.
+    DrawEngine); None serves each user in its own eigenbasis.  With the
+    default combiner, contamination and bases the run reads the scenario's
+    memoised engine (`default_engine`); any other arguments build a fresh
+    one.
 
     The alternative bound of user (l, k), with prelog = 1 - kappa / T_c, is
     the max-min term less a penalty for the unknown effective gains:
@@ -948,9 +998,12 @@ def run_bounds(
     if direction == "dl":
         want &= set(DL_BOUNDS)
     cells = list(range(sc.L)) if cells is None else list(cells)
-    engine = DrawEngine(sc, combiner=combiner,
-                        conditional_contamination=conditional_contamination,
-                        bases=bases)
+    if combiner == "mmse" and not conditional_contamination and bases is None:
+        engine = default_engine(sc)
+    else:
+        engine = DrawEngine(sc, combiner=combiner,
+                            conditional_contamination=conditional_contamination,
+                            bases=bases)
     if combiner != "mf" and engine.q > sc.K:
         # the draw-static factorisations, before the chunks share the engine
         engine._static_inverse(sc.P_ul if direction == "ul" else sc.P_dl_per_user)

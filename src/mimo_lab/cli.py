@@ -23,7 +23,7 @@ from .detequiv import (
     concentration_check,
     solve_fixed_point,
 )
-from .harness import (ConfigError, closed_form, csv_text, load_config, reproduce_figure,
+from .harness import (ConfigError, closed_form, load_config, reproduce_figure, results_text,
                       run_experiment, write_results)
 
 EXIT_OK = 0
@@ -190,7 +190,7 @@ def main(argv=None) -> int:
                 write_results(table, args.out, args.format)
                 print(f"wrote {len(table.rows)} rows to {args.out}")
             else:
-                print(csv_text(table), end="")
+                print(results_text(table, args.format), end="")
     except (DivergenceError, DomainError, NearCriticalPoint, FloatingPointError,
             np.linalg.LinAlgError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)

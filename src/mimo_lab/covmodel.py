@@ -187,7 +187,7 @@ class ScenarioConfig:
     eigen_rate: float = 0.0
 
     def resolved_r_cross(self) -> int:
-        return self.r_cross if self.r_cross > 0 else max(self.r_own // 2, 1)
+        return self.r_cross or max(self.r_own // 2, 1)
 
 
 @dataclass
@@ -198,11 +198,16 @@ class NetworkScenario:
     uplink and is allocated P_dl / K = snr / K in downlink, so `snr` is the
     per-cell sum-power SNR in both directions.
 
-    cell_mmse_sinr memoises, per cell l, the vector of cell l's K MMSE SINR
-    deterministic equivalents that `detequiv.sinr_mmse_detequiv` computes
-    when it is given no bank.  The profiles are fixed once drawn: a scenario
-    whose profiles are edited in place must be rebuilt
-    (`dataclasses.replace` gives an empty memo).
+    Two memos keep per-draw work.  draw_engine holds the draw's default
+    `bounds.DrawEngine` (MMSE, unconditional contamination, own
+    eigenbases), built by `bounds.default_engine` on first use: `run_bounds`
+    with those arguments and the bank-less `detequiv.sinr_mmse_detequiv`
+    calls all read it.  The engine keeps no reference to the scenario, so
+    the memo makes no reference cycle.  cell_mmse_sinr holds, per cell l,
+    the vector of cell l's K MMSE SINR deterministic equivalents that
+    `sinr_mmse_detequiv` computes when it is given no bank.  The profiles
+    are fixed once drawn: a scenario whose profiles are edited in place must
+    be rebuilt (`dataclasses.replace` gives empty memos).
     """
 
     L: int
@@ -218,6 +223,7 @@ class NetworkScenario:
     scheme: PilotScheme
     profiles: dict = field(repr=False, default_factory=dict)
     cell_mmse_sinr: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    draw_engine: object = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def P_ul(self) -> float:
@@ -230,10 +236,6 @@ class NetworkScenario:
     @property
     def rho_p(self) -> float:
         return self.scheme.rho_p(self.P_ul)
-
-    @property
-    def zeta(self) -> float:
-        return self.M / self.r_own
 
     def profile(self, l: int, lp: int, k: int) -> CovarianceProfile:
         """Statistics of the channel from user k of cell lp into BS l."""

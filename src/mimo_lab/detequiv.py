@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._linalg import herm, hermitian_solve
+from .bounds import default_engine
 from .covmodel import (
     NetworkScenario,
     complex_gaussian,
@@ -296,32 +297,49 @@ def mmse_detequiv_problem(
     problems as one stack, with Z [K, r, r] from assemble_Z; else user k's
     problem, with its Z [r, r].
     """
-    K = scenario.K
     P = cell_projections(scenario, l, [l])[0][:, 0]  # [k, j, a, b]
-    r = P.shape[-2]
-    phi = np.stack([bank.users[(l, j)].phi for j in range(K)])
+    phi = np.stack([bank.users[(l, j)].phi for j in range(scenario.K)])
+    return _mmse_problem(P, phi, Z, scenario.P_ul, k)
+
+
+def _mmse_problem(P, phi, Z, P_ul, k=None) -> DetEquivProblem:
+    """`mmse_detequiv_problem` from the cell's own projections P
+    [k, j, a, b] and its users' phi [j, a, b]."""
+    K, r = phi.shape[0], P.shape[-2]
     thetas = herm(P @ phi @ P.conj().swapaxes(-1, -2))
     # leave-one-out: user k's classes are the users j != k, in order
     thetas = thetas[~np.eye(K, dtype=bool)].reshape(K, K - 1, r, r)
     if k is not None:
         thetas, phi = thetas[k], phi[k]
-    return DetEquivProblem(thetas=thetas, A=Z / r, Q=phi, z=-1.0 / (scenario.P_ul * r))
+    return DetEquivProblem(thetas=thetas, A=Z / r, Q=phi, z=-1.0 / (P_ul * r))
 
 
-def _cell_sinr_mmse(scenario: NetworkScenario, l: int, bank: EstimatorBank) -> np.ndarray:
-    """The uplink MMSE SINR deterministic equivalents of cell l's K users,
-    evaluated as one stacked problem."""
+def _bank_tables(scenario: NetworkScenario, l: int, bank: EstimatorBank):
+    """Cell l's inputs of `_cell_sinr_mmse` from the reference estimators
+    and design matrices, laid out as `bounds.DrawEngine.detequiv_tables`."""
     # imported at call time: the benchmark's tracer patches beamform.assemble_Z
     from .beamform import assemble_Z
 
     L, K = scenario.L, scenario.K
-    kk = np.arange(K)
-    Z = assemble_Z(scenario, l, None, bank)
+    P_own = cell_projections(scenario, l, [l])[0][:, 0]
+    others = [lp for lp in range(L) if lp != l]
+    P_x, lam_x = cell_projections(scenario, l, others) if others else (None, None)
+    phi = np.stack([bank.users[(l, j)].phi for j in range(K)])
+    xi = np.stack([bank.users[(l, j)].xi for j in range(K)])
+    lam = np.stack([scenario.profile(l, l, j).lam for j in range(K)])
+    return P_own, P_x, lam_x, phi, xi * lam[:, None, :], assemble_Z(scenario, l, None, bank)
+
+
+def _cell_sinr_mmse(scenario: NetworkScenario, l: int, tables) -> np.ndarray:
+    """The uplink MMSE SINR deterministic equivalents of cell l's K users,
+    evaluated as one stacked problem from the cell's tables (P_own, P_x,
+    lam_x, phi, xi_lam, Z; see `bounds.DrawEngine.detequiv_tables`)."""
+    P_own, P_x, lam_x, phi, xi_lam, Z = tables
+    kk = np.arange(scenario.K)
     r = Z.shape[-1]
-    problem = mmse_detequiv_problem(scenario, l, None, bank, Z)
+    problem = _mmse_problem(P_own, phi, Z, scenario.P_ul)
     base = solve_fixed_point(problem)
     T = base.T
-    phi = problem.Q
 
     delta = _traces(phi[:, None], T)[:, 0] / r
 
@@ -336,12 +354,9 @@ def _cell_sinr_mmse(scenario: NetworkScenario, l: int, bank: EstimatorBank) -> n
     den += np.sum(_traces(problem.thetas, T_prime) / (r * r * (1.0 + base.e) ** 2), axis=-1)
 
     # coherent pilot contamination: same pilot index, other cells
-    if L > 1:
-        xi = np.stack([bank.users[(l, j)].xi for j in range(K)])
-        lam = np.stack([scenario.profile(l, l, j).lam for j in range(K)])
-        xi_lam_T = (xi * lam[:, None, :]) @ T
-        X, lam_x = cell_projections(scenario, l, [lp for lp in range(L) if lp != l])
-        Xd = X[kk, :, kk]  # user k against user k of each other cell: [k, i, a, b]
+    if P_x is not None:
+        xi_lam_T = xi_lam @ T
+        Xd = P_x[kk, :, kk]  # user k against user k of each other cell: [k, i, a, b]
         lam_d = lam_x[:, kk].transpose(1, 0, 2)[:, :, None, :]
         rt = herm((Xd * lam_d) @ Xd.conj().swapaxes(-1, -2))
         den += np.sum(np.abs(np.trace(xi_lam_T[:, None] @ rt, axis1=-2, axis2=-1) / r) ** 2,
@@ -358,21 +373,23 @@ def sinr_mmse_detequiv(
     Orthogonal pilots only.  Assembles the signal, noise, coherent pilot
     contamination, and residual interference terms from the fixed point and
     its derivative system, for all K users of cell l at once.  Without a
-    bank, the scenario's first call for cell l builds the cell's K
-    estimators and keeps the cell's K SINRs in `scenario.cell_mmse_sinr`,
-    so the cell's other calls do no work.  A call with a bank evaluates the
-    cell and keeps no memo.
+    bank, the scenario's first call for cell l reads the cell's projections,
+    estimators and design matrices from the draw's shared engine
+    (`bounds.default_engine`, the one `run_bounds` reads; it raises
+    PilotBudgetError when K > T_c) and keeps the cell's K SINRs in
+    `scenario.cell_mmse_sinr`, so the cell's other calls do no work.  A
+    call with a bank builds those tables from the bank (`EstimatorBank`,
+    `assemble_Z`, `cell_projections`: the reference) and keeps no memo.
     """
     if scenario.scheme.kind != "orthogonal":
         raise DomainError("the MMSE SINR deterministic equivalent assumes orthogonal pilots")
     l, k = user
     if bank is not None:
-        return float(_cell_sinr_mmse(scenario, l, bank)[k])
+        return float(_cell_sinr_mmse(scenario, l, _bank_tables(scenario, l, bank))[k])
     sinr = scenario.cell_mmse_sinr.get(l)
     if sinr is None:
-        # every term reads the estimators of cell l only
-        bank = EstimatorBank.build(scenario, [(l, j) for j in range(scenario.K)])
-        sinr = scenario.cell_mmse_sinr[l] = _cell_sinr_mmse(scenario, l, bank)
+        tables = default_engine(scenario).detequiv_tables(l)
+        sinr = scenario.cell_mmse_sinr[l] = _cell_sinr_mmse(scenario, l, tables)
     return float(sinr[k])
 
 

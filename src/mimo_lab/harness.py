@@ -79,6 +79,8 @@ class ExperimentSpec:
             raise ConfigError("trials must be >= 1")
         if self.covariance_draws < 1:
             raise ConfigError("covariance_draws must be >= 1")
+        if self.r_cross < 0:
+            raise ConfigError(f"r_cross must be >= 0 (0: the default rank), got {self.r_cross}")
         for b in self.bounds:
             if b not in BOUND_TOKENS:
                 raise ConfigError(
@@ -227,27 +229,31 @@ def csv_text(table: ResultTable) -> str:
     return "\n".join(lines) + "\n"
 
 
-def write_results(table: ResultTable, path: str, format: str = "csv"):
-    """Persist a result table as CSV (`csv_text`) or as plotdata blocks, one
+def results_text(table: ResultTable, format: str = "csv") -> str:
+    """A result table as text: CSV (`csv_text`) or plotdata blocks, one
     `# curve:` block per (experiment, bound_id, direction)."""
     if format == "csv":
-        text = csv_text(table)
-    elif format == "plotdata":
-        lines = [f"# {a}" for a in table.audit]
-        curves = {}
-        for row in table.rows:
-            curves.setdefault((row.experiment, row.bound_id, row.direction), []).append(row)
-        blocks = []
-        for (exp, bid, dname), rows in curves.items():
-            head = f"# curve: {exp} {bid} {dname}"
-            body = "\n".join(
-                f"{_fmt(r.sweep_value)} {_fmt(r.sum_total)} {_fmt(r.stderr)}"
-                for r in sorted(rows, key=lambda r: r.sweep_value)
-            )
-            blocks.append(head + "\n" + body)
-        text = "\n".join(lines + ["\n\n".join(blocks)]) + "\n"
-    else:
+        return csv_text(table)
+    if format != "plotdata":
         raise ConfigError(f"unknown output format {format!r}")
+    lines = [f"# {a}" for a in table.audit]
+    curves = {}
+    for row in table.rows:
+        curves.setdefault((row.experiment, row.bound_id, row.direction), []).append(row)
+    blocks = []
+    for (exp, bid, dname), rows in curves.items():
+        head = f"# curve: {exp} {bid} {dname}"
+        body = "\n".join(
+            f"{_fmt(r.sweep_value)} {_fmt(r.sum_total)} {_fmt(r.stderr)}"
+            for r in sorted(rows, key=lambda r: r.sweep_value)
+        )
+        blocks.append(head + "\n" + body)
+    return "\n".join(lines + ["\n\n".join(blocks)]) + "\n"
+
+
+def write_results(table: ResultTable, path: str, format: str = "csv"):
+    """Persist a result table as `results_text` gives it."""
+    text = results_text(table, format)
     try:
         with open(path, "w") as fh:
             fh.write(text)

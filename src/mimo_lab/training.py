@@ -7,7 +7,8 @@ the despread (projected) covariance sums of the contaminating links, and the
 MMSE filters it forms are conditioned on the realized covariance draw.
 
 bounds.DrawEngine forms its estimators from its own projection tables; the
-per-link ones here are what detequiv and the engine's exact replays read.
+per-link ones here are the reference: the engine's exact replays and table
+tests, and detequiv calls given an explicit bank, read them.
 cell_projections forms one cell's projections in one GEMM, for the stacked
 design matrices and deterministic equivalents of beamform and detequiv.
 """

@@ -172,15 +172,17 @@ def test_own_eigenbasis_runs_never_form_a_basis(monkeypatch, direction, pilot):
 @pytest.mark.parametrize("direction", ["ul", "dl"])
 def test_passes_change_no_statistic(direction):
     # a chunk too large for one pass is evaluated in several; its
-    # statistics are bit for bit those of one pass over all its trials
-    sc = make_scenario(seed=6, L=3, K=8, M=120, r_own=60, snr_db=10.0)
-    split, whole = DrawEngine(sc), DrawEngine(sc)
-    whole.span = CHUNK
-    assert split.span < CHUNK
-    want = {"coherent", "alt"} if direction == "ul" else {"alt"}
-    got, ref = (getattr(e, f"{direction}_chunk")(7, 0, CHUNK, [0, 2], want)
-                for e in (split, whole))
-    for kind in ref:
-        for l in ref[kind]:
-            for key, value in ref[kind][l].items():
-                assert np.array_equal(got[kind][l][key], value), (kind, l, key)
+    # statistics are bit for bit those of one pass over all its trials, on
+    # the rank-K path (q > K) and on the per-trial solves (q <= K)
+    for point in (dict(K=8, r_own=60), dict(K=20, r_own=12)):
+        sc = make_scenario(seed=6, L=3, M=120, snr_db=10.0, **point)
+        split, whole = DrawEngine(sc), DrawEngine(sc)
+        whole.span = CHUNK
+        assert split.span < CHUNK and not any(split.shared)
+        want = {"coherent", "alt"} if direction == "ul" else {"alt"}
+        got, ref = (getattr(e, f"{direction}_chunk")(7, 0, CHUNK, [0, 2], want)
+                    for e in (split, whole))
+        for kind in ref:
+            for l in ref[kind]:
+                for key, value in ref[kind][l].items():
+                    assert np.array_equal(got[kind][l][key], value), (point, kind, l, key)

@@ -168,6 +168,12 @@ class TestEigenProfile:
 
 
 class TestBuildNetwork:
+    def test_only_zero_r_cross_means_the_default_rank(self):
+        assert ScenarioConfig(r_own=8, r_cross=0).resolved_r_cross() == 4
+        assert ScenarioConfig(r_own=8, r_cross=3).resolved_r_cross() == 3
+        with pytest.raises(RankExceedsDimension):
+            build_network(ScenarioConfig(L=2, K=2, M=16, r_own=4, r_cross=-1), stream(0))
+
     def test_fig2_setting(self):
         sc = make_scenario(L=4, K=5, M=100, r_own=8, iota=0.2,
                            model=CorrelationModel.PARTIAL_FOURIER)

@@ -9,7 +9,7 @@ import pytest
 from mimo_lab import detequiv
 from mimo_lab._linalg import herm, hermitian_solve
 from mimo_lab.beamform import assemble_Z
-from mimo_lab.bounds import run_bounds
+from mimo_lab.bounds import DrawEngine, run_bounds
 from mimo_lab.covmodel import CorrelationModel, complex_gaussian, stream
 from mimo_lab.detequiv import (
     CONCENTRATION_KINDS,
@@ -143,6 +143,18 @@ def assert_close(got, want, rtol=1e-12):
     got, want = np.asarray(got), np.asarray(want)
     assert got.shape == want.shape
     assert np.max(np.abs(got - want)) <= rtol * np.max(np.abs(want))
+
+
+def count_engines(monkeypatch):
+    """The DrawEngines initialised from now on, in order."""
+    made, init = [], DrawEngine.__init__
+
+    def counted(self, *args, **kwargs):
+        made.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(DrawEngine, "__init__", counted)
+    return made
 
 
 def haar_case():
@@ -503,8 +515,8 @@ class TestSinrDetequiv:
 
     @pytest.mark.parametrize("pilot", ["orthogonal", "nonorthogonal"])
     def test_own_bank_matches_prebuilt_full_bank(self, monkeypatch, pilot):
-        # without a bank each call builds only the estimators it reads: cell
-        # l's K users for the MMSE limit, user (l, k) alone for MF
+        # without a bank the MMSE limit builds no estimator: it reads the
+        # draw's one engine.  MF builds user (l, k)'s estimator alone
         from mimo_lab import training
         from mimo_lab.detequiv import mf_psi
 
@@ -519,16 +531,20 @@ class TestSinrDetequiv:
             return build_estimator(scenario, l, k)
 
         monkeypatch.setattr(training, "build_estimator", counted)
+        engines = count_engines(monkeypatch)
         for l, k in [(0, 0), (1, 2), (2, 3)]:
             built.clear()
             if pilot == "orthogonal":
-                assert sinr_mmse_detequiv(sc, (l, k)) == sinr_mmse_detequiv(sc, (l, k), full)
-                assert built == [(l, j) for j in range(sc.K)]
+                got = sinr_mmse_detequiv(sc, (l, k))
+                assert built == []
+                assert_close(got, sinr_mmse_detequiv(sc, (l, k), full))
+                assert sinr_mmse_detequiv(sc, (l, k)) == got
             else:
                 assert sinr_mf_detequiv(sc, (l, k)) == sinr_mf_detequiv(sc, (l, k), full)
                 key = ((l + 1) % sc.L, l, 0)
                 assert mf_psi(sc, (l, k), key) == mf_psi(sc, (l, k), key, full)
                 assert built == [(l, k)] * 2
+        assert len(engines) == (pilot == "orthogonal")
 
     def test_bankless_calls_build_each_cell_once(self, monkeypatch):
         from mimo_lab import training
@@ -544,15 +560,18 @@ class TestSinrDetequiv:
             return build_estimator(scenario, l, k)
 
         monkeypatch.setattr(training, "build_estimator", counted)
+        engines = count_engines(monkeypatch)
         got = [sinr_mmse_detequiv(sc, u) for u in sc.users()]
-        assert sorted(built) == sc.users()
-        assert got == [sinr_mmse_detequiv(sc, u, full) for u in sc.users()]
-
-        # a replaced scenario starts with no estimators of its own
+        assert built == [] and len(engines) == 1
+        assert_close(got, [sinr_mmse_detequiv(sc, u, full) for u in sc.users()])
         built.clear()
+        assert [sinr_mmse_detequiv(sc, u) for u in sc.users()] == got
+        assert built == [] and len(engines) == 1
+
+        # a replaced scenario starts with no engine of its own
         louder = replace(sc, snr=10 * sc.snr)
         assert sinr_mmse_detequiv(louder, (2, 3)) != got[2 * sc.K + 3]
-        assert built == [(2, j) for j in range(sc.K)]
+        assert built == [] and len(engines) == 2
 
     def test_bankless_calls_solve_each_cell_once(self, monkeypatch):
         # the first bank-less call for a cell evaluates all of its users; the
@@ -573,8 +592,35 @@ class TestSinrDetequiv:
         monkeypatch.setattr(detequiv, "solve_fixed_point", solve)
         full = training.EstimatorBank.build(sc)
         fresh = replace(sc)
-        assert got == [sinr_mmse_detequiv(fresh, (1, k), full) for k in range(sc.K)]
-        assert fresh.cell_mmse_sinr == {}
+        assert_close(got, [sinr_mmse_detequiv(fresh, (1, k), full) for k in range(sc.K)])
+        assert fresh.cell_mmse_sinr == {} and fresh.draw_engine is None
+
+    @pytest.mark.parametrize("model", [CorrelationModel.PARTIAL_UNITARY,
+                                       CorrelationModel.PARTIAL_FOURIER])
+    def test_bankless_matches_the_bank_path(self, model):
+        # the engine's tables (dense for Haar draws, expanded angular
+        # diagonals for Fourier ones) against the reference estimators;
+        # decaying eigenvalues, so that Lambda and Xi do not commute
+        sc = make_scenario(seed=11, L=3, K=5, M=60, snr_db=15.0, r_own=6, model=model,
+                           eigen_shape="exp_decay", eigen_rate=0.4)
+        bank = EstimatorBank.build(sc)
+        got = [sinr_mmse_detequiv(sc, u) for u in sc.users()]
+        want = [sinr_mmse_detequiv(sc, u, bank) for u in sc.users()]
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("model", [CorrelationModel.PARTIAL_UNITARY,
+                                       CorrelationModel.PARTIAL_FOURIER])
+    def test_run_bounds_and_detequiv_share_one_engine(self, monkeypatch, model):
+        sc = make_scenario(seed=12, L=2, K=4, M=40, snr_db=10.0, r_own=4, model=model)
+        engines = count_engines(monkeypatch)
+        run_bounds(sc, "ul", ("coherent", "alt"), 8, 3)
+        run_bounds(sc, "dl", ("alt",), 8, 3)
+        for u in sc.users():
+            sinr_mmse_detequiv(sc, u)
+        assert engines == [sc.draw_engine]
+        # any other arguments build a fresh engine
+        run_bounds(sc, "ul", ("coherent",), 8, 3, combiner="mf")
+        assert len(engines) == 2 and engines[0] is sc.draw_engine
 
     def test_memo_makes_no_reference_cycle(self):
         # freed by reference counting alone: the memo keeps the cell's
@@ -585,6 +631,20 @@ class TestSinrDetequiv:
         try:
             sinr_mmse_detequiv(sc, (1, 0))
             assert sc.cell_mmse_sinr
+            ref = weakref.ref(sc)
+            del sc
+            assert ref() is None
+        finally:
+            gc.enable()
+
+    def test_run_bounds_memo_makes_no_reference_cycle(self):
+        # the memoised engine keeps scalars of its scenario, not the scenario
+        sc = make_scenario(seed=8, L=2, K=3, M=32, r_own=4,
+                           model=CorrelationModel.PARTIAL_UNITARY)
+        gc.disable()
+        try:
+            run_bounds(sc, "ul", ("coherent",), 8, 3)
+            assert sc.draw_engine is not None
             ref = weakref.ref(sc)
             del sc
             assert ref() is None

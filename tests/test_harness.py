@@ -81,6 +81,7 @@ class TestLoadConfig:
         ("M = 40.7", "M"), ("M = 40, 60.5", "M"), ("r = 4.5", "r"), ("r = 4, 6.5", "r"),
         ("T_c = 200.5", "T_c"), ("T_c = 100, 200.5", "T_c"),
         ("L = 0", "L"), ("K = 0", "K"), ("M = 0", "M"), ("M = 32, 0", "M"), ("T_c = 0", "T_c"),
+        ("r_cross = -1", "r_cross"),
     ])
     def test_cli_rejects_bad_integers_and_sizes(self, tmp_path, capsys, line, key):
         # a non-integer M, r or T_c is not truncated, and no size below 1
@@ -305,6 +306,26 @@ class TestCli:
         printed = capsys.readouterr().out
         assert cli_main(["run", cfg, "--out", str(out)]) == 0
         assert printed.encode() == out.read_bytes()
+
+    @pytest.mark.parametrize("cmd", ["run", "reproduce"])
+    def test_stdout_follows_the_format(self, tmp_path, capsys, monkeypatch, cmd):
+        # without --out, run and reproduce print the text --out would write,
+        # in either format
+        from mimo_lab import cli
+
+        cfg = write_cfg(tmp_path, MINIMAL)
+        if cmd == "reproduce":
+            table = run_experiment(load_config(cfg))
+            monkeypatch.setattr(cli, "reproduce_figure", lambda *args, **kwargs: table)
+        argv = ["run", cfg] if cmd == "run" else ["reproduce", "fig5"]
+        for fmt in ("csv", "plotdata"):
+            out = tmp_path / f"out.{fmt}"
+            assert cli_main(argv + ["--format", fmt]) == 0
+            printed = capsys.readouterr().out
+            assert cli_main(argv + ["--format", fmt, "--out", str(out)]) == 0
+            capsys.readouterr()
+            assert printed.encode() == out.read_bytes()
+        assert printed.count("# curve:") == 1 and "experiment," not in printed
 
     @pytest.mark.parametrize("kind, token, regime", [
         ("contaminated", "legacy_contaminated", "strong"),

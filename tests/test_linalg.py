@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mimo_lab._linalg import diag_guard, guard, herm, hermitian_solve
+from mimo_lab._linalg import cholesky_solve, diag_guard, guard, herm, hermitian_solve
 
 
 def test_well_conditioned_matches_direct_solve():
@@ -176,6 +176,53 @@ def test_stack_gives_each_member_its_solo_solve(B):
         want, jittered = hermitian_solve(A, None if B is None else B[i], floor)
         assert jittered == flags[i]
         np.testing.assert_array_equal(X[i], want)
+
+
+def hpd_stack(shape, n, seed):
+    """Hermitian positive-definite matrices [*shape, n, n] conditioned like
+    the per-trial MMSE systems: a Gram matrix of n + 2 columns plus I."""
+    g = np.random.default_rng(seed)
+    X = g.standard_normal(shape + (n, n + 2)) + 1j * g.standard_normal(shape + (n, n + 2))
+    return X @ X.conj().swapaxes(-1, -2) + np.eye(n)
+
+
+@pytest.mark.parametrize("m", [1, 4])
+def test_cholesky_solve_matches_lu_solve(m):
+    A = hpd_stack((5, 3), 10, seed=6)
+    B = rhs((5, 3, 10, m), complex)
+    X, flags = cholesky_solve(A, B)
+    want = np.linalg.solve(A, B)
+    assert flags.shape == (5, 3) and not flags.any()
+    assert X.shape == B.shape and X.dtype == want.dtype
+    assert np.abs(X - want).max() <= 1e-12 * np.abs(want).max()
+
+
+def test_cholesky_solve_member_bits_do_not_depend_on_the_stack():
+    # each member alone, and in a smaller stack at another position, gets
+    # the bits it gets in the whole stack
+    A = hpd_stack((40,), 12, seed=7)
+    B = rhs((40, 12, 2), complex)
+    X, _ = cholesky_solve(A, B)
+    for i in (0, 1, 17, 39):
+        for a, b in ((i, i + 1), (max(i - 3, 0), i + 5)):
+            got, _ = cholesky_solve(A[a:b], B[a:b])
+            np.testing.assert_array_equal(got[i - a], X[i])
+
+
+def test_failed_cholesky_takes_the_jitter_fallback():
+    # a well-conditioned member; a near-singular one whose trace is too
+    # large for the floor to certify (the guard's jitter); and an indefinite
+    # one the floor wrongly certifies, whose factorisation fails and which
+    # gets hermitian_solve's jitter 1e-8 * trace/n
+    floor = 1e-9
+    bad = np.diag([2.0, -1e-13, 3.0, 1.0, 1.0, 1.0]).astype(complex)
+    A = np.stack([spd(6, complex, seed=4), 1e12 * near_singular(1e-14), bad])
+    B = rhs((3, 6, 2), complex)
+    X, flags = cholesky_solve(A, B, floor)
+    assert flags.tolist() == [hermitian_solve(a, None, floor)[1] for a in A] == [False, True, True]
+    scale = np.trace(bad).real / 6
+    np.testing.assert_allclose((bad + 1e-8 * scale * np.eye(6)) @ X[2], B[2], rtol=0, atol=1e-12)
+    np.testing.assert_array_equal(X[[0, 2]], cholesky_solve(A[[0, 2]], B[[0, 2]], floor)[0])
 
 
 NO_SCIPY = """

@@ -50,24 +50,27 @@ def test_detequiv_layers_are_attributed(tracing):
         tracer.uninstall()
     layers = tracing.layer_metrics(tracer, 0.0)
     for name in ("detequiv.solve_fixed_point.calls", "detequiv.fixed_point_iters",
-                 "detequiv.solve_primed.busy_s", "beamform.assemble_Z.calls"):
+                 "detequiv.solve_primed.busy_s"):
         assert layers[name] > 0, name
-    # bank-less calls build each cell's estimators once, through the traced name
-    assert layers["training.EstimatorBank.build.calls"] == sc.L
+    # bank-less calls read the draw's one engine, through the traced name,
+    # and build no reference estimator or design matrix
+    assert layers["bounds.DrawEngine.init.calls"] == 1
+    assert layers["beamform.assemble_Z.calls"] == 0
+    assert layers["training.EstimatorBank.build.calls"] == 0
 
 
 def test_fourier_draws_are_traced(tracing):
     # the tracer fingerprints each bank build's scenario from its profiles'
     # eigenbases; a partial-Fourier draw builds them from its DFT indices
     from conftest import make_scenario
-    from mimo_lab import bounds, detequiv
+    from mimo_lab import bounds, detequiv, training
 
     sc = make_scenario(seed=8, L=2, K=3, M=32, r_own=4, snr_db=10.0)
     tracer = tracing.install()
     try:
         bounds.run_bounds(sc, "ul", ("coherent",), 8, 3)
         bounds.run_bounds(sc, "dl", ("alt",), 8, 3)
-        detequiv.sinr_mmse_detequiv(sc, (0, 0))
+        detequiv.sinr_mmse_detequiv(sc, (0, 0), training.EstimatorBank.build(sc))
     finally:
         tracer.uninstall()
     layers = tracing.layer_metrics(tracer, 0.0)
