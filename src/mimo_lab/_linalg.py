@@ -92,11 +92,10 @@ def hermitian_solve(A: np.ndarray, B: np.ndarray | None, floor: float = 0.0):
 
 
 def _factor(A: np.ndarray, floor: float):
-    """`guard` A, then factor it by Cholesky, one LAPACK potrf per matrix;
-    the matrices whose factorisation fails get jitter 1e-8 * (trace/n) * I
-    and are factored again.  Returns the regularised A, the flags of either
-    jitter and the lower factors L (A = L L^H); L is None when a jittered
-    matrix still fails, which only an indefinite A can do."""
+    """`guard` A, then test it by Cholesky, one LAPACK potrf per matrix;
+    the matrices whose factorisation fails get jitter 1e-8 * (trace/n) * I.
+    Returns the regularised A, the flags of either jitter and the lower
+    factors L (A = L L^H) of the first test, or None when it failed."""
     n = A.shape[-1]
     scale = _scales(A)
     A, flags = guard(A, floor)
@@ -111,16 +110,13 @@ def _factor(A: np.ndarray, floor: float):
         except np.linalg.LinAlgError:
             failed[i] = True
     A = A + (1e-8 * scale * failed)[..., None, None] * np.eye(n)
-    try:
-        L = np.linalg.cholesky(A)
-    except np.linalg.LinAlgError:
-        L = None
-    return A, flags | failed, L
+    return A, flags | failed, None
 
 
 def cholesky_solve(A: np.ndarray, B: np.ndarray, floor: float = 0.0):
     """Solve A X = B for every matrix of a stack A [..., n, n] of Hermitian
-    positive-definite matrices, B [..., n, m]: the per-trial MMSE systems.
+    positive-definite matrices, B [..., n, m]: the engine's per-trial MMSE
+    systems of users served in their own bases.
 
     The guard, the Cholesky test and the jitter are those of
     `hermitian_solve` (floor likewise).  The Cholesky factors A = L L^H come
@@ -133,8 +129,8 @@ def cholesky_solve(A: np.ndarray, B: np.ndarray, floor: float = 0.0):
     Raises np.linalg.LinAlgError if a matrix is indefinite beyond the jitter.
     """
     A, flags, L = _factor(A, floor)
-    if L is None:
-        raise np.linalg.LinAlgError("a matrix is not positive definite")
+    if L is None:  # raises if a jittered matrix is still indefinite
+        L = np.linalg.cholesky(A)
     S, n, m = A.shape[:-2], A.shape[-1], B.shape[-1]
     L = L.reshape((-1, n, n))
     inv = 1.0 / np.diagonal(L, axis1=-2, axis2=-1).real  # [P, n]

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._linalg import cholesky_solve, diag_guard, herm, hermitian_solve
+from ._linalg import cholesky_solve, diag_guard, guard, herm, hermitian_solve
 from .covmodel import (CorrelationModel, InvalidProfile, NetworkScenario, complex_gaussian,
                        dft_matrix, stream)
 from .training import PilotBudgetError
@@ -25,6 +25,10 @@ from .training import PilotBudgetError
 CHUNK = 64
 # memory a partial-Fourier chunk may take per pass of its trials (DrawEngine.span)
 PASS_BYTES = 2 ** 24
+# the largest per-user system (q x q, q <= K) solved by `cholesky_solve`;
+# larger ones are solved by LU, which is as fast at q = 12 and faster above
+# (one BLAS thread, stacks of 960 and 3,840 systems)
+CHOLESKY_MAX_Q = 10
 
 UL_BOUNDS = ("coherent", "noncoherent", "alt", "maxmin")
 DL_BOUNDS = ("noncoherent", "alt", "maxmin")
@@ -228,10 +232,12 @@ class DrawEngine:
     basis dimension: when q > K it inverts Z + I/p of every serving basis
     once per power, one stacked solve per cell, and solves a K x K system per
     trial (matrix inversion lemma);
-    when q <= K it solves the q x q system of each trial directly, all of a
-    pass's systems through one `_linalg.cholesky_solve`: one LAPACK potrf
-    per matrix, then forward and back substitution vectorised over the
-    stack, so a trial's bits do not depend on how trials are chunked.  The
+    when q <= K it solves the q x q system of each trial directly: a shared
+    cell's one system per trial (K right-hand sides) by LU, and the
+    per-user systems of a pass by LU too when q > CHOLESKY_MAX_Q, else
+    through one `_linalg.cholesky_solve`, one LAPACK potrf per matrix, then
+    forward and back substitution vectorised over the stack.  Either way a
+    trial's bits do not depend on how trials are chunked.  The
     users of `jittered` had their estimator system regularised; those of
     `beam_jittered` had a combiner or precoder system regularised (Z + I/p
     when q > K, a trial's system when q <= K).
@@ -785,10 +791,11 @@ class DrawEngine:
         with every eigenvalue at least 1; A^{-1} comes from one guarded solve
         per basis (_static_inverse; a reciprocal in the angular
         representation), so a trial solves S only.  When q <= K each trial
-        solves G directly by Cholesky (`cholesky_solve`), after `guard` has
-        jittered the systems that its floor 1 / power does not certify; those
-        and the systems whose factorisation fails are recorded in
-        beam_jittered."""
+        solves G directly, after `guard` has jittered the systems that its
+        floor 1 / power does not certify: a shared cell's by LU, the
+        per-user systems by Cholesky (`cholesky_solve`, which also jitters a
+        system whose factorisation fails) when q <= CHOLESKY_MAX_Q, else by
+        LU.  Jittered systems are recorded in beam_jittered."""
         K, q = self.K, self.q
         wl = w_hat[:, l]
         T = wl.shape[0]
@@ -817,15 +824,19 @@ class DrawEngine:
             # matrix (and Z), so one solve serves K right-hand sides
             G = self._with_design(np.matmul(wl.swapaxes(1, 2), wl.conj()),
                                   self.Z[l, 0][None], power)
-            v, flags = cholesky_solve(G, wl.swapaxes(1, 2), 1.0 / power)
+            G, flags = guard(G, 1.0 / power)
             if flags.any():
                 self._flag_users(l, range(K))
-            v = v.swapaxes(1, 2)
+            v = np.linalg.solve(G, wl.swapaxes(1, 2)).swapaxes(1, 2)
         else:
             G = self._with_design(
                 np.matmul(Y.transpose(1, 2, 3, 0), Y.conj().transpose(1, 2, 0, 3)),
                 self.Z[l][None], power)
-            v, flags = cholesky_solve(G, wl[..., None], 1.0 / power)
+            if q <= CHOLESKY_MAX_Q:
+                v, flags = cholesky_solve(G, wl[..., None], 1.0 / power)
+            else:
+                G, flags = guard(G, 1.0 / power)
+                v = np.linalg.solve(G, wl[..., None])
             if flags.any():
                 self._flag_users(l, np.flatnonzero(flags.any(axis=0)))
             v = v[..., 0]

@@ -11,7 +11,7 @@ representation.
 import numpy as np
 import pytest
 
-from mimo_lab.bounds import CHUNK, DL_BOUNDS, UL_BOUNDS, DrawEngine, run_bounds
+from mimo_lab.bounds import CHOLESKY_MAX_Q, CHUNK, DL_BOUNDS, UL_BOUNDS, DrawEngine, run_bounds
 from mimo_lab.covmodel import (
     CorrelationModel,
     CovarianceProfile,
@@ -173,8 +173,10 @@ def test_own_eigenbasis_runs_never_form_a_basis(monkeypatch, direction, pilot):
 def test_passes_change_no_statistic(direction):
     # a chunk too large for one pass is evaluated in several; its
     # statistics are bit for bit those of one pass over all its trials, on
-    # the rank-K path (q > K) and on the per-trial solves (q <= K)
-    for point in (dict(K=8, r_own=60), dict(K=20, r_own=12)):
+    # the rank-K path (q > K) and on the per-trial solves (q <= K), by
+    # Cholesky (q <= CHOLESKY_MAX_Q) and by LU
+    for point in (dict(K=8, r_own=60), dict(K=20, r_own=CHOLESKY_MAX_Q),
+                  dict(K=20, r_own=CHOLESKY_MAX_Q + 2)):
         sc = make_scenario(seed=6, L=3, M=120, snr_db=10.0, **point)
         split, whole = DrawEngine(sc), DrawEngine(sc)
         whole.span = CHUNK

@@ -70,6 +70,7 @@ def test_fourier_draws_are_traced(tracing):
     try:
         bounds.run_bounds(sc, "ul", ("coherent",), 8, 3)
         bounds.run_bounds(sc, "dl", ("alt",), 8, 3)
+        detequiv.sinr_mmse_detequiv(sc, (0, 0))
         detequiv.sinr_mmse_detequiv(sc, (0, 0), training.EstimatorBank.build(sc))
     finally:
         tracer.uninstall()
