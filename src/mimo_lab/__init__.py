@@ -16,7 +16,6 @@ from .covmodel import (
     sample_partial_unitary,
     stream,
 )
-from .training import EstimatorBank
 from .detequiv import (
     DetEquivProblem,
     DetEquivSolution,

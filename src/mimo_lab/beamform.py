@@ -1,13 +1,14 @@
-"""Reference design matrix Z and d-restricted support selection.
+"""Reference design matrix Z.
 
 bounds.DrawEngine builds its combiners and precoders in batch from its own
 design-matrix table DrawEngine.Z.  assemble_Z is the reference definition
 of one cell's entries of that table: the projected covariances of all
 other-cell links plus the projected error covariances of the own-cell
 estimates, all expressed in the serving user's eigenbasis (the despread
-observation makes every such term an r x r object).  The engine's exact
-replays and detequiv calls given an explicit bank read it.  restrict_support
-draws the serving bases of fig2's d-restricted spreading series."""
+observation makes every such term an r x r object).  No module of the
+package calls it: the engine's exact replays and table tests, and the
+tests' deterministic-equivalent oracle, read it.  The module stays in the
+package because the benchmark's tracer patches its names."""
 
 from __future__ import annotations
 
@@ -47,12 +48,3 @@ def assemble_Z(scenario: NetworkScenario, l: int, k: int | None,
     Z = herm(Z)
     return Z if k is None else Z[k]
 
-
-def restrict_support(U: np.ndarray, d: int, rng: np.random.Generator) -> np.ndarray:
-    """Keep d of the r support columns, chosen uniformly at random (the
-    d-restricted spreading variant)."""
-    r = U.shape[1]
-    if not 1 <= d <= r:
-        raise ValueError(f"d={d} must satisfy 1 <= d <= r={r}")
-    cols = np.sort(rng.choice(r, size=d, replace=False))
-    return U[:, cols]

@@ -20,7 +20,6 @@ import numpy as np
 from ._linalg import cholesky_solve, diag_guard, guard, herm, hermitian_solve
 from .covmodel import (CorrelationModel, InvalidProfile, NetworkScenario, complex_gaussian,
                        dft_matrix, stream)
-from .training import PilotBudgetError
 
 CHUNK = 64
 # memory a partial-Fourier chunk may take per pass of its trials (DrawEngine.span)
@@ -32,6 +31,10 @@ CHOLESKY_MAX_Q = 10
 
 UL_BOUNDS = ("coherent", "noncoherent", "alt", "maxmin")
 DL_BOUNDS = ("noncoherent", "alt", "maxmin")
+
+
+class PilotBudgetError(ValueError):
+    """Orthogonal pilots for K users need K <= T_c channel uses."""
 
 
 def _threads() -> int:
@@ -244,12 +247,14 @@ class DrawEngine:
 
     One engine serves a covariance draw: `default_engine` memoises the
     default one (MMSE, unconditional contamination, own eigenbases) on the
-    scenario, and both `run_bounds` and the bank-less
-    `detequiv.sinr_mmse_detequiv` read it, the latter through
-    `detequiv_tables`.  So that the memo makes no reference cycle, the
-    engine keeps the few scenario scalars its passes read (L, K, M, rho_p,
-    P_ul, P_dl), not the scenario; its records (`beam_jittered`, the cached
-    inverses) then span every run on the draw.
+    scenario, and `run_bounds` and both deterministic equivalents of
+    `detequiv` (`sinr_mmse_detequiv`, `sinr_mf_detequiv`) read it, the
+    latter through `detequiv_tables`; the estimator tables do not depend on
+    the combiner, so the MMSE engine serves the MF limit too.  So that the
+    memo makes no reference cycle, the engine keeps the few scenario scalars
+    its passes read (L, K, M, rho_p, P_ul, P_dl), not the scenario; its
+    records (`beam_jittered`, the cached inverses) then span every run on
+    the draw.
     """
 
     def __init__(self, scenario: NetworkScenario, combiner: str = "mmse",
@@ -327,7 +332,7 @@ class DrawEngine:
             if self.conditional:
                 contam_res[l] = res
         self.jittered = tuple(jittered)
-        # the default design matrix of the combiner/precoder (assemble_Z)
+        # the default design matrix of the combiner/precoder
         self.Z = self.err_cov + self.nproj_sum + self.s_inter
         if self.conditional:
             self.Z_cond = self.err_cov + self.nproj_sum + contam_res
@@ -591,9 +596,9 @@ class DrawEngine:
         return self.P_own if self.eigen else self._P_est
 
     def detequiv_tables(self, l):
-        """Cell l's inputs of the uplink MMSE deterministic equivalent
-        (`detequiv`), dense in both representations and laid out as
-        `training.cell_projections` lays out its projections:
+        """Cell l's inputs of the uplink deterministic equivalents
+        (`detequiv`: the MMSE limit reads them all, the MF limit all but Z),
+        dense in both representations:
 
         P_own [k, j, a, b] = U_llk^H U_llj; P_x [k, i, p, a, b] =
         U_llk^H U_{l lp p} for the i-th other cell lp (None when L = 1) and
@@ -933,8 +938,8 @@ def default_engine(scenario: NetworkScenario) -> DrawEngine:
     """The scenario's default engine: MMSE processing, unconditional
     contamination, every user served in its own eigenbasis.  Built on first
     use and kept in `scenario.draw_engine`, so that `run_bounds` and the
-    bank-less `detequiv.sinr_mmse_detequiv` calls of one covariance draw
-    share it; `dataclasses.replace` gives a scenario without one."""
+    `detequiv` calls of one covariance draw share it;
+    `dataclasses.replace` gives a scenario without one."""
     if scenario.draw_engine is None:
         scenario.draw_engine = DrawEngine(scenario)
     return scenario.draw_engine

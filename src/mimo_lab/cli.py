@@ -178,6 +178,10 @@ def main(argv=None) -> int:
             print(f"m: {sol.m:.12g}")
             print(f"iterations: {sol.iterations}")
         elif args.cmd == "scaling":
+            for flag, size in (("--M", args.M), ("--K", args.K), ("--L", args.L),
+                               ("--T-c", args.T_c)):
+                if size < 1:
+                    raise ConfigError(f"{flag} must be >= 1, got {size}")
             val = closed_form(*SCALING_KINDS[args.kind], args.M, args.K, args.L, args.T_c,
                               args.snr_db, args.iota, args.r)
             print(f"{val:.12g}")

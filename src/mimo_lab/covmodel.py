@@ -201,13 +201,13 @@ class NetworkScenario:
     Two memos keep per-draw work.  draw_engine holds the draw's default
     `bounds.DrawEngine` (MMSE, unconditional contamination, own
     eigenbases), built by `bounds.default_engine` on first use: `run_bounds`
-    with those arguments and the bank-less `detequiv.sinr_mmse_detequiv`
-    calls all read it.  The engine keeps no reference to the scenario, so
-    the memo makes no reference cycle.  cell_mmse_sinr holds, per cell l,
-    the vector of cell l's K MMSE SINR deterministic equivalents that
-    `sinr_mmse_detequiv` computes when it is given no bank.  The profiles
-    are fixed once drawn: a scenario whose profiles are edited in place must
-    be rebuilt (`dataclasses.replace` gives empty memos).
+    with those arguments and the `detequiv.sinr_mmse_detequiv` and
+    `detequiv.sinr_mf_detequiv` calls all read it.  The engine keeps no
+    reference to the scenario, so the memo makes no reference cycle.
+    cell_mmse_sinr holds, per cell l, the vector of cell l's K MMSE SINR
+    deterministic equivalents that `sinr_mmse_detequiv` computes.  The
+    profiles are fixed once drawn: a scenario whose profiles are edited in
+    place must be rebuilt (`dataclasses.replace` gives empty memos).
     """
 
     L: int

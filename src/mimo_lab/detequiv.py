@@ -23,7 +23,9 @@ from .covmodel import (
     sample_partial_fourier,
     sample_partial_unitary,
 )
-from .training import EstimatorBank, cell_projections, projected_cov
+# not called here: perfbench's tracer counts projected_cov calls through the
+# name of every module that has bound it
+from .training import projected_cov  # noqa: F401
 
 
 class DivergenceError(RuntimeError):
@@ -285,26 +287,17 @@ def solve_primed(
 # SINR deterministic equivalents
 # ---------------------------------------------------------------------------
 
-def mmse_detequiv_problem(
-    scenario: NetworkScenario, l: int, k: int | None, bank: EstimatorBank, Z: np.ndarray
-) -> DetEquivProblem:
-    """Fixed-point problems behind the MMSE combiners of cell l's users.
+def _mmse_problem(P, phi, Z, P_ul, k=None) -> DetEquivProblem:
+    """Fixed-point problems behind the MMSE combiners of cell l's users,
+    from the cell's own projections P [k, j, a, b], its users' phi
+    [j, a, b] and design matrices Z.
 
     Works on the 1/r-rescaled combiner resolvent: the column classes are the
     other own-cell users' projected estimate covariances (leave-one-out in
-    the served user), A = Z/r, z = -1/(P_ul r).  The thetas of all K users
-    come from one GEMM of the cell's bases.  k = None gives the cell's K
-    problems as one stack, with Z [K, r, r] from assemble_Z; else user k's
-    problem, with its Z [r, r].
+    the served user), A = Z/r, z = -1/(P_ul r).  k = None gives the cell's K
+    problems as one stack, with Z [K, r, r]; else user k's problem, with
+    its Z [r, r].
     """
-    P = cell_projections(scenario, l, [l])[0][:, 0]  # [k, j, a, b]
-    phi = np.stack([bank.users[(l, j)].phi for j in range(scenario.K)])
-    return _mmse_problem(P, phi, Z, scenario.P_ul, k)
-
-
-def _mmse_problem(P, phi, Z, P_ul, k=None) -> DetEquivProblem:
-    """`mmse_detequiv_problem` from the cell's own projections P
-    [k, j, a, b] and its users' phi [j, a, b]."""
     K, r = phi.shape[0], P.shape[-2]
     thetas = herm(P @ phi @ P.conj().swapaxes(-1, -2))
     # leave-one-out: user k's classes are the users j != k, in order
@@ -312,22 +305,6 @@ def _mmse_problem(P, phi, Z, P_ul, k=None) -> DetEquivProblem:
     if k is not None:
         thetas, phi = thetas[k], phi[k]
     return DetEquivProblem(thetas=thetas, A=Z / r, Q=phi, z=-1.0 / (P_ul * r))
-
-
-def _bank_tables(scenario: NetworkScenario, l: int, bank: EstimatorBank):
-    """Cell l's inputs of `_cell_sinr_mmse` from the reference estimators
-    and design matrices, laid out as `bounds.DrawEngine.detequiv_tables`."""
-    # imported at call time: the benchmark's tracer patches beamform.assemble_Z
-    from .beamform import assemble_Z
-
-    L, K = scenario.L, scenario.K
-    P_own = cell_projections(scenario, l, [l])[0][:, 0]
-    others = [lp for lp in range(L) if lp != l]
-    P_x, lam_x = cell_projections(scenario, l, others) if others else (None, None)
-    phi = np.stack([bank.users[(l, j)].phi for j in range(K)])
-    xi = np.stack([bank.users[(l, j)].xi for j in range(K)])
-    lam = np.stack([scenario.profile(l, l, j).lam for j in range(K)])
-    return P_own, P_x, lam_x, phi, xi * lam[:, None, :], assemble_Z(scenario, l, None, bank)
 
 
 def _cell_sinr_mmse(scenario: NetworkScenario, l: int, tables) -> np.ndarray:
@@ -365,27 +342,21 @@ def _cell_sinr_mmse(scenario: NetworkScenario, l: int, tables) -> np.ndarray:
     return delta ** 2 / den
 
 
-def sinr_mmse_detequiv(
-    scenario: NetworkScenario, user: tuple, bank: EstimatorBank | None = None
-) -> float:
+def sinr_mmse_detequiv(scenario: NetworkScenario, user: tuple) -> float:
     """Deterministic equivalent of the uplink MMSE post-combining SINR.
 
     Orthogonal pilots only.  Assembles the signal, noise, coherent pilot
     contamination, and residual interference terms from the fixed point and
-    its derivative system, for all K users of cell l at once.  Without a
-    bank, the scenario's first call for cell l reads the cell's projections,
+    its derivative system, for all K users of cell l at once.  The
+    scenario's first call for cell l reads the cell's projections,
     estimators and design matrices from the draw's shared engine
     (`bounds.default_engine`, the one `run_bounds` reads; it raises
     PilotBudgetError when K > T_c) and keeps the cell's K SINRs in
-    `scenario.cell_mmse_sinr`, so the cell's other calls do no work.  A
-    call with a bank builds those tables from the bank (`EstimatorBank`,
-    `assemble_Z`, `cell_projections`: the reference) and keeps no memo.
+    `scenario.cell_mmse_sinr`, so the cell's other calls do no work.
     """
     if scenario.scheme.kind != "orthogonal":
         raise DomainError("the MMSE SINR deterministic equivalent assumes orthogonal pilots")
     l, k = user
-    if bank is not None:
-        return float(_cell_sinr_mmse(scenario, l, _bank_tables(scenario, l, bank))[k])
     sinr = scenario.cell_mmse_sinr.get(l)
     if sinr is None:
         tables = default_engine(scenario).detequiv_tables(l)
@@ -393,52 +364,40 @@ def sinr_mmse_detequiv(
     return float(sinr[k])
 
 
-def mf_psi(scenario: NetworkScenario, user: tuple, src_key,
-           bank: EstimatorBank | None = None) -> float:
-    """Isotropic-average contamination factor of one link under MF:
-    psi = (1/(r M)) tr Lambda_src tr(Xi' Lambda)."""
-    l, k = user
-    bank = bank if bank is not None else EstimatorBank.build(scenario, [user])
-    est = bank.users[(l, k)]
-    prof = scenario.profile(l, l, k)
-    tr_xi_lam = float(np.real(np.sum(np.diagonal(est.xi) * prof.lam)))
-    return scenario.profiles[src_key].energy * tr_xi_lam / (prof.r * scenario.M)
-
-
-def sinr_mf_detequiv(
-    scenario: NetworkScenario, user: tuple, bank: EstimatorBank | None = None
-) -> float:
+def sinr_mf_detequiv(scenario: NetworkScenario, user: tuple) -> float:
     """Deterministic equivalent of the matched-filter SINR under the
     network-wide non-orthogonal pilot.
 
     Every other link contaminates.  Per link, the coherent contamination is
-    |tr(Xi' Lambda R~)|^2 and the residual (non-coherent) power is
-    tr(Phi' R~), both conditioned on the realized eigenbases; averaging R~
+    |tr(Xi Lambda R~)|^2 and the residual (non-coherent) power is
+    tr(Phi R~), both conditioned on the realized eigenbases; averaging R~
     over isotropic bases collapses the coherent term to the alpha^2 psi^2
     form and the expression to P_ul tr Lambda in the strong-correlation
-    limit.
+    limit.  Each R~ = P diag(lam) P^H is read from cell l's tables of the
+    draw's shared engine (`bounds.default_engine`): own-cell links from
+    P_own with the own eigenvalues, other-cell links from P_x and lam_x.
     """
     if scenario.scheme.kind != "nonorthogonal":
         raise DomainError("the MF SINR deterministic equivalent assumes non-orthogonal pilots")
     l, k = user
-    bank = bank if bank is not None else EstimatorBank.build(scenario, [user])
-    est = bank.users[(l, k)]
-    prof = scenario.profile(l, l, k)
+    P_own, P_x, lam_x, phi, xi_lam, _ = default_engine(scenario).detequiv_tables(l)
+    lam_own = np.stack([scenario.profile(l, l, j).lam for j in range(scenario.K)])
+    # every link into BS l but user k's own, seen in user k's eigenbasis
+    links = [(np.delete(P_own[k], k, axis=0), np.delete(lam_own, k, axis=0))]
+    if P_x is not None:
+        links.append((P_x[k].reshape((-1,) + P_x.shape[-2:]),
+                      lam_x.reshape(-1, lam_x.shape[-1])))
     M = scenario.M
-
-    tr_phi = float(np.real(np.trace(est.phi)))
-    xi_lam = est.xi * prof.lam[None, :]
-
+    tr_phi = float(np.real(np.trace(phi[k])))
+    contam = 0.0
+    for P, lam in links:
+        # tr(A P diag(lam) P^H) of every link, for A = Xi Lambda and Phi
+        P_lam = P.conj() * lam[:, None, :]
+        coherent = np.sum(P_lam * (xi_lam[k] @ P), axis=(-2, -1))
+        residual = np.sum(P_lam * (phi[k] @ P), axis=(-2, -1)).real
+        contam += (np.sum(np.abs(coherent) ** 2) + np.sum(residual)) / (M * M)
     num = (tr_phi / M) ** 2
     noise = tr_phi / (scenario.P_ul * M * M)
-    contam = 0.0
-    for lp in range(scenario.L):
-        for kp in range(scenario.K):
-            if (lp, kp) == (l, k):
-                continue
-            rt = projected_cov(scenario, l, k, (l, lp, kp))
-            contam += abs(np.trace(xi_lam @ rt)) ** 2 / (M * M)
-            contam += np.real(np.trace(est.phi @ rt)) / (M * M)
     return float(num / (noise + contam))
 
 
@@ -526,10 +485,15 @@ def concentration_check(
     kind: str, dims, trials: int, rng: np.random.Generator
 ) -> ConcentrationReport:
     """Empirical deviation statistics of one concentration lemma across an
-    increasing sequence of dimensions plus the fitted log-log decay slope."""
+    increasing sequence of dimensions plus the fitted log-log decay slope.
+    The spread needs two trials and the slope two dims."""
     dims = sorted(int(d) for d in dims)
     if any(d2 <= d1 for d1, d2 in zip(dims, dims[1:])):
         raise ValueError("dims must be strictly increasing")
+    if len(dims) < 2:
+        raise ValueError(f"a decay slope needs at least two dims, got {dims}")
+    if trials < 2:
+        raise ValueError(f"trials must be >= 2, got {trials}")
     mean_dev, std_dev, samples = [], [], {}
     for n in dims:
         dev = _deviation_samples(kind, n, trials, rng)

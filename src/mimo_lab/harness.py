@@ -16,7 +16,6 @@ from dataclasses import dataclass, field, fields, replace
 import numpy as np
 
 from . import bounds as bnd
-from .beamform import restrict_support
 from .covmodel import CorrelationModel, Regime, ScenarioConfig, build_network, stream
 
 DESK_TRIALS_CAP = 500
@@ -360,15 +359,27 @@ def run_experiment(spec: ExperimentSpec) -> ResultTable:
 # ---------------------------------------------------------------------------
 
 def _desk(spec: ExperimentSpec, scale: str, table: ResultTable) -> ExperimentSpec:
+    """spec under the scale's caps; the table's audit names them once."""
+    line = "scale=full"
     if scale == "desk":
         capped = "none applied"
         if spec.trials > DESK_TRIALS_CAP:
             spec = replace(spec, trials=DESK_TRIALS_CAP)
             capped = f"trials->{DESK_TRIALS_CAP}"
-        table.audit.append(f"scale=desk caps: {capped}")
-    else:
-        table.audit.append("scale=full")
+        line = f"scale=desk caps: {capped}"
+    if line not in table.audit:
+        table.audit.append(line)
     return spec
+
+
+def restrict_support(U: np.ndarray, d: int, rng: np.random.Generator) -> np.ndarray:
+    """Keep d of the r support columns, chosen uniformly at random (the
+    d-restricted spreading variant of fig2)."""
+    r = U.shape[1]
+    if not 1 <= d <= r:
+        raise ValueError(f"d={d} must satisfy 1 <= d <= r={r}")
+    cols = np.sort(rng.choice(r, size=d, replace=False))
+    return U[:, cols]
 
 
 def reproduce_figure(fig: str, scale: str = "desk", seed: int = 1,

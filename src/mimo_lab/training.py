@@ -6,11 +6,13 @@ the network does.  The BS knows the low-rank covariances of its own users and
 the despread (projected) covariance sums of the contaminating links, and the
 MMSE filters it forms are conditioned on the realized covariance draw.
 
-bounds.DrawEngine forms its estimators from its own projection tables; the
-per-link ones here are the reference: the engine's exact replays and table
-tests, and detequiv calls given an explicit bank, read them.
-cell_projections forms one cell's projections in one GEMM, for the stacked
-design matrices and deterministic equivalents of beamform and detequiv.
+No module of the package calls this one: bounds.DrawEngine forms its
+estimators from its own projection tables, and detequiv reads them from
+it.  The per-link estimators here are the reference that the engine's exact
+replays and table tests, and the tests' deterministic-equivalent oracle,
+compare against; cell_projections forms one cell's projections in one GEMM
+for beamform.assemble_Z and that oracle.  The module stays in the package
+because the benchmark's tracer patches its names.
 """
 
 from __future__ import annotations
@@ -21,10 +23,6 @@ import numpy as np
 
 from ._linalg import herm, hermitian_solve
 from .covmodel import NetworkScenario
-
-
-class PilotBudgetError(ValueError):
-    pass
 
 
 def contaminators(scenario: NetworkScenario, l: int, k: int):

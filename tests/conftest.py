@@ -3,7 +3,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from mimo_lab.beamform import restrict_support
+from mimo_lab.harness import restrict_support
 from mimo_lab.covmodel import CorrelationModel, ScenarioConfig, build_network, stream
 
 

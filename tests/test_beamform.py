@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from mimo_lab.beamform import restrict_support
 from mimo_lab.bounds import DrawEngine, run_bounds
 from mimo_lab.covmodel import CorrelationModel, stream
+from mimo_lab.harness import restrict_support
 
 from conftest import full_bases, make_scenario, restricted_bases, single_link_scenario
 

@@ -17,7 +17,6 @@ from mimo_lab.detequiv import (
     DivergenceError,
     DomainError,
     concentration_check,
-    mmse_detequiv_problem,
     sinr_mf_detequiv,
     sinr_mmse_detequiv,
     solve_fixed_point,
@@ -25,7 +24,9 @@ from mimo_lab.detequiv import (
 )
 from mimo_lab.training import EstimatorBank, projected_cov, projection
 
+import oracle
 from conftest import make_scenario
+from oracle import mmse_detequiv_problem
 
 GOLDEN = (np.sqrt(5) - 1) / 2
 SILVER = np.sqrt(2) - 1
@@ -226,7 +227,8 @@ class TestStackedFormsMatchLoops:
     def test_sinr_mmse(self):
         sc, bank = haar_case()
         for k in range(sc.K):
-            assert_close(sinr_mmse_detequiv(sc, (1, k), bank), loop_sinr_mmse(sc, 1, k, bank))
+            assert_close(oracle.sinr_mmse_detequiv(sc, (1, k), bank),
+                         loop_sinr_mmse(sc, 1, k, bank))
 
     def test_fixed_point_skips_the_eigenvalue_pass(self, monkeypatch):
         # A and every Theta_i are PSD (checked when the problem is built) and
@@ -468,10 +470,6 @@ class TestSinrDetequiv:
             sinr_mmse_detequiv(sc, (0, 0))
 
     def test_contamination_scales_with_r_squared(self):
-        from mimo_lab.beamform import assemble_Z
-        from mimo_lab.detequiv import mmse_detequiv_problem
-        from mimo_lab.training import EstimatorBank, projected_cov
-
         def contam(r_own):
             sc = make_scenario(seed=3 + r_own, L=4, K=2, M=512, snr_db=10.0,
                                r_own=r_own,
@@ -514,11 +512,10 @@ class TestSinrDetequiv:
             assert np.isfinite(g) and g > 0
 
     @pytest.mark.parametrize("pilot", ["orthogonal", "nonorthogonal"])
-    def test_own_bank_matches_prebuilt_full_bank(self, monkeypatch, pilot):
-        # without a bank the MMSE limit builds no estimator: it reads the
-        # draw's one engine.  MF builds user (l, k)'s estimator alone
+    def test_limits_read_the_draws_engine(self, monkeypatch, pilot):
+        # both limits build no estimator: they read the draw's one engine,
+        # the MMSE one under orthogonal pilots, the MF one under shared ones
         from mimo_lab import training
-        from mimo_lab.detequiv import mf_psi
 
         sc = make_scenario(seed=8, L=3, K=4, M=48, snr_db=10.0, r_own=6, pilot=pilot,
                            model=CorrelationModel.PARTIAL_UNITARY)
@@ -532,19 +529,14 @@ class TestSinrDetequiv:
 
         monkeypatch.setattr(training, "build_estimator", counted)
         engines = count_engines(monkeypatch)
+        limit, ref = ((sinr_mmse_detequiv, oracle.sinr_mmse_detequiv) if pilot == "orthogonal"
+                      else (sinr_mf_detequiv, oracle.sinr_mf_detequiv))
         for l, k in [(0, 0), (1, 2), (2, 3)]:
-            built.clear()
-            if pilot == "orthogonal":
-                got = sinr_mmse_detequiv(sc, (l, k))
-                assert built == []
-                assert_close(got, sinr_mmse_detequiv(sc, (l, k), full))
-                assert sinr_mmse_detequiv(sc, (l, k)) == got
-            else:
-                assert sinr_mf_detequiv(sc, (l, k)) == sinr_mf_detequiv(sc, (l, k), full)
-                key = ((l + 1) % sc.L, l, 0)
-                assert mf_psi(sc, (l, k), key) == mf_psi(sc, (l, k), key, full)
-                assert built == [(l, k)] * 2
-        assert len(engines) == (pilot == "orthogonal")
+            got = limit(sc, (l, k))
+            assert built == []
+            assert_close(got, ref(sc, (l, k), full))
+            assert limit(sc, (l, k)) == got
+        assert engines == [sc.draw_engine]
 
     def test_bankless_calls_build_each_cell_once(self, monkeypatch):
         from mimo_lab import training
@@ -563,7 +555,7 @@ class TestSinrDetequiv:
         engines = count_engines(monkeypatch)
         got = [sinr_mmse_detequiv(sc, u) for u in sc.users()]
         assert built == [] and len(engines) == 1
-        assert_close(got, [sinr_mmse_detequiv(sc, u, full) for u in sc.users()])
+        assert_close(got, [oracle.sinr_mmse_detequiv(sc, u, full) for u in sc.users()])
         built.clear()
         assert [sinr_mmse_detequiv(sc, u) for u in sc.users()] == got
         assert built == [] and len(engines) == 1
@@ -574,8 +566,8 @@ class TestSinrDetequiv:
         assert built == [] and len(engines) == 2
 
     def test_bankless_calls_solve_each_cell_once(self, monkeypatch):
-        # the first bank-less call for a cell evaluates all of its users; the
-        # others read the memo.  A call with a bank keeps no memo
+        # the first call for a cell evaluates all of its users; the others
+        # read the memo
         from mimo_lab import training
 
         sc = make_scenario(seed=8, L=3, K=4, M=48, snr_db=10.0, r_own=6,
@@ -591,9 +583,7 @@ class TestSinrDetequiv:
         assert got[2] == first
         monkeypatch.setattr(detequiv, "solve_fixed_point", solve)
         full = training.EstimatorBank.build(sc)
-        fresh = replace(sc)
-        assert_close(got, [sinr_mmse_detequiv(fresh, (1, k), full) for k in range(sc.K)])
-        assert fresh.cell_mmse_sinr == {} and fresh.draw_engine is None
+        assert_close(got, [oracle.sinr_mmse_detequiv(sc, (1, k), full) for k in range(sc.K)])
 
     @pytest.mark.parametrize("model", [CorrelationModel.PARTIAL_UNITARY,
                                        CorrelationModel.PARTIAL_FOURIER])
@@ -605,8 +595,26 @@ class TestSinrDetequiv:
                            eigen_shape="exp_decay", eigen_rate=0.4)
         bank = EstimatorBank.build(sc)
         got = [sinr_mmse_detequiv(sc, u) for u in sc.users()]
-        want = [sinr_mmse_detequiv(sc, u, bank) for u in sc.users()]
+        want = [oracle.sinr_mmse_detequiv(sc, u, bank) for u in sc.users()]
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("model", [CorrelationModel.PARTIAL_UNITARY,
+                                       CorrelationModel.PARTIAL_FOURIER])
+    @pytest.mark.parametrize("case", [
+        dict(),
+        dict(L=1),
+        dict(r_cross=3),
+        dict(eigen_shape="exp_decay", eigen_rate=0.4),
+    ], ids=["cells", "one cell", "r_cross < r_own", "decaying eigenvalues"])
+    def test_mf_matches_the_oracle(self, model, case):
+        # the engine's tables against one projected_cov per link of the
+        # reference estimator, every user; repeat calls give the same bits
+        kw = dict(L=3, K=4, M=48, r_own=6, snr_db=10.0) | case
+        sc = make_scenario(seed=13, pilot="nonorthogonal", model=model, **kw)
+        got = [sinr_mf_detequiv(sc, u) for u in sc.users()]
+        want = [oracle.sinr_mf_detequiv(sc, u) for u in sc.users()]
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+        assert [sinr_mf_detequiv(sc, u) for u in sc.users()] == got
 
     @pytest.mark.parametrize("model", [CorrelationModel.PARTIAL_UNITARY,
                                        CorrelationModel.PARTIAL_FOURIER])
@@ -659,7 +667,7 @@ class TestSinrDetequiv:
                            pilot="nonorthogonal",
                            model=CorrelationModel.PARTIAL_FOURIER)
         bank = EstimatorBank.build(sc)
-        de = sinr_mf_detequiv(sc, (0, 0), bank)
+        de = sinr_mf_detequiv(sc, (0, 0))
         g = stream(7)
         trials = 300
         sig = np.empty(trials, dtype=complex)
@@ -706,6 +714,15 @@ class TestConcentrationChecks:
     def test_dims_must_increase(self):
         with pytest.raises(ValueError):
             concentration_check("TraceLemma", [64, 64], 10, stream(12))
+
+    def test_one_dim_fits_no_slope(self):
+        with pytest.raises(ValueError, match="two dims"):
+            concentration_check("TraceLemma", [64], 10, stream(12))
+
+    @pytest.mark.parametrize("trials", [0, 1])
+    def test_spread_needs_two_trials(self, trials):
+        with pytest.raises(ValueError, match="trials must be >= 2"):
+            concentration_check("TraceLemma", [64, 128], trials, stream(12))
 
 
 class TestBetaScalings:

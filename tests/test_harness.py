@@ -91,6 +91,16 @@ class TestLoadConfig:
         assert cli_main(["run", cfg]) == 2
         assert f"{key} must be" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag, value", [
+        ("--M", "0"), ("--M", "-10"), ("--K", "0"), ("--L", "0"), ("--T-c", "0"),
+    ])
+    def test_scaling_rejects_sizes_below_one(self, capsys, flag, value):
+        # no size below 1 reaches the closed forms: exit 2, naming the flag
+        sizes = {"--M": "10", "--K": "2", "--L": "2", "--T-c": "50"} | {flag: value}
+        argv = ["scaling", "strong"] + [x for kv in sizes.items() for x in kv]
+        assert cli_main(argv) == 2
+        assert f"{flag} must be >= 1" in capsys.readouterr().err
+
     def test_spec_rejects_non_integer_sweep_values(self):
         with pytest.raises(ConfigError, match="M must be an integer"):
             harness.ExperimentSpec(sweep_axis="M", sweep_values=(40.0, 60.5)).validate()
@@ -353,6 +363,16 @@ class TestCli:
         assert cli_main(["lemma-check", "TraceLemma", "32,64", "--trials", "100"]) == 0
         assert "slope" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("argv, message", [
+        (["--trials", "0"], "trials must be >= 2"),
+        (["--trials", "1"], "trials must be >= 2"),
+        (["64"], "two dims"),
+    ], ids=["no trials", "one trial", "one dim"])
+    def test_lemma_check_rejects_what_fits_no_slope(self, capsys, argv, message):
+        assert cli_main(["lemma-check", "TraceLemma"] + argv) == 2
+        captured = capsys.readouterr()
+        assert message in captured.err and "slope" not in captured.out
+
     @pytest.mark.parametrize("fig,trials", [("fig2", "-1"), ("fig5", "0")])
     def test_reproduce_rejects_nonpositive_trials(self, fig, trials, monkeypatch, capsys):
         def no_work(*args, **kwargs):
@@ -402,6 +422,9 @@ class TestFigures:
         assert exps == {f"fig7:{p}:r={r}" for p in ("orthogonal", "nonorthogonal")
                         for r in (4, 8)}
         assert {r.sweep_value for r in table.rows} == {25.0, 50.0, 100.0, 200.0, 400.0}
+        # one caps line for the figure, not one per spec
+        assert table.audit.count("scale=desk caps: none applied") == 1
+        assert len(table.audit) == 1 + len(exps)
 
     def test_unknown_figure(self):
         with pytest.raises(ConfigError):

@@ -52,11 +52,34 @@ def test_detequiv_layers_are_attributed(tracing):
     for name in ("detequiv.solve_fixed_point.calls", "detequiv.fixed_point_iters",
                  "detequiv.solve_primed.busy_s"):
         assert layers[name] > 0, name
-    # bank-less calls read the draw's one engine, through the traced name,
+    # the calls read the draw's one engine, through the traced name,
     # and build no reference estimator or design matrix
     assert layers["bounds.DrawEngine.init.calls"] == 1
     assert layers["beamform.assemble_Z.calls"] == 0
     assert layers["training.EstimatorBank.build.calls"] == 0
+
+
+def test_mf_limit_reads_the_draws_engine(tracing):
+    # the MF limit reads its tables from the engine run_bounds builds for
+    # the draw: no reference estimator and no per-link projection
+    from conftest import make_scenario
+    from mimo_lab import bounds, detequiv
+    from mimo_lab.covmodel import CorrelationModel
+
+    sc = make_scenario(seed=8, L=2, K=3, M=32, r_own=4, snr_db=10.0, pilot="nonorthogonal",
+                       model=CorrelationModel.PARTIAL_UNITARY)
+    tracer = tracing.install()
+    try:
+        for user in sc.users():
+            detequiv.sinr_mf_detequiv(sc, user)
+        bounds.run_bounds(sc, "ul", ("coherent", "alt"), 8, 3)
+    finally:
+        tracer.uninstall()
+    layers = tracing.layer_metrics(tracer, 0.0)
+    assert layers["bounds.run_bounds.self_s"] > 0
+    assert layers["training.EstimatorBank.build.calls"] == 0
+    assert layers["training.projected_cov.calls"] == 0
+    assert layers["bounds.DrawEngine.init.calls"] == 1
 
 
 def test_fourier_draws_are_traced(tracing):
@@ -71,7 +94,7 @@ def test_fourier_draws_are_traced(tracing):
         bounds.run_bounds(sc, "ul", ("coherent",), 8, 3)
         bounds.run_bounds(sc, "dl", ("alt",), 8, 3)
         detequiv.sinr_mmse_detequiv(sc, (0, 0))
-        detequiv.sinr_mmse_detequiv(sc, (0, 0), training.EstimatorBank.build(sc))
+        training.EstimatorBank.build(sc)
     finally:
         tracer.uninstall()
     layers = tracing.layer_metrics(tracer, 0.0)

@@ -2,11 +2,10 @@ import numpy as np
 import pytest
 
 from mimo_lab import training
-from mimo_lab.bounds import DrawEngine
+from mimo_lab.bounds import DrawEngine, PilotBudgetError
 from mimo_lab.covmodel import CorrelationModel, stream
 from mimo_lab.training import (
     EstimatorBank,
-    PilotBudgetError,
     build_estimator,
     contaminators,
     projected_cov,
