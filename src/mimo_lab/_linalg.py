@@ -93,58 +93,85 @@ def hermitian_solve(A: np.ndarray, B: np.ndarray | None, floor: float = 0.0):
 
 def _factor(A: np.ndarray, floor: float):
     """`guard` A, then test it by Cholesky, one LAPACK potrf per matrix;
-    the matrices whose factorisation fails get jitter 1e-8 * (trace/n) * I.
-    Returns the regularised A, the flags of either jitter and the lower
-    factors L (A = L L^H) of the first test, or None when it failed."""
+    the matrices whose factorisation fails get jitter 1e-8 * (trace/n) * I,
+    trace/n of A as given (before the guard).  Returns the regularised A,
+    the flags of either jitter and the lower factors L (A = L L^H) of the
+    first test, or None when it failed."""
     n = A.shape[-1]
-    scale = _scales(A)
-    A, flags = guard(A, floor)
+    G, flags = guard(A, floor)
     try:
-        return A, flags, np.linalg.cholesky(A)
+        return G, flags, np.linalg.cholesky(G)
     except np.linalg.LinAlgError:  # a leading minor is not positive definite
         pass
     failed = np.zeros(flags.shape, dtype=bool)
     for i in np.ndindex(flags.shape):
         try:
-            np.linalg.cholesky(A[i])
+            np.linalg.cholesky(G[i])
         except np.linalg.LinAlgError:
             failed[i] = True
-    A = A + (1e-8 * scale * failed)[..., None, None] * np.eye(n)
-    return A, flags | failed, None
+    G = G + (1e-8 * _scales(A) * failed)[..., None, None] * np.eye(n)
+    return G, flags | failed, None
 
 
-def cholesky_solve(A: np.ndarray, B: np.ndarray, floor: float = 0.0):
-    """Solve A X = B for every matrix of a stack A [..., n, n] of Hermitian
-    positive-definite matrices, B [..., n, m]: the engine's per-trial MMSE
-    systems of users served in their own bases.
+def cholesky_factor(A: np.ndarray, floor: float = 0.0):
+    """Lower Cholesky factors L (A = L L^H) of every matrix of a stack
+    A [..., n, n] of Hermitian positive-definite matrices: the engine's
+    per-trial MMSE systems of users served in their own bases.
 
     The guard, the Cholesky test and the jitter are those of
-    `hermitian_solve` (floor likewise).  The Cholesky factors A = L L^H come
-    from one batched np.linalg.cholesky, one LAPACK potrf per matrix; the
-    forward substitution L Y = B and the back substitution L^H X = Y then run
-    row by row as array operations over the whole stack.  Every operation
-    acts on each member alone, so a member's bits do not depend on its
-    position in the stack or on the stack's size.  Only the lower triangle
-    of A is read.  Returns X and the flags [...] of the jittered matrices.
-    Raises np.linalg.LinAlgError if a matrix is indefinite beyond the jitter.
+    `hermitian_solve` (floor likewise); a jittered matrix is factored as
+    regularised.  The factors come from one batched np.linalg.cholesky, one
+    LAPACK potrf per matrix.  Only the lower triangle of A is read.  Returns
+    L and the flags [...] of the jittered matrices.  Raises
+    np.linalg.LinAlgError if a matrix is indefinite beyond the jitter.
     """
     A, flags, L = _factor(A, floor)
     if L is None:  # raises if a jittered matrix is still indefinite
         L = np.linalg.cholesky(A)
-    S, n, m = A.shape[:-2], A.shape[-1], B.shape[-1]
+    return L, flags
+
+
+def forward_substitute(L: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """Y = L^{-1} B for every lower factor of a stack L [..., n, n] and
+    B [..., n, m], row by row as array operations over the whole stack.
+    Every operation acts on each member alone, so a member's bits do not
+    depend on its position in the stack or on the stack's size."""
+    S, n, m = L.shape[:-2], L.shape[-1], B.shape[-1]
     L = L.reshape((-1, n, n))
     inv = 1.0 / np.diagonal(L, axis1=-2, axis2=-1).real  # [P, n]
-    # the right-hand sides along the last axis, X [P, m, n]: each row's
+    # the right-hand sides along the last axis, Y [P, m, n]: each row's
     # products with Y are a reduction over contiguous entries
-    X = np.array(B.reshape((-1, n, m)).swapaxes(-1, -2), dtype=np.result_type(L, B))
+    Y = np.array(B.reshape((-1, n, m)).swapaxes(-1, -2), dtype=np.result_type(L, B))
     for j in range(n):
         if j:
-            X[..., j] -= np.einsum("pi,pmi->pm", L[:, j, :j], X[..., :j])
-        X[..., j] *= inv[:, None, j]
+            Y[..., j] -= np.einsum("pi,pmi->pm", L[:, j, :j], Y[..., :j])
+        Y[..., j] *= inv[:, None, j]
+    return Y.swapaxes(-1, -2).reshape(S + (n, m))
+
+
+def back_substitute(L: np.ndarray, Y: np.ndarray) -> np.ndarray:
+    """X = L^{-H} Y for every lower factor of a stack L [..., n, n] and
+    Y [..., n, m]: the back half of `cholesky_solve`, member by member as in
+    `forward_substitute`."""
+    S, n, m = L.shape[:-2], L.shape[-1], Y.shape[-1]
+    L = L.reshape((-1, n, n))
+    inv = 1.0 / np.diagonal(L, axis1=-2, axis2=-1).real
     # L^H X = Y as L^T conj(X) = conj(Y): the rows of L again, as updates
-    X = X.conj()
+    X = Y.reshape((-1, n, m)).swapaxes(-1, -2).conj()
     for j in range(n - 1, 0, -1):
         X[..., j] *= inv[:, None, j]
         X[..., :j] -= L[:, None, j, :j] * X[..., j, None]
     X[..., 0] *= inv[:, None, 0]
-    return X.conj().swapaxes(-1, -2).reshape(S + (n, m)), flags
+    return X.conj().swapaxes(-1, -2).reshape(S + (n, m))
+
+
+def cholesky_solve(A: np.ndarray, B: np.ndarray, floor: float = 0.0):
+    """Solve A X = B for every matrix of a stack A [..., n, n] of Hermitian
+    positive-definite matrices, B [..., n, m]: `cholesky_factor`, then
+    `forward_substitute` and `back_substitute`, so a member's bits do not
+    depend on the stack.  Returns X and the flags [...] of the jittered
+    matrices.  Raises np.linalg.LinAlgError if a matrix is indefinite beyond
+    the jitter.
+    """
+    L, flags = cholesky_factor(A, floor)
+    return back_substitute(L, forward_substitute(L, B)), flags

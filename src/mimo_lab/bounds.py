@@ -17,14 +17,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._linalg import cholesky_solve, diag_guard, guard, herm, hermitian_solve
+from ._linalg import (back_substitute, cholesky_factor, diag_guard, forward_substitute, guard,
+                      herm, hermitian_solve)
 from .covmodel import (CorrelationModel, InvalidProfile, NetworkScenario, complex_gaussian,
                        dft_matrix, stream)
 
 CHUNK = 64
 # memory a partial-Fourier chunk may take per pass of its trials (DrawEngine.span)
 PASS_BYTES = 2 ** 24
-# the largest per-user system (q x q, q <= K) solved by `cholesky_solve`;
+# the largest per-user system (q x q, q <= K) factored by `cholesky_factor`;
 # larger ones are solved by LU, which is as fast at q = 12 and faster above
 # (one BLAS thread, stacks of 960 and 3,840 systems)
 CHOLESKY_MAX_Q = 10
@@ -236,10 +237,16 @@ class DrawEngine:
     once per power, one stacked solve per cell, and solves a K x K system per
     trial (matrix inversion lemma);
     when q <= K it solves the q x q system of each trial directly: a shared
-    cell's one system per trial (K right-hand sides) by LU, and the
-    per-user systems of a pass by LU too when q > CHOLESKY_MAX_Q, else
-    through one `_linalg.cholesky_solve`, one LAPACK potrf per matrix, then
-    forward and back substitution vectorised over the stack.  Either way a
+    cell's one system per trial (K right-hand sides) by LU.  Otherwise user
+    k solves the leave-one-out system G_k = W W^H - w_k w_k^H + Z + I/p,
+    whose solution G_k^{-1} w_k is parallel to the MMSE vector; the uplink
+    coherent SINR of that vector is w_k^H G_k^{-1} w_k, read off the solve
+    without forming the vectors or their interference products
+    (`_beamformer`).
+    These per-user systems are solved by LU when q > CHOLESKY_MAX_Q, else
+    factored by `_linalg.cholesky_factor`, one LAPACK potrf per matrix, with
+    forward and back substitution vectorised over the stack; the back
+    substitution runs only when a bound reads the vectors.  Either way a
     trial's bits do not depend on how trials are chunked.  The
     users of `jittered` had their estimator system regularised; those of
     `beam_jittered` had a combiner or precoder system regularised (Z + I/p
@@ -783,11 +790,16 @@ class DrawEngine:
             G += Zl + (1.0 / power) * np.eye(self.q)
         return G
 
-    def _beamformer(self, w_hat, l, power):
-        """Unit-norm combining (power P_ul) or precoding (power P_dl per
-        user) vectors of cell l's users [T, K, q], and the estimates seen in
-        their bases that the MMSE design formed (_seen_estimates; None
-        under MF).
+    def _beamformer(self, w_hat, l, power, vectors=True, sinr=False):
+        """MMSE or MF processing of cell l's users: returns (v, Y, s).
+
+        v holds the unit-norm combining (power P_ul) or precoding (power
+        P_dl per user) vectors [T, K, q]; Y the estimates seen in the users'
+        bases (_seen_estimates) when the MMSE design formed them and keeps
+        them, else None; s [T, K] the uplink coherent SINR of every user when
+        sinr is True and the cell's users solve per-user systems (below)
+        without conditional contamination, else None.  v is None when
+        vectors is False and s is given.
 
         User k's MMSE vector is G^{-1} w_k with G = W W^H + A: the columns
         of W are the cell's K estimates seen in the user's basis, and
@@ -796,15 +808,26 @@ class DrawEngine:
         with every eigenvalue at least 1; A^{-1} comes from one guarded solve
         per basis (_static_inverse; a reciprocal in the angular
         representation), so a trial solves S only.  When q <= K each trial
-        solves G directly, after `guard` has jittered the systems that its
-        floor 1 / power does not certify: a shared cell's by LU, the
-        per-user systems by Cholesky (`cholesky_solve`, which also jitters a
-        system whose factorisation fails) when q <= CHOLESKY_MAX_Q, else by
-        LU.  Jittered systems are recorded in beam_jittered."""
+        solves a q x q system directly, after `guard` has jittered the
+        systems that its floor 1 / power does not certify.  A shared cell
+        solves G by LU (K right-hand sides).  Otherwise each user solves the
+        leave-one-out system G_k = G - w_k w_k^H, formed with the user's own
+        column of W zeroed; by Sherman-Morrison G_k^{-1} w_k is parallel to
+        G^{-1} w_k, so the unit vectors are the same up to round-off, and
+        the coherent SINR |v^H w_k|^2 / (v^H G_k v) of that vector is
+        w_k^H G_k^{-1} w_k.  With q <= CHOLESKY_MAX_Q the system is factored
+        G_k = L L^H (`cholesky_factor`, which also jitters a system whose
+        factorisation fails): s = ||L^{-1} w_k||^2 from the forward
+        substitution, and the back substitution and the normalisation run
+        only when vectors is True.  Above, G_k is solved by LU and
+        s = Re(w_k^H G_k^{-1} w_k).  s is the SINR of the system as solved,
+        so of the regularised one where the guard or the jitter acted.
+        Jittered systems are recorded in beam_jittered."""
         K, q = self.K, self.q
         wl = w_hat[:, l]
         T = wl.shape[0]
         Y = None if self.combiner == "mf" else self._seen_estimates(w_hat, l)
+        s = None
         if Y is None:
             v = wl
         elif q > K:
@@ -834,18 +857,33 @@ class DrawEngine:
                 self._flag_users(l, range(K))
             v = np.linalg.solve(G, wl.swapaxes(1, 2)).swapaxes(1, 2)
         else:
+            # Y is this cell's own copy (not a view of w_hat): zero each
+            # user's own column, then release it before the factorisation
+            kk = np.arange(K)
+            Y[kk, :, kk] = 0.0
             G = self._with_design(
                 np.matmul(Y.transpose(1, 2, 3, 0), Y.conj().transpose(1, 2, 0, 3)),
                 self.Z[l][None], power)
+            Y = None
+            sinr = sinr and not self.conditional
             if q <= CHOLESKY_MAX_Q:
-                v, flags = cholesky_solve(G, wl[..., None], 1.0 / power)
+                Lf, flags = cholesky_factor(G, 1.0 / power)
+                del G
+                x = forward_substitute(Lf, wl[..., None])[..., 0]
+                if sinr:
+                    s = np.einsum("tka,tka->tk", x.conj(), x).real
+                if vectors or not sinr:
+                    v = back_substitute(Lf, x[..., None])[..., 0]
             else:
                 G, flags = guard(G, 1.0 / power)
-                v = np.linalg.solve(G, wl[..., None])
+                v = np.linalg.solve(G, wl[..., None])[..., 0]
+                if sinr:
+                    s = np.einsum("tka,tka->tk", wl.conj(), v).real
             if flags.any():
                 self._flag_users(l, np.flatnonzero(flags.any(axis=0)))
-            v = v[..., 0]
-        return v / np.linalg.norm(v, axis=-1, keepdims=True), Y
+        if s is not None and not vectors:
+            return None, Y, s
+        return v / np.linalg.norm(v, axis=-1, keepdims=True), Y, s
 
     # -- per-chunk statistics -----------------------------------------------
 
@@ -871,48 +909,61 @@ class DrawEngine:
     def _ul_pass(self, base_seed, t0, t1, cells, want, out):
         K = self.K
         kk = np.arange(K)
+        nc_bounds = want & {"noncoherent", "alt", "maxmin"}
         w, noise = self._draw_chunk(base_seed, t0, t1)
         w_hat, _, x_own, s_obs = self._estimates(w, noise)
         del noise
         for l in cells:
-            vl, Y = self._beamformer(w_hat, l, self.P_ul)  # [T, K, q]
+            # [T, K, q]; sinr from the leave-one-out identity where it applies
+            vl, Y, sinr = self._beamformer(w_hat, l, self.P_ul, vectors=bool(nc_bounds),
+                                           sinr="coherent" in want)
             if "coherent" in want:
-                if Y is None:
-                    Y = self._seen_estimates(w_hat, l)
-                ip2_hat = np.abs(_inner(Y, vl)) ** 2  # [T, k, j]
-                num = ip2_hat[:, kk, kk].copy()
-                ip2_hat[:, kk, kk] = 0.0
-                Cstat = self.Z_cond[l] if self.conditional else self.Z[l]
-                if self.angular:
-                    den = (np.abs(vl) ** 2 * Cstat).sum(axis=-1)
-                else:
-                    Cv = np.matmul(vl.transpose(1, 0, 2), Cstat.swapaxes(-1, -2))  # [k, T, a]
-                    den = np.einsum("tka,kta->tk", vl.conj(), Cv).real
-                if self.conditional:
-                    # v^H R~ Xi s for each pilot-sharing cell
-                    if self.angular:
-                        cm = (vl.conj()[:, :, None] * self.contam_filt[l]
-                              * s_obs[:, l, :, None, :]).sum(axis=-1)
-                        den += (np.abs(cm) ** 2).sum(axis=2)
-                    else:
-                        cmean = np.matmul(self.contam_filt[l], s_obs[:, l, :, None, :, None])
-                        den += (np.abs(np.matmul(vl.conj()[:, :, None, None], cmean)) ** 2
-                                ).sum(axis=(2, 3, 4))
-                den += ip2_hat.sum(axis=2)
-                den += (np.linalg.norm(vl, axis=-1) ** 2) / self.P_ul
-                sinr = num / den
+                if sinr is None:
+                    sinr = self._coherent_sinr(w_hat, l, vl, Y, s_obs)
                 prev = out.setdefault("coherent", {}).get(l)
                 if prev is not None:
                     sinr = np.concatenate([prev["sinr"], sinr])
                 out["coherent"][l] = {"rate": np.log2(1.0 + sinr), "sinr": sinr}
             del Y
-            if want & {"noncoherent", "alt", "maxmin"}:
+            if nc_bounds:
                 sig = np.einsum("tka,tka->tk", vl.conj(), x_own[:, l])
                 # true channels of every link into BS l, own cell first
                 ips = [self._link_inner(l, c, w, vl) for c in [l] + self.xcells[l]]
                 ips[0][:, kk, kk] = 0.0
                 nc = out.setdefault("_nc", {})
                 nc[l] = _nc_stats(sig, np.concatenate(ips, axis=2), self.P_ul, nc.get(l))
+
+    def _coherent_sinr(self, w_hat, l, vl, Y, s_obs):
+        """The coherent SINR [T, K] of cell l's unit vectors vl from their
+        definition: |v^H w_k|^2 over the second moments of everything else,
+        v^H (sum_{j != k} w_j w_j^H + Z + I / P_ul) v, with Z's conditional
+        form and the conditional means' powers under conditional
+        contamination.  Y is the unmasked seen estimates, or None."""
+        kk = np.arange(self.K)
+        if Y is None:
+            Y = self._seen_estimates(w_hat, l)
+        ip2_hat = np.abs(_inner(Y, vl)) ** 2  # [T, k, j]
+        num = ip2_hat[:, kk, kk].copy()
+        ip2_hat[:, kk, kk] = 0.0
+        Cstat = self.Z_cond[l] if self.conditional else self.Z[l]
+        if self.angular:
+            den = (np.abs(vl) ** 2 * Cstat).sum(axis=-1)
+        else:
+            Cv = np.matmul(vl.transpose(1, 0, 2), Cstat.swapaxes(-1, -2))  # [k, T, a]
+            den = np.einsum("tka,kta->tk", vl.conj(), Cv).real
+        if self.conditional:
+            # v^H R~ Xi s for each pilot-sharing cell
+            if self.angular:
+                cm = (vl.conj()[:, :, None] * self.contam_filt[l]
+                      * s_obs[:, l, :, None, :]).sum(axis=-1)
+                den += (np.abs(cm) ** 2).sum(axis=2)
+            else:
+                cmean = np.matmul(self.contam_filt[l], s_obs[:, l, :, None, :, None])
+                den += (np.abs(np.matmul(vl.conj()[:, :, None, None], cmean)) ** 2
+                        ).sum(axis=(2, 3, 4))
+        den += ip2_hat.sum(axis=2)
+        den += (np.linalg.norm(vl, axis=-1) ** 2) / self.P_ul
+        return num / den
 
     def _dl_pass(self, base_seed, t0, t1, cells, want, out):
         L, K = self.L, self.K

@@ -182,6 +182,8 @@ def main(argv=None) -> int:
                                ("--T-c", args.T_c)):
                 if size < 1:
                     raise ConfigError(f"{flag} must be >= 1, got {size}")
+            if args.r is not None and not 1 <= args.r <= args.M:
+                raise ConfigError(f"--r must satisfy 1 <= r <= --M = {args.M}, got {args.r}")
             val = closed_form(*SCALING_KINDS[args.kind], args.M, args.K, args.L, args.T_c,
                               args.snr_db, args.iota, args.r)
             print(f"{val:.12g}")

@@ -198,14 +198,15 @@ class NetworkScenario:
     uplink and is allocated P_dl / K = snr / K in downlink, so `snr` is the
     per-cell sum-power SNR in both directions.
 
-    Two memos keep per-draw work.  draw_engine holds the draw's default
+    Three memos keep per-draw work.  draw_engine holds the draw's default
     `bounds.DrawEngine` (MMSE, unconditional contamination, own
     eigenbases), built by `bounds.default_engine` on first use: `run_bounds`
     with those arguments and the `detequiv.sinr_mmse_detequiv` and
     `detequiv.sinr_mf_detequiv` calls all read it.  The engine keeps no
     reference to the scenario, so the memo makes no reference cycle.
-    cell_mmse_sinr holds, per cell l, the vector of cell l's K MMSE SINR
-    deterministic equivalents that `sinr_mmse_detequiv` computes.  The
+    cell_mmse_sinr and cell_mf_sinr hold, per cell l, the vector of cell
+    l's K MMSE and MF SINR deterministic equivalents that
+    `sinr_mmse_detequiv` and `sinr_mf_detequiv` compute.  The
     profiles are fixed once drawn: a scenario whose profiles are edited in
     place must be rebuilt (`dataclasses.replace` gives empty memos).
     """
@@ -223,6 +224,7 @@ class NetworkScenario:
     scheme: PilotScheme
     profiles: dict = field(repr=False, default_factory=dict)
     cell_mmse_sinr: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    cell_mf_sinr: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     draw_engine: object = field(default=None, init=False, repr=False, compare=False)
 
     @property

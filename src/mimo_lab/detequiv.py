@@ -376,29 +376,44 @@ def sinr_mf_detequiv(scenario: NetworkScenario, user: tuple) -> float:
     limit.  Each R~ = P diag(lam) P^H is read from cell l's tables of the
     draw's shared engine (`bounds.default_engine`): own-cell links from
     P_own with the own eigenvalues, other-cell links from P_x and lam_x.
+    The scenario's first call for cell l reads the tables once and keeps
+    the cell's K SINRs in `scenario.cell_mf_sinr`, so the cell's other calls
+    do no work.
     """
     if scenario.scheme.kind != "nonorthogonal":
         raise DomainError("the MF SINR deterministic equivalent assumes non-orthogonal pilots")
     l, k = user
+    sinr = scenario.cell_mf_sinr.get(l)
+    if sinr is None:
+        sinr = scenario.cell_mf_sinr[l] = _cell_sinr_mf(scenario, l)
+    return float(sinr[k])
+
+
+def _cell_sinr_mf(scenario: NetworkScenario, l: int) -> np.ndarray:
+    """The MF SINR deterministic equivalents of cell l's K users, [K], each
+    evaluated on its own from one read of the cell's engine tables."""
     P_own, P_x, lam_x, phi, xi_lam, _ = default_engine(scenario).detequiv_tables(l)
     lam_own = np.stack([scenario.profile(l, l, j).lam for j in range(scenario.K)])
-    # every link into BS l but user k's own, seen in user k's eigenbasis
-    links = [(np.delete(P_own[k], k, axis=0), np.delete(lam_own, k, axis=0))]
-    if P_x is not None:
-        links.append((P_x[k].reshape((-1,) + P_x.shape[-2:]),
-                      lam_x.reshape(-1, lam_x.shape[-1])))
     M = scenario.M
-    tr_phi = float(np.real(np.trace(phi[k])))
-    contam = 0.0
-    for P, lam in links:
-        # tr(A P diag(lam) P^H) of every link, for A = Xi Lambda and Phi
-        P_lam = P.conj() * lam[:, None, :]
-        coherent = np.sum(P_lam * (xi_lam[k] @ P), axis=(-2, -1))
-        residual = np.sum(P_lam * (phi[k] @ P), axis=(-2, -1)).real
-        contam += (np.sum(np.abs(coherent) ** 2) + np.sum(residual)) / (M * M)
-    num = (tr_phi / M) ** 2
-    noise = tr_phi / (scenario.P_ul * M * M)
-    return float(num / (noise + contam))
+    sinr = np.empty(scenario.K)
+    for k in range(scenario.K):
+        # every link into BS l but user k's own, seen in user k's eigenbasis
+        links = [(np.delete(P_own[k], k, axis=0), np.delete(lam_own, k, axis=0))]
+        if P_x is not None:
+            links.append((P_x[k].reshape((-1,) + P_x.shape[-2:]),
+                          lam_x.reshape(-1, lam_x.shape[-1])))
+        tr_phi = float(np.real(np.trace(phi[k])))
+        contam = 0.0
+        for P, lam in links:
+            # tr(A P diag(lam) P^H) of every link, for A = Xi Lambda and Phi
+            P_lam = P.conj() * lam[:, None, :]
+            coherent = np.sum(P_lam * (xi_lam[k] @ P), axis=(-2, -1))
+            residual = np.sum(P_lam * (phi[k] @ P), axis=(-2, -1)).real
+            contam += (np.sum(np.abs(coherent) ** 2) + np.sum(residual)) / (M * M)
+        num = (tr_phi / M) ** 2
+        noise = tr_phi / (scenario.P_ul * M * M)
+        sinr[k] = num / (noise + contam)
+    return sinr
 
 
 # ---------------------------------------------------------------------------
@@ -413,6 +428,9 @@ CONCENTRATION_KINDS = (
     "HaarProduct",
     "FourierProduct",
 )
+# the product kinds compare two n x PRODUCT_RANK partial unitaries, so n >= it
+PRODUCT_KINDS = ("HaarProduct", "FourierProduct")
+PRODUCT_RANK = 8
 
 
 @dataclass
@@ -466,8 +484,8 @@ def _deviation_samples(kind: str, n: int, trials: int, rng) -> np.ndarray:
         x = complex_gaussian(rng, trials, n) / np.sqrt(n)
         y = complex_gaussian(rng, trials, n) / np.sqrt(n)
         return np.abs(np.einsum("ti,ti->t", x.conj(), y))
-    if kind in ("HaarProduct", "FourierProduct"):
-        r = 8
+    if kind in PRODUCT_KINDS:
+        r = PRODUCT_RANK
         devs = np.empty(trials)
         target = (r / n) * np.eye(r)
         for t in range(trials):
@@ -486,8 +504,12 @@ def concentration_check(
 ) -> ConcentrationReport:
     """Empirical deviation statistics of one concentration lemma across an
     increasing sequence of dimensions plus the fitted log-log decay slope.
-    The spread needs two trials and the slope two dims."""
+    The spread needs two trials and the slope two dims; every dim is at
+    least 1, and at least PRODUCT_RANK for the product kinds."""
     dims = sorted(int(d) for d in dims)
+    smallest = PRODUCT_RANK if kind in PRODUCT_KINDS else 1
+    if dims and dims[0] < smallest:
+        raise ValueError(f"{kind} dims must be >= {smallest}, got {dims}")
     if any(d2 <= d1 for d1, d2 in zip(dims, dims[1:])):
         raise ValueError("dims must be strictly increasing")
     if len(dims) < 2:

@@ -1,11 +1,14 @@
 import numpy as np
 import pytest
 
-from mimo_lab.bounds import DrawEngine, run_bounds
+from mimo_lab import bounds
+from mimo_lab.bounds import CHOLESKY_MAX_Q, DrawEngine, run_bounds
 from mimo_lab.covmodel import CorrelationModel, stream
 from mimo_lab.harness import restrict_support
 
 from conftest import full_bases, make_scenario, restricted_bases, single_link_scenario
+
+FOURIER, HAAR = CorrelationModel.PARTIAL_FOURIER, CorrelationModel.PARTIAL_UNITARY
 
 
 def cell_vectors(sc, seed, power, bases=None):
@@ -33,9 +36,9 @@ class TestMatchedFilter:
     def test_basis_vector(self):
         eng = DrawEngine(single_link_scenario(np.ones(4)), combiner="mf")
         w_hat = np.eye(4, dtype=complex)[None, None, :1]  # [T, L, K, q]
-        v, Y = eng._beamformer(w_hat, 0, 1.0)
+        v, Y, sinr = eng._beamformer(w_hat, 0, 1.0, sinr=True)
         assert np.allclose(v[0, 0], np.eye(4)[0])
-        assert Y is None
+        assert Y is None and sinr is None
 
 
 class TestMmseCombiner:
@@ -64,19 +67,80 @@ class TestMmseCombiner:
         assert abs(np.vdot(v[0, 0], w[0, 1])) < 1e-9
 
     def test_sinr_scale_invariance(self, monkeypatch):
-        # replacing v by c v leaves the evaluated coherent SINR unchanged
+        # replacing v by c v leaves the evaluated coherent SINR unchanged.
+        # MF: the MMSE coherent SINR of per-user systems reads no vectors
         sc = make_scenario(seed=33, L=2, K=4, M=32, r_own=5)
-        sinr = DrawEngine(sc).ul_chunk(33, 0, 8, [0, 1], {"coherent"})["coherent"]
-        unit = DrawEngine._beamformer
+        sinr = DrawEngine(sc, combiner="mf").ul_chunk(33, 0, 8, [0, 1], {"coherent"})
+        unit, calls = DrawEngine._beamformer, []
 
-        def scaled(self, w_hat, l, power):
-            v, Y = unit(self, w_hat, l, power)
-            return 3.7j * v, Y
+        def scaled(self, *args, **kwargs):
+            calls.append(None)
+            v, Y, s = unit(self, *args, **kwargs)
+            return 3.7j * v, Y, s
 
         monkeypatch.setattr(DrawEngine, "_beamformer", scaled)
-        again = DrawEngine(sc).ul_chunk(33, 0, 8, [0, 1], {"coherent"})["coherent"]
+        again = DrawEngine(sc, combiner="mf").ul_chunk(33, 0, 8, [0, 1], {"coherent"})
+        assert len(calls) == 2
         for l in (0, 1):
-            np.testing.assert_allclose(again[l]["sinr"], sinr[l]["sinr"], rtol=1e-9)
+            np.testing.assert_allclose(again["coherent"][l]["sinr"],
+                                       sinr["coherent"][l]["sinr"], rtol=1e-9)
+
+
+class TestLeaveOneOut:
+    """Per-user MMSE systems leave the user's own estimate out: the coherent
+    SINR |v^H w_k|^2 / (v^H G_k v) of the MMSE vector is w_k^H G_k^{-1} w_k,
+    which the engine reads off the solve without forming the vectors."""
+
+    @pytest.mark.parametrize("model", [HAAR, FOURIER], ids=["haar", "fourier"])
+    @pytest.mark.parametrize("pilot", ["orthogonal", "nonorthogonal"])
+    @pytest.mark.parametrize("q", [4, CHOLESKY_MAX_Q + 2], ids=["cholesky", "lu"])
+    def test_identity_matches_the_explicit_formula(self, model, pilot, q):
+        sc = make_scenario(seed=41, L=2, K=CHOLESKY_MAX_Q + 4, M=48, r_own=q, snr_db=15.0,
+                           model=model, pilot=pilot)
+        eng = DrawEngine(sc)
+        assert q <= sc.K and not any(eng.shared)
+        w_hat, _, _, s_obs = eng._estimates(*eng._draw_chunk(7, 0, 5))
+        for l in range(sc.L):
+            v, Y, sinr = eng._beamformer(w_hat, l, sc.P_ul, sinr=True)
+            assert Y is None and sinr.shape == (5, sc.K)
+            explicit = eng._coherent_sinr(w_hat, l, v, None, s_obs)
+            np.testing.assert_allclose(sinr, explicit, rtol=1e-12, atol=0)
+            # the vectors do not depend on whether the SINR was asked for
+            alone, _, no_sinr = eng._beamformer(w_hat, l, sc.P_ul)
+            assert no_sinr is None
+            np.testing.assert_array_equal(alone, v)
+            # nor does the SINR on whether the vectors were
+            none, _, again = eng._beamformer(w_hat, l, sc.P_ul, vectors=False, sinr=True)
+            assert none is None
+            np.testing.assert_array_equal(again, sinr)
+
+    def test_coherent_only_pass_forms_no_vectors(self, monkeypatch):
+        # a coherent-only MMSE pass on per-user Cholesky systems never runs
+        # the back substitution; a pass that reads the vectors does
+        sc = make_scenario(seed=42, L=2, K=6, M=40, r_own=4, model=HAAR)
+        eng = DrawEngine(sc)
+        assert eng.q <= min(sc.K, CHOLESKY_MAX_Q) and not any(eng.shared)
+
+        def no_back_substitution(*args):
+            raise AssertionError("back substitution in a coherent-only pass")
+
+        monkeypatch.setattr(bounds, "back_substitute", no_back_substitution)
+        out = eng.ul_chunk(3, 0, 6, [0, 1], {"coherent"})
+        assert all(np.isfinite(out["coherent"][l]["sinr"]).all() for l in (0, 1))
+        with pytest.raises(AssertionError, match="back substitution"):
+            eng.ul_chunk(3, 0, 6, [0, 1], {"coherent", "alt"})
+
+    def test_forced_jitter_is_recorded_and_finite(self):
+        # a noiseless pilot in one cell leaves Z ~ 1e-16; at power 1e16 the
+        # leave-one-out system is the other user's rank-one y y^H plus
+        # ~1e-16 I, below the guard's threshold: it is jittered, the user
+        # recorded, and the SINR (of the regularised system) finite
+        sc = make_scenario(seed=43, L=1, K=2, M=16, r_own=2, snr_db=163.0,
+                           pilot_boost=1e16, model=HAAR)
+        eng = DrawEngine(sc)
+        coherent = eng.ul_chunk(4, 0, 8, [0], {"coherent"})["coherent"][0]
+        assert (0, 0) in eng.beam_jittered
+        assert np.isfinite(coherent["sinr"]).all() and (coherent["sinr"] > 0).all()
 
 
 class TestMmsePrecoder:

@@ -618,6 +618,25 @@ class TestSinrDetequiv:
 
     @pytest.mark.parametrize("model", [CorrelationModel.PARTIAL_UNITARY,
                                        CorrelationModel.PARTIAL_FOURIER])
+    def test_mf_reads_each_cells_tables_once(self, monkeypatch, model):
+        # one table read per cell for all of its users, kept in the memo
+        sc = make_scenario(seed=13, L=3, K=4, M=48, r_own=6, snr_db=10.0,
+                           pilot="nonorthogonal", model=model)
+        tables, cells = DrawEngine.detequiv_tables, []
+
+        def counted(self, l):
+            cells.append(l)
+            return tables(self, l)
+
+        monkeypatch.setattr(DrawEngine, "detequiv_tables", counted)
+        got = [sinr_mf_detequiv(sc, u) for u in sc.users()]
+        assert cells == list(range(sc.L))
+        assert sorted(sc.cell_mf_sinr) == cells
+        assert [sinr_mf_detequiv(sc, u) for u in sc.users()] == got
+        assert len(cells) == sc.L
+
+    @pytest.mark.parametrize("model", [CorrelationModel.PARTIAL_UNITARY,
+                                       CorrelationModel.PARTIAL_FOURIER])
     def test_run_bounds_and_detequiv_share_one_engine(self, monkeypatch, model):
         sc = make_scenario(seed=12, L=2, K=4, M=40, snr_db=10.0, r_own=4, model=model)
         engines = count_engines(monkeypatch)

@@ -199,13 +199,19 @@ def conditional(sc, oracle):
 def replay_ul(sc, oracle, combiner, cells, seed, conditional_contamination=False,
               dense=False):
     """Replay DrawEngine.ul_chunk trial by trial and check it on `cells`:
-    the coherent rate, then sig, ub, ip and the reduced alt rate.  dense
-    runs the engine on the draw's dense twin."""
+    the coherent rate, alone (the pass that forms no vectors where it can)
+    and with the bounds that read the vectors, then sig, ub, ip and the
+    reduced alt rate.  dense runs the engine on the draw's dense twin."""
     trials = 3
     esc = dense_twin(sc) if dense else sc
-    out = DrawEngine(esc, combiner=combiner,
-                     conditional_contamination=conditional_contamination).ul_chunk(
-        seed, 0, trials, cells, {"coherent", "alt", "maxmin"})
+
+    def chunk(want):
+        return DrawEngine(esc, combiner=combiner,
+                          conditional_contamination=conditional_contamination).ul_chunk(
+            seed, 0, trials, cells, want)
+
+    out = chunk({"coherent", "alt", "maxmin"})
+    alone = chunk({"coherent"})
     Zc, mean = conditional(sc, oracle) if conditional_contamination else (oracle.Z, None)
 
     coherent = np.zeros((sc.L, trials, sc.K))
@@ -233,8 +239,9 @@ def replay_ul(sc, oracle, combiner, cells, seed, conditional_contamination=False
                     1.0 / sc.P_ul + (np.abs(ip[l, t, k]) ** 2).sum()))
 
     for l in cells:
-        np.testing.assert_allclose(out["coherent"][l]["rate"], coherent[l], rtol=0,
-                                   atol=TOL, err_msg=f"coherent rate at cell {l}")
+        for got in (out, alone):
+            np.testing.assert_allclose(got["coherent"][l]["rate"], coherent[l], rtol=0,
+                                       atol=TOL, err_msg=f"coherent rate at cell {l}")
     alt = run_bounds(esc, "ul", ("alt",), trials, seed, combiner, cells,
                      conditional_contamination)["alt"]
     assert_replayed(sc, out["_nc"], alt, cells, sig, ub, ip, sc.P_ul)
@@ -267,6 +274,17 @@ def test_conditional_contamination_matches_loop_per_trial(model, combiner, dense
     sc = make_scenario(**dict(ORTH, model=model, eigen_shape="exp_decay", eigen_rate=0.5))
     replay_ul(sc, op_level(sc), combiner, list(range(sc.L)), 505,
               conditional_contamination=True, dense=dense)
+
+
+@pytest.mark.parametrize("model", [FOURIER, HAAR], ids=["fourier", "haar"])
+def test_conditional_contamination_on_per_user_systems(model):
+    # q <= K: the combiners solve leave-one-out systems, and the conditional
+    # coherent denominator still reads every estimate, the user's own too
+    sc = make_scenario(**dict(ORTH, K=6, model=model, eigen_shape="exp_decay",
+                              eigen_rate=0.5))
+    assert DrawEngine(sc).q <= sc.K
+    replay_ul(sc, op_level(sc), "mmse", list(range(sc.L)), 505,
+              conditional_contamination=True)
 
 
 @pytest.mark.parametrize("point, model, combiner, cells", [

@@ -190,30 +190,32 @@ def test_rank_k_static_systems_are_recorded(which, power):
     assert eng.beam_jittered == tuple(want)
 
 
-def disjoint_pair():
-    """q = K = 2, disjoint Fourier supports and a noiseless pilot: user k's
-    combiner system is the rank-one w_k w_k^H plus Z_k + I/p, both ~1e-12 at
-    p = 1e11, so whether a trial's system is near-singular depends on its
-    ||w_k||^2.  User 1's channel is 1e-6 weaker, and its system never is."""
+def overlapping_pair():
+    """q = K = 2, Fourier supports {0, 1} and {1, 2}, a noiseless pilot:
+    user k's leave-one-out combiner system is the rank-one y_j y_j^H of the
+    other user's estimate seen in its basis (its share of DFT column 1)
+    plus Z_k + I/p ~ 1e-12 at p = 1e12, so whether a trial's system is
+    near-singular depends on ||y_j||^2.  User 1's channel is 1e-6 weaker,
+    so user 0's system never is."""
     sc = make_scenario(seed=2, L=1, K=2, M=16, r_own=2, pilot_boost=1e16)
     for k in range(2):
-        sc.profiles[(0, 0, k)].idx = np.arange(2 * k, 2 * k + 2)
+        sc.profiles[(0, 0, k)].idx = np.arange(k, k + 2)
     sc.profiles[(0, 0, 1)].lam = sc.profiles[(0, 0, 1)].lam * 1e-6
     return sc
 
 
 def test_direct_systems_are_recorded_per_trial():
-    sc = dense_twin(disjoint_pair())
-    power, T = 1e11, 40
+    sc = dense_twin(overlapping_pair())
+    power, T = 1e12, 40
     eng = DrawEngine(sc)
     w_hat = eng._estimates(*eng._draw_chunk(5, 0, T))[0][:, 0]
     flagged = np.zeros((T, sc.K), dtype=bool)
     for t in range(T):
         for k in range(sc.K):
-            Y = [eng.P_est[0, j, k] @ w_hat[t, j] for j in range(sc.K)]
+            Y = [eng.P_est[0, j, k] @ w_hat[t, j] for j in range(sc.K) if j != k]
             G = sum(np.outer(y, y.conj()) for y in Y) + eng.Z[0, k] + np.eye(eng.q) / power
             flagged[t, k] = np.linalg.eigvalsh(G)[0] < 1e-12 * np.trace(G).real / eng.q
-    assert 0 < flagged[:, 0].sum() < T and not flagged[:, 1].any()
+    assert 0 < flagged[:, 1].sum() < T and not flagged[:, 0].any()
 
     def recorded(spans):
         eng = DrawEngine(sc)
@@ -222,8 +224,8 @@ def test_direct_systems_are_recorded_per_trial():
             eng._beamformer(w, 0, power)
         return eng.beam_jittered
 
-    assert recorded([(0, T)]) == recorded([(0, 13), (13, T)]) == ((0, 0),)
-    t = int(np.flatnonzero(~flagged[:, 0])[0])
+    assert recorded([(0, T)]) == recorded([(0, 13), (13, T)]) == ((0, 1),)
+    t = int(np.flatnonzero(~flagged[:, 1])[0])
     assert recorded([(t, t + 1)]) == ()
 
 
@@ -233,7 +235,7 @@ def test_threads_share_the_record_and_the_inverses(which, monkeypatch):
     # flags reach the record, and the rank-K path inverts Z + I/p in one
     # stacked solve per cell although no chunk warmed it up
     if which == "direct":
-        sc, bases, power = disjoint_pair(), None, 1e11
+        sc, bases, power = overlapping_pair(), None, 1e12
     else:
         sc, power = make_scenario(**POINT), 1e16
         bases = RANK_K_BASES["distinct I_M"](sc)

@@ -93,13 +93,17 @@ class TestLoadConfig:
 
     @pytest.mark.parametrize("flag, value", [
         ("--M", "0"), ("--M", "-10"), ("--K", "0"), ("--L", "0"), ("--T-c", "0"),
+        ("--r", "0"), ("--r", "-3"), ("--r", "500"),
     ])
     def test_scaling_rejects_sizes_below_one(self, capsys, flag, value):
-        # no size below 1 reaches the closed forms: exit 2, naming the flag
-        sizes = {"--M": "10", "--K": "2", "--L": "2", "--T-c": "50"} | {flag: value}
-        argv = ["scaling", "strong"] + [x for kv in sizes.items() for x in kv]
+        # no size below 1, and no rank above M, reaches the closed forms:
+        # exit 2, naming the flag
+        sizes = {"--M": "10", "--K": "2", "--L": "2", "--T-c": "50", "--r": "4"} | {flag: value}
+        argv = ["scaling", "verystrong"] + [x for kv in sizes.items() for x in kv]
         assert cli_main(argv) == 2
-        assert f"{flag} must be >= 1" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert (f"{flag} must satisfy 1 <= r <= --M = 10" if flag == "--r"
+                else f"{flag} must be >= 1") in err
 
     def test_spec_rejects_non_integer_sweep_values(self):
         with pytest.raises(ConfigError, match="M must be an integer"):
@@ -364,12 +368,17 @@ class TestCli:
         assert "slope" in capsys.readouterr().out
 
     @pytest.mark.parametrize("argv, message", [
-        (["--trials", "0"], "trials must be >= 2"),
-        (["--trials", "1"], "trials must be >= 2"),
-        (["64"], "two dims"),
-    ], ids=["no trials", "one trial", "one dim"])
+        (["TraceLemma", "--trials", "0"], "trials must be >= 2"),
+        (["TraceLemma", "--trials", "1"], "trials must be >= 2"),
+        (["TraceLemma", "64"], "two dims"),
+        (["TraceLemma", "0,64"], "TraceLemma dims must be >= 1, got [0, 64]"),
+        (["UnboundedNorm", "--", "-4,64"], "UnboundedNorm dims must be >= 1, got [-4, 64]"),
+        (["HaarProduct", "4,64"], "HaarProduct dims must be >= 8, got [4, 64]"),
+        (["FourierProduct", "7,64"], "FourierProduct dims must be >= 8, got [7, 64]"),
+    ], ids=["no trials", "one trial", "one dim", "zero dim", "negative dim",
+            "below the Haar product's rank", "below the Fourier product's rank"])
     def test_lemma_check_rejects_what_fits_no_slope(self, capsys, argv, message):
-        assert cli_main(["lemma-check", "TraceLemma"] + argv) == 2
+        assert cli_main(["lemma-check"] + argv) == 2
         captured = capsys.readouterr()
         assert message in captured.err and "slope" not in captured.out
 

@@ -6,7 +6,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mimo_lab._linalg import cholesky_solve, diag_guard, guard, herm, hermitian_solve
+from mimo_lab._linalg import (back_substitute, cholesky_factor, cholesky_solve, diag_guard,
+                             forward_substitute, guard, herm, hermitian_solve)
 
 
 def test_well_conditioned_matches_direct_solve():
@@ -195,6 +196,21 @@ def test_cholesky_solve_matches_lu_solve(m):
     assert flags.shape == (5, 3) and not flags.any()
     assert X.shape == B.shape and X.dtype == want.dtype
     assert np.abs(X - want).max() <= 1e-12 * np.abs(want).max()
+
+
+def test_substitution_halves_compose_the_solve():
+    # L Y = B from the forward half alone; the back half on it gives the
+    # solve's bits; ||L^{-1} b||^2 = b^H A^{-1} b, the engine's coherent SINR
+    A = hpd_stack((4, 3), 10, seed=8)
+    B = rhs((4, 3, 10, 2), complex)
+    L, flags = cholesky_factor(A)
+    assert not flags.any()
+    Y = forward_substitute(L, B)
+    assert Y.shape == B.shape
+    assert np.abs(L @ Y - B).max() <= 1e-12 * np.abs(B).max()
+    np.testing.assert_array_equal(back_substitute(L, Y), cholesky_solve(A, B)[0])
+    quad = np.einsum("...am,...am->...m", B.conj(), np.linalg.solve(A, B)).real
+    np.testing.assert_allclose((np.abs(Y) ** 2).sum(axis=-2), quad, rtol=1e-12)
 
 
 def test_cholesky_solve_member_bits_do_not_depend_on_the_stack():
