@@ -151,8 +151,8 @@ def forward_substitute(L: np.ndarray, B: np.ndarray) -> np.ndarray:
 
 def back_substitute(L: np.ndarray, Y: np.ndarray) -> np.ndarray:
     """X = L^{-H} Y for every lower factor of a stack L [..., n, n] and
-    Y [..., n, m]: the back half of `cholesky_solve`, member by member as in
-    `forward_substitute`."""
+    Y [..., n, m]: the solve that follows `forward_substitute`, member by
+    member as there."""
     S, n, m = L.shape[:-2], L.shape[-1], Y.shape[-1]
     L = L.reshape((-1, n, n))
     inv = 1.0 / np.diagonal(L, axis1=-2, axis2=-1).real
@@ -163,15 +163,3 @@ def back_substitute(L: np.ndarray, Y: np.ndarray) -> np.ndarray:
         X[..., :j] -= L[:, None, j, :j] * X[..., j, None]
     X[..., 0] *= inv[:, None, 0]
     return X.conj().swapaxes(-1, -2).reshape(S + (n, m))
-
-
-def cholesky_solve(A: np.ndarray, B: np.ndarray, floor: float = 0.0):
-    """Solve A X = B for every matrix of a stack A [..., n, n] of Hermitian
-    positive-definite matrices, B [..., n, m]: `cholesky_factor`, then
-    `forward_substitute` and `back_substitute`, so a member's bits do not
-    depend on the stack.  Returns X and the flags [...] of the jittered
-    matrices.  Raises np.linalg.LinAlgError if a matrix is indefinite beyond
-    the jitter.
-    """
-    L, flags = cholesky_factor(A, floor)
-    return back_substitute(L, forward_substitute(L, B)), flags

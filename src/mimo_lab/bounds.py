@@ -4,6 +4,8 @@ All Monte Carlo rates are conditional on one covariance draw: expectations
 run over fading blocks (and pilot noise) with the eigenbases held fixed.
 Trials are vectorized in chunks; every trial owns a counter-based RNG stream
 keyed by its index, so results are independent of chunking and thread count.
+A trial draws only what it uses: one standard-normal draw fills its row of
+fading at the true link ranks and pilot noise (`DrawEngine._draw_chunk`).
 Rates are reported in bits/s/Hz (log base 2 throughout).
 """
 
@@ -29,6 +31,8 @@ PASS_BYTES = 2 ** 24
 # larger ones are solved by LU, which is as fast at q = 12 and faster above
 # (one BLAS thread, stacks of 960 and 3,840 systems)
 CHOLESKY_MAX_Q = 10
+# the seen estimates a per-user Gram slice forms at once (`_loo_grams`)
+GRAM_BYTES = 2 ** 18
 
 UL_BOUNDS = ("coherent", "noncoherent", "alt", "maxmin")
 DL_BOUNDS = ("noncoherent", "alt", "maxmin")
@@ -196,9 +200,19 @@ class DrawEngine:
     estimated and served in a basis B_lk of q orthonormal columns: its own
     eigenbasis U_llk by default (q = r_own), or bases[(l, k)], an M x q
     matrix shared in shape by all users (a column subset of U_llk for
-    d-restricted spreading, I_M for full-dimensional processing).  Per-link
-    padding to the largest rank keeps the fading table rectangular: channels
-    of rank r_cross < r_own are zero-extended, which changes no inner product.
+    d-restricted spreading, I_M for full-dimensional processing).
+
+    Trial t's fading and pilot noise come from one standard-normal draw of
+    its own stream, `stream(base_seed, 1, t)`, into its row of a complex
+    table [T, n_w + n_z] whose floats are read as (re, im) pairs: the
+    fading blocks (l, c) of the links from cell c's users into BS l, in C
+    order, each K x r_own (c = l) or K x rx (c != l, rx the largest
+    cross-link rank), then the pilot noise, [L, K, q] under orthogonal
+    pilots or one M-dimensional snapshot per BS [L, M] under the shared
+    pilot.  One real multiply scales the table, by sqrt(lam / 2) on the
+    fading and 1 / sqrt(2) on the noise; the columns of a link of lower
+    rank than its block get amplitude zero.  Consumers read views of the
+    blocks (`_block`).
 
     The scenario's model label picks one of two representations (`angular`).
 
@@ -292,12 +306,22 @@ class DrawEngine:
             raise ValueError(f"every serving basis must be M x q = {sc.M} x {q}")
         self.xcells = {l: [lp for lp in range(L) if lp != l] for l in range(L)}
 
-        # eigenvalue and sqrt-eigenvalue tables of all links, padded:
-        # [L_rx, L_tx, K, rmax]
+        # eigenvalues of all links, padded: [L_rx, L_tx, K, rmax]
         lam = np.zeros((L, L, K, self.rmax))
         for (l, lp, k), prof in sc.profiles.items():
             lam[l, lp, k, : prof.r] = prof.lam
-        self.lam, self.sqrt_lam = lam, np.sqrt(lam)
+        self.lam = lam
+        # a trial's row (class docstring): the start of every fading block
+        # (l, c), at l * L + c, and of the noise at L * L; the multiplier of
+        # each of the row's floats
+        width = np.where(np.eye(L, dtype=bool), r, self.rx)
+        self.w_off = tuple(np.concatenate([[0], np.cumsum(K * width.ravel())]).tolist())
+        n_z = L * sc.M if self.nonorth else L * K * self.q
+        amp = np.full(self.w_off[-1] + n_z, 1.0 / np.sqrt(2.0))
+        for i, (l, c) in enumerate(np.ndindex(L, L)):
+            block = np.sqrt(lam[l, c, :, : width[l, c]] / 2)
+            amp[self.w_off[i]: self.w_off[i + 1]] = block.ravel()
+        self._amp = np.repeat(amp, 2)
 
         self.angular = sc.model is CorrelationModel.PARTIAL_FOURIER and self._index_sets(sc)
         if self.eigen and not self.angular:
@@ -348,7 +372,7 @@ class DrawEngine:
         self.span = CHUNK
         if self.angular:
             self._angular_plans()
-            per_trial = 16 * (L * L * K * self.rmax + 2 * self.obs_take.size + 4 * L * K * q
+            per_trial = 16 * (self._amp.size // 2 + 2 * self.obs_take.size + 4 * L * K * q
                               + (1 if all(self.shared) else K) * 2 * K * q + 2 * L * K * K)
             self.span = max(PASS_BYTES // per_trial, 1)
         # (Z + I / power)^{-1} per power, and the users whose combiner or
@@ -547,11 +571,11 @@ class DrawEngine:
         into the zero-padded estimates (a = q: not among them), for cells
         that do not share.  obs_take, obs_first and obs_slot: the fading
         entries sorted by angular slot, the CSR segments of the slots, and
-        each user's serving slots among them (one past the last: none).
-        pairs [2, P] (n * q + a, p * rmax + b) and segs [2, S] (start,
-        n * K + p) of each (BS l, source cell c) block, at ptr[:, l * L + c]:
-        serving basis n's coordinate a and source p's eigencolumn b share a
-        DFT index."""
+        each user's serving slots among them (one past the last: none), as
+        positions in a trial's row.  pairs [2, P] (n * q + a, p * width + b)
+        and segs [2, S] (start, n * K + p) of each (BS l, source cell c)
+        block, width its columns, at ptr[:, l * L + c]: serving basis n's
+        coordinate a and source p's eigencolumn b share a DFT index."""
         L, K, M, q, r, rmax = self.L, self.K, self.M, self.q, self.r, self.rmax
         ll, kk = np.arange(L)[:, None, None], np.arange(K)[:, None]
 
@@ -574,8 +598,13 @@ class DrawEngine:
         group = ll[..., None] if self.nonorth else ll[..., None] * K + kk
         slot = np.where(self.supp >= 0, group * M + self.supp, -1).ravel()
         take = np.flatnonzero(slot >= 0)
-        self.obs_take = take[np.argsort(slot[take], kind="stable")]
-        self.obs_first, slots = _segments(slot[self.obs_take])
+        take = take[np.argsort(slot[take], kind="stable")]
+        # entry (l, c, p, b) of supp sits at w_off[l * L + c] + p * width + b
+        width = np.diff(self.w_off).reshape(L, L) // K
+        start = np.array(self.w_off[:-1]).reshape(L, L, 1, 1)
+        pos = start + kk * width[..., None, None] + np.arange(rmax)
+        self.obs_take = pos.ravel()[take]
+        self.obs_first, slots = _segments(slot[take])
         want = ((ll if self.nonorth else ll * K + kk[None]) * M + self.serve).ravel()
         at = np.minimum(np.searchsorted(slots, want), max(slots.size - 1, 0))
         hit = slots.size > 0 and (slots[at] == want)
@@ -588,7 +617,7 @@ class DrawEngine:
                 A = inv[l, :nb][:, self.supp[l, c]]  # [n, p, b]
                 n, p, b = np.nonzero(A < q)
                 first, ids = _segments(n * K + p)
-                pairs.append(np.stack([n * q + A[n, p, b], p * rmax + b]))
+                pairs.append(np.stack([n * q + A[n, p, b], p * width[l, c] + b]))
                 segs.append(np.stack([first, ids]))
                 ptr[0].append(ptr[0][-1] + n.size)
                 ptr[1].append(ptr[1][-1] + first.size)
@@ -634,49 +663,56 @@ class DrawEngine:
     # -- trial synthesis ----------------------------------------------------
 
     def _draw_chunk(self, base_seed: int, t0: int, t1: int):
-        """Fading + pilot noise for trials [t0, t1), one RNG stream each."""
-        L, K, M, rmax, q = self.L, self.K, self.M, self.rmax, self.q
+        """The table of trials [t0, t1) (class docstring), one standard-normal
+        draw of each trial's stream into its row, and their pilot noise
+        [T, L, K, q] in the serving bases."""
+        L, K, M, q = self.L, self.K, self.M, self.q
         T = t1 - t0
-        w = np.empty((T, L, L, K, rmax), dtype=complex)
-        noise = np.empty((T, L, K, q), dtype=complex)
-        z = np.empty((T, L, M), dtype=complex) if self.nonorth else None
+        w = np.empty((T, self._amp.size // 2), dtype=complex)
+        x = w.view(float)
         for i, t in enumerate(range(t0, t1)):
-            rng = stream(base_seed, 1, t)
-            w[i] = complex_gaussian(rng, L, L, K, rmax)
-            if self.nonorth:
-                z[i] = complex_gaussian(rng, L, M)
-            else:
-                # fresh pilot symbol per user: despread noise is plain CN(0, I_q)
-                noise[i] = complex_gaussian(rng, L, K, q)
+            stream(base_seed, 1, t).standard_normal(out=x[i])
+        x *= self._amp
+        z = w[:, self.w_off[-1]:]
         if self.nonorth and self.angular:
             # one snapshot per BS in DFT coordinates, read by each user
-            zf = np.fft.fft(z, axis=-1, norm="ortho")
-            noise = zf[:, np.arange(L)[:, None, None], self.serve]
-        elif self.nonorth:
+            zf = np.fft.fft(z.reshape(T, L, M), axis=-1, norm="ortho")
+            return w, zf[:, np.arange(L)[:, None, None], self.serve]
+        if self.nonorth:
             # one snapshot per BS, despread by each of its users
+            z = z.reshape(T, L, M)
+            noise = np.empty((T, L, K, q), dtype=complex)
             for (l, k), B in self.bases.items():
                 noise[:, l, k] = z[:, l] @ B.conj()
-        elif self.angular:
+            return w, noise
+        # fresh pilot symbol per user: despread noise is plain CN(0, I_q)
+        noise = z.reshape(T, L, K, q)
+        if self.angular:
             # noise drawn in an M x M basis B, seen in DFT coordinates: F^H B n
             for B, (ls, ks) in self._rotations:
-                x = noise[:, ls, ks] if B is None else noise[:, ls, ks] @ B.T
-                noise[:, ls, ks] = np.fft.fft(x, axis=-1, norm="ortho")
-        w *= self.sqrt_lam[None]
+                n = noise[:, ls, ks] if B is None else noise[:, ls, ks] @ B.T
+                noise[:, ls, ks] = np.fft.fft(n, axis=-1, norm="ortho")
         return w, noise
+
+    def _block(self, w, l, c):
+        """The fading of the links from cell c's users into BS l in the table
+        w: a view [T, K, width], width r_own if c = l, else rx."""
+        a, b = self.w_off[l * self.L + c: l * self.L + c + 2]
+        return w[:, a:b].reshape(len(w), self.K, (b - a) // self.K)
 
     def _estimates(self, w, noise):
         """Despread pilot observations and per-user MMSE estimates.
 
-        Returns (w_hat, w_own, x_own, s).  The estimates w_hat, the
-        observations s and the own channels x_own are in the serving bases
-        [T, L, K, q]; w_own holds the own channels in their eigen
-        coordinates [T, L, K, r]."""
-        L, K, r, rx = self.L, self.K, self.r, self.rx
+        Returns (w_hat, w_own, x_own, s) from the table w and the noise.
+        The estimates w_hat, the observations s and the own channels x_own
+        are in the serving bases [T, L, K, q]; w_own holds the own channels
+        in their eigen coordinates [T, L, K, r]."""
+        L, K, r = self.L, self.K, self.r
         kk = np.arange(K)
         T = w.shape[0]
         w_own = np.empty((T, L, K, r), dtype=complex)
         for l in range(L):
-            w_own[:, l] = w[:, l, l, :, :r]
+            w_own[:, l] = self._block(w, l, l)
         if self.eigen:
             x_own = w_own
         elif self.angular:
@@ -686,7 +722,7 @@ class DrawEngine:
             x_own = np.matmul(w_own.transpose(1, 2, 0, 3), own).transpose(2, 0, 1, 3)
         if self.angular:
             # every pilot-sharing link scattered to its slots, read per user
-            obs = _segment_sums(np.take(w.reshape(T, -1), self.obs_take, axis=1),
+            obs = _segment_sums(np.take(w, self.obs_take, axis=1),
                                 self.obs_first, slice(None, -1), self.obs_first.size + 1)
             s = np.take(obs, self.obs_slot, axis=1)
             s += noise / np.sqrt(self.rho_p)
@@ -699,12 +735,12 @@ class DrawEngine:
                 Y[kk, :, kk] = 0.0
                 s[:, l] += Y.sum(axis=0)
                 for i, lp in enumerate(self.xcells[l]):
-                    s[:, l] += _seen(self.P_x[l, i], w[:, l, lp, :, :rx]).sum(axis=0)
+                    s[:, l] += _seen(self.P_x[l, i], self._block(w, l, lp)).sum(axis=0)
             else:
                 for i, lp in enumerate(self.xcells[l]):
                     # same pilot index only
                     D = self.P_x[l, i, kk, kk].swapaxes(-1, -2)  # [k, b, a]
-                    s[:, l] += np.matmul(w[:, l, lp, :, :rx].transpose(1, 0, 2), D
+                    s[:, l] += np.matmul(self._block(w, l, lp).transpose(1, 0, 2), D
                                          ).transpose(1, 0, 2)
         w_hat = np.matmul(s.transpose(1, 2, 0, 3), self.filt.swapaxes(-1, -2))
         return w_hat.transpose(2, 0, 1, 3), w_own, x_own, s
@@ -725,18 +761,18 @@ class DrawEngine:
     def _link_inner(self, l, c, w, u):
         """u^H (B^H U w) for the channels from cell c's users into BS l, seen
         by its users' vectors u [T, K, q]: [T, K, K] (vector, source user),
-        from the fading table w [T, L, L, K, rmax]."""
+        from the table w."""
         K = self.K
+        x = self._block(w, l, c)
         if not self.angular:
             P = self.P_own[l] if c == l else self.P_x[l, c - (c > l)]
-            x = w[:, l, c, :, : P.shape[-1]]
             return _inner(_seen(P[:, :1] if self.shared[l] else P, x), u)
         blk = l * self.L + c
         (p0, p1), (s0, s1) = self.ptr[:, blk: blk + 2]
         ua, src = self.pairs[:, p0:p1]
         first, ids = self.segs[:, s0:s1]
         T = u.shape[0]
-        x = np.take(w[:, l, c].reshape(T, -1), src, axis=1)
+        x = np.take(x.reshape(T, -1), src, axis=1)
         if self.shared[l]:  # one set of pairs for every user's vector
             x = np.take(u.conj(), ua, axis=2) * x[:, None]
             return _segment_sums(x, first, ids, K)
@@ -812,9 +848,9 @@ class DrawEngine:
         systems that its floor 1 / power does not certify.  A shared cell
         solves G by LU (K right-hand sides).  Otherwise each user solves the
         leave-one-out system G_k = G - w_k w_k^H, formed with the user's own
-        column of W zeroed; by Sherman-Morrison G_k^{-1} w_k is parallel to
-        G^{-1} w_k, so the unit vectors are the same up to round-off, and
-        the coherent SINR |v^H w_k|^2 / (v^H G_k v) of that vector is
+        column of W zeroed, a slice of trials at a time (`_loo_grams`); by
+        Sherman-Morrison G_k^{-1} w_k is parallel to G^{-1} w_k, so the unit
+        vectors are the same up to round-off, and the coherent SINR |v^H w_k|^2 / (v^H G_k v) of that vector is
         w_k^H G_k^{-1} w_k.  With q <= CHOLESKY_MAX_Q the system is factored
         G_k = L L^H (`cholesky_factor`, which also jitters a system whose
         factorisation fails): s = ||L^{-1} w_k||^2 from the forward
@@ -826,9 +862,10 @@ class DrawEngine:
         K, q = self.K, self.q
         wl = w_hat[:, l]
         T = wl.shape[0]
-        Y = None if self.combiner == "mf" else self._seen_estimates(w_hat, l)
+        per_user = q <= K and not self.shared[l]
+        Y = None if self.combiner == "mf" or per_user else self._seen_estimates(w_hat, l)
         s = None
-        if Y is None:
+        if self.combiner == "mf":
             v = wl
         elif q > K:
             Yt = Y.transpose(1, 2, 0, 3)  # [T, n, j, q]: the rows w_j^T
@@ -857,14 +894,7 @@ class DrawEngine:
                 self._flag_users(l, range(K))
             v = np.linalg.solve(G, wl.swapaxes(1, 2)).swapaxes(1, 2)
         else:
-            # Y is this cell's own copy (not a view of w_hat): zero each
-            # user's own column, then release it before the factorisation
-            kk = np.arange(K)
-            Y[kk, :, kk] = 0.0
-            G = self._with_design(
-                np.matmul(Y.transpose(1, 2, 3, 0), Y.conj().transpose(1, 2, 0, 3)),
-                self.Z[l][None], power)
-            Y = None
+            G = self._with_design(self._loo_grams(w_hat, l), self.Z[l][None], power)
             sinr = sinr and not self.conditional
             if q <= CHOLESKY_MAX_Q:
                 Lf, flags = cholesky_factor(G, 1.0 / power)
@@ -884,6 +914,23 @@ class DrawEngine:
         if s is not None and not vectors:
             return None, Y, s
         return v / np.linalg.norm(v, axis=-1, keepdims=True), Y, s
+
+    def _loo_grams(self, w_hat, l):
+        """sum_{j != k} y_j y_j^H [T, K, q, q] for every user k of cell l, y_j
+        the estimates seen in user k's basis, in slices of trials whose seen
+        estimates take about GRAM_BYTES.  A whole pass's seen estimates and
+        their conjugates, live beside the Grams, would add 2 T K^2 q entries
+        to the pass's peak memory."""
+        K, q, T = self.K, self.q, w_hat.shape[0]
+        kk = np.arange(K)
+        G = np.empty((T, K, q, q), dtype=complex)
+        step = max(GRAM_BYTES // (16 * K * K * q), 1)
+        for a in range(0, T, step):
+            Y = self._seen_estimates(w_hat[a:a + step], l)  # fresh: zeroed in place
+            Y[kk, :, kk] = 0.0
+            np.matmul(Y.transpose(1, 2, 3, 0), Y.conj().transpose(1, 2, 0, 3),
+                      out=G[a:a + step])
+        return G
 
     # -- per-chunk statistics -----------------------------------------------
 

@@ -505,7 +505,14 @@ def concentration_check(
     """Empirical deviation statistics of one concentration lemma across an
     increasing sequence of dimensions plus the fitted log-log decay slope.
     The spread needs two trials and the slope two dims; every dim is at
-    least 1, and at least PRODUCT_RANK for the product kinds."""
+    least 1, and at least PRODUCT_RANK for the product kinds.
+
+    The product kinds measure max |W W^H - (r/n) I| with W = U^H V for two
+    n x r bases.  Under FourierProduct U and V are column subsets of the
+    one n-point DFT matrix, so W W^H is a 0/1 diagonal and the deviation
+    is 1 - r/n when the two subsets share an index, else r/n: the
+    statistic tracks the chance that two supports meet, not
+    concentration."""
     dims = sorted(int(d) for d in dims)
     smallest = PRODUCT_RANK if kind in PRODUCT_KINDS else 1
     if dims and dims[0] < smallest:

@@ -1,14 +1,16 @@
-"""The reference deterministic equivalents the tests compare against.
+"""The reference deterministic equivalents and solves the tests compare against.
 
 `detequiv` reads every table of its SINR limits from the draw's shared
 `bounds.DrawEngine`.  Here the same limits are built from the reference
 estimators and design matrices instead (`training.EstimatorBank`,
 `training.cell_projections`, `training.projected_cov`,
 `beamform.assemble_Z`), one link at a time where the old code did so.
+`cholesky_solve` composes the Cholesky halves of `_linalg` into a full solve.
 """
 
 import numpy as np
 
+from mimo_lab._linalg import back_substitute, cholesky_factor, forward_substitute
 from mimo_lab.beamform import assemble_Z
 from mimo_lab.detequiv import DetEquivProblem, DomainError, _cell_sinr_mmse, _mmse_problem
 from mimo_lab.training import EstimatorBank, cell_projections, projected_cov
@@ -69,3 +71,15 @@ def sinr_mf_detequiv(scenario, user, bank: EstimatorBank | None = None) -> float
             contam += abs(np.trace(xi_lam @ rt)) ** 2 / (M * M)
             contam += np.real(np.trace(est.phi @ rt)) / (M * M)
     return float(num / (noise + contam))
+
+
+def cholesky_solve(A: np.ndarray, B: np.ndarray, floor: float = 0.0):
+    """Solve A X = B for every matrix of a stack A [..., n, n] of Hermitian
+    positive-definite matrices, B [..., n, m]: `cholesky_factor`, then
+    `forward_substitute` and `back_substitute`, so a member's bits do not
+    depend on the stack.  Returns X and the flags [...] of the jittered
+    matrices.  Raises np.linalg.LinAlgError if a matrix is indefinite beyond
+    the jitter.
+    """
+    L, flags = cholesky_factor(A, floor)
+    return back_substitute(L, forward_substitute(L, B)), flags

@@ -55,7 +55,7 @@ PATHS.update({
                       dict(L=1, K=5, M=4, r_own=2, T_c=50)),
     "decaying-eigenvalues": ("dl", "orthogonal", "mmse", "d=3", {},
                              dict(eigen_shape="exp_decay", eigen_rate=0.5)),
-    # the own links are the padded ones
+    # the cross-link blocks wider than the own ones
     "wide-cross-links": ("ul", "nonorthogonal", "mmse", "own", {}, dict(r_cross=6)),
 })
 

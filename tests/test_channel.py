@@ -5,6 +5,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy import stats
 
 from mimo_lab.bounds import DrawEngine
 from mimo_lab.covmodel import (
@@ -28,8 +29,9 @@ def own_bases(sc):
 class TestRealizeBlock:
     def test_scalar_channel_second_moment(self):
         sc = single_link_scenario([4.0])
-        w, _ = DrawEngine(sc)._draw_chunk(31, 0, 10_000)
-        vals = np.abs(w[:, 0, 0, 0, 0]) ** 2
+        eng = DrawEngine(sc)
+        w, _ = eng._draw_chunk(31, 0, 10_000)
+        vals = np.abs(eng._block(w, 0, 0)[:, 0, 0]) ** 2
         assert abs(vals.mean() - 4.0) / 4.0 < 0.05
 
     def test_parseval_per_link(self):
@@ -40,17 +42,44 @@ class TestRealizeBlock:
         w, noise = eng._draw_chunk(37, 0, 1)
         _, _, x_own, _ = eng._estimates(w, noise)
         for l, k in sc.users():
-            assert abs(np.linalg.norm(x_own[0, l, k]) - np.linalg.norm(w[0, l, l, k])) < 1e-10
+            own = eng._block(w, l, l)[0, k]
+            assert abs(np.linalg.norm(x_own[0, l, k]) - np.linalg.norm(own)) < 1e-10
             for i, lp in enumerate(eng.xcells[l]):
-                h = eng.P_x[l, i, k, 0] @ w[0, l, lp, k, : eng.rx]
-                assert abs(np.linalg.norm(h) - np.linalg.norm(w[0, l, lp, k])) < 1e-10
+                x = eng._block(w, l, lp)[0, k]
+                h = eng.P_x[l, i, k, 0] @ x
+                assert abs(np.linalg.norm(h) - np.linalg.norm(x)) < 1e-10
 
     def test_fig3_energy(self):
         # tr Lambda = M = 200 under the strong regime
         sc = make_scenario(L=1, K=1, M=200, r_own=10)
-        w, _ = DrawEngine(sc)._draw_chunk(41, 0, 1000)
-        vals = np.linalg.norm(w[:, 0, 0, 0], axis=-1) ** 2
+        eng = DrawEngine(sc)
+        w, _ = eng._draw_chunk(41, 0, 1000)
+        vals = np.linalg.norm(eng._block(w, 0, 0)[:, 0], axis=-1) ** 2
         assert abs(np.mean(vals) - 200.0) / 200.0 < 0.05
+
+
+class TestTrialStreams:
+    def test_trials_are_independent(self):
+        # 4,000 single-trial chunks of one link with unit eigenvalues: each
+        # of the row's 64 floats is N(0, 1/2).  Each one's mean over the
+        # trials lies within 5 standard errors of 0, and its lag-1
+        # correlation across trials within 5 / sqrt(T).  Jointly, the 64
+        # squared z-scores of the means sum to a chi-squared variate with
+        # 64 degrees of freedom: trials keyed by a shift of one PCG64
+        # stream (advance(t << 64)) inflate it to 150-290 at base seeds 1 to
+        # 15, while each of their z-scores may stay below 5
+        sc = single_link_scenario(np.ones(16))
+        eng = DrawEngine(sc)
+        T = 4000
+        x = np.concatenate([eng._draw_chunk(3, t, t + 1)[0] for t in range(T)]).view(float)
+        assert x.shape == (T, 64)
+        mean = x.mean(axis=0)
+        z = mean / (x.std(axis=0, ddof=1) / np.sqrt(T))
+        assert (np.abs(z) <= 5.0).all()
+        assert (z ** 2).sum() <= stats.chi2.ppf(1.0 - 1e-6, z.size)
+        d = x - mean
+        lag1 = (d[1:] * d[:-1]).sum(axis=0) / (d * d).sum(axis=0)
+        assert (np.abs(lag1) <= 5.0 / np.sqrt(T)).all()
 
 
 class TestDespreadSpread:
@@ -81,9 +110,11 @@ class TestDespreadSpread:
         sc = make_scenario(L=1, K=1, M=32, r_own=5, pilot="nonorthogonal")
         eng = DrawEngine(sc)
         _, noise = eng._draw_chunk(7, 0, 1)
-        rng = stream(7, 1, 0)  # trial 0's stream: the fading table, then z
-        complex_gaussian(rng, 1, 1, 1, eng.rmax)
-        z = complex_gaussian(rng, 1, sc.M)[0]
+        # trial 0's row: one draw of (re, im) pairs, the K x r fading block
+        # of the one link, then z, scaled by 1 / sqrt(2)
+        n_w = sc.K * sc.r_own
+        row = stream(7, 1, 0).standard_normal(2 * (n_w + sc.M)).view(complex)
+        z = row[n_w:] * (1.0 / np.sqrt(2.0))
         idx = sc.profile(0, 0, 0).idx
         expect = np.fft.fft(z)[idx] / np.sqrt(sc.M)
         assert np.max(np.abs(noise[0, 0, 0] - expect)) < 1e-10

@@ -24,7 +24,7 @@ import pytest
 from mimo_lab._linalg import herm, hermitian_solve
 from mimo_lab.beamform import assemble_Z
 from mimo_lab.bounds import DrawEngine, prelog_factor, run_bounds
-from mimo_lab.covmodel import CorrelationModel, complex_gaussian, stream
+from mimo_lab.covmodel import CorrelationModel, stream
 from mimo_lab.training import EstimatorBank, contaminators, projected_cov, projection
 
 from conftest import dense_twin, full_bases, make_scenario, restricted_bases
@@ -93,22 +93,35 @@ def replay_trial(sc, oracle, seed, t, cells):
     """Fading, and the estimates and the despread pilot observations of the
     users of `cells`, for trial t.
 
-    Draws from the engine's per-trial stream in the engine's order: the
-    padded fading table, then the pilot noise (a fresh CN(0, I_q) per user
-    under orthogonal pilots, one M-dimensional snapshot per BS despread by
-    every served user under the shared non-orthogonal pilot).
+    Draws as the engine documents it: from trial t's stream, one
+    standard-normal draw of the whole row read as (re, im) pairs.  The row
+    holds the fading blocks (l, lp) in C order, K x r_own own-cell and
+    K x r_cross cross-cell, then the pilot noise (a fresh CN(0, I_q) per
+    user under orthogonal pilots, one M-dimensional snapshot per BS
+    despread by every served user under the shared non-orthogonal pilot).
+    The fading is scaled by sqrt(lam / 2), the noise by 1 / sqrt(2).
     """
     L, K, rmax = sc.L, sc.K, max(sc.r_own, sc.r_cross)
     q = oracle.basis[(0, 0)].shape[1]
-    sqrt_lam = np.zeros((L, L, K, rmax))
-    for (l, lp, k), prof in sc.profiles.items():
-        sqrt_lam[l, lp, k, : prof.r] = np.sqrt(prof.lam)
-    rng = stream(seed, 1, t)
-    w = complex_gaussian(rng, L, L, K, rmax) * sqrt_lam
-    if sc.scheme.kind == "orthogonal":
-        noise = complex_gaussian(rng, L, K, q)
+    orthogonal = sc.scheme.kind == "orthogonal"
+    widths = [[sc.r_own if lp == l else sc.r_cross for lp in range(L)] for l in range(L)]
+    n_w = K * sum(map(sum, widths))
+    n_z = L * K * q if orthogonal else L * sc.M
+    row = stream(seed, 1, t).standard_normal(2 * (n_w + n_z)).view(complex)
+    w = np.zeros((L, L, K, rmax), dtype=complex)
+    start = 0
+    for l in range(L):
+        for lp in range(L):
+            block = row[start: start + K * widths[l][lp]].reshape(K, -1)
+            start += block.size
+            for k in range(K):
+                prof = sc.profiles[(l, lp, k)]
+                w[l, lp, k, : prof.r] = block[k, : prof.r] * np.sqrt(prof.lam / 2)
+    z = row[n_w:] * (1.0 / np.sqrt(2.0))
+    if orthogonal:
+        noise = z.reshape(L, K, q)
     else:
-        z = complex_gaussian(rng, L, sc.M)
+        z = z.reshape(L, sc.M)
         noise = np.array([[oracle.basis[(l, k)].conj().T @ z[l] for k in range(K)]
                           for l in range(L)])
     w_hat, obs = {}, {}
@@ -299,7 +312,7 @@ def test_conditional_contamination_on_per_user_systems(model):
 def test_nonorthogonal_ul_matches_loop_per_trial(point, model, combiner, cells, dense=False):
     # the shared-pilot estimate path: every other link of the network leaks
     # into each despread observation, and one noise snapshot per BS is
-    # despread by all of its users; r_cross < r_own exercises the padding
+    # despread by all of its users; r_cross < r_own narrows the cross blocks
     sc = make_scenario(pilot="nonorthogonal", model=model, **point)
     assert sc.r_cross < sc.r_own
     replay_ul(sc, op_level(sc), combiner, cells, 506, dense=dense)

@@ -5,6 +5,10 @@ that the tests compare the engine against.  Production code reads its
 tables from `bounds.DrawEngine` alone; the two modules stay in the package
 only because the benchmark's tracer patches their names, and `detequiv`
 keeps a `projected_cov` binding, never called, for the same reason.
+
+Every random number comes from a stream that `covmodel` keys
+(`covmodel.stream`), so that a trial's or a draw's bits depend on its key
+alone: no other package module constructs a generator.
 """
 
 import ast
@@ -61,3 +65,39 @@ def test_detequiv_binds_only_projected_cov_and_never_calls_it():
     assert [b for b in bindings(text) if b[0] in REFERENCE] == [("training", "projected_cov")]
     assert not any(isinstance(node, ast.Name) and node.id == "projected_cov"
                    for node in ast.walk(ast.parse(text)))
+
+
+# numpy.random's generator, its bit generators and the legacy RandomState
+RNG_CONSTRUCTORS = {"Generator", "default_rng", "RandomState", "BitGenerator", "MT19937",
+                    "PCG64", "PCG64DXSM", "Philox", "SFC64"}
+
+
+def rng_constructions(text):
+    """The RNG constructors a module's source calls, by attribute, by name
+    or under an alias it imports them as."""
+    alias = {a.asname: a.name for node in ast.walk(ast.parse(text))
+             if isinstance(node, ast.ImportFrom) for a in node.names if a.asname}
+    out = []
+    for node in ast.walk(ast.parse(text)):
+        if isinstance(node, ast.Call):
+            f = node.func
+            name = (f.attr if isinstance(f, ast.Attribute)
+                    else alias.get(f.id, f.id) if isinstance(f, ast.Name) else None)
+            if name in RNG_CONSTRUCTORS:
+                out.append(name)
+    return out
+
+
+def test_rng_constructions_sees_every_call_form():
+    text = ("import numpy as np\nfrom numpy.random import PCG64 as P, default_rng\n"
+            "a = np.random.default_rng(1)\nb = np.random.Generator(P(2))\n"
+            "c = default_rng()\nd = np.random.SeedSequence(3)\n"
+            "def f(g: np.random.Generator):\n    return g\n")
+    assert sorted(rng_constructions(text)) == ["Generator", "PCG64", "default_rng",
+                                               "default_rng"]
+
+
+@pytest.mark.parametrize("module", sorted(p.stem for p in PACKAGE.glob("*.py")))
+def test_only_covmodel_constructs_generators(module):
+    found = rng_constructions(source(module))
+    assert bool(found) if module == "covmodel" else found == []
