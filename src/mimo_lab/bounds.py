@@ -31,7 +31,7 @@ PASS_BYTES = 2 ** 24
 # larger ones are solved by LU, which is as fast at q = 12 and faster above
 # (one BLAS thread, stacks of 960 and 3,840 systems)
 CHOLESKY_MAX_Q = 10
-# the seen estimates a per-user Gram slice forms at once (`_loo_grams`)
+# the seen estimates a dense per-user Gram slice forms at once (`_loo_grams`)
 GRAM_BYTES = 2 ** 18
 
 UL_BOUNDS = ("coherent", "noncoherent", "alt", "maxmin")
@@ -132,27 +132,23 @@ def _report(bound_id, direction, cells, per_user, stderr, trials, prelog, per_ce
 # Per-draw Monte Carlo engine
 # ---------------------------------------------------------------------------
 
-def _nc_stats(sig, ip, power, prev=None):
-    """Per-chunk statistics of the non-coherent bounds from the signal
-    sig [T, K] and the interference inner products ip [T, K, links].  prev
-    holds the statistics of the chunk's earlier trials, which these extend:
-    their sums over trials lead, so the sums still run in trial order."""
+def _nc_stats(sig, ip, power, acc):
+    """Fold one pass's statistics of the non-coherent bounds, from the
+    signal sig [T, K] and the interference inner products ip [T, K, links],
+    into acc, the cell's statistics over the chunk's earlier trials.  The
+    per-trial sig, ip2_sum and ub are appended to lists (`_chunk` joins
+    them); the sums over trials ip_mean and ip2 [K, links] add one trial's
+    row at a time, in trial order, as numpy's axis-0 sum of the stacked
+    trials does, so their bits do not depend on the passes."""
     ip2 = np.abs(ip) ** 2
     ip2_sum = np.einsum("tki->tk", ip2)
-    out = {
-        "sig": sig,
-        "ip2_sum": ip2_sum,
-        "ip_mean": ip,
-        "ip2": ip2,
-        "ub": np.log2(1.0 + np.abs(sig) ** 2 / (1.0 / power + ip2_sum)),
-    }
-    if prev is not None:
-        for key, x in out.items():
-            lead = prev[key][None] if key in ("ip_mean", "ip2") else prev[key]
-            out[key] = np.concatenate([lead, x])
-    out["ip_mean"] = out["ip_mean"].sum(axis=0)
-    out["ip2"] = out["ip2"].sum(axis=0)
-    return out
+    ub = np.log2(1.0 + np.abs(sig) ** 2 / (1.0 / power + ip2_sum))
+    for key, x in (("sig", sig), ("ip2_sum", ip2_sum), ("ub", ub)):
+        acc.setdefault(key, []).append(x)
+    for key, x in (("ip_mean", ip), ("ip2", ip2)):
+        total = acc.setdefault(key, np.zeros(x.shape[1:], dtype=x.dtype))
+        for row in x:
+            total += row
 
 
 def _seen(P, w):
@@ -173,7 +169,10 @@ def _inner(Y, u):
 def _segments(keys):
     """Starts of the runs of equal entries in the sorted keys, and the key of
     each run: the CSR layout that np.add.reduceat sums."""
-    first = np.flatnonzero(np.diff(keys, prepend=-1))
+    new = np.empty(keys.shape, dtype=bool)
+    new[:1] = True
+    np.not_equal(keys[1:], keys[:-1], out=new[1:])
+    first = np.flatnonzero(new)
     return first, keys[first]
 
 
@@ -234,13 +233,17 @@ class DrawEngine:
     is the dense one up to round-off.  Every projection B^H U is then a 0/1
     selection: filt, err_cov, nproj_sum, s_inter and Z are diagonals
     [L, K, q], and Z + I/p is inverted by a reciprocal.  The pilot
-    observation is one scatter-add of the fading into angular slots (BS,
-    and pilot index under orthogonal pilots) and one gather per user; the
-    link inner products are gather-sums over the matched index pairs of each
-    (BS, source cell) block, precomputed per draw (`pairs`, `segs`).  A
-    chunk is evaluated in passes of at most `span` trials, sized from the
-    scenario's shape to about PASS_BYTES; the dense representation takes a
-    chunk in one pass.
+    observation sums, in each served slot (a BS, its pilot index under
+    orthogonal pilots, and a DFT index that one of its users reads), the
+    fading entries stored there, and gathers every user's slots; fading
+    that no user reads is never touched.  The link inner products are
+    gather-sums over the matched index pairs of each (BS, source cell)
+    block (`pairs`, `segs`), and the per-user leave-one-out Grams over the
+    estimate products whose DFT indices match a user's serving pair
+    (`gram_pairs`, `gram_segs`); these plans are built once per draw.  A chunk is
+    evaluated in passes of at most `span` trials, sized from the scenario's
+    shape to about PASS_BYTES; the dense representation takes a chunk in
+    one pass.
 
     Every system the engine solves has a known eigenvalue floor, which it
     hands to the guard of `_linalg` so that no eigenvalue pass runs where
@@ -368,11 +371,15 @@ class DrawEngine:
         if self.conditional:
             self.Z_cond = self.err_cov + self.nproj_sum + contam_res
         # trials per pass of a chunk: the angular representation bounds the
-        # memory of a pass by PASS_BYTES (one pass in the dense one)
+        # memory of a pass by PASS_BYTES (one pass in the dense one).  The
+        # estimate counts what a pass held when it gathered every stored
+        # fading entry and formed every seen estimate; a pass now holds
+        # less, but a larger span raised the peak RSS with no gain in time
         self.span = CHUNK
         if self.angular:
             self._angular_plans()
-            per_trial = 16 * (self._amp.size // 2 + 2 * self.obs_take.size + 4 * L * K * q
+            stored = np.count_nonzero(self.supp >= 0)
+            per_trial = 16 * (self._amp.size // 2 + 2 * stored + 4 * L * K * q
                               + (1 if all(self.shared) else K) * 2 * K * q + 2 * L * K * K)
             self.span = max(PASS_BYTES // per_trial, 1)
         # (Z + I / power)^{-1} per power, and the users whose combiner or
@@ -569,13 +576,16 @@ class DrawEngine:
         own eigencolumns (r: none).  est_pos [L, k, j, q]: where user k's
         serving indices sit among user j's, as flat indices j * (q + 1) + a
         into the zero-padded estimates (a = q: not among them), for cells
-        that do not share.  obs_take, obs_first and obs_slot: the fading
-        entries sorted by angular slot, the CSR segments of the slots, and
-        each user's serving slots among them (one past the last: none), as
-        positions in a trial's row.  pairs [2, P] (n * q + a, p * width + b)
-        and segs [2, S] (start, n * K + p) of each (BS l, source cell c)
-        block, width its columns, at ptr[:, l * L + c]: serving basis n's
-        coordinate a and source p's eigencolumn b share a DFT index."""
+        that do not share.  served_take, served_first and served_slot: the
+        positions in a trial's row of the fading entries in served slots
+        (those some user reads), sorted by slot; the CSR segments of the
+        slots; and each user's serving slots among them [L, K, q] (one past
+        the last: a slot no entry reaches, which reads zero).  pairs [2, P]
+        (n * q + a, p * width + b) and segs [2, S] (start, n * K + p) of each
+        (BS l, source cell c) block, width its columns, at
+        ptr[:, l * L + c]: serving basis n's coordinate a and source p's
+        eigencolumn b share a DFT index.  gram_pairs, gram_segs and
+        gram_ptr: `_gram_plans`."""
         L, K, M, q, r, rmax = self.L, self.K, self.M, self.q, self.r, self.rmax
         ll, kk = np.arange(L)[:, None, None], np.arange(K)[:, None]
 
@@ -594,36 +604,82 @@ class DrawEngine:
                         kk * (q + 1) + inv[ll[..., None], kk, self.serve[:, :, None]])
 
         # pilot slots: (BS, DFT index) for the shared pilot, (BS, pilot
-        # index, DFT index) for orthogonal ones
+        # index, DFT index) for orthogonal ones; the served ones are read
         group = ll[..., None] if self.nonorth else ll[..., None] * K + kk
         slot = np.where(self.supp >= 0, group * M + self.supp, -1).ravel()
-        take = np.flatnonzero(slot >= 0)
+        want = ((ll if self.nonorth else ll * K + kk[None]) * M + self.serve).ravel()
+        served = np.zeros(L * K * M + 1, dtype=bool)  # the last reads slot -1
+        served[want] = True
+        take = np.flatnonzero(served[slot])
         take = take[np.argsort(slot[take], kind="stable")]
         # entry (l, c, p, b) of supp sits at w_off[l * L + c] + p * width + b
         width = np.diff(self.w_off).reshape(L, L) // K
         start = np.array(self.w_off[:-1]).reshape(L, L, 1, 1)
         pos = start + kk * width[..., None, None] + np.arange(rmax)
-        self.obs_take = pos.ravel()[take]
-        self.obs_first, slots = _segments(slot[take])
-        want = ((ll if self.nonorth else ll * K + kk[None]) * M + self.serve).ravel()
+        self.served_take = pos.ravel()[take]
+        self.served_first, slots = _segments(slot[take])
         at = np.minimum(np.searchsorted(slots, want), max(slots.size - 1, 0))
         hit = slots.size > 0 and (slots[at] == want)
-        self.obs_slot = np.where(hit, at, slots.size).reshape(L, K, q)
+        self.served_slot = np.where(hit, at, slots.size).reshape(L, K, q)
+        self.gram_pairs, self.gram_segs, self.gram_ptr = self._gram_plans()
 
-        pairs, segs, ptr = [], [], [[0], [0]]
+        parts, ptr = [], [[0], [0]]
         for l in range(L):
             nb = 1 if self.shared[l] else K
             for c in range(L):
-                A = inv[l, :nb][:, self.supp[l, c]]  # [n, p, b]
-                n, p, b = np.nonzero(A < q)
-                first, ids = _segments(n * K + p)
-                pairs.append(np.stack([n * q + A[n, p, b], p * width[l, c] + b]))
-                segs.append(np.stack([first, ids]))
-                ptr[0].append(ptr[0][-1] + n.size)
+                A = inv[l, :nb][:, self.supp[l, c]].ravel()  # [n, p, b]
+                f = np.flatnonzero(A < q)
+                nk, b = np.divmod(f, rmax)  # n * K + p, b
+                first, ids = _segments(nk)
+                n, p = np.divmod(nk, K)
+                parts.append((n * q + A[f], p * width[l, c] + b, first, ids))
+                ptr[0].append(ptr[0][-1] + f.size)
                 ptr[1].append(ptr[1][-1] + first.size)
-        self.pairs = np.concatenate(pairs, axis=1)
-        self.segs = np.concatenate(segs, axis=1)
+        ua, src, first, ids = (np.concatenate(x) for x in zip(*parts))
+        self.pairs, self.segs = np.stack([ua, src]), np.stack([first, ids])
         self.ptr = np.array(ptr)
+
+    def _gram_plans(self):
+        """The plan of the per-user leave-one-out Grams of the cells whose
+        users solve per-user MMSE systems (q <= K, the cell not shared), or
+        three Nones when no cell does.
+
+        Entry (a, b) of user k's Gram sums w_j[a'] conj(w_j[b']) over the
+        users j != k of the cell that hold both of its serving indices, at
+        a' and b'.  Returns pairs [2, P] (j * q + a', j * q + b'), the flat
+        estimate indices of every such product, sorted by target entry
+        (k * q + a) * q + b with j ascending within one; segs [2, S]
+        (start, target), the CSR segments of the targets; and ptr [2, L + 1],
+        where each cell's products and segments begin, its starts counted
+        from its first product.  All cells are planned in one sort, read off
+        est_pos (a shared cell plans nothing)."""
+        L, K, q = self.L, self.K, self.q
+        if self.combiner != "mmse" or q > K or all(self.shared):
+            return None, None, None
+        kk = np.arange(K)
+        held = self.est_pos != (kk * (q + 1) + q)[:, None]  # [l, k, j, a]
+        held[:, kk, kk] = False  # the user's own estimate
+        held[self.shared] = False
+        f = np.flatnonzero(held)  # sorted by (l, k, j, a)
+        j = f // q % K
+        src = self.est_pos.ravel()[f] - j  # j * q + a'
+        row, a = f // (K * q) * (q * q), f % q  # (l K + k) q^2 and a
+        # every match of an (l, k, j) multiplies every match of it; the
+        # products come with j ascending within each target
+        group, _ = _segments(f // q)
+        size = np.diff(np.append(group, f.size))
+        reps = np.repeat(size, size)
+        i = np.repeat(np.arange(f.size), reps)
+        i_b = (np.repeat(group, size)[i] + np.arange(i.size)
+               - np.repeat(np.cumsum(reps) - reps, reps))
+        target = row[i] + a[i] * q + a[i_b]
+        order = np.argsort(target, kind="stable")
+        src_a, src_b, target = src[i][order], src[i_b][order], target[order]
+        first, ids = _segments(target)
+        cell, ids = np.divmod(ids, K * q * q)
+        ptr = np.stack([np.searchsorted(target, np.arange(L + 1) * (K * q * q)),
+                        np.searchsorted(cell, np.arange(L + 1))])
+        return np.stack([src_a, src_b]), np.stack([first - ptr[0, cell], ids]), ptr
 
     @property
     def P_est(self):
@@ -721,10 +777,11 @@ class DrawEngine:
             own = self.P_own[:, kk, kk].swapaxes(-1, -2)  # [l, k, b, a]
             x_own = np.matmul(w_own.transpose(1, 2, 0, 3), own).transpose(2, 0, 1, 3)
         if self.angular:
-            # every pilot-sharing link scattered to its slots, read per user
-            obs = _segment_sums(np.take(w, self.obs_take, axis=1),
-                                self.obs_first, slice(None, -1), self.obs_first.size + 1)
-            s = np.take(obs, self.obs_slot, axis=1)
+            # the pilot-sharing links summed in the served slots, read per user
+            first = self.served_first
+            obs = _segment_sums(np.take(w, self.served_take, axis=1), first, slice(None, -1),
+                                first.size + 1)
+            s = np.take(obs, self.served_slot, axis=1)
             s += noise / np.sqrt(self.rho_p)
             return self.filt * s, w_own, x_own, s
         s = x_own + noise / np.sqrt(self.rho_p)
@@ -847,11 +904,11 @@ class DrawEngine:
         solves a q x q system directly, after `guard` has jittered the
         systems that its floor 1 / power does not certify.  A shared cell
         solves G by LU (K right-hand sides).  Otherwise each user solves the
-        leave-one-out system G_k = G - w_k w_k^H, formed with the user's own
-        column of W zeroed, a slice of trials at a time (`_loo_grams`); by
-        Sherman-Morrison G_k^{-1} w_k is parallel to G^{-1} w_k, so the unit
-        vectors are the same up to round-off, and the coherent SINR |v^H w_k|^2 / (v^H G_k v) of that vector is
-        w_k^H G_k^{-1} w_k.  With q <= CHOLESKY_MAX_Q the system is factored
+        leave-one-out system G_k = G - w_k w_k^H, whose Gram part sums the
+        other users' terms (`_loo_grams`); by Sherman-Morrison G_k^{-1} w_k
+        is parallel to G^{-1} w_k, so the unit vectors are the same up to
+        round-off, and the coherent SINR |v^H w_k|^2 / (v^H G_k v) of that
+        vector is w_k^H G_k^{-1} w_k.  With q <= CHOLESKY_MAX_Q the system is factored
         G_k = L L^H (`cholesky_factor`, which also jitters a system whose
         factorisation fails): s = ||L^{-1} w_k||^2 from the forward
         substitution, and the back substitution and the normalisation run
@@ -917,11 +974,21 @@ class DrawEngine:
 
     def _loo_grams(self, w_hat, l):
         """sum_{j != k} y_j y_j^H [T, K, q, q] for every user k of cell l, y_j
-        the estimates seen in user k's basis, in slices of trials whose seen
-        estimates take about GRAM_BYTES.  A whole pass's seen estimates and
-        their conjugates, live beside the Grams, would add 2 T K^2 q entries
-        to the pass's peak memory."""
+        the estimates seen in user k's basis.  The angular representation
+        forms only the products whose DFT indices match (`_gram_plans`) and
+        no seen estimate.  The dense one forms the seen estimates in slices
+        of trials that take about GRAM_BYTES: a whole pass's seen estimates
+        and their conjugates, live beside the Grams, would add 2 T K^2 q
+        entries to the pass's peak memory."""
         K, q, T = self.K, self.q, w_hat.shape[0]
+        if self.angular:
+            (p0, p1), (s0, s1) = self.gram_ptr[:, l: l + 2]
+            src_a, src_b = self.gram_pairs[:, p0:p1]
+            first, ids = self.gram_segs[:, s0:s1]
+            x = w_hat[:, l].reshape(T, K * q)
+            prod = np.take(x, src_a, axis=1)
+            prod *= np.take(x, src_b, axis=1).conj()
+            return _segment_sums(prod, first, ids, K * q * q).reshape(T, K, q, q)
         kk = np.arange(K)
         G = np.empty((T, K, q, q), dtype=complex)
         step = max(GRAM_BYTES // (16 * K * K * q), 1)
@@ -942,15 +1009,20 @@ class DrawEngine:
 
     def _chunk(self, one_pass, base_seed, t0, t1, cells, want):
         """Statistics of trials [t0, t1), evaluated in passes of at most
-        `span` trials, each folded into the chunk's statistics cell by cell.
-        Every trial is computed on its own and the sums over trials run in
-        trial order, so the split changes no value, only the memory a chunk
-        holds."""
+        `span` trials, each folded into the chunk's statistics cell by cell:
+        a pass appends its per-trial statistics to lists, joined here once,
+        and adds its sums over trials into the chunk's.  Every trial is
+        computed on its own and the sums over trials run in trial order, so
+        the split changes no value, only the memory a chunk holds."""
         n = max(-(-(t1 - t0) // self.span), 1)
         edges = [t0 + (t1 - t0) * i // n for i in range(n + 1)]
         out = {}
         for a, b in zip(edges, edges[1:]):
             one_pass(base_seed, a, b, cells, want, out)
+        for stats in (s for group in out.values() for s in group.values()):
+            for key, x in stats.items():
+                if isinstance(x, list):
+                    stats[key] = x[0] if len(x) == 1 else np.concatenate(x)
         return out
 
     def _ul_pass(self, base_seed, t0, t1, cells, want, out):
@@ -967,18 +1039,17 @@ class DrawEngine:
             if "coherent" in want:
                 if sinr is None:
                     sinr = self._coherent_sinr(w_hat, l, vl, Y, s_obs)
-                prev = out.setdefault("coherent", {}).get(l)
-                if prev is not None:
-                    sinr = np.concatenate([prev["sinr"], sinr])
-                out["coherent"][l] = {"rate": np.log2(1.0 + sinr), "sinr": sinr}
+                stats = out.setdefault("coherent", {}).setdefault(l, {"rate": [], "sinr": []})
+                stats["rate"].append(np.log2(1.0 + sinr))
+                stats["sinr"].append(sinr)
             del Y
             if nc_bounds:
                 sig = np.einsum("tka,tka->tk", vl.conj(), x_own[:, l])
                 # true channels of every link into BS l, own cell first
                 ips = [self._link_inner(l, c, w, vl) for c in [l] + self.xcells[l]]
                 ips[0][:, kk, kk] = 0.0
-                nc = out.setdefault("_nc", {})
-                nc[l] = _nc_stats(sig, np.concatenate(ips, axis=2), self.P_ul, nc.get(l))
+                _nc_stats(sig, np.concatenate(ips, axis=2), self.P_ul,
+                          out.setdefault("_nc", {}).setdefault(l, {}))
 
     def _coherent_sinr(self, w_hat, l, vl, Y, s_obs):
         """The coherent SINR [T, K] of cell l's unit vectors vl from their
@@ -1029,7 +1100,7 @@ class DrawEngine:
             ips = [self._link_inner(lp, l, w, g[:, lp]).conj().swapaxes(1, 2)
                    for lp in [l] + self.xcells[l]]
             ips[0][:, kk, kk] = 0.0
-            nc[l] = _nc_stats(sig, np.concatenate(ips, axis=2), self.P_dl, nc.get(l))
+            _nc_stats(sig, np.concatenate(ips, axis=2), self.P_dl, nc.setdefault(l, {}))
 
 
 def default_engine(scenario: NetworkScenario) -> DrawEngine:
@@ -1104,11 +1175,22 @@ def run_bounds(
     The alt report's stderr is the max-min term's: the Monte Carlo error of
     the penalty, estimated from the same trials, is not included.
 
-    Raises FloatingPointError, before returning, if a report's sum_total,
-    stderr or any per-user rate is not finite.
+    direction is "ul" or "dl"; a downlink run drops "coherent", which has
+    no downlink form, so one bound list (UL_BOUNDS) serves both directions.
+    Raises ValueError for any other direction, for trials < 1 and for a
+    bound name in neither UL_BOUNDS nor DL_BOUNDS, and FloatingPointError,
+    before returning, if a report's sum_total, stderr or any per-user rate
+    is not finite.
     """
     sc = scenario
+    if direction not in ("ul", "dl"):
+        raise ValueError(f"direction must be 'ul' or 'dl', got {direction!r}")
+    if trials < 1:
+        raise ValueError(f"trials must be >= 1, got {trials}")
     want = set(bounds)
+    unknown = sorted(want - set(UL_BOUNDS) - set(DL_BOUNDS))
+    if unknown:
+        raise ValueError(f"unknown bound {unknown[0]!r}; valid: {', '.join(UL_BOUNDS)}")
     if direction == "dl":
         want &= set(DL_BOUNDS)
     cells = list(range(sc.L)) if cells is None else list(cells)

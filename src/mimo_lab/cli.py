@@ -46,7 +46,8 @@ def _parse_detequiv_problem(path: str) -> DetEquivProblem:
     Keys: N (dimension), z (negative real), A and Q as comma-separated
     diagonals or 'zero'/'identity', and one or more theta lines, each either
     'identity x <count>' or a comma-separated diagonal (optionally with
-    'x <count>').
+    'x <count>').  N must be an integer >= 1 and a count an integer >= 0;
+    ConfigError names the line of one that is not.
     """
     N = None
     z = None
@@ -63,6 +64,16 @@ def _parse_detequiv_problem(path: str) -> DetEquivProblem:
             raise ConfigError(f"diagonal has {len(entries)} entries, expected N={n}")
         return np.diag(entries)
 
+    def integer(lineno, name, text, least):
+        try:
+            value = int(text)
+        except ValueError:
+            value = None
+        if value is None or value < least:
+            raise ConfigError(f"{path}:{lineno}: {name} must be an integer >= {least}, "
+                              f"got {text.strip()!r}")
+        return value
+
     raw_items = []
     with open(path) as fh:
         for lineno, rawline in enumerate(fh, start=1):
@@ -75,7 +86,7 @@ def _parse_detequiv_problem(path: str) -> DetEquivProblem:
             raw_items.append((lineno, key.strip().lower(), val.strip()))
     for lineno, key, val in raw_items:
         if key == "n":
-            N = int(val)
+            N = integer(lineno, "N", val, 1)
         elif key == "z":
             z = float(val)
     if N is None or z is None:
@@ -92,7 +103,7 @@ def _parse_detequiv_problem(path: str) -> DetEquivProblem:
             if "x" in val:
                 val, _, cnt = val.rpartition("x")
                 val = val.strip()
-                count = int(cnt)
+                count = integer(lineno, "theta count", cnt, 0)
             thetas.append(diag_of(val, N))
             counts.append(count)
         else:

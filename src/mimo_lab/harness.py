@@ -76,6 +76,8 @@ class ExperimentSpec:
             raise ConfigError(f"unknown sweep axis {self.sweep_axis!r}")
         if self.trials < 1:
             raise ConfigError("trials must be >= 1")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if self.covariance_draws < 1:
             raise ConfigError("covariance_draws must be >= 1")
         if self.r_cross < 0:
@@ -396,6 +398,8 @@ def reproduce_figure(fig: str, scale: str = "desk", seed: int = 1,
         trials = 300
     elif trials < 1:
         raise ConfigError("trials must be >= 1")
+    if seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {seed}")
     table = ResultTable()
     if fig == "fig2":
         base = ExperimentSpec(

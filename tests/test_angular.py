@@ -16,6 +16,7 @@ from mimo_lab.covmodel import (
     CorrelationModel,
     CovarianceProfile,
     InvalidProfile,
+    dft_matrix,
     sample_partial_unitary,
     stream,
 )
@@ -174,13 +175,16 @@ def test_passes_change_no_statistic(direction):
     # a chunk too large for one pass is evaluated in several; its
     # statistics are bit for bit those of one pass over all its trials, on
     # the rank-K path (q > K) and on the per-trial solves (q <= K), by
-    # Cholesky (q <= CHOLESKY_MAX_Q) and by LU
+    # Cholesky (q <= CHOLESKY_MAX_Q) and by LU; the last point folds three
+    # passes into the chunk's sums
+    passes = []
     for point in (dict(K=8, r_own=60), dict(K=20, r_own=CHOLESKY_MAX_Q),
-                  dict(K=20, r_own=CHOLESKY_MAX_Q + 2)):
+                  dict(K=20, r_own=CHOLESKY_MAX_Q + 2), dict(K=40, r_own=8)):
         sc = make_scenario(seed=6, L=3, M=120, snr_db=10.0, **point)
         split, whole = DrawEngine(sc), DrawEngine(sc)
         whole.span = CHUNK
         assert split.span < CHUNK and not any(split.shared)
+        passes.append(-(-CHUNK // split.span))
         want = {"coherent", "alt"} if direction == "ul" else {"alt"}
         got, ref = (getattr(e, f"{direction}_chunk")(7, 0, CHUNK, [0, 2], want)
                     for e in (split, whole))
@@ -188,3 +192,95 @@ def test_passes_change_no_statistic(direction):
             for l in ref[kind]:
                 for key, value in ref[kind][l].items():
                     assert np.array_equal(got[kind][l][key], value), (point, kind, l, key)
+    assert passes[-1] >= 3
+
+
+GRAM_CASES = {
+    "own-orth": (dict(), None),
+    "own-nono": (dict(pilot="nonorthogonal"), None),
+    "d=3-orth": (dict(), "d=3"),
+    "d=3-nono": (dict(pilot="nonorthogonal"), "d=3"),
+    "one-cell-orth": (dict(L=1), None),
+    "one-cell-nono-d=3": (dict(L=1, pilot="nonorthogonal"), "d=3"),
+    "wide-cross-links": (dict(r_cross=6, pilot="nonorthogonal"), None),
+}
+
+
+def assert_each_trial_close(got, want, rel=1e-12):
+    for g, w in zip(got, want):
+        np.testing.assert_allclose(g, w, rtol=0, atol=rel * float(np.abs(w).max()))
+
+
+@pytest.mark.parametrize("case", list(GRAM_CASES))
+def test_leave_one_out_grams_match_dense(case):
+    # the angular Grams, summed over the matched index pairs only, are the
+    # dense twin's sums over every seen estimate, trial by trial, from the
+    # same estimates; the draws' own estimates agree to round-off too
+    over, which = GRAM_CASES[case]
+    sc = make_scenario(eigen_shape="exp_decay", eigen_rate=0.5, **dict(POINT, K=5, **over))
+    bases = BASES[which](sc) if which else None
+    ang, den = DrawEngine(sc, bases=bases), DrawEngine(dense_twin(sc), bases=bases)
+    assert ang.angular and not den.angular and ang.q <= sc.K and ang.gram_ptr is not None
+    w_ang = ang._estimates(*ang._draw_chunk(4, 0, 9))[0]
+    w_den = den._estimates(*den._draw_chunk(4, 0, 9))[0]
+    assert_each_trial_close(w_ang, w_den)
+    for l in range(sc.L):
+        G = ang._loo_grams(w_den, l)
+        assert_each_trial_close(G, den._loo_grams(w_den, l))
+        assert_each_trial_close(ang._loo_grams(w_ang, l), G)
+        assert np.abs(G).max() > 0
+
+
+def dft_rotation(sc, B):
+    """F^H B: the DFT coordinates of a vector given in the M x M basis B."""
+    return dft_matrix(sc.M).conj().T @ B
+
+
+@pytest.mark.parametrize("which", ["own", "I_M", "M x M unitary"])
+@pytest.mark.parametrize("pilot", ["orthogonal", "nonorthogonal"])
+def test_observations_match_dense(pilot, which):
+    # the pilot observations summed in the served slots are the dense
+    # twin's, in DFT coordinates: F^H B s for an M x M basis B, whose
+    # orthogonal-pilot noise the angular draw rotates by an FFT
+    sc = make_scenario(pilot=pilot, **POINT)
+    bases = BASES[which](sc)
+    ang, den = DrawEngine(sc, bases=bases), DrawEngine(dense_twin(sc), bases=bases)
+    s_ang = ang._estimates(*ang._draw_chunk(8, 0, 7))[3]
+    s_den = den._estimates(*den._draw_chunk(8, 0, 7))[3]
+    if bases is not None:
+        s_den = np.stack([s_den[:, l, k] @ dft_rotation(sc, bases[(l, k)]).T
+                          for l, k in sc.users()], axis=1).reshape(s_ang.shape)
+    assert_each_trial_close(s_ang, s_den)
+
+
+def test_orthogonal_pilots_read_only_served_slots():
+    # under orthogonal pilots a link adds to the observation only at the
+    # DFT indices its pilot's user serves: the plan gathers those entries
+    sc = make_scenario(**POINT)
+    eng = DrawEngine(sc)
+    take = eng.served_take
+    assert take.size < np.count_nonzero(eng.supp >= 0)
+    served = sum(np.isin(eng.supp[l, :, k], eng.serve[l, k]).sum()
+                 for l in range(sc.L) for k in range(sc.K))
+    assert take.size == served
+
+
+@pytest.mark.parametrize("pilot", ["orthogonal", "nonorthogonal"])
+def test_per_user_pass_forms_no_seen_estimates(monkeypatch, pilot):
+    # the angular per-user MMSE systems (q <= K, cells not shared) are built
+    # from the matched products alone, in both directions and for every
+    # bound; the MF coherent SINR still reads the seen estimates
+    sc = make_scenario(pilot=pilot, **dict(POINT, K=5))
+    eng = DrawEngine(sc)
+    assert eng.angular and eng.q <= sc.K and not any(eng.shared)
+
+    def unseen(*args):
+        raise AssertionError("seen estimates formed")
+
+    monkeypatch.setattr(DrawEngine, "_seen_estimates", unseen)
+    ul = eng.ul_chunk(5, 0, 6, [0, 1], set(UL_BOUNDS))
+    dl = eng.dl_chunk(5, 0, 6, [0, 1], set(DL_BOUNDS))
+    assert all(np.isfinite(ul["coherent"][l]["sinr"]).all() for l in (0, 1))
+    assert all(np.isfinite(out["_nc"][l]["ub"]).all() for out in (ul, dl) for l in (0, 1))
+    with pytest.raises(AssertionError, match="seen estimates"):
+        DrawEngine(sc, combiner="mf").ul_chunk(5, 0, 6, [0], {"coherent"})

@@ -397,3 +397,27 @@ class TestArrayReductionsMatchLoops:
                 assert getattr(ours, field) == pytest.approx(
                     getattr(rep, field), rel=rel, abs=0.0), (name, field)
             assert ours.sum_total_floored == rep.sum_total_floored
+
+
+class TestRunBoundsArguments:
+    def scenario(self):
+        return make_scenario(L=1, K=2, M=8, T_c=50, r_own=2)
+
+    def test_unknown_direction_is_rejected(self):
+        with pytest.raises(ValueError, match="direction must be 'ul' or 'dl', got 'up'"):
+            run_bounds(self.scenario(), "up", ("noncoherent",), 4, 0)
+
+    @pytest.mark.parametrize("trials", [0, -3])
+    def test_trials_below_one_are_rejected(self, trials):
+        with pytest.raises(ValueError, match=f"trials must be >= 1, got {trials}"):
+            run_bounds(self.scenario(), "ul", ("coherent",), trials, 0)
+
+    @pytest.mark.parametrize("direction", ["ul", "dl"])
+    def test_unknown_bound_is_rejected(self, direction):
+        with pytest.raises(ValueError, match="unknown bound 'hardening'"):
+            run_bounds(self.scenario(), direction, ("maxmin", "hardening"), 4, 0)
+
+    def test_downlink_drops_the_coherent_bound(self):
+        # one bound list serves both directions
+        reps = run_bounds(self.scenario(), "dl", UL_BOUNDS, 4, 0)
+        assert set(reps) == set(DL_BOUNDS)

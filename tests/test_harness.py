@@ -261,13 +261,39 @@ class TestCli:
     @pytest.mark.parametrize("line,message", [
         ("theta = 1,-0.5,1", "Theta_1 is not Hermitian positive semi-definite"),
         ("A = 0.2,-0.1,0.2", "A is not Hermitian positive semi-definite"),
-        ("theta = identity x -2", "counts must be 2 non-negative numbers"),
     ])
     def test_detequiv_rejects_indefinite_problem(self, tmp_path, capsys, line, message):
         prob = tmp_path / "bad.txt"
         prob.write_text(f"N = 3\nz = -1.0\ntheta = identity x 3\n{line}\n")
         assert cli_main(["detequiv", str(prob)]) == 3
         assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text,message", [
+        ("N = 3\nz = -1.0\ntheta = identity x 3\ntheta = identity x -2\n",
+         "p.txt:4: theta count must be an integer >= 0, got '-2'"),
+        ("N = 3\nz = -1.0\ntheta = identity x 1.5\n",
+         "p.txt:3: theta count must be an integer >= 0, got '1.5'"),
+        ("z = -1.0\nN = 0\ntheta = identity x 3\n", "p.txt:2: N must be an integer >= 1, got '0'"),
+        ("N = -2\nz = -1.0\n", "p.txt:1: N must be an integer >= 1, got '-2'"),
+        ("N = three\nz = -1.0\n", "p.txt:1: N must be an integer >= 1, got 'three'"),
+    ], ids=["count -2", "count 1.5", "N 0", "N -2", "N three"])
+    def test_detequiv_problem_integers_exit_2(self, tmp_path, monkeypatch, capsys, text,
+                                              message):
+        # a bad dimension or count is an input error, named with its line
+        def no_solve(*args, **kwargs):
+            raise AssertionError("the fixed point started on a bad problem")
+
+        monkeypatch.setattr("mimo_lab.cli.solve_fixed_point", no_solve)
+        prob = tmp_path / "p.txt"
+        prob.write_text(text)
+        assert cli_main(["detequiv", str(prob)]) == 2
+        assert message in capsys.readouterr().err
+
+    def test_detequiv_accepts_a_zero_count(self, tmp_path, capsys):
+        prob = tmp_path / "p.txt"
+        prob.write_text("N = 3\nz = -1.0\ntheta = identity x 0\ntheta = identity x 3\n")
+        assert cli_main(["detequiv", str(prob)]) == 0
+        assert "iterations:" in capsys.readouterr().out
 
     def test_detequiv_rejects_nan_z(self, tmp_path, capsys):
         prob = tmp_path / "nan.txt"
@@ -381,6 +407,26 @@ class TestCli:
         assert cli_main(["lemma-check"] + argv) == 2
         captured = capsys.readouterr()
         assert message in captured.err and "slope" not in captured.out
+
+    @pytest.mark.parametrize("argv,file_seed,bad", [
+        (["reproduce", "fig2", "--seed", "-1"], "3", "-1"),
+        (["run", "CONFIG", "--seed", "-3"], "3", "-3"),
+        (["run", "CONFIG"], "-5", "-5"),
+    ], ids=["reproduce --seed", "run --seed", "config seed"])
+    def test_negative_seed_exits_2(self, tmp_path, monkeypatch, capsys, argv, file_seed, bad):
+        def no_work(*args, **kwargs):
+            raise AssertionError("a run started before its seed was checked")
+
+        monkeypatch.setattr(harness, "build_network", no_work)
+        cfg = write_cfg(tmp_path, MINIMAL.replace("seed = 3", f"seed = {file_seed}"))
+        assert cli_main([cfg if a == "CONFIG" else a for a in argv]) == 2
+        assert f"seed must be >= 0, got {bad}" in capsys.readouterr().err
+
+    def test_spec_rejects_a_negative_seed(self):
+        with pytest.raises(ConfigError, match="seed must be >= 0, got -1"):
+            harness.ExperimentSpec(seed=-1).validate()
+        with pytest.raises(ConfigError, match="seed must be >= 0, got -2"):
+            reproduce_figure("fig5", seed=-2)
 
     @pytest.mark.parametrize("fig,trials", [("fig2", "-1"), ("fig5", "0")])
     def test_reproduce_rejects_nonpositive_trials(self, fig, trials, monkeypatch, capsys):
