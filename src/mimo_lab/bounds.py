@@ -191,6 +191,15 @@ def _zero_padded(x):
     return np.concatenate([x, np.zeros_like(x[..., :1])], axis=-1)
 
 
+def _dft_columns(B, known=False):
+    """The M-point DFT indices of B's columns [M, n], read off the phase step
+    from row 0 to row 1 of each, or None when B is not DFT columns (one
+    comparison with the columns named, skipped when B is `known` to be)."""
+    M = B.shape[0]
+    idx = np.rint(np.angle(B[min(1, M - 1)]) * (M / (2.0 * np.pi))).astype(np.intp) % M
+    return idx if known or np.abs(B - dft_matrix(M)[:, idx]).max() <= 1e-8 else None
+
+
 class DrawEngine:
     """Vectorized evaluator for one covariance draw of a scenario.
 
@@ -213,53 +222,30 @@ class DrawEngine:
     rank than its block get amplitude zero.  Consumers read views of the
     blocks (`_block`).
 
-    The scenario's model label picks one of two representations (`angular`).
-
-    Dense (the partial-unitary model, and partial-Fourier draws served in
-    bases that are neither DFT columns nor M x M): every projection is a
-    complex table, source-major, so that one GEMM per source channel gives
-    its view in every serving basis of a cell: P_own[l, j, k] = B_lk^H U_llj,
-    P_x[l, i, p, k] = B_lk^H U_{l lp p} for the i-th other cell lp (rx
-    columns, the largest cross-link rank), and P_est[l, j, k] = B_lk^H B_lj.
-    filt, err_cov, nproj_sum, s_inter and Z are [L, K, q, q].
-
-    Angular (partial-Fourier draws): each eigenbasis is a set of DFT columns,
-    supp[l, lp, k] the indices the profile of link (l, lp, k) stores (-1
-    pads), and each serving basis is served in DFT columns too, serve[l, k];
-    no eigenbasis is formed as a matrix.  A basis of DFT columns
-    is served in its own; an M x M basis B that is not (I_M) is served in all
-    M, and its users' orthogonal-pilot noise is rotated by F^H B, one FFT for
-    B = I.  MMSE and MF processing are unitarily equivariant, so every rate
-    is the dense one up to round-off.  Every projection B^H U is then a 0/1
-    selection: filt, err_cov, nproj_sum, s_inter and Z are diagonals
-    [L, K, q], and Z + I/p is inverted by a reciprocal.  The pilot
-    observation sums, in each served slot (a BS, its pilot index under
-    orthogonal pilots, and a DFT index that one of its users reads), the
-    fading entries stored there, and gathers every user's slots; fading
-    that no user reads is never touched.  The link inner products are
-    gather-sums over the matched index pairs of each (BS, source cell)
-    block (`pairs`, `segs`), and the per-user leave-one-out Grams over the
-    estimate products whose DFT indices match a user's serving pair
-    (`gram_pairs`, `gram_segs`); these plans are built once per draw.  A chunk is
-    evaluated in passes of at most `span` trials, sized from the scenario's
-    shape to about PASS_BYTES; the dense representation takes a chunk in
-    one pass.
+    DrawEngine(...) returns one of two representations, picked by the
+    scenario's model label (`__new__`): `_AngularEngine` for a
+    partial-Fourier draw whose serving bases are each DFT columns or M x M,
+    else `_DenseEngine`.  This class holds the draw, the passes, the solves
+    and the reductions; a representation holds its tables (per user: filt,
+    err_cov, nproj_sum, s_inter and Z = err_cov + nproj_sum + s_inter) and
+    the hooks `_layout`, `_cell_tables`, `_pilot_noise`, `_estimates`,
+    `_seen_in_bases`, `_link_inner`, `_loo_grams`, `_invert_design`,
+    `_with_design`, `_rank_k_rows`, `_rank_k_vectors`, `_design_power` and
+    `_expanded_tables`.  The users of a `shared` cell are all served in one
+    basis; a chunk is evaluated in passes of at most `span` trials.
 
     Every system the engine solves has a known eigenvalue floor, which it
     hands to the guard of `_linalg` so that no eigenvalue pass runs where
     the floor already certifies the system: C + contamination + I/rho_p
     (the estimators, >= 1/rho_p) and W W^H + Z + I/p (the MMSE combiners
-    and precoders, >= 1/p).  The combiner and precoder solve depends on the
-    basis dimension: when q > K it inverts Z + I/p of every serving basis
-    once per power, one stacked solve per cell, and solves a K x K system per
-    trial (matrix inversion lemma);
-    when q <= K it solves the q x q system of each trial directly: a shared
-    cell's one system per trial (K right-hand sides) by LU.  Otherwise user
-    k solves the leave-one-out system G_k = W W^H - w_k w_k^H + Z + I/p,
-    whose solution G_k^{-1} w_k is parallel to the MMSE vector; the uplink
-    coherent SINR of that vector is w_k^H G_k^{-1} w_k, read off the solve
-    without forming the vectors or their interference products
-    (`_beamformer`).
+    and precoders, >= 1/p).  When q > K, or the cell is shared, the combiner
+    and precoder solve inverts Z + I/p of every serving basis once per power,
+    one stacked solve per cell, and solves a K x K system per trial (matrix
+    inversion lemma).  Otherwise user k solves the q x q leave-one-out
+    system G_k = W W^H - w_k w_k^H + Z + I/p, whose solution G_k^{-1} w_k is
+    parallel to the MMSE vector; the uplink coherent SINR of that vector is
+    w_k^H G_k^{-1} w_k, read off the solve without forming the vectors or
+    their interference products (`_beamformer`).
     These per-user systems are solved by LU when q > CHOLESKY_MAX_Q, else
     factored by `_linalg.cholesky_factor`, one LAPACK potrf per matrix, with
     forward and back substitution vectorised over the stack; the back
@@ -267,7 +253,7 @@ class DrawEngine:
     trial's bits do not depend on how trials are chunked.  The
     users of `jittered` had their estimator system regularised; those of
     `beam_jittered` had a combiner or precoder system regularised (Z + I/p
-    when q > K, a trial's system when q <= K).
+    on the rank-K path, a trial's system on the per-user one).
 
     One engine serves a covariance draw: `default_engine` memoises the
     default one (MMSE, unconditional contamination, own eigenbases) on the
@@ -280,6 +266,17 @@ class DrawEngine:
     records (`beam_jittered`, the cached inverses) then span every run on
     the draw.
     """
+
+    span = CHUNK
+
+    def __new__(cls, scenario: NetworkScenario, combiner: str = "mmse",
+                conditional_contamination: bool = False, bases=None):
+        if cls is DrawEngine:
+            angular = scenario.model is CorrelationModel.PARTIAL_FOURIER and all(
+                B.shape[1] == scenario.M or _dft_columns(B) is not None
+                for B in (bases or {}).values())
+            cls = _AngularEngine if angular else _DenseEngine
+        return super().__new__(cls)
 
     def __init__(self, scenario: NetworkScenario, combiner: str = "mmse",
                  conditional_contamination: bool = False, bases=None):
@@ -326,26 +323,7 @@ class DrawEngine:
             amp[self.w_off[i]: self.w_off[i + 1]] = block.ravel()
         self._amp = np.repeat(amp, 2)
 
-        self.angular = sc.model is CorrelationModel.PARTIAL_FOURIER and self._index_sets(sc)
-        if self.eigen and not self.angular:
-            self.bases = {(l, k): sc.profile(l, l, k).U for l, k in sc.users()}
-        if self.angular:
-            # cells whose users are all served in the same DFT columns
-            self.shared = [bool((self.serve[l] == self.serve[l, 0]).all()) for l in range(L)]
-            tab, dtype = (L, K, q), float
-        else:
-            # cells whose users all share one basis object (fig2's I_M)
-            self.shared = [not self.eigen and all(self.bases[(l, k)] is self.bases[(l, 0)]
-                                                  for k in range(K)) for l in range(L)]
-            tab, dtype = (L, K, q, q), complex
-        # the estimates between serving bases are the identity within a
-        # shared cell, so not stored if all cells share
-        dense = not self.angular
-        self.P_own = np.zeros((L, K, K, q, r), dtype=complex) if dense else None
-        self._P_est = (np.zeros((L, K, K, q, q), dtype=complex)
-                       if dense and not (self.eigen or all(self.shared)) else None)
-        self.P_x = (np.zeros((L, L - 1, K, K, q, self.rx), dtype=complex)
-                    if dense and L > 1 else None)
+        tab, dtype = self._layout(sc)
         # per-user MMSE estimators in the serving bases, the own-cell
         # estimation errors seen in each user's basis, and the cross-cell
         # channel covariances
@@ -361,8 +339,7 @@ class DrawEngine:
             contam_res = np.zeros(tab, dtype=dtype)
         jittered = []
         for l in range(L):
-            res = (self._angular_tables(l, lam[l], jittered) if self.angular
-                   else self._cell_tables(sc, l, jittered))
+            res = self._cell_tables(sc, l, jittered)
             if self.conditional:
                 contam_res[l] = res
         self.jittered = tuple(jittered)
@@ -370,53 +347,523 @@ class DrawEngine:
         self.Z = self.err_cov + self.nproj_sum + self.s_inter
         if self.conditional:
             self.Z_cond = self.err_cov + self.nproj_sum + contam_res
-        # trials per pass of a chunk: the angular representation bounds the
-        # memory of a pass by PASS_BYTES (one pass in the dense one).  The
-        # estimate counts what a pass held when it gathered every stored
-        # fading entry and formed every seen estimate; a pass now holds
-        # less, but a larger span raised the peak RSS with no gain in time
-        self.span = CHUNK
-        if self.angular:
-            self._angular_plans()
-            stored = np.count_nonzero(self.supp >= 0)
-            per_trial = 16 * (self._amp.size // 2 + 2 * stored + 4 * L * K * q
-                              + (1 if all(self.shared) else K) * 2 * K * q + 2 * L * K * K)
-            self.span = max(PASS_BYTES // per_trial, 1)
         # (Z + I / power)^{-1} per power, and the users whose combiner or
         # precoder system the guard regularised; chunks may share the engine
         self._inverses = {}
         self._beam_flags = set()
         self._lock = threading.RLock()
 
+    def detequiv_tables(self, l):
+        """Cell l's inputs of the uplink deterministic equivalents
+        (`detequiv`: the MMSE limit reads them all, the MF limit all but Z),
+        dense in both representations:
+
+        P_own [k, j, a, b] = U_llk^H U_llj; P_x [k, i, p, a, b] =
+        U_llk^H U_{l lp p} for the i-th other cell lp (None when L = 1) and
+        its eigenvalues lam_x [i, p, b]; phi [k, a, b] = Lambda Xi Lambda;
+        xi_lam [k, a, b] = Xi Lambda, the conjugate transpose of filt; Z
+        [k, a, b].  Needs the own eigenbases (bases=None)."""
+        if not self.eigen:
+            raise ValueError("the deterministic-equivalent tables need the own eigenbases")
+        lam_own, lam_x = self.lam[l, l, :, :self.r], self.lam[l, self.xcells[l], :, :self.rx]
+        P_own, P_x, filt, Z = self._expanded_tables(l)
+        phi = herm(filt * lam_own[:, None, :])
+        return P_own, P_x, lam_x, phi, filt.conj().swapaxes(-1, -2), Z
+
+    # -- trial synthesis ----------------------------------------------------
+
+    def _draw_chunk(self, base_seed: int, t0: int, t1: int):
+        """The table of trials [t0, t1) (class docstring), one standard-normal
+        draw of each trial's stream into its row, and their pilot noise
+        [T, L, K, q] in the serving bases (`_pilot_noise`)."""
+        w = np.empty((t1 - t0, self._amp.size // 2), dtype=complex)
+        x = w.view(float)
+        for i, t in enumerate(range(t0, t1)):
+            stream(base_seed, 1, t).standard_normal(out=x[i])
+        x *= self._amp
+        return w, self._pilot_noise(w[:, self.w_off[-1]:])
+
+    def _block(self, w, l, c):
+        """The fading of the links from cell c's users into BS l in the table
+        w: a view [T, K, width], width r_own if c = l, else rx."""
+        a, b = self.w_off[l * self.L + c: l * self.L + c + 2]
+        return w[:, a:b].reshape(len(w), self.K, (b - a) // self.K)
+
+    def _seen_estimates(self, w_hat, l):
+        """Cell l's estimates seen in each of its users' bases [j, T, k, q]
+        (`_seen_in_bases`); a shared cell's one basis gives [j, T, 1, q]."""
+        wl = w_hat[:, l]
+        if self.shared[l]:
+            return wl.transpose(1, 0, 2)[:, :, None]
+        return self._seen_in_bases(wl, l)
+
+    @property
+    def beam_jittered(self):
+        """Users whose MMSE combiner or precoder system the guard regularised,
+        in any trial evaluated so far, sorted."""
+        with self._lock:
+            return tuple(sorted(self._beam_flags))
+
+    def _flag_users(self, l, ks):
+        with self._lock:
+            self._beam_flags.update((l, int(k)) for k in ks)
+
+    def _static_inverse(self, power):
+        """(Z + I / power)^{-1} of every serving basis (n = 1 for a shared
+        cell, else K) per cell, from `_invert_design`: one stacked guarded
+        solve per cell, with floor 1 / power, computed on first use once per
+        power; the lock lets the chunks of a pool share it."""
+        with self._lock:
+            inv = self._inverses.get(power)
+            if inv is None:
+                inv = []
+                for l in range(self.L):
+                    n = 1 if self.shared[l] else self.K
+                    x, jit = self._invert_design(self.Z[l, :n], power)
+                    inv.append(x)
+                    if jit.any():
+                        self._flag_users(l, range(self.K) if n == 1 else np.flatnonzero(jit))
+                self._inverses[power] = inv
+        return inv
+
+    def _beamformer(self, w_hat, l, power, vectors=True, sinr=False):
+        """MMSE or MF processing of cell l's users: returns (v, Y, s).
+
+        v holds the unit-norm combining (power P_ul) or precoding (power
+        P_dl per user) vectors [T, K, q]; Y the estimates seen in the users'
+        bases (_seen_estimates) when the MMSE design formed them and keeps
+        them, else None; s [T, K] the uplink coherent SINR of every user when
+        sinr is True and the cell's users solve per-user systems (below)
+        without conditional contamination, else None.  v is None when
+        vectors is False and s is given.
+
+        User k's MMSE vector is G^{-1} w_k with G = W W^H + A: the columns
+        of W are the cell's K estimates seen in the user's basis, and
+        A = Z + I / power.  When q > K, or the cell is shared, the matrix
+        inversion lemma gives G^{-1} W = A^{-1} W S^{-1} with
+        S = I + W^H A^{-1} W, which is K x K with every eigenvalue at least
+        1; A^{-1} comes from one guarded solve per basis (_static_inverse),
+        so a trial solves S only (`_rank_k_rows`, `_rank_k_vectors`).
+        Otherwise each user solves the q x q leave-one-out system
+        G_k = G - w_k w_k^H, whose Gram part sums the other users' terms
+        (`_loo_grams`), after `guard` has jittered the systems that its
+        floor 1 / power does not certify; by Sherman-Morrison G_k^{-1} w_k
+        is parallel to G^{-1} w_k, so the unit vectors are the same up to
+        round-off, and the coherent SINR |v^H w_k|^2 / (v^H G_k v) of that
+        vector is w_k^H G_k^{-1} w_k.  With q <= CHOLESKY_MAX_Q the system is factored
+        G_k = L L^H (`cholesky_factor`, which also jitters a system whose
+        factorisation fails): s = ||L^{-1} w_k||^2 from the forward
+        substitution, and the back substitution and the normalisation run
+        only when vectors is True.  Above, G_k is solved by LU and
+        s = Re(w_k^H G_k^{-1} w_k).  s is the SINR of the system as solved,
+        so of the regularised one where the guard or the jitter acted.
+        Jittered systems are recorded in beam_jittered."""
+        K, q = self.K, self.q
+        wl = w_hat[:, l]
+        T = wl.shape[0]
+        per_user = q <= K and not self.shared[l]
+        Y = None if self.combiner == "mf" or per_user else self._seen_estimates(w_hat, l)
+        s = None
+        if self.combiner == "mf":
+            v = wl
+        elif not per_user:
+            XT, S = self._rank_k_rows(Y.transpose(1, 2, 0, 3), self._static_inverse(power)[l])
+            S += np.eye(K)
+            # the one basis of a shared cell serves all K users, the basis of
+            # user k only its own column
+            E = np.eye(K) if self.shared[l] else np.eye(K)[:, :, None]
+            X = np.linalg.solve(S, E).swapaxes(-1, -2)
+            v = self._rank_k_vectors(X, XT).reshape(T, K, q)
+        else:
+            G = self._with_design(self._loo_grams(w_hat, l), self.Z[l][None], power)
+            sinr = sinr and not self.conditional
+            if q <= CHOLESKY_MAX_Q:
+                Lf, flags = cholesky_factor(G, 1.0 / power)
+                del G
+                x = forward_substitute(Lf, wl[..., None])[..., 0]
+                if sinr:
+                    s = np.einsum("tka,tka->tk", x.conj(), x).real
+                if vectors or not sinr:
+                    v = back_substitute(Lf, x[..., None])[..., 0]
+            else:
+                G, flags = guard(G, 1.0 / power)
+                v = np.linalg.solve(G, wl[..., None])[..., 0]
+                if sinr:
+                    s = np.einsum("tka,tka->tk", wl.conj(), v).real
+            if flags.any():
+                self._flag_users(l, np.flatnonzero(flags.any(axis=0)))
+        if s is not None and not vectors:
+            return None, Y, s
+        return v / np.linalg.norm(v, axis=-1, keepdims=True), Y, s
+
+    # -- per-chunk statistics -----------------------------------------------
+
+    def ul_chunk(self, base_seed, t0, t1, cells, want):
+        return self._chunk(self._ul_pass, base_seed, t0, t1, cells, want)
+
+    def dl_chunk(self, base_seed, t0, t1, cells, want):
+        return self._chunk(self._dl_pass, base_seed, t0, t1, cells, want)
+
+    def _chunk(self, one_pass, base_seed, t0, t1, cells, want):
+        """Statistics of trials [t0, t1), evaluated in passes of at most
+        `span` trials, each folded into the chunk's statistics cell by cell:
+        a pass appends its per-trial statistics to lists, joined here once,
+        and adds its sums over trials into the chunk's.  Every trial is
+        computed on its own and the sums over trials run in trial order, so
+        the split changes no value, only the memory a chunk holds."""
+        n = max(-(-(t1 - t0) // self.span), 1)
+        edges = [t0 + (t1 - t0) * i // n for i in range(n + 1)]
+        out = {}
+        for a, b in zip(edges, edges[1:]):
+            one_pass(base_seed, a, b, cells, want, out)
+        for stats in (s for group in out.values() for s in group.values()):
+            for key, x in stats.items():
+                if isinstance(x, list):
+                    stats[key] = x[0] if len(x) == 1 else np.concatenate(x)
+        return out
+
+    def _ul_pass(self, base_seed, t0, t1, cells, want, out):
+        K = self.K
+        kk = np.arange(K)
+        nc_bounds = want & {"noncoherent", "alt", "maxmin"}
+        w, noise = self._draw_chunk(base_seed, t0, t1)
+        w_hat, _, x_own, s_obs = self._estimates(w, noise)
+        del noise
+        for l in cells:
+            # [T, K, q]; sinr from the leave-one-out identity where it applies
+            vl, Y, sinr = self._beamformer(w_hat, l, self.P_ul, vectors=bool(nc_bounds),
+                                           sinr="coherent" in want)
+            if "coherent" in want:
+                if sinr is None:
+                    sinr = self._coherent_sinr(w_hat, l, vl, Y, s_obs)
+                stats = out.setdefault("coherent", {}).setdefault(l, {"rate": [], "sinr": []})
+                stats["rate"].append(np.log2(1.0 + sinr))
+                stats["sinr"].append(sinr)
+            del Y
+            if nc_bounds:
+                sig = np.einsum("tka,tka->tk", vl.conj(), x_own[:, l])
+                # true channels of every link into BS l, own cell first
+                ips = [self._link_inner(l, c, w, vl) for c in [l] + self.xcells[l]]
+                ips[0][:, kk, kk] = 0.0
+                _nc_stats(sig, np.concatenate(ips, axis=2), self.P_ul,
+                          out.setdefault("_nc", {}).setdefault(l, {}))
+
+    def _coherent_sinr(self, w_hat, l, vl, Y, s_obs):
+        """The coherent SINR [T, K] of cell l's unit vectors vl from their
+        definition: |v^H w_k|^2 over the second moments of everything else,
+        v^H (sum_{j != k} w_j w_j^H + Z + I / P_ul) v, with Z's conditional
+        form and the conditional means' powers under conditional
+        contamination (`_design_power`).  Y is the unmasked seen estimates,
+        or None."""
+        kk = np.arange(self.K)
+        if Y is None:
+            Y = self._seen_estimates(w_hat, l)
+        ip2_hat = np.abs(_inner(Y, vl)) ** 2  # [T, k, j]
+        num = ip2_hat[:, kk, kk].copy()
+        ip2_hat[:, kk, kk] = 0.0
+        den = self._design_power(vl, l, s_obs)
+        den += ip2_hat.sum(axis=2)
+        den += (np.linalg.norm(vl, axis=-1) ** 2) / self.P_ul
+        return num / den
+
+    def _dl_pass(self, base_seed, t0, t1, cells, want, out):
+        L, K = self.L, self.K
+        kk = np.arange(K)
+        w, noise = self._draw_chunk(base_seed, t0, t1)
+        w_hat, _, x_own, _ = self._estimates(w, noise)
+        del noise
+        g = np.stack([self._beamformer(w_hat, l, self.P_dl)[0] for l in range(L)],
+                     axis=1)
+        nc = out.setdefault("_nc", {})
+        for l in cells:
+            # signal: (B_{lk}^H U_{llk} w_{llk})^H g_{lk}
+            sig = np.einsum("tka,tka->tk", x_own[:, l].conj(), g[:, l])
+            # link from user (l, k) into BS lp seen through precoder (lp, j):
+            # (B_{lp j}^H U_{lp l k} w_{lp l k})^H g_{lp j}, own cell first
+            ips = [self._link_inner(lp, l, w, g[:, lp]).conj().swapaxes(1, 2)
+                   for lp in [l] + self.xcells[l]]
+            ips[0][:, kk, kk] = 0.0
+            _nc_stats(sig, np.concatenate(ips, axis=2), self.P_dl, nc.setdefault(l, {}))
+
+
+class _DenseEngine(DrawEngine):
+    """DrawEngine's dense representation: the partial-unitary model, and
+    partial-Fourier draws served in bases that are neither DFT columns nor
+    M x M.  Every projection is a complex table, source-major, so that one
+    GEMM per source channel gives its view in every serving basis of a cell:
+    P_own[l, j, k] = B_lk^H U_llj, P_x[l, i, p, k] = B_lk^H U_{l lp p} for
+    the i-th other cell lp (rx columns, the largest cross-link rank), and
+    P_est[l, j, k] = B_lk^H B_lj.  filt, err_cov, nproj_sum, s_inter and Z
+    are [L, K, q, q].  No cell is shared, and a chunk is evaluated in one
+    pass."""
+
+    def _layout(self, sc):
+        L, K, q = self.L, self.K, self.q
+        if self.eigen:
+            self.bases = {(l, k): sc.profile(l, l, k).U for l, k in sc.users()}
+        self.shared = [False] * L
+        self.P_own = np.zeros((L, K, K, q, self.r), dtype=complex)
+        # the estimates between serving bases: P_own itself in the eigenbases
+        self._P_est = None if self.eigen else np.zeros((L, K, K, q, q), dtype=complex)
+        self.P_x = np.zeros((L, L - 1, K, K, q, self.rx), dtype=complex) if L > 1 else None
+        return (L, K, q, q), complex
+
+    @property
+    def P_est(self):
+        """Estimate projections between serving bases; in the own eigenbases
+        they coincide with the true-channel table, so P_own itself."""
+        return self.P_own if self.eigen else self._P_est
+
+    def _cell_tables(self, sc, l, jittered):
+        """Fill cell l's projections, estimators and design-matrix terms.
+
+        Every covariance projection B^H R B = (B^H U) diag(lam) (B^H U)^H of
+        the cell comes from one stacked GEMM over its links.  Appends the
+        users whose estimator solve was regularised to `jittered`, and
+        returns the conditional denominator's covariances under conditional
+        contamination."""
+        L, K, M, r, q, rx = sc.L, sc.K, sc.M, self.r, self.q, self.rx
+        kk = np.arange(K)
+
+        def gram(A, B):
+            """A B^H per serving basis over the links in the trailing axes."""
+            return A.reshape(K, q, -1) @ B.reshape(K, q, -1).conj().swapaxes(-1, -2)
+
+        Bcols = np.concatenate([self.bases[(l, k)] for k in range(K)], axis=1)
+        Bh = Bcols.conj().T
+        lam_own = np.stack([sc.profile(l, l, j).lam for j in range(K)])  # [j, b]
+        U_own = np.concatenate([sc.profile(l, l, j).U for j in range(K)], axis=1)
+        R = (Bh @ U_own).reshape(K, q, K, r)  # [k, a, j, b]
+        self.P_own[l] = R.transpose(2, 0, 1, 3)
+        if self.eigen:
+            self.P_own[l, kk, kk] = np.eye(r)
+        else:
+            self._P_est[l] = (Bh @ Bcols).reshape(K, q, K, q).transpose(2, 0, 1, 3)
+            self._P_est[l, kk, kk] = np.eye(q)
+
+        # contaminating covariances in each user's basis, summed
+        contam = np.zeros((K, q, q), dtype=complex)
+        if self.nonorth:
+            Rl = R * lam_own
+            Rl[kk, :, kk] = 0.0  # the user's own channel does not contaminate
+            contam += herm(gram(Rl, R))
+        if L > 1:
+            U_x = np.zeros((M, L - 1, K, rx), dtype=complex)
+            lam_x = np.zeros((L - 1, K, rx))
+            for i, lp in enumerate(self.xcells[l]):
+                for p in range(K):
+                    src = sc.profile(l, lp, p)
+                    U_x[:, i, p, : src.r] = src.U
+                    lam_x[i, p, : src.r] = src.lam
+            X = (Bh @ U_x.reshape(M, -1)).reshape(K, q, L - 1, K, rx)  # [k, a, i, p, b]
+            self.P_x[l] = X.transpose(2, 3, 0, 1, 4)
+            self.s_inter[l] = herm(gram(X * lam_x, X))
+            if self.nonorth:
+                contam += self.s_inter[l]
+            else:  # the same pilot index in every other cell
+                Xd = X[kk, :, :, kk]  # [k, a, i, b]
+                lam_d = lam_x[:, kk].transpose(1, 0, 2)[:, None]
+                contam += herm(gram(Xd * lam_d, Xd))
+
+        # prior C = B^H R B, Xi = (C + contamination + I / rho_p)^{-1},
+        # filter C Xi = (Xi C)^H and error covariance C - C Xi C.  The filter
+        # is solved for against C: formed as C times an explicit Xi, it
+        # would carry round-off of order eps * rho_p in I_M bases.  The
+        # system's smallest eigenvalue is at least 1 / rho_p, and Xi itself
+        # is needed only by the conditional contamination tables
+        own = self.P_own[l, kk, kk]  # [k, a, b]
+        C = herm((own * lam_own[:, None]) @ own.conj().swapaxes(-1, -2))
+        eye = np.eye(q, dtype=complex)
+        rhs = (np.concatenate([C, np.broadcast_to(eye, C.shape)], axis=-1)
+               if self.conditional else C)
+        x, jit = hermitian_solve(C + contam + (1.0 / sc.rho_p) * eye, rhs,
+                                 floor=1.0 / sc.rho_p)
+        self.filt[l] = x[..., :q].conj().swapaxes(-1, -2)
+        xi = herm(x[..., q:]) if self.conditional else None
+        jittered.extend((l, int(k)) for k in np.flatnonzero(jit))
+        err = self.err_cov[l] = herm(C - herm(self.filt[l] @ C))
+
+        P = self.P_est[l]  # [j, k, a, c]
+        PE = P @ err[:, None]
+        PE[kk, kk] = 0.0
+        A = PE.transpose(1, 2, 0, 3).reshape(K, q, K * q)
+        Pk = P.transpose(1, 2, 0, 3).reshape(K, q, K * q)
+        self.nproj_sum[l] = herm(A @ Pk.conj().swapaxes(-1, -2))
+
+        if self.conditional:
+            Xd = Xd.transpose(0, 2, 1, 3)  # [k, i, a, b]
+            rt = (Xd * lam_d.transpose(0, 2, 1, 3)) @ Xd.conj().swapaxes(-1, -2)
+            self.contam_filt[l] = rt @ xi[:, None]
+            res = herm(rt - self.contam_filt[l] @ rt).sum(axis=1)
+            Xo = X * lam_x
+            Xo[kk, :, :, kk] = 0.0  # the links of the other pilot indices
+            return herm(res) + herm(gram(Xo, X))
+        return None
+
+    def _expanded_tables(self, l):
+        P_x = None if self.P_x is None else self.P_x[l].transpose(2, 0, 1, 3, 4)
+        return self.P_own[l].swapaxes(0, 1), P_x, self.filt[l], self.Z[l]
+
+    def _pilot_noise(self, z):
+        T, L, K, q = len(z), self.L, self.K, self.q
+        if not self.nonorth:
+            # fresh pilot symbol per user: despread noise is plain CN(0, I_q)
+            return z.reshape(T, L, K, q)
+        # one snapshot per BS, despread by each of its users
+        z = z.reshape(T, L, self.M)
+        noise = np.empty((T, L, K, q), dtype=complex)
+        for (l, k), B in self.bases.items():
+            noise[:, l, k] = z[:, l] @ B.conj()
+        return noise
+
+    def _estimates(self, w, noise):
+        """Despread pilot observations and per-user MMSE estimates.
+
+        Returns (w_hat, w_own, x_own, s) from the table w and the noise.
+        The estimates w_hat, the observations s and the own channels x_own
+        are in the serving bases [T, L, K, q]; w_own holds the own channels
+        in their eigen coordinates [T, L, K, r]."""
+        L, K = self.L, self.K
+        kk = np.arange(K)
+        w_own = np.stack([self._block(w, l, l) for l in range(L)], axis=1)
+        if self.eigen:
+            x_own = w_own
+        else:
+            own = self.P_own[:, kk, kk].swapaxes(-1, -2)  # [l, k, b, a]
+            x_own = np.matmul(w_own.transpose(1, 2, 0, 3), own).transpose(2, 0, 1, 3)
+        s = x_own + noise / np.sqrt(self.rho_p)
+        for l in range(L):
+            if self.nonorth:
+                # own-cell contamination of the shared pilot
+                Y = _seen(self.P_own[l], w_own[:, l])
+                Y[kk, :, kk] = 0.0
+                s[:, l] += Y.sum(axis=0)
+                for i, lp in enumerate(self.xcells[l]):
+                    s[:, l] += _seen(self.P_x[l, i], self._block(w, l, lp)).sum(axis=0)
+            else:
+                for i, lp in enumerate(self.xcells[l]):
+                    # same pilot index only
+                    D = self.P_x[l, i, kk, kk].swapaxes(-1, -2)  # [k, b, a]
+                    s[:, l] += np.matmul(self._block(w, l, lp).transpose(1, 0, 2), D
+                                         ).transpose(1, 0, 2)
+        w_hat = np.matmul(s.transpose(1, 2, 0, 3), self.filt.swapaxes(-1, -2))
+        return w_hat.transpose(2, 0, 1, 3), w_own, x_own, s
+
+    def _seen_in_bases(self, wl, l):
+        return _seen(self.P_est[l], wl)
+
+    def _link_inner(self, l, c, w, u):
+        """u^H (B^H U w) for the channels from cell c's users into BS l, seen
+        by its users' vectors u [T, K, q]: [T, K, K] (vector, source user),
+        from the table w."""
+        P = self.P_own[l] if c == l else self.P_x[l, c - (c > l)]
+        return _inner(_seen(P, self._block(w, l, c)), u)
+
+    def _invert_design(self, Zl, power):
+        x, jit = hermitian_solve(Zl + (1.0 / power) * np.eye(self.q, dtype=complex), None,
+                                 floor=1.0 / power)
+        return herm(x), jit
+
+    def _with_design(self, G, Zl, power):
+        """G + Z + I / power for the design matrices Zl of a cell."""
+        G += Zl + (1.0 / power) * np.eye(self.q)
+        return G
+
+    def _rank_k_rows(self, Yt, inv):
+        """The rows of A^{-1} W and W^H A^{-1} W, from the rows w_j^T of W
+        Yt [T, n, j, q] and A^{-1} [n, q, q]."""
+        XT = np.matmul(Yt, inv.swapaxes(-1, -2)[None])
+        return XT, np.matmul(Yt.conj(), XT.swapaxes(-1, -2))
+
+    def _rank_k_vectors(self, X, XT):
+        return np.matmul(X, XT)
+
+    def _loo_grams(self, w_hat, l):
+        """sum_{j != k} y_j y_j^H [T, K, q, q] for every user k of cell l, y_j
+        the estimates seen in user k's basis, formed in slices of trials
+        that take about GRAM_BYTES: a whole pass's seen estimates and their
+        conjugates, live beside the Grams, would add 2 T K^2 q entries to the
+        pass's peak memory."""
+        K, q, T = self.K, self.q, w_hat.shape[0]
+        kk = np.arange(K)
+        G = np.empty((T, K, q, q), dtype=complex)
+        step = max(GRAM_BYTES // (16 * K * K * q), 1)
+        for a in range(0, T, step):
+            Y = self._seen_estimates(w_hat[a:a + step], l)  # fresh: zeroed in place
+            Y[kk, :, kk] = 0.0
+            np.matmul(Y.transpose(1, 2, 3, 0), Y.conj().transpose(1, 2, 0, 3),
+                      out=G[a:a + step])
+        return G
+
+    def _design_power(self, vl, l, s_obs):
+        """v^H Z v [T, K] of cell l's vectors vl; under conditional
+        contamination v^H Z_cond v plus the powers |v^H R~ Xi s|^2 of each
+        pilot-sharing cell's conditional mean, from the observations s_obs."""
+        Cstat = self.Z_cond[l] if self.conditional else self.Z[l]
+        Cv = np.matmul(vl.transpose(1, 0, 2), Cstat.swapaxes(-1, -2))  # [k, T, a]
+        den = np.einsum("tka,kta->tk", vl.conj(), Cv).real
+        if self.conditional:
+            cmean = np.matmul(self.contam_filt[l], s_obs[:, l, :, None, :, None])
+            den += (np.abs(np.matmul(vl.conj()[:, :, None, None], cmean)) ** 2
+                    ).sum(axis=(2, 3, 4))
+        return den
+
+
+class _AngularEngine(DrawEngine):
+    """DrawEngine's angular representation of partial-Fourier draws.
+
+    Each eigenbasis is a set of DFT columns, supp[l, lp, k] the indices the
+    profile of link (l, lp, k) stores (-1 pads), and each serving basis is
+    served in DFT columns too, serve[l, k]; no eigenbasis is formed as a
+    matrix.  A basis of DFT columns is served in its own; an M x M basis B
+    that is not (I_M) is served in all M, and its users' orthogonal-pilot
+    noise is rotated by F^H B, one FFT for B = I.  MMSE and MF processing
+    are unitarily equivariant, so every rate is the dense one up to
+    round-off.  Every projection B^H U is then a 0/1 selection: filt,
+    err_cov, nproj_sum, s_inter and Z are diagonals [L, K, q], and Z + I/p
+    is inverted by a reciprocal.  A cell is shared when its users are all
+    served in the same DFT columns.  The pilot observation sums, in each
+    served slot (a BS, its pilot index under orthogonal pilots, and a DFT
+    index that one of its users reads), the fading entries stored there,
+    and gathers every user's slots; fading that no user reads is never
+    touched.  The link inner products are gather-sums over the matched
+    index pairs of each (BS, source cell) block (`pairs`, `segs`), and the
+    per-user leave-one-out Grams over the estimate products whose DFT
+    indices match a user's serving pair (`gram_pairs`, `gram_segs`); these
+    plans are built once per draw.  A chunk is evaluated in passes of at
+    most `span` trials, sized from the scenario's shape to about
+    PASS_BYTES."""
+
+    def _layout(self, sc):
+        L, K, q = self.L, self.K, self.q
+        self._index_sets(sc)
+        self.shared = [bool((self.serve[l] == self.serve[l, 0]).all()) for l in range(L)]
+        self._angular_plans()
+        # per trial: what a pass held when it gathered every stored fading
+        # entry and formed every seen estimate (a larger span raised peak RSS)
+        stored = np.count_nonzero(self.supp >= 0)
+        per_trial = 16 * (self._amp.size // 2 + 2 * stored + 4 * L * K * q
+                          + (1 if all(self.shared) else K) * 2 * K * q + 2 * L * K * K)
+        self.span = max(PASS_BYTES // per_trial, 1)
+        return (L, K, q), float
+
     def _index_sets(self, sc):
-        """Set supp and serve of a partial-Fourier draw (see the class
-        docstring) and the noise rotations of its M x M non-DFT serving
-        bases, and return True; return False, setting nothing, when a
-        serving basis with q < M is not DFT columns.
+        """Set supp and serve (class docstring) and the noise rotations of
+        the M x M serving bases that are not DFT columns.
 
         supp is read from the profiles' stored DFT indices; a link without
         r distinct indices in [0, M) raises InvalidProfile.  An explicit
-        serving basis's indices come from the phase step from row 0 to row
-        1 of each column, then one comparison of the basis with the DFT
-        columns it names."""
+        serving basis's indices come from `_dft_columns`."""
         L, K, M, q = sc.L, sc.K, sc.M, self.q
-        F = dft_matrix(M)
-        row = min(1, M - 1)
-
-        def columns(U):
-            idx = np.rint(np.angle(U[row]) * (M / (2.0 * np.pi))).astype(np.intp) % M
-            return idx if np.abs(U - F[:, idx]).max() <= 1e-8 else None
-
         serve = np.zeros((L, K, q), dtype=np.intp)
         rotations = {}  # id(B) -> (B, or None for I_M; its users)
         if not self.eigen:
             found = {}
             for (l, k), B in self.bases.items():
                 if id(B) not in found:
-                    idx = columns(B)
-                    if idx is None:
-                        if q < M:
-                            return False
+                    # DrawEngine.__new__ matched every basis with q < M
+                    idx = _dft_columns(B, known=q < M)
+                    if idx is None:  # M x M
                         idx = np.arange(M)
                         rotations[id(B)] = (None if np.array_equal(B, np.eye(M)) else B, [])
                     found[id(B)] = idx
@@ -440,114 +887,18 @@ class DrawEngine:
             serve[:] = supp[ll, ll, :, :q]
         self.supp, self.serve = supp, serve
         self._rotations = [(B, tuple(np.array(users).T)) for B, users in rotations.values()]
-        return True
 
     def _cell_tables(self, sc, l, jittered):
-        """Fill cell l's projections, estimators and design-matrix terms.
-
-        Every covariance projection B^H R B = (B^H U) diag(lam) (B^H U)^H of
-        the cell comes from one stacked GEMM over its links; a shared cell
-        projects once for all of its users.  Appends the users whose
-        estimator solve was regularised to `jittered`, and returns the
-        conditional denominator's covariances under conditional
-        contamination."""
-        L, K, M, r, q, rx = sc.L, sc.K, sc.M, self.r, self.q, self.rx
-        kk = np.arange(K)
-        nb = 1 if self.shared[l] else K  # distinct serving bases
-
-        def gram(A, B):
-            """A B^H per serving basis over the links in the trailing axes."""
-            n = A.shape[0]
-            return A.reshape(n, q, -1) @ B.reshape(n, q, -1).conj().swapaxes(-1, -2)
-
-        Bh = np.concatenate([self.bases[(l, k)] for k in range(nb)], axis=1).conj().T
-        lam_own = np.stack([sc.profile(l, l, j).lam for j in range(K)])  # [j, b]
-        U_own = np.concatenate([sc.profile(l, l, j).U for j in range(K)], axis=1)
-        R = (Bh @ U_own).reshape(nb, q, K, r)  # [k, a, j, b]
-        self.P_own[l] = R.transpose(2, 0, 1, 3)
-        if self.eigen:
-            self.P_own[l, kk, kk] = np.eye(r)
-        if self._P_est is not None:
-            Bcols = np.concatenate([self.bases[(l, j)] for j in range(K)], axis=1)
-            self._P_est[l] = (Bh @ Bcols).reshape(nb, q, K, q).transpose(2, 0, 1, 3)
-            self._P_est[l, kk, kk] = np.eye(q)
-
-        # contaminating covariances in each user's basis, summed
-        contam = np.zeros((K, q, q), dtype=complex)
-        if self.nonorth:
-            Rk = np.broadcast_to(R, (K, q, K, r))
-            Rl = Rk * lam_own
-            Rl[kk, :, kk] = 0.0  # the user's own channel does not contaminate
-            contam += herm(gram(Rl, Rk))
-        if L > 1:
-            U_x = np.zeros((M, L - 1, K, rx), dtype=complex)
-            lam_x = np.zeros((L - 1, K, rx))
-            for i, lp in enumerate(self.xcells[l]):
-                for p in range(K):
-                    src = sc.profile(l, lp, p)
-                    U_x[:, i, p, : src.r] = src.U
-                    lam_x[i, p, : src.r] = src.lam
-            X = (Bh @ U_x.reshape(M, -1)).reshape(nb, q, L - 1, K, rx)  # [k, a, i, p, b]
-            self.P_x[l] = X.transpose(2, 3, 0, 1, 4)
-            self.s_inter[l] = herm(gram(X * lam_x, X))
-            if self.nonorth:
-                contam += self.s_inter[l]
-            else:  # the same pilot index in every other cell
-                Xk = np.broadcast_to(X, (K, q, L - 1, K, rx))
-                Xd = Xk[kk, :, :, kk]  # [k, a, i, b]
-                lam_d = lam_x[:, kk].transpose(1, 0, 2)[:, None]
-                contam += herm(gram(Xd * lam_d, Xd))
-
-        # prior C = B^H R B, Xi = (C + contamination + I / rho_p)^{-1},
-        # filter C Xi = (Xi C)^H and error covariance C - C Xi C.  The filter
-        # is solved for against C: formed as C times an explicit Xi, it
-        # would carry round-off of order eps * rho_p in I_M bases.  The
-        # system's smallest eigenvalue is at least 1 / rho_p, and Xi itself
-        # is needed only by the conditional contamination tables
-        own = self.P_own[l, kk, kk]  # [k, a, b]
-        C = herm((own * lam_own[:, None]) @ own.conj().swapaxes(-1, -2))
-        eye = np.eye(q, dtype=complex)
-        rhs = (np.concatenate([C, np.broadcast_to(eye, C.shape)], axis=-1)
-               if self.conditional else C)
-        x, jit = hermitian_solve(C + contam + (1.0 / sc.rho_p) * eye, rhs,
-                                 floor=1.0 / sc.rho_p)
-        self.filt[l] = x[..., :q].conj().swapaxes(-1, -2)
-        xi = herm(x[..., q:]) if self.conditional else None
-        jittered.extend((l, int(k)) for k in np.flatnonzero(jit))
-        err = self.err_cov[l] = herm(C - herm(self.filt[l] @ C))
-
-        if self.shared[l]:
-            # P_est is the identity: the other users' errors are all minus own
-            self.nproj_sum[l] = herm(err.sum(axis=0) - err)
-        else:
-            P = self.P_est[l]  # [j, k, a, c]
-            PE = P @ err[:, None]
-            PE[kk, kk] = 0.0
-            A = PE.transpose(1, 2, 0, 3).reshape(K, q, K * q)
-            Pk = P.transpose(1, 2, 0, 3).reshape(K, q, K * q)
-            self.nproj_sum[l] = herm(A @ Pk.conj().swapaxes(-1, -2))
-
-        if self.conditional:
-            Xd = Xd.transpose(0, 2, 1, 3)  # [k, i, a, b]
-            rt = (Xd * lam_d.transpose(0, 2, 1, 3)) @ Xd.conj().swapaxes(-1, -2)
-            self.contam_filt[l] = rt @ xi[:, None]
-            res = herm(rt - self.contam_filt[l] @ rt).sum(axis=1)
-            Xo = Xk * lam_x
-            Xo[kk, :, :, kk] = 0.0  # the links of the other pilot indices
-            return herm(res) + herm(gram(Xo, Xk))
-        return None
-
-    def _angular_tables(self, l, lam, jittered):
-        """`_cell_tables` in the angular representation, where every table is
-        a diagonal: a link's projected covariance B^H R B is its eigenvalues
-        lam [L, K, rmax] placed at its DFT indices and read at the serving
-        basis's.  Each estimator system is diagonal too, so `diag_guard`
-        reads its smallest eigenvalue off the diagonal."""
+        """`_DenseEngine._cell_tables` in the angular representation, where
+        every table is a diagonal: a link's projected covariance B^H R B is
+        its eigenvalues lam [L, K, rmax] placed at its DFT indices and read
+        at the serving basis's.  Each estimator system is diagonal too, so
+        `diag_guard` reads its smallest eigenvalue off the diagonal."""
         L, K, M = self.L, self.K, self.M
         T = self.serve[l]  # [k, a]
         # power of every link into BS l at each DFT index (padding at M)
         pw = np.zeros((L, K, M + 1))
-        pw[np.arange(L)[:, None, None], np.arange(K)[:, None], self.supp[l]] = lam
+        pw[np.arange(L)[:, None, None], np.arange(K)[:, None], self.supp[l]] = self.lam[l]
         own, cross = pw[l, :, :M], pw[self.xcells[l], :, :M]
         C = np.take_along_axis(own, T, axis=-1)
         self.s_inter[l] = cross.sum(axis=(0, 1))[T]
@@ -681,426 +1032,101 @@ class DrawEngine:
                         np.searchsorted(cell, np.arange(L + 1))])
         return np.stack([src_a, src_b]), np.stack([first - ptr[0, cell], ids]), ptr
 
-    @property
-    def P_est(self):
-        """Estimate projections between serving bases; in the own eigenbases
-        they coincide with the true-channel table, so P_own itself."""
-        return self.P_own if self.eigen else self._P_est
+    def _expanded_tables(self, l):
+        """The diagonals expanded, and the projections as the 0/1 selections
+        they are."""
+        own, xcells = self.serve[l], self.xcells[l]  # [k, a]: the own DFT indices
+        P_own = (own[:, None, :, None] == own[None, :, None, :]).astype(complex)
+        P_x = ((own[:, None, None, :, None] == self.supp[l, xcells, :, None, :self.rx])
+               .astype(complex) if xcells else None)
+        eye = np.eye(self.r)
+        return P_own, P_x, self.filt[l][..., None] * eye, self.Z[l][..., None] * eye
 
-    def detequiv_tables(self, l):
-        """Cell l's inputs of the uplink deterministic equivalents
-        (`detequiv`: the MMSE limit reads them all, the MF limit all but Z),
-        dense in both representations:
-
-        P_own [k, j, a, b] = U_llk^H U_llj; P_x [k, i, p, a, b] =
-        U_llk^H U_{l lp p} for the i-th other cell lp (None when L = 1) and
-        its eigenvalues lam_x [i, p, b]; phi [k, a, b] = Lambda Xi Lambda;
-        xi_lam [k, a, b] = Xi Lambda, the conjugate transpose of filt; Z
-        [k, a, b].  The angular representation expands its diagonals, and
-        its projections into the 0/1 selections they are.  Needs the own
-        eigenbases (bases=None)."""
-        if not self.eigen:
-            raise ValueError("the deterministic-equivalent tables need the own eigenbases")
-        r, rx, xcells = self.r, self.rx, self.xcells[l]
-        lam_own, lam_x = self.lam[l, l, :, :r], self.lam[l, xcells, :, :rx]
-        if self.angular:
-            own = self.serve[l]  # [k, a]: the own DFT indices
-            P_own = (own[:, None, :, None] == own[None, :, None, :]).astype(complex)
-            P_x = ((own[:, None, None, :, None] == self.supp[l, xcells, :, None, :rx])
-                   .astype(complex) if xcells else None)
-            filt, Z = self.filt[l][..., None] * np.eye(r), self.Z[l][..., None] * np.eye(r)
-        else:
-            P_own = self.P_own[l].swapaxes(0, 1)
-            P_x = None if self.P_x is None else self.P_x[l].transpose(2, 0, 1, 3, 4)
-            filt, Z = self.filt[l], self.Z[l]
-        phi = herm(filt * lam_own[:, None, :])
-        return P_own, P_x, lam_x, phi, filt.conj().swapaxes(-1, -2), Z
-
-    # -- trial synthesis ----------------------------------------------------
-
-    def _draw_chunk(self, base_seed: int, t0: int, t1: int):
-        """The table of trials [t0, t1) (class docstring), one standard-normal
-        draw of each trial's stream into its row, and their pilot noise
-        [T, L, K, q] in the serving bases."""
-        L, K, M, q = self.L, self.K, self.M, self.q
-        T = t1 - t0
-        w = np.empty((T, self._amp.size // 2), dtype=complex)
-        x = w.view(float)
-        for i, t in enumerate(range(t0, t1)):
-            stream(base_seed, 1, t).standard_normal(out=x[i])
-        x *= self._amp
-        z = w[:, self.w_off[-1]:]
-        if self.nonorth and self.angular:
-            # one snapshot per BS in DFT coordinates, read by each user
-            zf = np.fft.fft(z.reshape(T, L, M), axis=-1, norm="ortho")
-            return w, zf[:, np.arange(L)[:, None, None], self.serve]
+    def _pilot_noise(self, z):
+        T, L = len(z), self.L
         if self.nonorth:
-            # one snapshot per BS, despread by each of its users
-            z = z.reshape(T, L, M)
-            noise = np.empty((T, L, K, q), dtype=complex)
-            for (l, k), B in self.bases.items():
-                noise[:, l, k] = z[:, l] @ B.conj()
-            return w, noise
+            # one snapshot per BS in DFT coordinates, read by each user
+            zf = np.fft.fft(z.reshape(T, L, self.M), axis=-1, norm="ortho")
+            return zf[:, np.arange(L)[:, None, None], self.serve]
         # fresh pilot symbol per user: despread noise is plain CN(0, I_q)
-        noise = z.reshape(T, L, K, q)
-        if self.angular:
-            # noise drawn in an M x M basis B, seen in DFT coordinates: F^H B n
-            for B, (ls, ks) in self._rotations:
-                n = noise[:, ls, ks] if B is None else noise[:, ls, ks] @ B.T
-                noise[:, ls, ks] = np.fft.fft(n, axis=-1, norm="ortho")
-        return w, noise
-
-    def _block(self, w, l, c):
-        """The fading of the links from cell c's users into BS l in the table
-        w: a view [T, K, width], width r_own if c = l, else rx."""
-        a, b = self.w_off[l * self.L + c: l * self.L + c + 2]
-        return w[:, a:b].reshape(len(w), self.K, (b - a) // self.K)
+        noise = z.reshape(T, L, self.K, self.q)
+        # noise drawn in an M x M basis B, seen in DFT coordinates: F^H B n
+        for B, (ls, ks) in self._rotations:
+            n = noise[:, ls, ks] if B is None else noise[:, ls, ks] @ B.T
+            noise[:, ls, ks] = np.fft.fft(n, axis=-1, norm="ortho")
+        return noise
 
     def _estimates(self, w, noise):
-        """Despread pilot observations and per-user MMSE estimates.
+        """`_DenseEngine._estimates`: the pilot-sharing links are summed in
+        the served slots, read per user."""
+        w_own = np.stack([self._block(w, l, l) for l in range(self.L)], axis=1)
+        x_own = (w_own if self.eigen else
+                 np.take_along_axis(_zero_padded(w_own), self.own_pos[None], axis=-1))
+        first = self.served_first
+        obs = _segment_sums(np.take(w, self.served_take, axis=1), first, slice(None, -1),
+                            first.size + 1)
+        s = np.take(obs, self.served_slot, axis=1)
+        s += noise / np.sqrt(self.rho_p)
+        return self.filt * s, w_own, x_own, s
 
-        Returns (w_hat, w_own, x_own, s) from the table w and the noise.
-        The estimates w_hat, the observations s and the own channels x_own
-        are in the serving bases [T, L, K, q]; w_own holds the own channels
-        in their eigen coordinates [T, L, K, r]."""
-        L, K, r = self.L, self.K, self.r
-        kk = np.arange(K)
-        T = w.shape[0]
-        w_own = np.empty((T, L, K, r), dtype=complex)
-        for l in range(L):
-            w_own[:, l] = self._block(w, l, l)
-        if self.eigen:
-            x_own = w_own
-        elif self.angular:
-            x_own = np.take_along_axis(_zero_padded(w_own), self.own_pos[None], axis=-1)
-        else:
-            own = self.P_own[:, kk, kk].swapaxes(-1, -2)  # [l, k, b, a]
-            x_own = np.matmul(w_own.transpose(1, 2, 0, 3), own).transpose(2, 0, 1, 3)
-        if self.angular:
-            # the pilot-sharing links summed in the served slots, read per user
-            first = self.served_first
-            obs = _segment_sums(np.take(w, self.served_take, axis=1), first, slice(None, -1),
-                                first.size + 1)
-            s = np.take(obs, self.served_slot, axis=1)
-            s += noise / np.sqrt(self.rho_p)
-            return self.filt * s, w_own, x_own, s
-        s = x_own + noise / np.sqrt(self.rho_p)
-        for l in range(L):
-            if self.nonorth:
-                # own-cell contamination of the shared pilot
-                Y = _seen(self.P_own[l], w_own[:, l])
-                Y[kk, :, kk] = 0.0
-                s[:, l] += Y.sum(axis=0)
-                for i, lp in enumerate(self.xcells[l]):
-                    s[:, l] += _seen(self.P_x[l, i], self._block(w, l, lp)).sum(axis=0)
-            else:
-                for i, lp in enumerate(self.xcells[l]):
-                    # same pilot index only
-                    D = self.P_x[l, i, kk, kk].swapaxes(-1, -2)  # [k, b, a]
-                    s[:, l] += np.matmul(self._block(w, l, lp).transpose(1, 0, 2), D
-                                         ).transpose(1, 0, 2)
-        w_hat = np.matmul(s.transpose(1, 2, 0, 3), self.filt.swapaxes(-1, -2))
-        return w_hat.transpose(2, 0, 1, 3), w_own, x_own, s
-
-    def _seen_estimates(self, w_hat, l):
-        """Cell l's estimates seen in each of its users' bases [j, T, k, q];
-        a shared cell's one basis gives [j, T, 1, q]."""
-        wl = w_hat[:, l]
-        if self.shared[l]:
-            return wl.transpose(1, 0, 2)[:, :, None]
-        if self.angular:
-            # [T, k, j, q] in memory: the MMSE products read contiguous rows
-            T = wl.shape[0]
-            Y = np.take(_zero_padded(wl).reshape(T, -1), self.est_pos[l], axis=1)
-            return Y.transpose(2, 0, 1, 3)
-        return _seen(self.P_est[l], wl)
+    def _seen_in_bases(self, wl, l):
+        # [T, k, j, q] in memory: the MMSE products read contiguous rows
+        T = wl.shape[0]
+        Y = np.take(_zero_padded(wl).reshape(T, -1), self.est_pos[l], axis=1)
+        return Y.transpose(2, 0, 1, 3)
 
     def _link_inner(self, l, c, w, u):
-        """u^H (B^H U w) for the channels from cell c's users into BS l, seen
-        by its users' vectors u [T, K, q]: [T, K, K] (vector, source user),
-        from the table w."""
         K = self.K
-        x = self._block(w, l, c)
-        if not self.angular:
-            P = self.P_own[l] if c == l else self.P_x[l, c - (c > l)]
-            return _inner(_seen(P[:, :1] if self.shared[l] else P, x), u)
         blk = l * self.L + c
         (p0, p1), (s0, s1) = self.ptr[:, blk: blk + 2]
         ua, src = self.pairs[:, p0:p1]
         first, ids = self.segs[:, s0:s1]
         T = u.shape[0]
-        x = np.take(x.reshape(T, -1), src, axis=1)
+        x = np.take(self._block(w, l, c).reshape(T, -1), src, axis=1)
         if self.shared[l]:  # one set of pairs for every user's vector
             x = np.take(u.conj(), ua, axis=2) * x[:, None]
             return _segment_sums(x, first, ids, K)
         x *= np.take(u.conj().reshape(T, -1), ua, axis=1)
         return _segment_sums(x, first, ids, K * K).reshape(T, K, K)
 
-    @property
-    def beam_jittered(self):
-        """Users whose MMSE combiner or precoder system the guard regularised,
-        in any trial evaluated so far, sorted."""
-        with self._lock:
-            return tuple(sorted(self._beam_flags))
-
-    def _flag_users(self, l, ks):
-        with self._lock:
-            self._beam_flags.update((l, int(k)) for k in ks)
-
-    def _static_inverse(self, power):
-        """(Z + I / power)^{-1} of every serving basis, [n, q, q] per cell
-        (n = 1 for a shared cell, else K): one stacked guarded solve per cell,
-        with floor 1 / power, computed once per power.  In the angular
-        representation the inverses are reciprocals of diagonals, [n, q] per
-        cell."""
-        with self._lock:
-            inv = self._inverses.get(power)
-            if inv is None:
-                K = self.K
-                eye = np.eye(self.q, dtype=complex)
-                inv = []
-                for l in range(self.L):
-                    nb = 1 if self.shared[l] else K
-                    if self.angular:
-                        d, jit = diag_guard(self.Z[l, :nb] + 1.0 / power)
-                        inv.append(1.0 / d)
-                    else:
-                        x, jit = hermitian_solve(self.Z[l, :nb] + (1.0 / power) * eye, None,
-                                                 floor=1.0 / power)
-                        inv.append(herm(x))
-                    if jit.any():
-                        self._flag_users(l, range(K) if self.shared[l] else np.flatnonzero(jit))
-                self._inverses[power] = inv
-        return inv
+    def _invert_design(self, Zl, power):
+        d, jit = diag_guard(Zl + 1.0 / power)
+        return 1.0 / d, jit
 
     def _with_design(self, G, Zl, power):
-        """G + Z + I / power for the design matrices Zl of a cell (diagonals
-        in the angular representation)."""
-        if self.angular:
-            i = np.arange(self.q)
-            G[..., i, i] += Zl + 1.0 / power
-        else:
-            G += Zl + (1.0 / power) * np.eye(self.q)
+        i = np.arange(self.q)
+        G[..., i, i] += Zl + 1.0 / power
         return G
 
-    def _beamformer(self, w_hat, l, power, vectors=True, sinr=False):
-        """MMSE or MF processing of cell l's users: returns (v, Y, s).
+    def _rank_k_rows(self, Yt, inv):
+        """The rows of (A^{-1} W)^H, and W^H A^{-1} W, for the diagonal
+        A^{-1} [n, q]."""
+        XT = Yt.conj()
+        XT *= inv[None, :, None]
+        return XT, np.matmul(XT, Yt.swapaxes(-1, -2))
 
-        v holds the unit-norm combining (power P_ul) or precoding (power
-        P_dl per user) vectors [T, K, q]; Y the estimates seen in the users'
-        bases (_seen_estimates) when the MMSE design formed them and keeps
-        them, else None; s [T, K] the uplink coherent SINR of every user when
-        sinr is True and the cell's users solve per-user systems (below)
-        without conditional contamination, else None.  v is None when
-        vectors is False and s is given.
-
-        User k's MMSE vector is G^{-1} w_k with G = W W^H + A: the columns
-        of W are the cell's K estimates seen in the user's basis, and
-        A = Z + I / power.  When q > K the matrix inversion lemma gives
-        G^{-1} W = A^{-1} W S^{-1} with S = I + W^H A^{-1} W, which is K x K
-        with every eigenvalue at least 1; A^{-1} comes from one guarded solve
-        per basis (_static_inverse; a reciprocal in the angular
-        representation), so a trial solves S only.  When q <= K each trial
-        solves a q x q system directly, after `guard` has jittered the
-        systems that its floor 1 / power does not certify.  A shared cell
-        solves G by LU (K right-hand sides).  Otherwise each user solves the
-        leave-one-out system G_k = G - w_k w_k^H, whose Gram part sums the
-        other users' terms (`_loo_grams`); by Sherman-Morrison G_k^{-1} w_k
-        is parallel to G^{-1} w_k, so the unit vectors are the same up to
-        round-off, and the coherent SINR |v^H w_k|^2 / (v^H G_k v) of that
-        vector is w_k^H G_k^{-1} w_k.  With q <= CHOLESKY_MAX_Q the system is factored
-        G_k = L L^H (`cholesky_factor`, which also jitters a system whose
-        factorisation fails): s = ||L^{-1} w_k||^2 from the forward
-        substitution, and the back substitution and the normalisation run
-        only when vectors is True.  Above, G_k is solved by LU and
-        s = Re(w_k^H G_k^{-1} w_k).  s is the SINR of the system as solved,
-        so of the regularised one where the guard or the jitter acted.
-        Jittered systems are recorded in beam_jittered."""
-        K, q = self.K, self.q
-        wl = w_hat[:, l]
-        T = wl.shape[0]
-        per_user = q <= K and not self.shared[l]
-        Y = None if self.combiner == "mf" or per_user else self._seen_estimates(w_hat, l)
-        s = None
-        if self.combiner == "mf":
-            v = wl
-        elif q > K:
-            Yt = Y.transpose(1, 2, 0, 3)  # [T, n, j, q]: the rows w_j^T
-            inv = self._static_inverse(power)[l]
-            if self.angular:  # the rows of (A^{-1} W)^H
-                XT = Yt.conj()
-                XT *= inv[None, :, None]
-                S = np.matmul(XT, Yt.swapaxes(-1, -2))
-            else:  # the rows of A^{-1} W
-                XT = np.matmul(Yt, inv.swapaxes(-1, -2)[None])
-                S = np.matmul(Yt.conj(), XT.swapaxes(-1, -2))  # W^H A^{-1} W
-            S += np.eye(K)
-            # the one basis of a shared cell serves all K users, the basis of
-            # user k only its own column
-            E = np.eye(K) if self.shared[l] else np.eye(K)[:, :, None]
-            X = np.linalg.solve(S, E).swapaxes(-1, -2)
-            v = (np.matmul(X.conj(), XT).conj() if self.angular
-                 else np.matmul(X, XT)).reshape(T, K, q)
-        elif self.shared[l]:
-            # one basis for the whole cell: all its users share one Gram
-            # matrix (and Z), so one solve serves K right-hand sides
-            G = self._with_design(np.matmul(wl.swapaxes(1, 2), wl.conj()),
-                                  self.Z[l, 0][None], power)
-            G, flags = guard(G, 1.0 / power)
-            if flags.any():
-                self._flag_users(l, range(K))
-            v = np.linalg.solve(G, wl.swapaxes(1, 2)).swapaxes(1, 2)
-        else:
-            G = self._with_design(self._loo_grams(w_hat, l), self.Z[l][None], power)
-            sinr = sinr and not self.conditional
-            if q <= CHOLESKY_MAX_Q:
-                Lf, flags = cholesky_factor(G, 1.0 / power)
-                del G
-                x = forward_substitute(Lf, wl[..., None])[..., 0]
-                if sinr:
-                    s = np.einsum("tka,tka->tk", x.conj(), x).real
-                if vectors or not sinr:
-                    v = back_substitute(Lf, x[..., None])[..., 0]
-            else:
-                G, flags = guard(G, 1.0 / power)
-                v = np.linalg.solve(G, wl[..., None])[..., 0]
-                if sinr:
-                    s = np.einsum("tka,tka->tk", wl.conj(), v).real
-            if flags.any():
-                self._flag_users(l, np.flatnonzero(flags.any(axis=0)))
-        if s is not None and not vectors:
-            return None, Y, s
-        return v / np.linalg.norm(v, axis=-1, keepdims=True), Y, s
+    def _rank_k_vectors(self, X, XT):
+        return np.matmul(X.conj(), XT).conj()
 
     def _loo_grams(self, w_hat, l):
-        """sum_{j != k} y_j y_j^H [T, K, q, q] for every user k of cell l, y_j
-        the estimates seen in user k's basis.  The angular representation
-        forms only the products whose DFT indices match (`_gram_plans`) and
-        no seen estimate.  The dense one forms the seen estimates in slices
-        of trials that take about GRAM_BYTES: a whole pass's seen estimates
-        and their conjugates, live beside the Grams, would add 2 T K^2 q
-        entries to the pass's peak memory."""
+        """Only the products whose DFT indices match (`_gram_plans`); no seen
+        estimate is formed."""
         K, q, T = self.K, self.q, w_hat.shape[0]
-        if self.angular:
-            (p0, p1), (s0, s1) = self.gram_ptr[:, l: l + 2]
-            src_a, src_b = self.gram_pairs[:, p0:p1]
-            first, ids = self.gram_segs[:, s0:s1]
-            x = w_hat[:, l].reshape(T, K * q)
-            prod = np.take(x, src_a, axis=1)
-            prod *= np.take(x, src_b, axis=1).conj()
-            return _segment_sums(prod, first, ids, K * q * q).reshape(T, K, q, q)
-        kk = np.arange(K)
-        G = np.empty((T, K, q, q), dtype=complex)
-        step = max(GRAM_BYTES // (16 * K * K * q), 1)
-        for a in range(0, T, step):
-            Y = self._seen_estimates(w_hat[a:a + step], l)  # fresh: zeroed in place
-            Y[kk, :, kk] = 0.0
-            np.matmul(Y.transpose(1, 2, 3, 0), Y.conj().transpose(1, 2, 0, 3),
-                      out=G[a:a + step])
-        return G
+        (p0, p1), (s0, s1) = self.gram_ptr[:, l: l + 2]
+        src_a, src_b = self.gram_pairs[:, p0:p1]
+        first, ids = self.gram_segs[:, s0:s1]
+        x = w_hat[:, l].reshape(T, K * q)
+        prod = np.take(x, src_a, axis=1)
+        prod *= np.take(x, src_b, axis=1).conj()
+        return _segment_sums(prod, first, ids, K * q * q).reshape(T, K, q, q)
 
-    # -- per-chunk statistics -----------------------------------------------
-
-    def ul_chunk(self, base_seed, t0, t1, cells, want):
-        return self._chunk(self._ul_pass, base_seed, t0, t1, cells, want)
-
-    def dl_chunk(self, base_seed, t0, t1, cells, want):
-        return self._chunk(self._dl_pass, base_seed, t0, t1, cells, want)
-
-    def _chunk(self, one_pass, base_seed, t0, t1, cells, want):
-        """Statistics of trials [t0, t1), evaluated in passes of at most
-        `span` trials, each folded into the chunk's statistics cell by cell:
-        a pass appends its per-trial statistics to lists, joined here once,
-        and adds its sums over trials into the chunk's.  Every trial is
-        computed on its own and the sums over trials run in trial order, so
-        the split changes no value, only the memory a chunk holds."""
-        n = max(-(-(t1 - t0) // self.span), 1)
-        edges = [t0 + (t1 - t0) * i // n for i in range(n + 1)]
-        out = {}
-        for a, b in zip(edges, edges[1:]):
-            one_pass(base_seed, a, b, cells, want, out)
-        for stats in (s for group in out.values() for s in group.values()):
-            for key, x in stats.items():
-                if isinstance(x, list):
-                    stats[key] = x[0] if len(x) == 1 else np.concatenate(x)
-        return out
-
-    def _ul_pass(self, base_seed, t0, t1, cells, want, out):
-        K = self.K
-        kk = np.arange(K)
-        nc_bounds = want & {"noncoherent", "alt", "maxmin"}
-        w, noise = self._draw_chunk(base_seed, t0, t1)
-        w_hat, _, x_own, s_obs = self._estimates(w, noise)
-        del noise
-        for l in cells:
-            # [T, K, q]; sinr from the leave-one-out identity where it applies
-            vl, Y, sinr = self._beamformer(w_hat, l, self.P_ul, vectors=bool(nc_bounds),
-                                           sinr="coherent" in want)
-            if "coherent" in want:
-                if sinr is None:
-                    sinr = self._coherent_sinr(w_hat, l, vl, Y, s_obs)
-                stats = out.setdefault("coherent", {}).setdefault(l, {"rate": [], "sinr": []})
-                stats["rate"].append(np.log2(1.0 + sinr))
-                stats["sinr"].append(sinr)
-            del Y
-            if nc_bounds:
-                sig = np.einsum("tka,tka->tk", vl.conj(), x_own[:, l])
-                # true channels of every link into BS l, own cell first
-                ips = [self._link_inner(l, c, w, vl) for c in [l] + self.xcells[l]]
-                ips[0][:, kk, kk] = 0.0
-                _nc_stats(sig, np.concatenate(ips, axis=2), self.P_ul,
-                          out.setdefault("_nc", {}).setdefault(l, {}))
-
-    def _coherent_sinr(self, w_hat, l, vl, Y, s_obs):
-        """The coherent SINR [T, K] of cell l's unit vectors vl from their
-        definition: |v^H w_k|^2 over the second moments of everything else,
-        v^H (sum_{j != k} w_j w_j^H + Z + I / P_ul) v, with Z's conditional
-        form and the conditional means' powers under conditional
-        contamination.  Y is the unmasked seen estimates, or None."""
-        kk = np.arange(self.K)
-        if Y is None:
-            Y = self._seen_estimates(w_hat, l)
-        ip2_hat = np.abs(_inner(Y, vl)) ** 2  # [T, k, j]
-        num = ip2_hat[:, kk, kk].copy()
-        ip2_hat[:, kk, kk] = 0.0
-        Cstat = self.Z_cond[l] if self.conditional else self.Z[l]
-        if self.angular:
-            den = (np.abs(vl) ** 2 * Cstat).sum(axis=-1)
-        else:
-            Cv = np.matmul(vl.transpose(1, 0, 2), Cstat.swapaxes(-1, -2))  # [k, T, a]
-            den = np.einsum("tka,kta->tk", vl.conj(), Cv).real
+    def _design_power(self, vl, l, s_obs):
+        den = (np.abs(vl) ** 2 * (self.Z_cond[l] if self.conditional else self.Z[l])).sum(axis=-1)
         if self.conditional:
-            # v^H R~ Xi s for each pilot-sharing cell
-            if self.angular:
-                cm = (vl.conj()[:, :, None] * self.contam_filt[l]
-                      * s_obs[:, l, :, None, :]).sum(axis=-1)
-                den += (np.abs(cm) ** 2).sum(axis=2)
-            else:
-                cmean = np.matmul(self.contam_filt[l], s_obs[:, l, :, None, :, None])
-                den += (np.abs(np.matmul(vl.conj()[:, :, None, None], cmean)) ** 2
-                        ).sum(axis=(2, 3, 4))
-        den += ip2_hat.sum(axis=2)
-        den += (np.linalg.norm(vl, axis=-1) ** 2) / self.P_ul
-        return num / den
-
-    def _dl_pass(self, base_seed, t0, t1, cells, want, out):
-        L, K = self.L, self.K
-        kk = np.arange(K)
-        w, noise = self._draw_chunk(base_seed, t0, t1)
-        w_hat, _, x_own, _ = self._estimates(w, noise)
-        del noise
-        g = np.stack([self._beamformer(w_hat, l, self.P_dl)[0] for l in range(L)],
-                     axis=1)
-        nc = out.setdefault("_nc", {})
-        for l in cells:
-            # signal: (B_{lk}^H U_{llk} w_{llk})^H g_{lk}
-            sig = np.einsum("tka,tka->tk", x_own[:, l].conj(), g[:, l])
-            # link from user (l, k) into BS lp seen through precoder (lp, j):
-            # (B_{lp j}^H U_{lp l k} w_{lp l k})^H g_{lp j}, own cell first
-            ips = [self._link_inner(lp, l, w, g[:, lp]).conj().swapaxes(1, 2)
-                   for lp in [l] + self.xcells[l]]
-            ips[0][:, kk, kk] = 0.0
-            _nc_stats(sig, np.concatenate(ips, axis=2), self.P_dl, nc.setdefault(l, {}))
+            cm = (vl.conj()[:, :, None] * self.contam_filt[l]
+                  * s_obs[:, l, :, None, :]).sum(axis=-1)
+            den += (np.abs(cm) ** 2).sum(axis=2)
+        return den
 
 
 def default_engine(scenario: NetworkScenario) -> DrawEngine:
@@ -1200,9 +1226,6 @@ def run_bounds(
         engine = DrawEngine(sc, combiner=combiner,
                             conditional_contamination=conditional_contamination,
                             bases=bases)
-    if combiner != "mf" and engine.q > sc.K:
-        # the draw-static factorisations, before the chunks share the engine
-        engine._static_inverse(sc.P_ul if direction == "ul" else sc.P_dl_per_user)
     edges = list(range(0, trials, CHUNK)) + [trials]
     spans = [(a, b) for a, b in zip(edges, edges[1:]) if b > a]
     fn = engine.ul_chunk if direction == "ul" else engine.dl_chunk

@@ -46,33 +46,35 @@ def _parse_detequiv_problem(path: str) -> DetEquivProblem:
     Keys: N (dimension), z (negative real), A and Q as comma-separated
     diagonals or 'zero'/'identity', and one or more theta lines, each either
     'identity x <count>' or a comma-separated diagonal (optionally with
-    'x <count>').  N must be an integer >= 1 and a count an integer >= 0;
-    ConfigError names the line of one that is not.
+    'x <count>').  N must be an integer >= 1, a count an integer >= 0, z
+    and every diagonal entry a number, and a diagonal N entries long;
+    ConfigError names the line of a value that is not.
     """
     N = None
     z = None
     A = Q = None
     thetas, counts = [], []
 
-    def diag_of(val, n):
+    def number(lineno, name, text, cast=float, least=None):
+        try:
+            value = cast(text)
+        except ValueError:
+            value = None
+        if value is None or least is not None and value < least:
+            need = "a number" if least is None else f"an integer >= {least}"
+            raise ConfigError(f"{path}:{lineno}: {name} must be {need}, got {text.strip()!r}")
+        return value
+
+    def diag_of(lineno, name, val, n):
         if val == "identity":
             return np.eye(n)
         if val == "zero":
             return np.zeros((n, n))
-        entries = np.array([float(x) for x in val.split(",")])
+        entries = np.array([number(lineno, f"{name} entry", x) for x in val.split(",")])
         if len(entries) != n:
-            raise ConfigError(f"diagonal has {len(entries)} entries, expected N={n}")
+            raise ConfigError(f"{path}:{lineno}: {name} diagonal has {len(entries)} entries, "
+                              f"expected N={n}")
         return np.diag(entries)
-
-    def integer(lineno, name, text, least):
-        try:
-            value = int(text)
-        except ValueError:
-            value = None
-        if value is None or value < least:
-            raise ConfigError(f"{path}:{lineno}: {name} must be an integer >= {least}, "
-                              f"got {text.strip()!r}")
-        return value
 
     raw_items = []
     with open(path) as fh:
@@ -86,25 +88,25 @@ def _parse_detequiv_problem(path: str) -> DetEquivProblem:
             raw_items.append((lineno, key.strip().lower(), val.strip()))
     for lineno, key, val in raw_items:
         if key == "n":
-            N = integer(lineno, "N", val, 1)
+            N = number(lineno, "N", val, int, 1)
         elif key == "z":
-            z = float(val)
+            z = number(lineno, "z", val)
     if N is None or z is None:
         raise ConfigError(f"{path}: both N and z are required")
     for lineno, key, val in raw_items:
         if key in ("n", "z"):
             continue
         if key == "a":
-            A = diag_of(val, N)
+            A = diag_of(lineno, "A", val, N)
         elif key == "q":
-            Q = diag_of(val, N)
+            Q = diag_of(lineno, "Q", val, N)
         elif key == "theta":
             count = 1
             if "x" in val:
                 val, _, cnt = val.rpartition("x")
                 val = val.strip()
-                count = integer(lineno, "theta count", cnt, 0)
-            thetas.append(diag_of(val, N))
+                count = number(lineno, "theta count", cnt, int, 0)
+            thetas.append(diag_of(lineno, "theta", val, N))
             counts.append(count)
         else:
             raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")

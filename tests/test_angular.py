@@ -11,7 +11,8 @@ representation.
 import numpy as np
 import pytest
 
-from mimo_lab.bounds import CHOLESKY_MAX_Q, CHUNK, DL_BOUNDS, UL_BOUNDS, DrawEngine, run_bounds
+from mimo_lab.bounds import (CHOLESKY_MAX_Q, CHUNK, DL_BOUNDS, UL_BOUNDS, DrawEngine,
+                             _AngularEngine, _DenseEngine, run_bounds)
 from mimo_lab.covmodel import (
     CorrelationModel,
     CovarianceProfile,
@@ -51,7 +52,8 @@ PATHS.update({
     "cells-dl": ("dl", "nonorthogonal", "mmse", "d=3", dict(cells=[0]), {}),
     "one-cell-ul": ("ul", "orthogonal", "mmse", "own", {}, dict(L=1)),
     "one-cell-dl-shared-pilot": ("dl", "nonorthogonal", "mmse", "I_M", {}, dict(L=1)),
-    # one basis for the cell and q = M <= K: one direct solve per trial
+    # one basis for the cell and q = M <= K: the rank-K path, one K x K
+    # solve per trial
     "shared-direct": ("ul", "orthogonal", "mmse", "I_M", {},
                       dict(L=1, K=5, M=4, r_own=2, T_c=50)),
     "decaying-eigenvalues": ("dl", "orthogonal", "mmse", "d=3", {},
@@ -81,7 +83,7 @@ def test_angular_reports_match_dense(path):
     sc = make_scenario(pilot=pilot, **dict(POINT, **over))
     bases = BASES[which](sc)
     bounds = UL_BOUNDS if direction == "ul" else DL_BOUNDS
-    assert DrawEngine(sc, bases=bases).angular
+    assert isinstance(DrawEngine(sc, bases=bases), _AngularEngine)
     got = run_bounds(sc, direction, bounds, 70, 11, combiner, bases=bases, **extra)
     want = run_bounds(dense_twin(sc), direction, bounds, 70, 11, combiner, bases=bases,
                       **extra)
@@ -130,12 +132,26 @@ def test_model_label_picks_the_representation():
         (haar, None, False),
         (haar, full_bases(haar), False),
     ]:
-        eng = DrawEngine(scen, bases=bases)
-        assert eng.angular is angular
-        assert (eng.P_own is None) is angular
+        assert isinstance(DrawEngine(scen, bases=bases),
+                          _AngularEngine if angular else _DenseEngine)
     # the users of a cell served in the same DFT columns share its basis
     assert DrawEngine(sc, bases=BASES["distinct I_M"](sc)).shared == [True, True]
     assert DrawEngine(sc).shared == [False, False]
+
+
+def test_own_eigenbases_form_no_dft_matrix(monkeypatch):
+    # the own eigenbases are read off the stored DFT indices: only an
+    # explicit serving basis is compared with the M x M DFT matrix
+    sc = make_scenario(**POINT)
+    bases = BASES["d=3"](sc)
+
+    def unformed(M):
+        raise AssertionError("DFT matrix formed")
+
+    monkeypatch.setattr("mimo_lab.bounds.dft_matrix", unformed)
+    assert isinstance(DrawEngine(sc), _AngularEngine)
+    with pytest.raises(AssertionError, match="DFT matrix formed"):
+        DrawEngine(sc, bases=bases)
 
 
 def test_fourier_label_needs_dft_columns():
@@ -220,7 +236,8 @@ def test_leave_one_out_grams_match_dense(case):
     sc = make_scenario(eigen_shape="exp_decay", eigen_rate=0.5, **dict(POINT, K=5, **over))
     bases = BASES[which](sc) if which else None
     ang, den = DrawEngine(sc, bases=bases), DrawEngine(dense_twin(sc), bases=bases)
-    assert ang.angular and not den.angular and ang.q <= sc.K and ang.gram_ptr is not None
+    assert isinstance(ang, _AngularEngine) and isinstance(den, _DenseEngine)
+    assert ang.q <= sc.K and ang.gram_ptr is not None
     w_ang = ang._estimates(*ang._draw_chunk(4, 0, 9))[0]
     w_den = den._estimates(*den._draw_chunk(4, 0, 9))[0]
     assert_each_trial_close(w_ang, w_den)
@@ -272,7 +289,7 @@ def test_per_user_pass_forms_no_seen_estimates(monkeypatch, pilot):
     # bound; the MF coherent SINR still reads the seen estimates
     sc = make_scenario(pilot=pilot, **dict(POINT, K=5))
     eng = DrawEngine(sc)
-    assert eng.angular and eng.q <= sc.K and not any(eng.shared)
+    assert isinstance(eng, _AngularEngine) and eng.q <= sc.K and not any(eng.shared)
 
     def unseen(*args):
         raise AssertionError("seen estimates formed")

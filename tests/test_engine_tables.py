@@ -91,14 +91,13 @@ def test_tables_match_per_link_definitions(L, pilot, which):
     bases = BASES[which](sc)
     eng = DrawEngine(sc, bases=bases)
     proj, cov, B, ref = reference(sc, bases)
-    # a shared basis needs no basis-to-basis table: it is the identity
-    assert eng.shared == [which == "full"] * sc.L
-    assert (eng.P_est is None) == (which == "full")
+    # a dense engine shares no cell, so one I_M for all users has its
+    # basis-to-basis table too
+    assert not any(eng.shared)
     for l, k in sc.users():
         for j in range(sc.K):
             close(eng.P_own[l, j, k], proj(l, k, (l, l, j)))
-            if eng.P_est is not None:
-                close(eng.P_est[l, j, k], B[(l, k)].conj().T @ B[(l, j)])
+            close(eng.P_est[l, j, k], B[(l, k)].conj().T @ B[(l, j)])
         for i, lp in enumerate(eng.xcells[l]):
             for p in range(sc.K):
                 close(eng.P_x[l, i, p, k], proj(l, k, (l, lp, p)))
@@ -178,7 +177,7 @@ RANK_K_BASES = {
 @pytest.mark.parametrize("power", [1e2, 1e16])
 def test_rank_k_static_systems_are_recorded(which, power):
     # q > K: the guarded solves are those of Z + I/p, one per serving basis
-    # (one per cell when its users share one I_M)
+    # (one per user, also when a cell's users share one I_M object)
     sc = make_scenario(**POINT)
     eng = DrawEngine(sc, bases=RANK_K_BASES[which](sc))
     assert eng.q > sc.K

@@ -276,10 +276,17 @@ class TestCli:
         ("z = -1.0\nN = 0\ntheta = identity x 3\n", "p.txt:2: N must be an integer >= 1, got '0'"),
         ("N = -2\nz = -1.0\n", "p.txt:1: N must be an integer >= 1, got '-2'"),
         ("N = three\nz = -1.0\n", "p.txt:1: N must be an integer >= 1, got 'three'"),
-    ], ids=["count -2", "count 1.5", "N 0", "N -2", "N three"])
-    def test_detequiv_problem_integers_exit_2(self, tmp_path, monkeypatch, capsys, text,
-                                              message):
-        # a bad dimension or count is an input error, named with its line
+        ("N = 3\nz = abc\n", "p.txt:2: z must be a number, got 'abc'"),
+        ("N = 3\nz = -1.0\ntheta = 1,a,1\n", "p.txt:3: theta entry must be a number, got 'a'"),
+        ("N = 3\nz = -1.0\ntheta = 1,2\n", "p.txt:3: theta diagonal has 2 entries, expected N=3"),
+        ("N = 3\nz = -1.0\ntheta = identity x 3\nQ = 1,1,1,1\n",
+         "p.txt:4: Q diagonal has 4 entries, expected N=3"),
+    ], ids=["count -2", "count 1.5", "N 0", "N -2", "N three", "z abc", "theta entry a",
+            "theta length", "Q length"])
+    def test_detequiv_problem_bad_numbers_exit_2(self, tmp_path, monkeypatch, capsys, text,
+                                                 message):
+        # a bad dimension, count, number or diagonal length is an input
+        # error, named with its line
         def no_solve(*args, **kwargs):
             raise AssertionError("the fixed point started on a bad problem")
 

@@ -2,11 +2,19 @@
 outside the program.  Installing and removing it here fails within seconds
 when a traced name is renamed or deleted, without running the benchmark."""
 
+import ast
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from mimo_lab import bounds
+
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+# DrawEngine's names that the tracer or the tests patch on the class; a
+# representation that defined one would bypass the patch without an error
+PATCHED = ("__init__", "ul_chunk", "dl_chunk", "_seen_estimates", "_beamformer",
+           "detequiv_tables")
 
 
 @pytest.fixture
@@ -103,3 +111,36 @@ def test_fourier_draws_are_traced(tracing):
                  "detequiv.sinr_mmse_detequiv.calls", "detequiv.solve_fixed_point.busy_s",
                  "training.EstimatorBank.build.calls", "training.EstimatorBank.build.busy_s"):
         assert layers[name] > 0, name
+
+
+@pytest.mark.parametrize("engine", [bounds._DenseEngine, bounds._AngularEngine])
+def test_representations_keep_the_patched_names(engine):
+    assert not set(PATCHED) & set(vars(engine))
+    assert set(PATCHED) <= set(vars(bounds.DrawEngine))
+
+
+def test_engine_does_not_branch_on_the_representation():
+    tree = ast.parse(Path(bounds.__file__).read_text())
+    reads = [node.lineno for node in ast.walk(tree)
+             if isinstance(node, ast.Attribute) and node.attr == "angular"]
+    assert reads == []
+
+
+@pytest.mark.parametrize("haar", [False, True], ids=["fourier", "haar"])
+def test_engine_tables_are_measured(tracing, haar):
+    # the tracer sums the ndarray attributes of the engine it saw built
+    from conftest import make_scenario
+    from mimo_lab.covmodel import CorrelationModel
+
+    model = CorrelationModel.PARTIAL_UNITARY if haar else CorrelationModel.PARTIAL_FOURIER
+    sc = make_scenario(seed=8, L=2, K=3, M=32, r_own=4, snr_db=10.0, model=model)
+    tracer = tracing.install()
+    try:
+        bounds.run_bounds(sc, "dl", ("alt",), 8, 3)
+    finally:
+        tracer.uninstall()
+    eng = sc.draw_engine
+    assert isinstance(eng, bounds._DenseEngine if haar else bounds._AngularEngine)
+    nbytes = sum(v.nbytes for v in vars(eng).values() if isinstance(v, np.ndarray))
+    mb = tracing.layer_metrics(tracer, 0.0)["bounds.engine_tables_mb"]
+    assert mb == nbytes / 2 ** 20 and mb > 0
