@@ -22,7 +22,7 @@ import numpy as np
 from ._linalg import (back_substitute, cholesky_factor, diag_guard, forward_substitute, guard,
                       herm, hermitian_solve)
 from .covmodel import (CorrelationModel, InvalidProfile, NetworkScenario, complex_gaussian,
-                       dft_matrix, stream)
+                       stream)
 
 CHUNK = 64
 # memory a partial-Fourier chunk may take per pass of its trials (DrawEngine.span)
@@ -191,13 +191,23 @@ def _zero_padded(x):
     return np.concatenate([x, np.zeros_like(x[..., :1])], axis=-1)
 
 
-def _dft_columns(B, known=False):
-    """The M-point DFT indices of B's columns [M, n], read off the phase step
-    from row 0 to row 1 of each, or None when B is not DFT columns (one
-    comparison with the columns named, skipped when B is `known` to be)."""
-    M = B.shape[0]
-    idx = np.rint(np.angle(B[min(1, M - 1)]) * (M / (2.0 * np.pi))).astype(np.intp) % M
-    return idx if known or np.abs(B - dft_matrix(M)[:, idx]).max() <= 1e-8 else None
+def _kept_positions(sc, bases):
+    """The kept positions [L, K, d] of DrawEngine's serving choice `bases`,
+    None for None and "full"; a ValueError names the first invalid user."""
+    if isinstance(bases, str) and bases != "full":
+        raise ValueError(f"serving choice {bases!r} for every user: not None, 'full' or a map")
+    if bases is None or isinstance(bases, str):
+        return None
+    keep = []
+    for u in sc.users():
+        pos = np.asarray(bases.get(u, ()))
+        if not (pos.ndim == 1 and 0 < pos.size == (keep[0].size if keep else pos.size)
+                and pos.dtype.kind in "iu" and 0 <= pos[0] and pos[-1] < sc.r_own
+                and (np.diff(pos) > 0).all()):
+            raise ValueError(f"user {u}: expected sorted, distinct integer positions in [0, "
+                             f"r={sc.r_own}), as many as user (0, 0)'s, got {bases.get(u)!r}")
+        keep.append(pos)
+    return np.array(keep, dtype=np.intp).reshape(sc.L, sc.K, -1)
 
 
 class DrawEngine:
@@ -205,10 +215,10 @@ class DrawEngine:
 
     Precomputes every draw-static object (projections, estimator filters,
     design matrices), then evaluates chunks of trials.  Each user (l, k) is
-    estimated and served in a basis B_lk of q orthonormal columns: its own
-    eigenbasis U_llk by default (q = r_own), or bases[(l, k)], an M x q
-    matrix shared in shape by all users (a column subset of U_llk for
-    d-restricted spreading, I_M for full-dimensional processing).
+    estimated and served in a basis B_lk of q orthonormal columns: by
+    default (bases=None) its own eigenbasis U_llk (q = r_own); under "full"
+    I_M (q = M); under a map from users to sorted positions among their
+    r_own eigencolumns, U_llk[:, positions] (q = d, d-restricted spreading).
 
     Trial t's fading and pilot noise come from one standard-normal draw of
     its own stream, `stream(base_seed, 1, t)`, into its row of a complex
@@ -223,16 +233,16 @@ class DrawEngine:
     blocks (`_block`).
 
     DrawEngine(...) returns one of two representations, picked by the
-    scenario's model label (`__new__`): `_AngularEngine` for a
-    partial-Fourier draw whose serving bases are each DFT columns or M x M,
-    else `_DenseEngine`.  This class holds the draw, the passes, the solves
-    and the reductions; a representation holds its tables (per user: filt,
-    err_cov, nproj_sum, s_inter and Z = err_cov + nproj_sum + s_inter) and
-    the hooks `_layout`, `_cell_tables`, `_pilot_noise`, `_estimates`,
-    `_seen_in_bases`, `_link_inner`, `_loo_grams`, `_invert_design`,
-    `_with_design`, `_rank_k_rows`, `_rank_k_vectors`, `_design_power` and
-    `_expanded_tables`.  The users of a `shared` cell are all served in one
-    basis; a chunk is evaluated in passes of at most `span` trials.
+    scenario's model label alone (`__new__`): `_AngularEngine` for a
+    partial-Fourier draw, else `_DenseEngine`.  This class holds the draw,
+    the passes, the solves and the reductions; a representation holds its
+    tables (per user: filt, err_cov, nproj_sum, s_inter and Z = err_cov +
+    nproj_sum + s_inter) and the hooks `_layout`, `_cell_tables`,
+    `_pilot_noise`, `_estimates`, `_seen_in_bases`, `_link_inner`,
+    `_loo_grams`, `_invert_design`, `_with_design`, `_rank_k_rows`,
+    `_rank_k_vectors`, `_design_power` and `_expanded_tables`.  The users
+    of a `shared` cell are all served in one basis; a chunk is evaluated in
+    passes of at most `span` trials.
 
     Every system the engine solves has a known eigenvalue floor, which it
     hands to the guard of `_linalg` so that no eigenvalue pass runs where
@@ -269,13 +279,10 @@ class DrawEngine:
 
     span = CHUNK
 
-    def __new__(cls, scenario: NetworkScenario, combiner: str = "mmse",
-                conditional_contamination: bool = False, bases=None):
+    def __new__(cls, scenario: NetworkScenario, *args, **kwargs):
         if cls is DrawEngine:
-            angular = scenario.model is CorrelationModel.PARTIAL_FOURIER and all(
-                B.shape[1] == scenario.M or _dft_columns(B) is not None
-                for B in (bases or {}).values())
-            cls = _AngularEngine if angular else _DenseEngine
+            cls = (_AngularEngine if scenario.model is CorrelationModel.PARTIAL_FOURIER
+                   else _DenseEngine)
         return super().__new__(cls)
 
     def __init__(self, scenario: NetworkScenario, combiner: str = "mmse",
@@ -299,11 +306,9 @@ class DrawEngine:
             raise PilotBudgetError(
                 f"orthogonal pilots need K={K} <= T_c={sc.T_c} channel uses"
             )
-        self.eigen = bases is None
-        self.bases = bases
-        self.q = q = r if self.eigen else bases[(0, 0)].shape[1]
-        if not self.eigen and any(bases[u].shape != (sc.M, q) for u in sc.users()):
-            raise ValueError(f"every serving basis must be M x q = {sc.M} x {q}")
+        self.keep = _kept_positions(sc, bases)
+        self.eigen, self.full = bases is None, isinstance(bases, str)
+        self.q = r if self.eigen else sc.M if self.full else self.keep.shape[-1]
         self.xcells = {l: [lp for lp in range(L) if lp != l] for l in range(L)}
 
         # eigenvalues of all links, padded: [L_rx, L_tx, K, rmax]
@@ -587,10 +592,10 @@ class DrawEngine:
 
 
 class _DenseEngine(DrawEngine):
-    """DrawEngine's dense representation: the partial-unitary model, and
-    partial-Fourier draws served in bases that are neither DFT columns nor
-    M x M.  Every projection is a complex table, source-major, so that one
-    GEMM per source channel gives its view in every serving basis of a cell:
+    """DrawEngine's dense representation of partial-unitary draws, every
+    serving basis a matrix.  Every projection is a complex table,
+    source-major, so that one GEMM per source channel gives its view in
+    every serving basis of a cell:
     P_own[l, j, k] = B_lk^H U_llj, P_x[l, i, p, k] = B_lk^H U_{l lp p} for
     the i-th other cell lp (rx columns, the largest cross-link rank), and
     P_est[l, j, k] = B_lk^H B_lj.  filt, err_cov, nproj_sum, s_inter and Z
@@ -599,8 +604,9 @@ class _DenseEngine(DrawEngine):
 
     def _layout(self, sc):
         L, K, q = self.L, self.K, self.q
-        if self.eigen:
-            self.bases = {(l, k): sc.profile(l, l, k).U for l, k in sc.users()}
+        U = {(l, k): sc.profile(l, l, k).U for l, k in sc.users()}
+        self.bases = (dict.fromkeys(U, np.eye(self.M, dtype=complex)) if self.full
+                      else U if self.eigen else {u: B[:, self.keep[u]] for u, B in U.items()})
         self.shared = [False] * L
         self.P_own = np.zeros((L, K, K, q, self.r), dtype=complex)
         # the estimates between serving bases: P_own itself in the eigenbases
@@ -813,13 +819,12 @@ class _AngularEngine(DrawEngine):
     """DrawEngine's angular representation of partial-Fourier draws.
 
     Each eigenbasis is a set of DFT columns, supp[l, lp, k] the indices the
-    profile of link (l, lp, k) stores (-1 pads), and each serving basis is
-    served in DFT columns too, serve[l, k]; no eigenbasis is formed as a
-    matrix.  A basis of DFT columns is served in its own; an M x M basis B
-    that is not (I_M) is served in all M, and its users' orthogonal-pilot
-    noise is rotated by F^H B, one FFT for B = I.  MMSE and MF processing
-    are unitarily equivariant, so every rate is the dense one up to
-    round-off.  Every projection B^H U is then a 0/1 selection: filt,
+    profile of link (l, lp, k) stores (-1 pads), and each user is served in
+    DFT columns too, serve[l, k]: its own indices, the kept ones among them,
+    or all M under "full", where the orthogonal-pilot noise, drawn in I_M,
+    is rotated by F^H, one FFT; no basis is formed as a matrix.  MMSE and MF
+    processing are unitarily equivariant, so every rate is the dense one up
+    to round-off.  Every projection B^H U is then a 0/1 selection: filt,
     err_cov, nproj_sum, s_inter and Z are diagonals [L, K, q], and Z + I/p
     is inverted by a reciprocal.  A cell is shared when its users are all
     served in the same DFT columns.  The pilot observation sums, in each
@@ -848,28 +853,9 @@ class _AngularEngine(DrawEngine):
         return (L, K, q), float
 
     def _index_sets(self, sc):
-        """Set supp and serve (class docstring) and the noise rotations of
-        the M x M serving bases that are not DFT columns.
-
-        supp is read from the profiles' stored DFT indices; a link without
-        r distinct indices in [0, M) raises InvalidProfile.  An explicit
-        serving basis's indices come from `_dft_columns`."""
-        L, K, M, q = sc.L, sc.K, sc.M, self.q
-        serve = np.zeros((L, K, q), dtype=np.intp)
-        rotations = {}  # id(B) -> (B, or None for I_M; its users)
-        if not self.eigen:
-            found = {}
-            for (l, k), B in self.bases.items():
-                if id(B) not in found:
-                    # DrawEngine.__new__ matched every basis with q < M
-                    idx = _dft_columns(B, known=q < M)
-                    if idx is None:  # M x M
-                        idx = np.arange(M)
-                        rotations[id(B)] = (None if np.array_equal(B, np.eye(M)) else B, [])
-                    found[id(B)] = idx
-                serve[l, k] = found[id(B)]
-                if id(B) in rotations:
-                    rotations[id(B)][1].append((l, k))
+        """Set supp and serve (class docstring) from the profiles' stored DFT
+        indices; a link without r distinct indices in [0, M) raises InvalidProfile."""
+        L, K, M = sc.L, sc.K, sc.M
         supp = np.full((L, L, K, self.rmax), -1, dtype=np.intp)
         rank = np.zeros((L, L, K), dtype=np.intp)
         for key, prof in sc.profiles.items():
@@ -882,11 +868,9 @@ class _AngularEngine(DrawEngine):
         if (((supp >= 0) != held) | (supp >= M)).any() or (
                 (ordered[..., 1:] == ordered[..., :-1]) & (ordered[..., 1:] >= 0)).any():
             raise InvalidProfile("a partial-Fourier link's DFT indices must be distinct, in [0, M)")
-        if self.eigen:
-            ll = np.arange(L)
-            serve[:] = supp[ll, ll, :, :q]
-        self.supp, self.serve = supp, serve
-        self._rotations = [(B, tuple(np.array(users).T)) for B, users in rotations.values()]
+        self.supp, own = supp, supp[np.arange(L), np.arange(L), :, :self.r]  # own: [L, K, r]
+        self.serve = (np.tile(np.arange(M), (L, K, 1)) if self.full
+                      else own if self.eigen else np.take_along_axis(own, self.keep, -1))
 
     def _cell_tables(self, sc, l, jittered):
         """`_DenseEngine._cell_tables` in the angular representation, where
@@ -1048,13 +1032,10 @@ class _AngularEngine(DrawEngine):
             # one snapshot per BS in DFT coordinates, read by each user
             zf = np.fft.fft(z.reshape(T, L, self.M), axis=-1, norm="ortho")
             return zf[:, np.arange(L)[:, None, None], self.serve]
-        # fresh pilot symbol per user: despread noise is plain CN(0, I_q)
+        # fresh pilot symbol per user: despread noise is plain CN(0, I_q),
+        # drawn in I_M under "full" and seen in DFT coordinates: F^H n
         noise = z.reshape(T, L, self.K, self.q)
-        # noise drawn in an M x M basis B, seen in DFT coordinates: F^H B n
-        for B, (ls, ks) in self._rotations:
-            n = noise[:, ls, ks] if B is None else noise[:, ls, ks] @ B.T
-            noise[:, ls, ks] = np.fft.fft(n, axis=-1, norm="ortho")
-        return noise
+        return np.fft.fft(noise, axis=-1, norm="ortho") if self.full else noise
 
     def _estimates(self, w, noise):
         """`_DenseEngine._estimates`: the pilot-sharing links are summed in
@@ -1171,8 +1152,8 @@ def run_bounds(
     their exact Gaussian conditionals given the pilot observation; the
     default follows the plain-R~ evaluation.
 
-    bases maps every user (l, k) to its M x q serving basis (see
-    DrawEngine); None serves each user in its own eigenbasis.  With the
+    bases is DrawEngine's serving choice; None serves each user in its own
+    eigenbasis.  With the
     default combiner, contamination and bases the run reads the scenario's
     memoised engine (`default_engine`); any other arguments build a fresh
     one.
@@ -1316,9 +1297,8 @@ def legacy_scaling(kind: str, M: int, K: int, L: int, T_c: int,
     raise ValueError(f"unknown legacy scaling kind {kind!r}")
 
 
-def asymptotic_capacity(regime: str, direction: str, M: int, K: int, L: int,
-                        T_c: int, snr: float, r: int | None = None,
-                        pilot: str = "nonorthogonal") -> float:
+def asymptotic_capacity(regime: str, M: int, K: int, L: int, T_c: int, snr: float,
+                        r: int | None = None, pilot: str = "nonorthogonal") -> float:
     """Asymptotic sum-capacity scaling laws, o(1) = 0, log base 2.
 
     Orthogonal pilots: (1 - k3/T_c) k3 L log2(P tr).  Non-orthogonal:

@@ -311,7 +311,7 @@ def closed_form(bound_id, regime, M, K, L, T_c, snr_db, iota, r) -> float:
     if bound_id.startswith("Legacy"):
         return bnd.legacy_scaling(bound_id.removeprefix("Legacy"), M, K, L, T_c, iota, snr)
     pilot = "orthogonal" if bound_id == "AsymptoticLB_Orth" else "nonorthogonal"
-    return bnd.asymptotic_capacity(regime, "ul", M, K, L, T_c, snr, r=r, pilot=pilot)
+    return bnd.asymptotic_capacity(regime, M, K, L, T_c, snr, r=r, pilot=pilot)
 
 
 def run_experiment(spec: ExperimentSpec) -> ResultTable:
@@ -374,14 +374,12 @@ def _desk(spec: ExperimentSpec, scale: str, table: ResultTable) -> ExperimentSpe
     return spec
 
 
-def restrict_support(U: np.ndarray, d: int, rng: np.random.Generator) -> np.ndarray:
-    """Keep d of the r support columns, chosen uniformly at random (the
-    d-restricted spreading variant of fig2)."""
-    r = U.shape[1]
+def restrict_support(r: int, d: int, rng: np.random.Generator) -> np.ndarray:
+    """The sorted positions of d of a user's r support columns, chosen
+    uniformly at random (the d-restricted spreading variant of fig2)."""
     if not 1 <= d <= r:
         raise ValueError(f"d={d} must satisfy 1 <= d <= r={r}")
-    cols = np.sort(rng.choice(r, size=d, replace=False))
-    return U[:, cols]
+    return np.sort(rng.choice(r, size=d, replace=False))
 
 
 def reproduce_figure(fig: str, scale: str = "desk", seed: int = 1,
@@ -417,14 +415,10 @@ def reproduce_figure(fig: str, scale: str = "desk", seed: int = 1,
             for series, d in (("fulldim", None), ("d=8", 8), ("d=6", 6), ("d=4", 4)):
                 alts = []
                 for dr, (scen, tseed) in enumerate(draws):
-                    if d is None:  # conventional M-dimensional processing
-                        eye = np.eye(scen.M, dtype=complex)
-                        bases = {u: eye for u in scen.users()}
-                    else:  # d of the r own-support columns, drawn per user
-                        support_rng = stream(seed, 400 + si, dr)
-                        bases = {(l, k): restrict_support(scen.profile(l, l, k).U, d,
-                                                          support_rng)
-                                 for l, k in scen.users()}
+                    # M-dimensional processing, or d of the r own-support columns per user
+                    support_rng = stream(seed, 400 + si, dr)
+                    bases = "full" if d is None else {
+                        u: restrict_support(scen.r_own, d, support_rng) for u in scen.users()}
                     alts.append(bnd.run_bounds(scen, "dl", ("alt",), base.trials, tseed,
                                                bases=bases)["alt"])
                 _add_pooled(table, f"fig2:{series}", snr_db, cfg, alts, base.trials, seed)

@@ -35,13 +35,23 @@ def single_link_scenario(lam, seed=0, M=None, snr_db=0.0, boost=1.0,
 
 def full_bases(sc):
     """I_M for every user: conventional M-dimensional processing."""
-    eye = np.eye(sc.M, dtype=complex)
-    return {u: eye for u in sc.users()}
+    return "full"
 
 
 def restricted_bases(sc, d, rng):
-    """d of each user's r own-support columns, drawn in (l, k) order."""
-    return {(l, k): restrict_support(sc.profile(l, l, k).U, d, rng) for l, k in sc.users()}
+    """d of each user's r own-support columns, drawn in (l, k) order: the
+    positions among its eigencolumns."""
+    return {u: restrict_support(sc.r_own, d, rng) for u in sc.users()}
+
+
+def serving_matrices(sc, bases):
+    """The M x q serving basis of every user under the serving choice bases
+    (DrawEngine): its eigenbasis U, I_M, or U's kept columns."""
+    if bases == "full":
+        eye = np.eye(sc.M, dtype=complex)
+        return {u: eye for u in sc.users()}
+    return {(l, k): sc.profile(l, l, k).U[:, slice(None) if bases is None else bases[(l, k)]]
+            for l, k in sc.users()}
 
 
 @pytest.fixture

@@ -22,7 +22,7 @@ from mimo_lab.covmodel import (
     stream,
 )
 
-from conftest import dense_twin, full_bases, make_scenario, restricted_bases
+from conftest import dense_twin, full_bases, make_scenario, restricted_bases, serving_matrices
 
 POINT = dict(seed=5, L=2, K=3, M=24, r_own=4, snr_db=10.0)
 
@@ -30,20 +30,15 @@ BASES = {
     "own": lambda sc: None,
     "d=3": lambda sc: restricted_bases(sc, 3, stream(9)),
     "I_M": full_bases,
-    "distinct I_M": lambda sc: {u: np.eye(sc.M, dtype=complex) for u in sc.users()},
-    "M x M unitary": lambda sc: {u: sample_partial_unitary(sc.M, sc.M, stream(10))
-                                 for u in sc.users()},
 }
 
 # (direction, pilot, combiner, bases, extra run_bounds arguments, scenario overrides)
 PATHS = {
     f"{d}-{pilot[:4]}-{combiner}-{which}": (d, pilot, combiner, which, {}, {})
     for d in ("ul", "dl") for pilot in ("orthogonal", "nonorthogonal")
-    for combiner in ("mmse", "mf") for which in ("own", "d=3", "I_M", "distinct I_M")
+    for combiner in ("mmse", "mf") for which in ("own", "d=3", "I_M")
 }
 PATHS.update({
-    "ul-orth-mmse-M x M unitary": ("ul", "orthogonal", "mmse", "M x M unitary", {}, {}),
-    "dl-nono-mmse-M x M unitary": ("dl", "nonorthogonal", "mmse", "M x M unitary", {}, {}),
     "conditional-mmse-own": ("ul", "orthogonal", "mmse", "own",
                              dict(conditional_contamination=True), {}),
     "conditional-mf-I_M": ("ul", "orthogonal", "mf", "I_M",
@@ -117,41 +112,35 @@ def test_angular_tables_are_the_dense_diagonals(pilot, which):
 
 
 def test_model_label_picks_the_representation():
+    # the model label alone picks the representation, whatever the serving
+    # choice
     sc = make_scenario(**POINT)
     haar = make_scenario(model=CorrelationModel.PARTIAL_UNITARY, **POINT)
-    tall = {u: sample_partial_unitary(sc.M, 3, stream(12)) for u in sc.users()}
-    for scen, bases, angular in [
-        (sc, None, True),
-        (sc, BASES["d=3"](sc), True),
-        (sc, full_bases(sc), True),
-        (sc, BASES["distinct I_M"](sc), True),
-        (sc, BASES["M x M unitary"](sc), True),
-        (sc, tall, False),  # q < M columns that are not DFT columns
-        (dense_twin(sc), None, False),
-        (dense_twin(sc), full_bases(sc), False),
-        (haar, None, False),
-        (haar, full_bases(haar), False),
-    ]:
-        assert isinstance(DrawEngine(scen, bases=bases),
-                          _AngularEngine if angular else _DenseEngine)
+    for which in ("own", "d=3", "I_M"):
+        for scen, angular in [(sc, True), (dense_twin(sc), False), (haar, False)]:
+            assert isinstance(DrawEngine(scen, bases=BASES[which](scen)),
+                              _AngularEngine if angular else _DenseEngine)
     # the users of a cell served in the same DFT columns share its basis
-    assert DrawEngine(sc, bases=BASES["distinct I_M"](sc)).shared == [True, True]
+    assert DrawEngine(sc, bases=full_bases(sc)).shared == [True, True]
     assert DrawEngine(sc).shared == [False, False]
 
 
-def test_own_eigenbases_form_no_dft_matrix(monkeypatch):
-    # the own eigenbases are read off the stored DFT indices: only an
-    # explicit serving basis is compared with the M x M DFT matrix
+@pytest.mark.parametrize("which", ["own", "d=3", "I_M"])
+def test_fourier_engines_form_no_dft_matrix(monkeypatch, which):
+    # every serving choice is read off the stored DFT indices: no engine
+    # forms the M x M DFT matrix, nor any of its columns
     sc = make_scenario(**POINT)
-    bases = BASES["d=3"](sc)
+    bases = BASES[which](sc)
 
     def unformed(M):
         raise AssertionError("DFT matrix formed")
 
-    monkeypatch.setattr("mimo_lab.bounds.dft_matrix", unformed)
-    assert isinstance(DrawEngine(sc), _AngularEngine)
+    monkeypatch.setattr("mimo_lab.covmodel.dft_matrix", unformed)
     with pytest.raises(AssertionError, match="DFT matrix formed"):
-        DrawEngine(sc, bases=bases)
+        sc.profile(0, 0, 0).U
+    assert isinstance(DrawEngine(sc, bases=bases), _AngularEngine)
+    reps = run_bounds(sc, "dl", DL_BOUNDS, 8, 3, bases=bases)
+    assert all(np.isfinite(reps[b].sum_total) for b in DL_BOUNDS)
 
 
 def test_fourier_label_needs_dft_columns():
@@ -170,19 +159,22 @@ def test_fourier_label_needs_dft_columns():
             DrawEngine(sc)
 
 
+@pytest.mark.parametrize("which", ["own", "d=3", "I_M"])
 @pytest.mark.parametrize("direction", ["ul", "dl"])
 @pytest.mark.parametrize("pilot", ["orthogonal", "nonorthogonal"])
-def test_own_eigenbasis_runs_never_form_a_basis(monkeypatch, direction, pilot):
-    # served in their own eigenbases, partial-Fourier runs read only the
-    # stored DFT indices: no M x r matrix U is built
+def test_own_eigenbasis_runs_never_form_a_basis(monkeypatch, direction, pilot, which):
+    # served in their own eigenbases, d of their columns or I_M,
+    # partial-Fourier runs read only the stored DFT indices: no M x r
+    # matrix U is built
     sc = make_scenario(**POINT, pilot=pilot)
+    bases = BASES[which](sc)
 
     def unread(prof):
         raise AssertionError("CovarianceProfile.U was read")
 
     monkeypatch.setattr(CovarianceProfile, "U", property(unread))
     bounds = UL_BOUNDS if direction == "ul" else DL_BOUNDS
-    reps = run_bounds(sc, direction, bounds, 8, 3)
+    reps = run_bounds(sc, direction, bounds, 8, 3, bases=bases)
     assert all(np.isfinite(reps[b].sum_total) for b in bounds)
 
 
@@ -253,19 +245,21 @@ def dft_rotation(sc, B):
     return dft_matrix(sc.M).conj().T @ B
 
 
-@pytest.mark.parametrize("which", ["own", "I_M", "M x M unitary"])
+@pytest.mark.parametrize("which", ["own", "d=3", "I_M"])
 @pytest.mark.parametrize("pilot", ["orthogonal", "nonorthogonal"])
 def test_observations_match_dense(pilot, which):
     # the pilot observations summed in the served slots are the dense
-    # twin's, in DFT coordinates: F^H B s for an M x M basis B, whose
-    # orthogonal-pilot noise the angular draw rotates by an FFT
+    # twin's, in DFT coordinates: the same coordinates in DFT-column bases,
+    # F^H s in I_M, whose orthogonal-pilot noise the angular draw rotates
+    # by an FFT
     sc = make_scenario(pilot=pilot, **POINT)
     bases = BASES[which](sc)
     ang, den = DrawEngine(sc, bases=bases), DrawEngine(dense_twin(sc), bases=bases)
     s_ang = ang._estimates(*ang._draw_chunk(8, 0, 7))[3]
     s_den = den._estimates(*den._draw_chunk(8, 0, 7))[3]
-    if bases is not None:
-        s_den = np.stack([s_den[:, l, k] @ dft_rotation(sc, bases[(l, k)]).T
+    if which == "I_M":
+        B = serving_matrices(sc, bases)
+        s_den = np.stack([s_den[:, l, k] @ dft_rotation(sc, B[(l, k)]).T
                           for l, k in sc.users()], axis=1).reshape(s_ang.shape)
     assert_each_trial_close(s_ang, s_den)
 

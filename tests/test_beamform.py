@@ -165,11 +165,12 @@ class TestMmsePrecoder:
                                  - sc.P_dl_per_user)) < 1e-9
 
     def test_restrict_support(self):
-        U = np.eye(8)[:, :4]
-        Ud = restrict_support(U, 2, stream(6))
-        assert Ud.shape == (8, 2)
+        # the sorted positions of one draw of d of the r columns
+        cols = restrict_support(4, 2, stream(6))
+        assert np.array_equal(cols, np.sort(stream(6).choice(4, size=2, replace=False)))
+        assert cols.shape == (2,) and 0 <= cols[0] < cols[1] < 4
         with pytest.raises(ValueError):
-            restrict_support(U, 5, stream(7))
+            restrict_support(4, 5, stream(7))
 
 
 class TestCombinerQuality:

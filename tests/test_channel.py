@@ -1,6 +1,7 @@
 """Fading draws, despreading and cross-projections as DrawEngine makes them;
 angular-support overlaps and the concentration of random projections."""
 
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -21,9 +22,10 @@ from conftest import dense_twin, full_bases, make_scenario, single_link_scenario
 
 
 def own_bases(sc):
-    """Each user's own eigenbasis, passed in: the engine then computes its
-    own-link projections U^H U instead of taking them as the identity."""
-    return {(l, k): sc.profile(l, l, k).U for l, k in sc.users()}
+    """All of each user's eigencolumns, as kept positions: the engine then
+    computes its own-link projections U^H U instead of taking them as the
+    identity."""
+    return {u: np.arange(sc.r_own) for u in sc.users()}
 
 
 class TestRealizeBlock:
@@ -119,12 +121,31 @@ class TestDespreadSpread:
         expect = np.fft.fft(z)[idx] / np.sqrt(sc.M)
         assert np.max(np.abs(noise[0, 0, 0] - expect)) < 1e-10
 
-    def test_dimension_mismatch(self):
-        sc = make_scenario(L=1, K=2, M=8, r_own=2)
-        with pytest.raises(ValueError):
-            DrawEngine(sc, bases={(0, 0): np.eye(8)[:, :2], (0, 1): np.eye(7)[:, :2]})
-        with pytest.raises(ValueError):
-            DrawEngine(sc, bases={(0, 0): np.eye(8)[:, :2], (0, 1): np.eye(8)[:, :3]})
+
+# serving choices DrawEngine refuses, and the user its error names
+BAD_CHOICES = {
+    "unknown string": ("eye", "every user"),
+    "missing user": ({(0, 0): [0, 2]}, "user (0, 1)"),
+    "unsorted": ({(0, 0): [0, 2], (0, 1): [2, 0]}, "user (0, 1)"),
+    "repeated": ({(0, 0): [1, 1], (0, 1): [0, 2]}, "user (0, 0)"),
+    "negative": ({(0, 0): [0, 2], (0, 1): [-1, 2]}, "user (0, 1)"),
+    "past r": ({(0, 0): [0, 3], (0, 1): [0, 2]}, "user (0, 0)"),
+    "empty": ({(0, 0): [], (0, 1): []}, "user (0, 0)"),
+    "different d": ({(0, 0): [0, 2], (0, 1): [1]}, "user (0, 1)"),
+    "not integers": ({(0, 0): [0.0, 2.0], (0, 1): [0, 2]}, "user (0, 0)"),
+    "M x q matrix": ({(0, 0): np.eye(8)[:, :2], (0, 1): np.eye(8)[:, :2]}, "user (0, 0)"),
+}
+
+
+@pytest.mark.parametrize("model", list(CorrelationModel), ids=lambda m: m.value)
+@pytest.mark.parametrize("case", list(BAD_CHOICES))
+def test_bad_serving_choice_names_the_user(case, model):
+    sc = make_scenario(L=1, K=2, M=8, r_own=3, model=model)
+    bases, user = BAD_CHOICES[case]
+    with pytest.raises(ValueError, match=re.escape(user)):
+        DrawEngine(sc, bases=bases)
+    # the same positions, sorted, distinct and of one d, are served
+    assert DrawEngine(sc, bases={(0, 0): [0, 2], (0, 1): [1, 2]}).q == 2
 
 
 class TestCrossChannel:

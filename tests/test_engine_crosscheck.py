@@ -27,7 +27,7 @@ from mimo_lab.bounds import DrawEngine, prelog_factor, run_bounds
 from mimo_lab.covmodel import CorrelationModel, stream
 from mimo_lab.training import EstimatorBank, contaminators, projected_cov, projection
 
-from conftest import dense_twin, full_bases, make_scenario, restricted_bases
+from conftest import dense_twin, full_bases, make_scenario, restricted_bases, serving_matrices
 
 TOL = 1e-9
 
@@ -55,9 +55,12 @@ def op_level(sc):
     )
 
 
-def in_basis(sc, bases):
-    """Oracle in arbitrary serving bases: prior C = B^H R B, filter C Xi with
-    Xi = (C + sum of contaminating B^H R_src B + I / rho_p)^{-1}."""
+def in_basis(sc, choice):
+    """Oracle in the serving bases of a serving choice (serving_matrices):
+    prior C = B^H R B, filter C Xi with Xi = (C + sum of contaminating
+    B^H R_src B + I / rho_p)^{-1}."""
+    bases = serving_matrices(sc, choice)
+
     def proj(l, k, key):
         return bases[(l, k)].conj().T @ sc.profiles[key].U
 
@@ -368,7 +371,6 @@ def test_dl_in_serving_bases_matches_loop_per_trial(pilot, which):
 SERVING = {
     "d=3": lambda sc: restricted_bases(sc, 3, stream(8)),
     "I_M": full_bases,
-    "distinct I_M": lambda sc: {u: np.eye(sc.M, dtype=complex) for u in sc.users()},
 }
 
 
@@ -377,8 +379,8 @@ SERVING = {
 @pytest.mark.parametrize("pilot", ["orthogonal", "nonorthogonal"])
 def test_fourier_dl_in_serving_bases_matches_loop_per_trial(pilot, which, dense):
     # the angular engine serves d-restricted bases in their DFT columns and
-    # I_M in all M of them, rotating each user's orthogonal-pilot noise by
-    # F^H; the oracle works in the bases themselves
+    # I_M in all M of them, rotating the orthogonal-pilot noise by F^H; the
+    # oracle works in the bases themselves
     sc = make_scenario(pilot=pilot, model=FOURIER, eigen_shape="exp_decay", eigen_rate=0.5,
                        **SMALL)
     bases = SERVING[which](sc)

@@ -22,7 +22,7 @@ from mimo_lab.bounds import DrawEngine
 from mimo_lab.covmodel import CorrelationModel, stream
 from mimo_lab.training import EstimatorBank, contaminators, projected_cov, projection
 
-from conftest import dense_twin, full_bases, make_scenario, restricted_bases
+from conftest import dense_twin, full_bases, make_scenario, restricted_bases, serving_matrices
 
 POINT = dict(seed=31, L=2, K=3, M=24, r_own=4, snr_db=7.0,
              model=CorrelationModel.PARTIAL_UNITARY, eigen_shape="exp_decay", eigen_rate=0.5)
@@ -37,7 +37,7 @@ def close(got, want):
 def reference(sc, bases):
     """Every table entry of the engine, link by link."""
     own = bases is None
-    B = {(l, k): sc.profile(l, l, k).U for l, k in sc.users()} if own else bases
+    B = serving_matrices(sc, bases)
 
     def proj(l, k, key):
         return projection(sc, l, k, key) if own else B[(l, k)].conj().T @ sc.profiles[key].U
@@ -166,20 +166,13 @@ def test_regularised_estimators_match_eigenvalue_criterion():
     assert DrawEngine(sc, bases=bases).jittered == tuple(want) == ((0, 0), (1, 0))
 
 
-RANK_K_BASES = {
-    "own": BASES["own"],
-    "full": BASES["full"],
-    "distinct I_M": lambda sc: {u: np.eye(sc.M, dtype=complex) for u in sc.users()},
-}
-
-
-@pytest.mark.parametrize("which", list(RANK_K_BASES))
+@pytest.mark.parametrize("which", ["own", "full"])
 @pytest.mark.parametrize("power", [1e2, 1e16])
 def test_rank_k_static_systems_are_recorded(which, power):
     # q > K: the guarded solves are those of Z + I/p, one per serving basis
-    # (one per user, also when a cell's users share one I_M object)
+    # (one per user, also when all users are served in I_M)
     sc = make_scenario(**POINT)
-    eng = DrawEngine(sc, bases=RANK_K_BASES[which](sc))
+    eng = DrawEngine(sc, bases=BASES[which](sc))
     assert eng.q > sc.K
     w_hat = eng._estimates(*eng._draw_chunk(3, 0, 5))[0]
     for l in range(sc.L):
@@ -237,7 +230,7 @@ def test_threads_share_the_record_and_the_inverses(which, monkeypatch):
         sc, bases, power = overlapping_pair(), None, 1e12
     else:
         sc, power = make_scenario(**POINT), 1e16
-        bases = RANK_K_BASES["distinct I_M"](sc)
+        bases = full_bases(sc)
     solve, calls = bounds.hermitian_solve, []
 
     def counted(A, B, floor=0.0):

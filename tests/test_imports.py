@@ -67,6 +67,12 @@ def test_detequiv_binds_only_projected_cov_and_never_calls_it():
                    for node in ast.walk(ast.parse(text)))
 
 
+def test_bounds_binds_no_dft_matrix():
+    # the engine reads partial-Fourier bases and serving choices off the
+    # stored DFT indices and kept positions; it never forms F or its columns
+    assert [b for b in bindings(source("bounds")) if b[1] == "dft_matrix"] == []
+
+
 # numpy.random's generator, its bit generators and the legacy RandomState
 RNG_CONSTRUCTORS = {"Generator", "default_rng", "RandomState", "BitGenerator", "MT19937",
                     "PCG64", "PCG64DXSM", "Philox", "SFC64"}
