@@ -25,8 +25,9 @@ from .covmodel import (CorrelationModel, InvalidProfile, NetworkScenario, comple
                        stream)
 
 CHUNK = 64
-# memory a partial-Fourier chunk may take per pass of its trials (DrawEngine.span)
-PASS_BYTES = 2 ** 24
+# the memory a partial-Fourier pass may hold, 6.5 MiB: `_AngularEngine`
+# sizes its span from the entries a pass holds per trial
+PASS_BYTES = 13 * 2 ** 19
 # the largest per-user system (q x q, q <= K) factored by `cholesky_factor`;
 # larger ones are solved by LU, which is as fast at q = 12 and faster above
 # (one BLAS thread, stacks of 960 and 3,840 systems)
@@ -132,23 +133,41 @@ def _report(bound_id, direction, cells, per_user, stderr, trials, prelog, per_ce
 # Per-draw Monte Carlo engine
 # ---------------------------------------------------------------------------
 
-def _nc_stats(sig, ip, power, acc):
-    """Fold one pass's statistics of the non-coherent bounds, from the
-    signal sig [T, K] and the interference inner products ip [T, K, links],
-    into acc, the cell's statistics over the chunk's earlier trials.  The
-    per-trial sig, ip2_sum and ub are appended to lists (`_chunk` joins
-    them); the sums over trials ip_mean and ip2 [K, links] add one trial's
-    row at a time, in trial order, as numpy's axis-0 sum of the stacked
-    trials does, so their bits do not depend on the passes."""
-    ip2 = np.abs(ip) ** 2
+def _fold_trials(total, x):
+    """Add the trials x[0], x[1], ... of x [T, ...] into total, in that
+    order: one axis-0 reduction that starts from total + x[0], bit for bit
+    the loop `for row in x: total += row`.  Overwrites x[0]."""
+    x[0] += total
+    np.add.reduce(x, axis=0, out=total)
+
+
+def _nc_stats(sig, blocks, power, acc, ip2):
+    """Fold one pass's statistics of the non-coherent bounds of one cell
+    into acc, the cell's statistics over the chunk's earlier trials, from
+    the signal sig [T, K] and the interference inner products of its L link
+    blocks [T, K, K] (vector, source user), own cell first, each folded as
+    it is formed: the own block's diagonal is zeroed, its products are
+    added into its K columns of the sum over trials ip_mean [K, L K], and
+    their powers written into its columns of ip2 [T, K, L K], the pass's
+    buffer (of any memory layout), which every cell reuses.  The per-trial sig, ip2_sum and ub are
+    then appended to lists (`_chunk` joins them), and ip2 added into its sum
+    over trials.  The sums over trials run in trial order (`_fold_trials`),
+    so their bits do not depend on the passes."""
+    K = sig.shape[1]
+    kk = np.arange(K)
+    ip_mean = acc.setdefault("ip_mean", np.zeros(ip2.shape[1:], dtype=complex))
+    for i, ip in enumerate(blocks):
+        if i == 0:
+            ip[:, kk, kk] = 0.0
+        cols = slice(i * K, (i + 1) * K)
+        np.abs(ip, out=ip2[..., cols])
+        np.square(ip2[..., cols], out=ip2[..., cols])
+        _fold_trials(ip_mean[:, cols], ip)
     ip2_sum = np.einsum("tki->tk", ip2)
     ub = np.log2(1.0 + np.abs(sig) ** 2 / (1.0 / power + ip2_sum))
     for key, x in (("sig", sig), ("ip2_sum", ip2_sum), ("ub", ub)):
         acc.setdefault(key, []).append(x)
-    for key, x in (("ip_mean", ip), ("ip2", ip2)):
-        total = acc.setdefault(key, np.zeros(x.shape[1:], dtype=x.dtype))
-        for row in x:
-            total += row
+    _fold_trials(acc.setdefault("ip2", np.zeros(ip2.shape[1:])), ip2)
 
 
 def _seen(P, w):
@@ -193,11 +212,17 @@ def _zero_padded(x):
 
 def _kept_positions(sc, bases):
     """The kept positions [L, K, d] of DrawEngine's serving choice `bases`,
-    None for None and "full"; a ValueError names the first invalid user."""
+    None for None and "full"; a ValueError names the first key of the map
+    that is no user of the scenario, else the first invalid user."""
     if isinstance(bases, str) and bases != "full":
         raise ValueError(f"serving choice {bases!r} for every user: not None, 'full' or a map")
     if bases is None or isinstance(bases, str):
         return None
+    users = set(sc.users())
+    for u in bases:
+        if u not in users:
+            raise ValueError(f"serving choice for key {u!r}: not a user (l, k) of the scenario's "
+                             f"L={sc.L} cells of K={sc.K} users")
     keep = []
     for u in sc.users():
         pos = np.asarray(bases.get(u, ()))
@@ -238,7 +263,7 @@ class DrawEngine:
     the passes, the solves and the reductions; a representation holds its
     tables (per user: filt, err_cov, nproj_sum, s_inter and Z = err_cov +
     nproj_sum + s_inter) and the hooks `_layout`, `_cell_tables`,
-    `_pilot_noise`, `_estimates`, `_seen_in_bases`, `_link_inner`,
+    `_pilot_noise`, `_own_channels`, `_estimates`, `_seen_in_bases`, `_link_inner`,
     `_loo_grams`, `_invert_design`, `_with_design`, `_rank_k_rows`,
     `_rank_k_vectors`, `_design_power` and `_expanded_tables`.  The users
     of a `shared` cell are all served in one basis; a chunk is evaluated in
@@ -513,9 +538,16 @@ class DrawEngine:
         """Statistics of trials [t0, t1), evaluated in passes of at most
         `span` trials, each folded into the chunk's statistics cell by cell:
         a pass appends its per-trial statistics to lists, joined here once,
-        and adds its sums over trials into the chunk's.  Every trial is
-        computed on its own and the sums over trials run in trial order, so
-        the split changes no value, only the memory a chunk holds."""
+        and adds its sums over trials into the chunk's (`_nc_stats`).  A
+        pass holds its rows of the trial table, the estimates, the
+        precoders (downlink) or one cell's combiners (uplink), one cell's
+        MMSE systems, and its link statistics: one float buffer of every
+        link's power, which each cell overwrites, and one link block of
+        inner products at a time; the observations only while the
+        estimates form, unless the conditional coherent SINR reads them.
+        Every trial is computed on its own and the sums over trials run in
+        trial order, so the split changes no value, only the memory a chunk
+        holds."""
         n = max(-(-(t1 - t0) // self.span), 1)
         edges = [t0 + (t1 - t0) * i // n for i in range(n + 1)]
         out = {}
@@ -528,12 +560,14 @@ class DrawEngine:
         return out
 
     def _ul_pass(self, base_seed, t0, t1, cells, want, out):
-        K = self.K
-        kk = np.arange(K)
         nc_bounds = want & {"noncoherent", "alt", "maxmin"}
         w, noise = self._draw_chunk(base_seed, t0, t1)
-        w_hat, _, x_own, s_obs = self._estimates(w, noise)
-        del noise
+        w_hat, s = self._estimates(w, noise)
+        # only the coherent SINR under conditional contamination reads the
+        # observations
+        s_obs = s if self.conditional and "coherent" in want else None
+        del noise, s
+        ip2 = np.empty((len(w), self.K, self.L * self.K)) if nc_bounds else None
         for l in cells:
             # [T, K, q]; sinr from the leave-one-out identity where it applies
             vl, Y, sinr = self._beamformer(w_hat, l, self.P_ul, vectors=bool(nc_bounds),
@@ -546,12 +580,10 @@ class DrawEngine:
                 stats["sinr"].append(sinr)
             del Y
             if nc_bounds:
-                sig = np.einsum("tka,tka->tk", vl.conj(), x_own[:, l])
+                sig = np.einsum("tka,tka->tk", vl.conj(), self._own_channels(w, l))
                 # true channels of every link into BS l, own cell first
-                ips = [self._link_inner(l, c, w, vl) for c in [l] + self.xcells[l]]
-                ips[0][:, kk, kk] = 0.0
-                _nc_stats(sig, np.concatenate(ips, axis=2), self.P_ul,
-                          out.setdefault("_nc", {}).setdefault(l, {}))
+                ips = (self._link_inner(l, c, w, vl) for c in [l] + self.xcells[l])
+                _nc_stats(sig, ips, self.P_ul, out.setdefault("_nc", {}).setdefault(l, {}), ip2)
 
     def _coherent_sinr(self, w_hat, l, vl, Y, s_obs):
         """The coherent SINR [T, K] of cell l's unit vectors vl from their
@@ -573,22 +605,25 @@ class DrawEngine:
 
     def _dl_pass(self, base_seed, t0, t1, cells, want, out):
         L, K = self.L, self.K
-        kk = np.arange(K)
         w, noise = self._draw_chunk(base_seed, t0, t1)
-        w_hat, _, x_own, _ = self._estimates(w, noise)
+        w_hat = self._estimates(w, noise)[0]
         del noise
         g = np.stack([self._beamformer(w_hat, l, self.P_dl)[0] for l in range(L)],
                      axis=1)
+        del w_hat
+        # link-major, as the transposed blocks are: ip2_sum then sums a
+        # user's links in strides of K, the order that reproduces the
+        # recorded rates bit for bit
+        ip2 = np.empty((len(w), L * K, K)).swapaxes(1, 2)
         nc = out.setdefault("_nc", {})
         for l in cells:
             # signal: (B_{lk}^H U_{llk} w_{llk})^H g_{lk}
-            sig = np.einsum("tka,tka->tk", x_own[:, l].conj(), g[:, l])
+            sig = np.einsum("tka,tka->tk", self._own_channels(w, l).conj(), g[:, l])
             # link from user (l, k) into BS lp seen through precoder (lp, j):
             # (B_{lp j}^H U_{lp l k} w_{lp l k})^H g_{lp j}, own cell first
-            ips = [self._link_inner(lp, l, w, g[:, lp]).conj().swapaxes(1, 2)
-                   for lp in [l] + self.xcells[l]]
-            ips[0][:, kk, kk] = 0.0
-            _nc_stats(sig, np.concatenate(ips, axis=2), self.P_dl, nc.setdefault(l, {}))
+            ips = (self._link_inner(lp, l, w, g[:, lp]).conj().swapaxes(1, 2)
+                   for lp in [l] + self.xcells[l])
+            _nc_stats(sig, ips, self.P_dl, nc.setdefault(l, {}), ip2)
 
 
 class _DenseEngine(DrawEngine):
@@ -722,26 +757,29 @@ class _DenseEngine(DrawEngine):
             noise[:, l, k] = z[:, l] @ B.conj()
         return noise
 
+    def _own_channels(self, w, l):
+        """Cell l's own channels in the serving bases [T, K, q], from the
+        table w: in the own eigenbases a view of it (`_block`)."""
+        w_own = self._block(w, l, l)
+        if self.eigen:
+            return w_own
+        kk = np.arange(self.K)
+        own = self.P_own[l, kk, kk].swapaxes(-1, -2)  # [k, b, a]
+        return np.matmul(w_own.transpose(1, 0, 2), own).transpose(1, 0, 2)
+
     def _estimates(self, w, noise):
         """Despread pilot observations and per-user MMSE estimates.
 
-        Returns (w_hat, w_own, x_own, s) from the table w and the noise.
-        The estimates w_hat, the observations s and the own channels x_own
-        are in the serving bases [T, L, K, q]; w_own holds the own channels
-        in their eigen coordinates [T, L, K, r]."""
+        Returns (w_hat, s) from the table w and the noise: the estimates
+        and the observations in the serving bases [T, L, K, q]."""
         L, K = self.L, self.K
         kk = np.arange(K)
-        w_own = np.stack([self._block(w, l, l) for l in range(L)], axis=1)
-        if self.eigen:
-            x_own = w_own
-        else:
-            own = self.P_own[:, kk, kk].swapaxes(-1, -2)  # [l, k, b, a]
-            x_own = np.matmul(w_own.transpose(1, 2, 0, 3), own).transpose(2, 0, 1, 3)
-        s = x_own + noise / np.sqrt(self.rho_p)
+        s = noise / np.sqrt(self.rho_p)
         for l in range(L):
+            s[:, l] += self._own_channels(w, l)
             if self.nonorth:
                 # own-cell contamination of the shared pilot
-                Y = _seen(self.P_own[l], w_own[:, l])
+                Y = _seen(self.P_own[l], self._block(w, l, l))
                 Y[kk, :, kk] = 0.0
                 s[:, l] += Y.sum(axis=0)
                 for i, lp in enumerate(self.xcells[l]):
@@ -753,7 +791,7 @@ class _DenseEngine(DrawEngine):
                     s[:, l] += np.matmul(self._block(w, l, lp).transpose(1, 0, 2), D
                                          ).transpose(1, 0, 2)
         w_hat = np.matmul(s.transpose(1, 2, 0, 3), self.filt.swapaxes(-1, -2))
-        return w_hat.transpose(2, 0, 1, 3), w_own, x_own, s
+        return w_hat.transpose(2, 0, 1, 3), s
 
     def _seen_in_bases(self, wl, l):
         return _seen(self.P_est[l], wl)
@@ -836,20 +874,28 @@ class _AngularEngine(DrawEngine):
     per-user leave-one-out Grams over the estimate products whose DFT
     indices match a user's serving pair (`gram_pairs`, `gram_segs`); these
     plans are built once per draw.  A chunk is evaluated in passes of at
-    most `span` trials, sized from the scenario's shape to about
-    PASS_BYTES."""
+    most `span` trials: PASS_BYTES over what a pass holds per trial (its
+    row of the table, every cell's estimates, observations and vectors, one
+    cell's MMSE systems and the link statistics, `_layout`)."""
 
     def _layout(self, sc):
         L, K, q = self.L, self.K, self.q
         self._index_sets(sc)
         self.shared = [bool((self.serve[l] == self.serve[l, 0]).all()) for l in range(L)]
         self._angular_plans()
-        # per trial: what a pass held when it gathered every stored fading
-        # entry and formed every seen estimate (a larger span raised peak RSS)
-        stored = np.count_nonzero(self.supp >= 0)
-        per_trial = 16 * (self._amp.size // 2 + 2 * stored + 4 * L * K * q
-                          + (1 if all(self.shared) else K) * 2 * K * q + 2 * L * K * K)
-        self.span = max(PASS_BYTES // per_trial, 1)
+        # per trial, the complex entries a pass holds at most: its row of the
+        # table; every cell's estimates, observations, and precoders or
+        # combiners; one cell's MMSE systems, per-user Grams and their
+        # matched products or the rank-K path's seen estimates and K x K
+        # systems; the link statistics, every link's power (real) and one
+        # block of inner products with its conjugate
+        if self.gram_ptr is not None:
+            beam = K * q * q + 2 * int(np.diff(self.gram_ptr[0]).max())
+        else:
+            n = 1 if all(self.shared) else K
+            beam = n * K * (2 * q + K) + K * K
+        per_trial = self._amp.size // 2 + 3 * L * K * q + beam + L * K * K // 2 + 2 * K * K
+        self.span = max(PASS_BYTES // (16 * per_trial), 1)
         return (L, K, q), float
 
     def _index_sets(self, sc):
@@ -1037,18 +1083,21 @@ class _AngularEngine(DrawEngine):
         noise = z.reshape(T, L, self.K, self.q)
         return np.fft.fft(noise, axis=-1, norm="ortho") if self.full else noise
 
+    def _own_channels(self, w, l):
+        w_own = self._block(w, l, l)
+        if self.eigen:
+            return w_own
+        return np.take_along_axis(_zero_padded(w_own), self.own_pos[l][None], axis=-1)
+
     def _estimates(self, w, noise):
         """`_DenseEngine._estimates`: the pilot-sharing links are summed in
         the served slots, read per user."""
-        w_own = np.stack([self._block(w, l, l) for l in range(self.L)], axis=1)
-        x_own = (w_own if self.eigen else
-                 np.take_along_axis(_zero_padded(w_own), self.own_pos[None], axis=-1))
         first = self.served_first
         obs = _segment_sums(np.take(w, self.served_take, axis=1), first, slice(None, -1),
                             first.size + 1)
         s = np.take(obs, self.served_slot, axis=1)
         s += noise / np.sqrt(self.rho_p)
-        return self.filt * s, w_own, x_own, s
+        return self.filt * s, s
 
     def _seen_in_bases(self, wl, l):
         # [T, k, j, q] in memory: the MMSE products read contiguous rows
@@ -1091,15 +1140,20 @@ class _AngularEngine(DrawEngine):
 
     def _loo_grams(self, w_hat, l):
         """Only the products whose DFT indices match (`_gram_plans`); no seen
-        estimate is formed."""
+        estimate is formed, and the products are summed and dropped before
+        the Grams are allocated (`_segment_sums` in two steps)."""
         K, q, T = self.K, self.q, w_hat.shape[0]
         (p0, p1), (s0, s1) = self.gram_ptr[:, l: l + 2]
         src_a, src_b = self.gram_pairs[:, p0:p1]
         first, ids = self.gram_segs[:, s0:s1]
         x = w_hat[:, l].reshape(T, K * q)
         prod = np.take(x, src_a, axis=1)
-        prod *= np.take(x, src_b, axis=1).conj()
-        return _segment_sums(prod, first, ids, K * q * q).reshape(T, K, q, q)
+        prod *= np.take(x.conj(), src_b, axis=1)
+        sums = np.add.reduceat(prod, first, axis=-1) if first.size else prod
+        del prod
+        G = np.zeros((T, K * q * q), dtype=complex)
+        G[:, ids] = sums
+        return G.reshape(T, K, q, q)
 
     def _design_power(self, vl, l, s_obs):
         den = (np.abs(vl) ** 2 * (self.Z_cond[l] if self.conditional else self.Z[l])).sum(axis=-1)

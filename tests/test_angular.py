@@ -8,15 +8,19 @@ be the dense tables' diagonals, and the model label alone must pick the
 representation.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from mimo_lab.bounds import (CHOLESKY_MAX_Q, CHUNK, DL_BOUNDS, UL_BOUNDS, DrawEngine,
-                             _AngularEngine, _DenseEngine, run_bounds)
+                             _AngularEngine, _DenseEngine, _fold_trials, run_bounds)
 from mimo_lab.covmodel import (
     CorrelationModel,
     CovarianceProfile,
     InvalidProfile,
+    ScenarioConfig,
+    build_network,
     dft_matrix,
     sample_partial_unitary,
     stream,
@@ -203,6 +207,52 @@ def test_passes_change_no_statistic(direction):
     assert passes[-1] >= 3
 
 
+@pytest.mark.parametrize("dtype", [float, complex])
+@pytest.mark.parametrize("T", [1, 2, 17])
+def test_trial_fold_is_the_row_loop(dtype, T):
+    # the chunk's sums over trials add one trial's row at a time to a
+    # running total; magnitudes spread over 16 decades make any other order
+    # of the additions round differently.  The fold runs into a slice of a
+    # wider total, from a transposed view, as the downlink blocks do
+    rng = np.random.default_rng(T)
+
+    def spread(*shape):
+        x = rng.standard_normal(shape) * 10.0 ** rng.uniform(-8, 8, shape)
+        if dtype is complex:
+            x = x + 1j * rng.standard_normal(shape) * 10.0 ** rng.uniform(-8, 8, shape)
+        return x
+
+    x, total = spread(T, 6, 6), spread(6, 18)
+    want = total.copy()
+    for row in x.swapaxes(1, 2):
+        want[:, 6:12] += row
+    _fold_trials(total[:, 6:12], x.swapaxes(1, 2))
+    assert np.array_equal(total, want)
+
+
+def test_fig5_passes_hold_what_they_read():
+    # a warm 64-trial chunk at fig5's benchmark shape: its passes hold the
+    # table, the estimates and vectors, one cell's systems and one link
+    # block at a time (7.95 MiB downlink and 7.78 MiB uplink when a pass
+    # joined every cell's link blocks and kept the observations), and no
+    # pass spans more trials than then
+    sc = build_network(ScenarioConfig(L=7, K=24, M=120, r_own=12, pilot="orthogonal",
+                                      snr_db=10.0, pilot_boost=2.0), stream(1, 3))
+    eng = DrawEngine(sc)
+    assert eng.span <= 18
+    cells = list(range(sc.L))
+    for direction, want in (("dl", {"alt"}), ("ul", {"coherent", "alt"})):
+        chunk = getattr(eng, f"{direction}_chunk")
+        chunk(1, 0, CHUNK, cells, want)
+        tracemalloc.start()
+        try:
+            chunk(1, CHUNK, 2 * CHUNK, cells, want)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 6.0 * 2 ** 20, (direction, peak / 2 ** 20)
+
+
 GRAM_CASES = {
     "own-orth": (dict(), None),
     "own-nono": (dict(pilot="nonorthogonal"), None),
@@ -255,8 +305,8 @@ def test_observations_match_dense(pilot, which):
     sc = make_scenario(pilot=pilot, **POINT)
     bases = BASES[which](sc)
     ang, den = DrawEngine(sc, bases=bases), DrawEngine(dense_twin(sc), bases=bases)
-    s_ang = ang._estimates(*ang._draw_chunk(8, 0, 7))[3]
-    s_den = den._estimates(*den._draw_chunk(8, 0, 7))[3]
+    s_ang = ang._estimates(*ang._draw_chunk(8, 0, 7))[1]
+    s_den = den._estimates(*den._draw_chunk(8, 0, 7))[1]
     if which == "I_M":
         B = serving_matrices(sc, bases)
         s_den = np.stack([s_den[:, l, k] @ dft_rotation(sc, B[(l, k)]).T

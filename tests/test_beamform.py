@@ -99,7 +99,7 @@ class TestLeaveOneOut:
                            model=model, pilot=pilot)
         eng = DrawEngine(sc)
         assert q <= sc.K and not any(eng.shared)
-        w_hat, _, _, s_obs = eng._estimates(*eng._draw_chunk(7, 0, 5))
+        w_hat, s_obs = eng._estimates(*eng._draw_chunk(7, 0, 5))
         for l in range(sc.L):
             v, Y, sinr = eng._beamformer(w_hat, l, sc.P_ul, sinr=True)
             assert Y is None and sinr.shape == (5, sc.K)

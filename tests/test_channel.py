@@ -41,11 +41,11 @@ class TestRealizeBlock:
         # the seen channel is the M-dimensional U w
         sc = dense_twin(make_scenario(L=2, K=2, M=32, r_own=4))
         eng = DrawEngine(sc, bases=full_bases(sc))
-        w, noise = eng._draw_chunk(37, 0, 1)
-        _, _, x_own, _ = eng._estimates(w, noise)
+        w, _ = eng._draw_chunk(37, 0, 1)
         for l, k in sc.users():
             own = eng._block(w, l, l)[0, k]
-            assert abs(np.linalg.norm(x_own[0, l, k]) - np.linalg.norm(own)) < 1e-10
+            x_own = eng._own_channels(w, l)[0, k]
+            assert abs(np.linalg.norm(x_own) - np.linalg.norm(own)) < 1e-10
             for i, lp in enumerate(eng.xcells[l]):
                 x = eng._block(w, l, lp)[0, k]
                 h = eng.P_x[l, i, k, 0] @ x
@@ -88,9 +88,9 @@ class TestDespreadSpread:
     def test_despread_recovers_effective_channel(self):
         sc = make_scenario(L=2, K=2, M=16, r_own=4, model=CorrelationModel.PARTIAL_UNITARY)
         eng = DrawEngine(sc, bases=own_bases(sc))
-        w, noise = eng._draw_chunk(3, 0, 1)
-        _, w_own, x_own, _ = eng._estimates(w, noise)
-        assert np.max(np.abs(x_own - w_own)) < 1e-12
+        w, _ = eng._draw_chunk(3, 0, 1)
+        for l in range(sc.L):
+            assert np.max(np.abs(eng._own_channels(w, l) - eng._block(w, l, l))) < 1e-12
 
     def test_nullspace_despreads_to_zero(self):
         # the other cell's channel lies in the null space of the user's basis
@@ -104,8 +104,8 @@ class TestDespreadSpread:
         sc.profiles[(0, 1, 0)].basis = (y / np.linalg.norm(y))[:, None]
         eng = DrawEngine(sc)
         w, noise = eng._draw_chunk(5, 0, 1)
-        _, _, x_own, s = eng._estimates(w, np.zeros_like(noise))
-        assert np.max(np.abs(s[0, 0, 0] - x_own[0, 0, 0])) < 1e-10
+        s = eng._estimates(w, np.zeros_like(noise))[1]
+        assert np.max(np.abs(s[0, 0, 0] - eng._own_channels(w, 0)[0, 0])) < 1e-10
 
     def test_fourier_despread_matches_fft(self):
         # the shared pilot's noise snapshot, despread by the user's basis
@@ -134,6 +134,8 @@ BAD_CHOICES = {
     "different d": ({(0, 0): [0, 2], (0, 1): [1]}, "user (0, 1)"),
     "not integers": ({(0, 0): [0.0, 2.0], (0, 1): [0, 2]}, "user (0, 0)"),
     "M x q matrix": ({(0, 0): np.eye(8)[:, :2], (0, 1): np.eye(8)[:, :2]}, "user (0, 0)"),
+    # every user valid, and a key for a user of a larger network
+    "unknown user": ({(0, 0): [0, 2], (0, 1): [1, 2], (3, 7): [0]}, "key (3, 7)"),
 }
 
 

@@ -23,8 +23,9 @@ def pilots(sc, seed, trials):
     """DrawEngine's despread pilot observations s, MMSE estimates w_hat and
     own channels w of every user over `trials` trials, each [T, L, K, q]."""
     eng = DrawEngine(sc)
-    w_hat, _, x_own, s = eng._estimates(*eng._draw_chunk(seed, 0, trials))
-    return s, w_hat, x_own
+    w, noise = eng._draw_chunk(seed, 0, trials)
+    w_hat, s = eng._estimates(w, noise)
+    return s, w_hat, np.stack([eng._own_channels(w, l) for l in range(sc.L)], axis=1)
 
 
 def residual_energy(sc, seed, trials):
@@ -180,7 +181,8 @@ class TestFulldimEstimate:
         sc = single_link_scenario(np.full(4, 3.0), M=32, boost=1e12)
         eng = DrawEngine(sc, bases=full_bases(sc))
         w, noise = eng._draw_chunk(24, 0, 1)
-        w_hat, _, x_own, _ = eng._estimates(w, np.zeros_like(noise))
+        w_hat = eng._estimates(w, np.zeros_like(noise))[0][:, 0]
+        x_own = eng._own_channels(w, 0)
         assert np.linalg.norm(w_hat - x_own) / np.linalg.norm(x_own) < 1e-6
 
     def test_lowdim_close_to_fulldim(self):
@@ -193,11 +195,12 @@ class TestFulldimEstimate:
         w, z = full._draw_chunk(27, 0, trials)
         noise = np.stack([z[:, l, k] @ sc.profile(l, l, k).U.conj()
                           for l, k in sc.users()], axis=1).reshape(trials, sc.L, sc.K, -1)
-        w_low, w_own, _, _ = DrawEngine(sc)._estimates(w, noise)
+        w_low = DrawEngine(sc)._estimates(w, noise)[0]
         w_full = full._estimates(w, z)[0]
+        w_own = full._block(w, 0, 0)[:, 0]
         U = sc.profile(0, 0, 0).U
-        mse_low = np.linalg.norm(w_low[:, 0, 0] - w_own[:, 0, 0]) ** 2
-        mse_full = np.linalg.norm(w_full[:, 0, 0] @ U.conj() - w_own[:, 0, 0]) ** 2
+        mse_low = np.linalg.norm(w_low[:, 0, 0] - w_own) ** 2
+        mse_full = np.linalg.norm(w_full[:, 0, 0] @ U.conj() - w_own) ** 2
         # both errors vanish relative to the channel energy; the sufficiency
         # gap is measured on that scale
         gap = (mse_low - mse_full) / trials / sc.profile(0, 0, 0).energy
