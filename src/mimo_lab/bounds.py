@@ -1330,12 +1330,6 @@ def run_bounds(
 # Spec-level operations
 # ---------------------------------------------------------------------------
 
-def _seed_of(rng) -> int:
-    if isinstance(rng, (int, np.integer)):
-        return int(rng)
-    return int(rng.integers(2 ** 62))
-
-
 def legacy_scaling(kind: str, M: int, K: int, L: int, T_c: int,
                    iota: float = 0.2, snr: float = 10.0) -> float:
     """Closed-form legacy laws: pilot-contaminated isotropic reuse-1 networks
@@ -1377,14 +1371,14 @@ def asymptotic_capacity(regime: str, M: int, K: int, L: int, T_c: int, snr: floa
 
 def cutset_upper(scenario, trials: int = 2000, rng=0) -> RateReport:
     """Per-user cut-set upper bound (1 - 1/T_c) E[log2(1 + P ||h||^2)],
-    evaluated by Monte Carlo over the fading of each own link."""
-    seed = _seed_of(rng)
+    evaluated by Monte Carlo over the fading of each own link; rng is the
+    integer seed of the links' streams."""
     pre = 1.0 - 1.0 / scenario.T_c
     rate = np.empty((scenario.L, scenario.K))
     tot_trials = np.zeros(trials)
     for (l, k) in scenario.users():
         prof = scenario.profile(l, l, k)
-        g = stream(seed, 7, l, k)
+        g = stream(int(rng), 7, l, k)
         h2 = (np.abs(complex_gaussian(g, trials, prof.r)) ** 2 * prof.lam[None]).sum(axis=1)
         rates = np.log2(1.0 + scenario.P_ul * h2)
         rate[l, k] = rates.mean()

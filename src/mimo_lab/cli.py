@@ -23,8 +23,8 @@ from .detequiv import (
     concentration_check,
     solve_fixed_point,
 )
-from .harness import (ConfigError, closed_form, load_config, reproduce_figure, results_text,
-                      run_experiment, write_results)
+from .harness import (ConfigError, closed_form, load_config, read_pairs, reproduce_figure,
+                      results_text, run_experiment, write_results)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -41,7 +41,8 @@ SCALING_KINDS = {
 
 
 def _parse_detequiv_problem(path: str) -> DetEquivProblem:
-    """Problem description: flat key = value with diagonal matrices.
+    """Problem description: flat key = value (`harness.read_pairs`) with
+    diagonal matrices.
 
     Keys: N (dimension), z (negative real), A and Q as comma-separated
     diagonals or 'zero'/'identity', and one or more theta lines, each either
@@ -50,9 +51,7 @@ def _parse_detequiv_problem(path: str) -> DetEquivProblem:
     and every diagonal entry a number, and a diagonal N entries long;
     ConfigError names the line of a value that is not.
     """
-    N = None
-    z = None
-    A = Q = None
+    N = z = A = Q = None
     thetas, counts = [], []
 
     def number(lineno, name, text, cast=float, least=None):
@@ -76,24 +75,15 @@ def _parse_detequiv_problem(path: str) -> DetEquivProblem:
                               f"expected N={n}")
         return np.diag(entries)
 
-    raw_items = []
-    with open(path) as fh:
-        for lineno, rawline in enumerate(fh, start=1):
-            line = rawline.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ConfigError(f"{path}:{lineno}: expected 'key = value'")
-            key, _, val = line.partition("=")
-            raw_items.append((lineno, key.strip().lower(), val.strip()))
-    for lineno, key, val in raw_items:
+    pairs = [(lineno, key.lower(), val) for lineno, key, val in read_pairs(path)]
+    for lineno, key, val in pairs:
         if key == "n":
             N = number(lineno, "N", val, int, 1)
         elif key == "z":
             z = number(lineno, "z", val)
     if N is None or z is None:
         raise ConfigError(f"{path}: both N and z are required")
-    for lineno, key, val in raw_items:
+    for lineno, key, val in pairs:
         if key in ("n", "z"):
             continue
         if key == "a":

@@ -2,10 +2,9 @@
 limits, and the concentration estimators backing the property suite.
 
 The fixed point characterizes m(z) = (1/N) tr Q (XX^H + A - zI)^{-1} for X
-with independent columns of covariance Theta_i / N, allowing the rescaled
-spectral norms ||b_i Theta_i|| (rather than the norms themselves) to stay
-bounded.  All resolvent evaluations are Hermitian solves at negative real z,
-whose matrices -z bounds from below.
+with independent columns of covariance Theta_i / N.  All resolvent
+evaluations are Hermitian solves at negative real z, whose matrices -z
+bounds from below.
 """
 
 from __future__ import annotations
@@ -58,21 +57,20 @@ class DetEquivProblem:
     thetas: the n column-covariance matrices Theta_i (N x N Hermitian PSD),
     kept as one (n, N, N) stack; counts lets identical Theta classes be
     stored once with a multiplicity.  A and Q are N x N Hermitian PSD; z must
-    be negative real.  betas carry the per-class trace normalizations (all 1
-    in the homogeneous case).
+    be negative real.
 
     A stack of problems that share z carries leading axes S: A and Q are
-    S + (N, N), thetas S + (n, N, N), counts and betas S + (n,) (their
-    default ones take that shape).  An unstacked problem has S = ().
+    S + (N, N), thetas S + (n, N, N), counts S + (n,) (its default ones
+    take that shape).  An unstacked problem has S = ().
 
     Construction checks what makes -z a floor on the spectrum of every
     resolvent matrix sum_i c_i/(1+e_i) Theta_i/N + A - zI, and what keeps
     m = (1/N) tr Q T finite and non-negative: z is a finite negative real,
     every Theta_i, A and Q is Hermitian PSD within round-off (no skew entry
     and no negative eigenvalue larger than _ROUNDOFF times the spectral norm
-    of the matrix's Hermitian part), counts are non-negative and betas
-    positive.  Otherwise it raises DomainError, naming the matrix that
-    failed and, in a stack, its member.
+    of the matrix's Hermitian part) and counts are non-negative.  Otherwise
+    it raises DomainError, naming the matrix that failed and, in a stack,
+    its member.
     """
 
     thetas: np.ndarray
@@ -80,8 +78,6 @@ class DetEquivProblem:
     Q: np.ndarray
     z: float
     counts: np.ndarray | None = None
-    betas: np.ndarray | None = None
-    beta0: float = 1.0
 
     def __post_init__(self):
         if not (np.isreal(self.z) and np.isfinite(self.z) and np.real(self.z) < 0):
@@ -98,17 +94,10 @@ class DetEquivProblem:
         self.thetas = thetas
         shape = thetas.shape[:-2]
         n = shape[-1]
-        size = shape if S else n
-        self.counts = (
-            np.ones(shape) if self.counts is None else np.asarray(self.counts, dtype=float)
-        )
-        self.betas = (
-            np.ones(shape) if self.betas is None else np.asarray(self.betas, dtype=float)
-        )
+        self.counts = np.ones(shape) if self.counts is None else np.asarray(self.counts, float)
         if self.counts.shape != shape or not np.all(self.counts >= 0):
-            raise DomainError(f"counts must be {size} non-negative numbers, got {self.counts}")
-        if self.betas.shape != shape or not np.all(self.betas > 0):
-            raise DomainError(f"betas must be {size} positive numbers, got {self.betas}")
+            raise DomainError(f"counts must be {shape if S else n} non-negative numbers, "
+                              f"got {self.counts}")
         if self.Q.shape != self.A.shape:
             raise DomainError(f"Q must be {' x '.join(map(str, self.A.shape))}, "
                               f"got shape {self.Q.shape}")
@@ -200,7 +189,6 @@ def solve_fixed_point(
     P = int(np.prod(S))
     thetas = problem.thetas.reshape(P, n, N, N)
     counts = problem.counts.reshape(P, n)
-    betas = problem.betas.reshape(P, n)
     shifted = problem.A.reshape(P, N, N) - problem.z * np.eye(N)
 
     e = np.full((P, n), -1.0 / problem.z)
@@ -212,7 +200,7 @@ def solve_fixed_point(
         it += 1
         at = slice(None) if live.size == P else live
         T = _resolvent(thetas[at], counts[at] / (1.0 + e[at]), shifted[at], problem.z)
-        e_new = _traces(thetas[at], T) / (betas[at] * N)
+        e_new = _traces(thetas[at], T) / N
         step = (np.abs(e_new - e[at]) / (1.0 + np.abs(e_new))).max(axis=-1)
         e[at] = e_new
         residual[live] = step
@@ -226,7 +214,7 @@ def solve_fixed_point(
             f"(last residual {residual[live].max():.3e})"
         )
     T = _resolvent(thetas, counts / (1.0 + e), shifted, problem.z)
-    m = _traces(problem.Q.reshape(P, 1, N, N), T)[:, 0] / (problem.beta0 * N)
+    m = _traces(problem.Q.reshape(P, 1, N, N), T)[:, 0] / N
     T = T.reshape(S + (N, N))
     iterations = sum(len(h) for h in history)
     if not S:
@@ -258,7 +246,7 @@ def solve_primed(
                               J=np.empty(S + (0, 0)), v=np.empty(S + (0,)))
     e = base.e
     TTh = T[..., None, :, :] @ problem.thetas
-    v = _traces(problem.thetas, TOT) / (problem.betas * N)
+    v = _traces(problem.thetas, TOT) / N
     # J_ij = tr(TTh_i TTh_j) = vec(TTh_i) . vec(TTh_j^T), one product per
     # member; column convention: the (1+e_j)^2 damping sits on the class
     # being differentiated, which is what d e_i / dz requires
@@ -266,7 +254,7 @@ def solve_primed(
     J = (
         (flat @ TTh.swapaxes(-1, -2).reshape(S + (n, N * N)).swapaxes(-1, -2)).real
         * (problem.counts / (1.0 + e) ** 2)[..., None, :]
-        / (problem.betas[..., :, None] * N * N)
+        / (N * N)
     )
     I_minus_J = np.eye(n) - J
     near = np.abs(np.linalg.det(I_minus_J)) < 1e-14

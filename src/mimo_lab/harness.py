@@ -126,28 +126,38 @@ class ExperimentSpec:
         return ScenarioConfig(**params)
 
 
-_INT_KEYS = {"L", "K", "M", "T_c", "r_own", "r_cross", "trials", "seed", "covariance_draws"}
-_FLOAT_KEYS = {"snr_db", "iota", "boost"}
-_STR_KEYS = {"name", "pilot", "model", "regime", "combiner"}
-_LIST_KEYS = {"bounds"}
+def read_pairs(path: str) -> list:
+    """The (line number, key, value) entries of a flat `key = value` file,
+    `#` starting a comment; ConfigError names a line without `=` or with an
+    empty value."""
+    entries = []
+    with open(path) as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            line = raw.split("#", 1)[0].strip()
+            if not line:
+                continue
+            key, eq, val = (part.strip() for part in line.partition("="))
+            if not eq:
+                raise ConfigError(f"{path}:{lineno}: expected 'key = value', got {raw.strip()!r}")
+            if not val:
+                raise ConfigError(f"{path}:{lineno}: empty value for {key!r}")
+            entries.append((lineno, key, val))
+    return entries
+
+
+# the parser of each field type of ExperimentSpec and ResultRow; a tuple is a comma list
+_PARSERS = {"int": int, "float": float, "str": str,
+            "tuple": lambda val: tuple(x.strip() for x in val.split(","))}
 
 
 def load_config(path: str) -> ExperimentSpec:
-    """Parse and validate a flat key = value config file."""
+    """Parse and validate a flat key = value config file: a key is a field
+    of ExperimentSpec, typed by its annotation, or a sweep axis."""
     spec = ExperimentSpec()
+    kinds = {f.name: _PARSERS[f.type] for f in fields(ExperimentSpec)
+             if f.name not in ("sweep_axis", "sweep_values")}
     sweep_axis = None
-    with open(path) as fh:
-        lines = fh.readlines()
-    for lineno, raw in enumerate(lines, start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise ConfigError(f"{path}:{lineno}: expected 'key = value', got {raw.strip()!r}")
-        key, _, val = line.partition("=")
-        key, val = key.strip(), val.strip()
-        if not val:
-            raise ConfigError(f"{path}:{lineno}: empty value for {key!r}")
+    for lineno, key, val in read_pairs(path):
         try:
             if key in SWEEP_AXES:
                 values = tuple(float(x) for x in val.split(","))
@@ -162,16 +172,10 @@ def load_config(path: str) -> ExperimentSpec:
                     sweep_axis = key
                     spec = replace(spec, sweep_axis=key, sweep_values=values)
                 else:
-                    spec = replace(spec, **{("r_own" if key == "r" else key):
-                                            (values[0] if key == "snr_db" else int(values[0]))})
-            elif key in _INT_KEYS:
-                spec = replace(spec, **{key: int(val)})
-            elif key in _FLOAT_KEYS:
-                spec = replace(spec, **{key: float(val)})
-            elif key in _STR_KEYS:
-                spec = replace(spec, **{key: val})
-            elif key in _LIST_KEYS:
-                spec = replace(spec, **{key: tuple(x.strip() for x in val.split(",")) })
+                    name = "r_own" if key == "r" else key
+                    spec = replace(spec, **{name: kinds[name](values[0])})
+            elif key in kinds:
+                spec = replace(spec, **{key: kinds[key](val)})
             else:
                 raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
         except ConfigError:
@@ -266,7 +270,7 @@ def parse_csv(path: str) -> ResultTable:
     """Read a CSV written by `write_results` back into a table."""
     table = ResultTable()
     # each column's type, from ResultRow's annotations
-    kinds = {f.name: {"int": int, "float": float}.get(f.type, str) for f in fields(ResultRow)}
+    kinds = {f.name: _PARSERS[f.type] for f in fields(ResultRow)}
     with open(path) as fh:
         for raw in fh:
             line = raw.rstrip("\n")
@@ -394,10 +398,6 @@ def reproduce_figure(fig: str, scale: str = "desk", seed: int = 1,
     """
     if trials is None:
         trials = 300
-    elif trials < 1:
-        raise ConfigError("trials must be >= 1")
-    if seed < 0:
-        raise ConfigError(f"seed must be >= 0, got {seed}")
     table = ResultTable()
     if fig == "fig2":
         base = ExperimentSpec(
@@ -406,7 +406,7 @@ def reproduce_figure(fig: str, scale: str = "desk", seed: int = 1,
             sweep_values=(-10.0, 0.0, 10.0, 20.0, 30.0),
             bounds=("alt_dl",), trials=trials, seed=seed, covariance_draws=2,
         )
-        base = _desk(base, scale, table)
+        base = _desk(base, scale, table).validate()
         for si, snr_db in enumerate(base.sweep_values):
             cfg = base.scenario_config(snr_db)
             draws = [(build_network(cfg, stream(seed, 100 + si, dr)),

@@ -1,4 +1,5 @@
 import math
+import os
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from mimo_lab.bounds import (
     noncoherent_expression,
     prelog_factor,
     run_bounds,
+    _threads,
 )
 from mimo_lab import training
 from mimo_lab.covmodel import CorrelationModel, stream
@@ -231,6 +233,10 @@ class TestDeterminism:
             monkeypatch.setenv("MIMO_LAB_THREADS", threads)
             reps.append(run_bounds(sc, "dl", DL_BOUNDS, 130, 16, bases=full_bases(sc)))
         assert reps[0] == reps[1]
+
+    def test_unparsable_thread_cap_falls_back(self, monkeypatch):
+        monkeypatch.setenv("MIMO_LAB_THREADS", "abc")
+        assert _threads() == min(4, os.cpu_count() or 1)
 
 
 class TestServingBases:

@@ -65,14 +65,13 @@ def loop_fixed_point(p, tol=1e-10):
     history = []
     for it in range(1, 10_001):
         T = loop_resolvent(p, e)
-        e_new = np.array([np.real(np.trace(Th @ T)) / (b * N)
-                          for Th, b in zip(p.thetas, p.betas)])
+        e_new = np.array([np.real(np.trace(Th @ T)) / N for Th in p.thetas])
         residual = float(np.max(np.abs(e_new - e) / (1.0 + np.abs(e_new))))
         history.append(residual)
         e = e_new
         if residual < tol:
             T = loop_resolvent(p, e)
-            m = float(np.real(np.trace(p.Q @ T))) / (p.beta0 * N)
+            m = float(np.real(np.trace(p.Q @ T))) / N
             return e, T, m, it, history
     raise DivergenceError("loop oracle did not converge")
 
@@ -81,12 +80,12 @@ def loop_primed(p, e, T, omega):
     N, n = p.N, len(p.thetas)
     TOT = T @ omega @ T
     TTh = [T @ Th for Th in p.thetas]
-    v = np.array([np.real(np.trace(Th @ TOT)) / (b * N) for Th, b in zip(p.thetas, p.betas)])
+    v = np.array([np.real(np.trace(Th @ TOT)) / N for Th in p.thetas])
     J = np.empty((n, n))
     for i in range(n):
         for j in range(n):
             J[i, j] = (p.counts[j] * np.real(np.trace(TTh[i] @ TTh[j]))
-                       / (p.betas[i] * N * N * (1.0 + e[j]) ** 2))
+                       / (N * N * (1.0 + e[j]) ** 2))
     e_prime = np.linalg.solve(np.eye(n) - J, v)
     corr = sum((c * ep / (1.0 + ei) ** 2) * Th
                for c, ep, ei, Th in zip(p.counts, e_prime, e, p.thetas))
@@ -204,7 +203,7 @@ class TestStackedFormsMatchLoops:
             assert_close(got.thetas, np.array(want.thetas))
             assert np.array_equal(got.A, want.A) and got.z == want.z
             # a user's problem is its member of the cell's stack
-            for name in ("thetas", "A", "Q", "counts", "betas"):
+            for name in ("thetas", "A", "Q", "counts"):
                 assert np.array_equal(getattr(got, name), getattr(cell, name)[k])
 
     @pytest.mark.parametrize("case", ["haar", "nonorthogonal", "wide cross links"])
@@ -254,8 +253,7 @@ def stacked(problems):
     return DetEquivProblem(
         thetas=np.stack([p.thetas for p in problems]), A=np.stack([p.A for p in problems]),
         Q=np.stack([p.Q for p in problems]), z=problems[0].z,
-        counts=np.stack([p.counts for p in problems]),
-        betas=np.stack([p.betas for p in problems]))
+        counts=np.stack([p.counts for p in problems]))
 
 
 class TestStack:
@@ -325,7 +323,6 @@ class TestProblemValidation:
         dict(thetas=[np.array([[1.0, 1j], [1j, 1.0]])]),
         dict(thetas=[np.diag([1.0, np.nan])]),
         dict(counts=[-1.0]),
-        dict(betas=[0.0]),
         dict(counts=[1.0, 2.0]),
         dict(z=0.0),
         dict(z=np.nan),
@@ -742,20 +739,6 @@ class TestConcentrationChecks:
     def test_spread_needs_two_trials(self, trials):
         with pytest.raises(ValueError, match="trials must be >= 2"):
             concentration_check("TraceLemma", [64, 128], trials, stream(12))
-
-
-class TestBetaScalings:
-    def test_scalar_beta_against_root_finder(self):
-        # beta != 1 changes the fixed point; check against a direct solve of
-        # e = theta / (beta (theta/(1+e) - z))
-        from scipy.optimize import brentq
-        theta, beta, z = 3.0, 2.0, -0.7
-        p = DetEquivProblem(thetas=[np.array([[theta]])], A=np.zeros((1, 1)),
-                            Q=np.eye(1), z=z, betas=np.array([beta]))
-        e_solver = solve_fixed_point(p).e[0]
-        f = lambda e: e - theta / (beta * (theta / (1 + e) - z))
-        e_ref = brentq(f, 0.0, 100.0)
-        assert abs(e_solver - e_ref) < 1e-9
 
 
 class TestUnitaryModelAgreement:

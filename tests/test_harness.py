@@ -1,6 +1,8 @@
 import os
+import re
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -35,6 +37,9 @@ trials = 40
 seed = 3
 covariance_draws = 2
 """
+
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 
 def write_cfg(tmp_path, text, name="exp.txt"):
@@ -108,6 +113,38 @@ class TestLoadConfig:
     def test_spec_rejects_non_integer_sweep_values(self):
         with pytest.raises(ConfigError, match="M must be an integer"):
             harness.ExperimentSpec(sweep_axis="M", sweep_values=(40.0, 60.5)).validate()
+
+    @pytest.mark.parametrize("line, message", [
+        ("L =", "exp.txt:2: empty value for 'L'"),
+        ("L = two", "exp.txt:2: bad value for 'L'"),
+        ("pilot = mixed", "pilot must be orthogonal|nonorthogonal, got 'mixed'"),
+        ("model = gaussian", "model must be fourier|unitary, got 'gaussian'"),
+        ("regime = weak", "regime must be strong|verystrong, got 'weak'"),
+        ("r_own = 40", "r_own=40 exceeds M=32"),
+    ], ids=["empty", "not a number", "pilot", "model", "regime", "r_own above M"])
+    def test_rejects_bad_values(self, tmp_path, line, message):
+        cfg = write_cfg(tmp_path, f"M = 32\n{line}\n")
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            load_config(cfg)
+
+    def test_keys_are_the_spec_fields(self, tmp_path):
+        # every ExperimentSpec field but the sweep's two is a key, read as
+        # its annotation's type (a tuple is a comma list)
+        values = dict(name="every", L=3, K=4, M=48, T_c=300, snr_db=5.5, iota=0.3, boost=1.5,
+                      pilot="nonorthogonal", model="unitary", regime="verystrong", r_own=6,
+                      r_cross=2, combiner="mf", bounds=("coherent_ul", "cutset"), trials=7,
+                      seed=9, covariance_draws=1)
+        types = {f.name: f.type for f in fields(harness.ExperimentSpec)}
+        assert set(values) == set(types) - {"sweep_axis", "sweep_values"}
+        text = "".join(f"{key} = {', '.join(v) if isinstance(v, tuple) else v}\n"
+                       for key, v in values.items())
+        spec = load_config(write_cfg(tmp_path, text))
+        for key, value in values.items():
+            assert getattr(spec, key) == value
+            assert type(getattr(spec, key)).__name__ == types[key]
+        for key in ("sweep_axis", "sweep_values"):
+            with pytest.raises(ConfigError, match=f"unknown key '{key}'"):
+                load_config(write_cfg(tmp_path, f"{key} = snr_db\n"))
 
 
 class TestRunExperiment:
@@ -281,12 +318,19 @@ class TestCli:
         ("N = 3\nz = -1.0\ntheta = 1,2\n", "p.txt:3: theta diagonal has 2 entries, expected N=3"),
         ("N = 3\nz = -1.0\ntheta = identity x 3\nQ = 1,1,1,1\n",
          "p.txt:4: Q diagonal has 4 entries, expected N=3"),
+        ("N = 3\nz = -1.0\ntheta identity\n",
+         "p.txt:3: expected 'key = value', got 'theta identity'"),
+        ("N = 3\nz = -1.0\nA =\n", "p.txt:3: empty value for 'A'"),
+        ("z = -1.0\ntheta = identity x 3\n", "p.txt: both N and z are required"),
+        ("N = 3\ntheta = identity x 3\n", "p.txt: both N and z are required"),
+        ("N = 3\nz = -1.0\nB = zero\n", "p.txt:3: unknown key 'b'"),
     ], ids=["count -2", "count 1.5", "N 0", "N -2", "N three", "z abc", "theta entry a",
-            "theta length", "Q length"])
+            "theta length", "Q length", "no =", "empty value", "no N", "no z", "unknown key"])
     def test_detequiv_problem_bad_numbers_exit_2(self, tmp_path, monkeypatch, capsys, text,
                                                  message):
-        # a bad dimension, count, number or diagonal length is an input
-        # error, named with its line
+        # a bad dimension, count, number or diagonal length, a line that is
+        # not `key = value`, a missing N or z and an unknown key are input
+        # errors, named with their line where there is one
         def no_solve(*args, **kwargs):
             raise AssertionError("the fixed point started on a bad problem")
 
@@ -295,6 +339,21 @@ class TestCli:
         prob.write_text(text)
         assert cli_main(["detequiv", str(prob)]) == 2
         assert message in capsys.readouterr().err
+
+    def test_shipped_examples_run(self, tmp_path, capsys):
+        out = tmp_path / "example.csv"
+        argv = ["run", str(CONFIGS / "example.txt"), "--trials", "4", "--out", str(out)]
+        assert cli_main(argv) == 0
+        bound_ids = {}
+        for row in parse_csv(str(out)).rows:
+            bound_ids.setdefault(row.sweep_value, set()).add(row.bound_id)
+        assert sorted(bound_ids) == [-10.0, 0.0, 10.0, 20.0, 30.0]
+        assert all(ids == {"CoherentUL", "NonCoherent", "AltNonCoherent", "MaxMinUB",
+                           "CutsetPerUser", "AsymptoticLB_Orth"} for ids in bound_ids.values())
+        capsys.readouterr()
+        # e solves e^2 + e - 1 = 0
+        assert cli_main(["detequiv", str(CONFIGS / "detequiv_example.txt")]) == 0
+        assert capsys.readouterr().out.splitlines()[0] == "e: 0.618033988754"
 
     def test_detequiv_accepts_a_zero_count(self, tmp_path, capsys):
         prob = tmp_path / "p.txt"
@@ -434,6 +493,12 @@ class TestCli:
             harness.ExperimentSpec(seed=-1).validate()
         with pytest.raises(ConfigError, match="seed must be >= 0, got -2"):
             reproduce_figure("fig5", seed=-2)
+
+    def test_desk_caps_trials(self):
+        table = ResultTable()
+        spec = harness._desk(harness.ExperimentSpec(trials=600), "desk", table)
+        assert spec.trials == harness.DESK_TRIALS_CAP == 500
+        assert table.audit == ["scale=desk caps: trials->500"]
 
     @pytest.mark.parametrize("fig,trials", [("fig2", "-1"), ("fig5", "0")])
     def test_reproduce_rejects_nonpositive_trials(self, fig, trials, monkeypatch, capsys):
