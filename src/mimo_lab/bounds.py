@@ -71,8 +71,7 @@ class RateReport:
 
 
 def prelog_factor(scenario: NetworkScenario) -> float:
-    kappa = scenario.scheme.channel_uses(scenario.K, scenario.T_c)
-    return 1.0 - kappa / scenario.T_c
+    return 1.0 - scenario.scheme.channel_uses(scenario.K) / scenario.T_c
 
 
 def noncoherent_expression(mean_sig, var_sig, interf_power, inv_power):

@@ -75,22 +75,23 @@ def _parse_detequiv_problem(path: str) -> DetEquivProblem:
                               f"expected N={n}")
         return np.diag(entries)
 
-    pairs = [(lineno, key.lower(), val) for lineno, key, val in read_pairs(path)]
-    for lineno, key, val in pairs:
-        if key == "n":
+    # keys match case-insensitively; an error quotes a key as the file wrote it
+    pairs = [(lineno, key, key.lower(), val) for lineno, key, val in read_pairs(path)]
+    for lineno, _, name, val in pairs:
+        if name == "n":
             N = number(lineno, "N", val, int, 1)
-        elif key == "z":
+        elif name == "z":
             z = number(lineno, "z", val)
     if N is None or z is None:
         raise ConfigError(f"{path}: both N and z are required")
-    for lineno, key, val in pairs:
-        if key in ("n", "z"):
+    for lineno, key, name, val in pairs:
+        if name in ("n", "z"):
             continue
-        if key == "a":
+        if name == "a":
             A = diag_of(lineno, "A", val, N)
-        elif key == "q":
+        elif name == "q":
             Q = diag_of(lineno, "Q", val, N)
-        elif key == "theta":
+        elif name == "theta":
             count = 1
             if "x" in val:
                 val, _, cnt = val.rpartition("x")

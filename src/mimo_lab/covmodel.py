@@ -163,10 +163,8 @@ class PilotScheme:
     def rho_p(self, p_ul: float) -> float:
         return self.boost * p_ul
 
-    def channel_uses(self, K: int, T_c: int) -> int:
-        if self.kind == "orthogonal":
-            return min(K, T_c // 2)
-        return 1
+    def channel_uses(self, K: int) -> int:
+        return K if self.kind == "orthogonal" else 1
 
 
 @dataclass

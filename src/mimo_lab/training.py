@@ -8,11 +8,10 @@ MMSE filters it forms are conditioned on the realized covariance draw.
 
 No module of the package calls this one: bounds.DrawEngine forms its
 estimators from its own projection tables, and detequiv reads them from
-it.  The per-link estimators here are the reference that the engine's exact
-replays and table tests, and the tests' deterministic-equivalent oracle,
-compare against; cell_projections forms one cell's projections in one GEMM
-for beamform.assemble_Z and that oracle.  The module stays in the package
-because the benchmark's tracer patches its names.
+it.  The estimators here, built one link at a time, are the reference that
+the engine's exact replays and table tests, and the tests'
+deterministic-equivalent oracle, compare against.  The module stays in the
+package because the benchmark's tracer patches its names.
 """
 
 from __future__ import annotations
@@ -42,30 +41,6 @@ def projection(scenario: NetworkScenario, l: int, k: int, src_key) -> np.ndarray
     own = scenario.profile(l, l, k)
     src = scenario.profiles[src_key]
     return own.U.conj().T @ src.U
-
-
-def cell_projections(scenario: NetworkScenario, l: int, cells):
-    """U_{llk}^H U_{l lp p} for cell l's K users k against the K links p
-    from each cell lp of `cells` into BS l, from one GEMM.
-
-    Returns the projections [k, i, p, a, b] (lp = cells[i]) and the links'
-    eigenvalues [i, p, b].  Links of lower rank than the largest are padded
-    with zero columns and zero eigenvalues.  Cell l's own users must share
-    one rank."""
-    K, M = scenario.K, scenario.M
-    r = scenario.profile(l, l, 0).r
-    if any(scenario.profile(l, l, k).r != r for k in range(K)):
-        raise ValueError(f"the users of cell {l} must share one rank")
-    own = np.concatenate([scenario.profile(l, l, k).U for k in range(K)], axis=1)
-    links = [scenario.profile(l, lp, p) for lp in cells for p in range(K)]
-    width = max((src.r for src in links), default=0)
-    U = np.zeros((M, len(links), width), dtype=complex)
-    lam = np.zeros((len(links), width))
-    for i, src in enumerate(links):
-        U[:, i, : src.r] = src.U
-        lam[i, : src.r] = src.lam
-    G = (own.conj().T @ U.reshape(M, -1)).reshape(K, r, len(cells), K, width)
-    return G.transpose(0, 2, 3, 1, 4), lam.reshape(len(cells), K, width)
 
 
 def projected_cov(scenario: NetworkScenario, l: int, k: int, src_key) -> np.ndarray:

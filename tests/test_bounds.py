@@ -109,8 +109,17 @@ class TestCoherentBound:
         sc_n = make_scenario(seed=5, L=2, K=4, M=32, r_own=4, T_c=100,
                              pilot="nonorthogonal")
         assert abs(prelog_factor(sc_n) - (1 - 1 / 100)) < 1e-12
+        # K orthogonal pilots cost K channel uses, also past T_c / 2
         sc_big = make_scenario(seed=5, L=2, K=80, M=32, r_own=4, T_c=100)
-        assert abs(prelog_factor(sc_big) - (1 - 50 / 100)) < 1e-12
+        assert abs(prelog_factor(sc_big) - (1 - 80 / 100)) < 1e-12
+
+    def test_reports_charge_every_orthogonal_pilot(self):
+        T_c = 10
+        K = T_c // 2 + 1
+        sc = make_scenario(seed=5, L=2, K=K, M=32, r_own=4, T_c=T_c)
+        for direction, bound in (("ul", "coherent"), ("dl", "alt")):
+            rep = run_bounds(sc, direction, (bound,), 4, 3)[bound]
+            assert abs(rep.prelog - (1 - K / T_c)) < 1e-12
 
 
 class TestNonCoherentBounds:

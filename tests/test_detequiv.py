@@ -92,25 +92,6 @@ def loop_primed(p, e, T, omega):
     return J, v, e_prime, herm(TOT + T @ (corr / N) @ T)
 
 
-def loop_assemble_Z(sc, l, k, bank):
-    """Z_{lk} link by link: other-cell projected covariances plus own-cell
-    projected estimation-error covariances."""
-    r = sc.profile(l, l, k).r
-    Z = np.zeros((r, r), dtype=complex)
-    for lp in range(sc.L):
-        for kp in range(sc.K):
-            if lp != l:
-                Z += projected_cov(sc, l, k, (l, lp, kp))
-            else:
-                err = bank.users[(l, kp)].err_cov
-                if kp == k:
-                    Z += err
-                else:
-                    P = projection(sc, l, k, (l, l, kp))
-                    Z += (P @ err) @ P.conj().T
-    return herm(Z)
-
-
 def loop_mmse_problem(sc, l, k, bank, Z):
     P = {j: projection(sc, l, k, (l, l, j)) for j in range(sc.K) if j != k}
     thetas = [herm((P[j] @ bank.users[(l, j)].phi) @ P[j].conj().T) for j in P]
@@ -123,7 +104,7 @@ def loop_sinr_mmse(sc, l, k, bank):
     est = bank.users[(l, k)]
     prof = sc.profile(l, l, k)
     r = prof.r
-    Z = loop_assemble_Z(sc, l, k, bank)
+    Z = assemble_Z(sc, l, k, bank)
     p = loop_mmse_problem(sc, l, k, bank, Z)
     e, T, _, _, _ = loop_fixed_point(p)
     delta = np.real(np.trace(est.phi @ T)) / r
@@ -205,23 +186,6 @@ class TestStackedFormsMatchLoops:
             # a user's problem is its member of the cell's stack
             for name in ("thetas", "A", "Q", "counts"):
                 assert np.array_equal(getattr(got, name), getattr(cell, name)[k])
-
-    @pytest.mark.parametrize("case", ["haar", "nonorthogonal", "wide cross links"])
-    def test_stacked_Z_matches_the_loop(self, case):
-        # the cell's one GEMM against the literal per-link sums, every user;
-        # cross links narrower (default) and wider than the own ones
-        if case == "haar":
-            sc = haar_case()[0]
-        else:
-            sc = make_scenario(seed=23, L=3, K=4, M=40, r_own=4, snr_db=12.0,
-                               r_cross=6 if case == "wide cross links" else 0,
-                               pilot="nonorthogonal", model=CorrelationModel.PARTIAL_UNITARY)
-        bank = EstimatorBank.build(sc)
-        for l in range(sc.L):
-            cell = assemble_Z(sc, l, None, bank)
-            for k in range(sc.K):
-                assert_close(cell[k], loop_assemble_Z(sc, l, k, bank))
-                assert np.array_equal(assemble_Z(sc, l, k, bank), cell[k])
 
     def test_sinr_mmse(self):
         sc, bank = haar_case()

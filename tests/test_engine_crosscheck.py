@@ -2,12 +2,13 @@
 
 Each replay feeds the engine's RNG streams to a loop-style oracle and
 recomputes every trial independently (catches any conjugation or index slip
-in the batched einsums).  The oracle in the users' own eigenbases is built
-from the op-level functions (contaminators, projection, EstimatorBank,
-assemble_Z); the oracle in other serving bases (d-restricted support,
-full-dimensional I_M) builds its projections, priors and MMSE solves here.
-The engine forms its estimators from its own projection tables, so the
-replays check its estimator step too.  Replays cover UL and DL, orthogonal
+in the batched einsums).  The oracle is `oracle.serving_reference`, the
+per-link tables of a serving choice: in the users' own eigenbases its
+estimators and design matrices are the reference ones (EstimatorBank,
+assemble_Z), in other serving bases (d-restricted support,
+full-dimensional I_M) it solves each user's MMSE system itself.  The engine
+forms its estimators from its own projection tables, so the replays check
+its estimator step too.  Replays cover UL and DL, orthogonal
 and shared pilots, MMSE and MF, the Fourier and Haar models, one cell, and
 the exact conditionals of the pilot-sharing links, through to the reduced
 per-user rates.  Every Fourier replay runs on both of the engine's
@@ -16,75 +17,18 @@ tables of the same draw relabelled partial-unitary (dense=True).
 """
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 import pytest
 
-from mimo_lab._linalg import herm, hermitian_solve
-from mimo_lab.beamform import assemble_Z
 from mimo_lab.bounds import DrawEngine, prelog_factor, run_bounds
 from mimo_lab.covmodel import CorrelationModel, stream
-from mimo_lab.training import EstimatorBank, contaminators, projected_cov, projection
+from mimo_lab.training import contaminators
 
-from conftest import dense_twin, full_bases, make_scenario, restricted_bases, serving_matrices
+from conftest import dense_twin, full_bases, make_scenario, restricted_bases
+from oracle import serving_reference
 
 TOL = 1e-9
-
-
-@dataclass
-class Oracle:
-    """What a loop replay needs per user (l, k), in its serving basis B_lk."""
-
-    basis: dict    # (l, k) -> B_lk, M x q
-    proj: object   # (l, k, src_key) -> B_lk^H U_src
-    between: object  # (l, k, j) -> B_lk^H B_lj
-    filt: dict     # (l, k) -> C Xi
-    Z: dict        # (l, k) -> combiner/precoder design matrix
-
-
-def op_level(sc):
-    """Oracle in the own eigenbases, from the op-level functions."""
-    bank = EstimatorBank.build(sc)
-    return Oracle(
-        basis={(l, k): sc.profile(l, l, k).U for l, k in sc.users()},
-        proj=lambda l, k, key: projection(sc, l, k, key),
-        between=lambda l, k, j: projection(sc, l, k, (l, l, j)),
-        filt={u: bank.users[u].filt for u in sc.users()},
-        Z={(l, k): assemble_Z(sc, l, k, bank) for l, k in sc.users()},
-    )
-
-
-def in_basis(sc, choice):
-    """Oracle in the serving bases of a serving choice (serving_matrices):
-    prior C = B^H R B, filter C Xi with Xi = (C + sum of contaminating
-    B^H R_src B + I / rho_p)^{-1}."""
-    bases = serving_matrices(sc, choice)
-
-    def proj(l, k, key):
-        return bases[(l, k)].conj().T @ sc.profiles[key].U
-
-    def cov(l, k, key):
-        P = proj(l, k, key)
-        return (P * sc.profiles[key].lam) @ P.conj().T
-
-    def between(l, k, j):
-        return bases[(l, k)].conj().T @ bases[(l, j)]
-
-    q = bases[(0, 0)].shape[1]
-    filt, err_cov, Z = {}, {}, {}
-    for l, k in sc.users():
-        C = cov(l, k, (l, l, k))
-        cond = C + sum(cov(l, k, key) for key in contaminators(sc, l, k)) + np.eye(q) / sc.rho_p
-        xi, _ = hermitian_solve(cond, np.eye(q, dtype=complex))
-        filt[(l, k)] = C @ xi
-        err_cov[(l, k)] = herm(C - C @ xi @ C)
-    for l, k in sc.users():
-        Z[(l, k)] = err_cov[(l, k)] + sum(
-            between(l, k, j) @ err_cov[(l, j)] @ between(l, k, j).conj().T
-            for j in range(sc.K) if j != k) + sum(
-            cov(l, k, (l, lp, kp)) for lp in range(sc.L) if lp != l for kp in range(sc.K))
-    return Oracle(basis=bases, proj=proj, between=between, filt=filt, Z=Z)
 
 
 def own_channel(sc, oracle, w, l, k):
@@ -202,11 +146,10 @@ def conditional(sc, oracle):
     pilots) given user (l, k)'s observation s: mean R~ Xi s per other cell,
     and the coherent denominator's covariance Z with R~ Xi R~ taken out of
     each R~."""
-    bank = EstimatorBank.build(sc)
     Z, mean = {}, {}
     for l, k in sc.users():
-        xi = bank.users[(l, k)].xi
-        rts = [projected_cov(sc, l, k, key) for key in contaminators(sc, l, k)]
+        xi = oracle.xi[(l, k)]
+        rts = [oracle.cov(l, k, key) for key in contaminators(sc, l, k)]
         mean[(l, k)] = [rt @ xi for rt in rts]
         Z[(l, k)] = oracle.Z[(l, k)] - sum(rt @ xi @ rt for rt in rts)
     return Z, mean
@@ -279,7 +222,7 @@ def test_engine_matches_loop_per_trial(point, pilot, combiner, dense=False):
     # one cell: no cross projection table, and under the shared pilot only
     # the own cell contaminates
     sc = make_scenario(pilot=pilot, **point)
-    replay_ul(sc, op_level(sc), combiner, list(range(sc.L)), 505, dense=dense)
+    replay_ul(sc, serving_reference(sc, None), combiner, list(range(sc.L)), 505, dense=dense)
 
 
 @pytest.mark.parametrize("combiner", ["mmse", "mf"])
@@ -288,7 +231,7 @@ def test_conditional_contamination_matches_loop_per_trial(model, combiner, dense
     # under Haar bases with decaying eigenvalues R~ and Xi do not commute,
     # so the mean filter R~ Xi differs from Xi R~
     sc = make_scenario(**dict(ORTH, model=model, eigen_shape="exp_decay", eigen_rate=0.5))
-    replay_ul(sc, op_level(sc), combiner, list(range(sc.L)), 505,
+    replay_ul(sc, serving_reference(sc, None), combiner, list(range(sc.L)), 505,
               conditional_contamination=True, dense=dense)
 
 
@@ -299,7 +242,7 @@ def test_conditional_contamination_on_per_user_systems(model):
     sc = make_scenario(**dict(ORTH, K=6, model=model, eigen_shape="exp_decay",
                               eigen_rate=0.5))
     assert DrawEngine(sc).q <= sc.K
-    replay_ul(sc, op_level(sc), "mmse", list(range(sc.L)), 505,
+    replay_ul(sc, serving_reference(sc, None), "mmse", list(range(sc.L)), 505,
               conditional_contamination=True)
 
 
@@ -318,7 +261,7 @@ def test_nonorthogonal_ul_matches_loop_per_trial(point, model, combiner, cells, 
     # despread by all of its users; r_cross < r_own narrows the cross blocks
     sc = make_scenario(pilot="nonorthogonal", model=model, **point)
     assert sc.r_cross < sc.r_own
-    replay_ul(sc, op_level(sc), combiner, cells, 506, dense=dense)
+    replay_ul(sc, serving_reference(sc, None), combiner, cells, 506, dense=dense)
 
 
 def replay_dl(sc, oracle, combiner, bases=None, dense=False):
@@ -353,7 +296,7 @@ def replay_dl(sc, oracle, combiner, bases=None, dense=False):
 @pytest.mark.parametrize("pilot", ["orthogonal", "nonorthogonal"])
 def test_dl_matches_loop_per_trial(pilot, model, combiner, dense=False):
     sc = make_scenario(pilot=pilot, model=model, **SMALL)
-    replay_dl(sc, op_level(sc), combiner, dense=dense)
+    replay_dl(sc, serving_reference(sc, None), combiner, dense=dense)
 
 
 @pytest.mark.parametrize("pilot, which", [("nonorthogonal", "d=3"), ("orthogonal", "full")],
@@ -365,7 +308,7 @@ def test_dl_in_serving_bases_matches_loop_per_trial(pilot, which):
     sc = make_scenario(pilot=pilot, model=HAAR, eigen_shape="exp_decay", eigen_rate=0.5,
                        **SMALL)
     bases = restricted_bases(sc, 3, stream(8)) if which == "d=3" else full_bases(sc)
-    replay_dl(sc, in_basis(sc, bases), "mmse", bases)
+    replay_dl(sc, serving_reference(sc, bases), "mmse", bases)
 
 
 SERVING = {
@@ -384,7 +327,7 @@ def test_fourier_dl_in_serving_bases_matches_loop_per_trial(pilot, which, dense)
     sc = make_scenario(pilot=pilot, model=FOURIER, eigen_shape="exp_decay", eigen_rate=0.5,
                        **SMALL)
     bases = SERVING[which](sc)
-    replay_dl(sc, in_basis(sc, bases), "mmse", bases, dense=dense)
+    replay_dl(sc, serving_reference(sc, bases), "mmse", bases, dense=dense)
 
 
 FOURIER_REPLAYS = {

@@ -323,7 +323,7 @@ class TestCli:
         ("N = 3\nz = -1.0\nA =\n", "p.txt:3: empty value for 'A'"),
         ("z = -1.0\ntheta = identity x 3\n", "p.txt: both N and z are required"),
         ("N = 3\ntheta = identity x 3\n", "p.txt: both N and z are required"),
-        ("N = 3\nz = -1.0\nB = zero\n", "p.txt:3: unknown key 'b'"),
+        ("N = 3\nz = -1.0\nB = zero\n", "p.txt:3: unknown key 'B'"),
     ], ids=["count -2", "count 1.5", "N 0", "N -2", "N three", "z abc", "theta entry a",
             "theta length", "Q length", "no =", "empty value", "no N", "no z", "unknown key"])
     def test_detequiv_problem_bad_numbers_exit_2(self, tmp_path, monkeypatch, capsys, text,

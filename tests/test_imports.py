@@ -3,8 +3,10 @@
 `training` and `beamform` hold the reference estimators and design matrix
 that the tests compare the engine against.  Production code reads its
 tables from `bounds.DrawEngine` alone; the two modules stay in the package
-only because the benchmark's tracer patches their names, and `detequiv`
-keeps a `projected_cov` binding, never called, for the same reason.
+only because the benchmark's tracer patches their names.  The tracer counts
+`projected_cov` calls through each module that binds the name: `beamform`
+calls its binding, and `detequiv` keeps one, never called, for that reason
+alone.
 
 Every random number comes from a stream that `covmodel` keys
 (`covmodel.stream`), so that a trial's or a draw's bits depend on its key
@@ -65,6 +67,13 @@ def test_detequiv_binds_only_projected_cov_and_never_calls_it():
     assert [b for b in bindings(text) if b[0] in REFERENCE] == [("training", "projected_cov")]
     assert not any(isinstance(node, ast.Name) and node.id == "projected_cov"
                    for node in ast.walk(ast.parse(text)))
+
+
+def test_beamform_binds_projected_cov_and_calls_it():
+    text = source("beamform")
+    assert ("training", "projected_cov") in bindings(text)
+    assert any(isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+               and node.func.id == "projected_cov" for node in ast.walk(ast.parse(text)))
 
 
 def test_bounds_binds_no_dft_matrix():

@@ -113,6 +113,26 @@ def test_fourier_draws_are_traced(tracing):
         assert layers[name] > 0, name
 
 
+def test_assemble_Z_sums_traced_covariances(tracing):
+    # one cell's Z is one assemble_Z span, and each user's other-cell links
+    # reach projected_cov through beamform's traced binding, one call per link
+    from conftest import make_scenario
+    from mimo_lab import beamform, training
+    from mimo_lab.covmodel import CorrelationModel
+
+    sc = make_scenario(seed=8, L=3, K=3, M=32, r_own=4, snr_db=10.0,
+                       model=CorrelationModel.PARTIAL_UNITARY)
+    bank = training.EstimatorBank.build(sc)
+    tracer = tracing.install()
+    try:
+        beamform.assemble_Z(sc, 1, None, bank)
+    finally:
+        tracer.uninstall()
+    layers = tracing.layer_metrics(tracer, 0.0)
+    assert layers["beamform.assemble_Z.calls"] == 1
+    assert layers["training.projected_cov.calls"] == sc.K * (sc.L - 1) * sc.K
+
+
 @pytest.mark.parametrize("engine", [bounds._DenseEngine, bounds._AngularEngine])
 def test_representations_keep_the_patched_names(engine):
     assert not set(PATCHED) & set(vars(engine))
