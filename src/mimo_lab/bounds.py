@@ -16,6 +16,7 @@ import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -44,14 +45,11 @@ class PilotBudgetError(ValueError):
 
 
 def _threads() -> int:
-    env = os.environ.get("MIMO_LAB_THREADS", "")
     try:
-        cap = int(env) if env else 0
+        cap = int(os.environ.get("MIMO_LAB_THREADS") or 0)
     except ValueError:
         cap = 0
-    if cap <= 0:
-        cap = min(4, os.cpu_count() or 1)
-    return max(cap, 1)
+    return cap if cap > 0 else min(4, os.cpu_count() or 1)
 
 
 @dataclass
@@ -192,6 +190,16 @@ def _segments(keys):
     np.not_equal(keys[1:], keys[:-1], out=new[1:])
     first = np.flatnonzero(new)
     return first, keys[first]
+
+
+def _equal_pairs(left, right):
+    """Every pair (i, j) with left[i] == right[j] of two integer key arrays,
+    in order of i, then j (the join of one stable sort of right)."""
+    order = np.argsort(right, kind="stable")
+    keys = right[order]
+    lo, hi = (np.searchsorted(keys, left, side) for side in ("left", "right"))
+    i = np.repeat(np.arange(left.size), hi - lo)
+    return i, order[np.arange(i.size) - np.repeat(np.cumsum(hi - lo) - hi, hi - lo)]
 
 
 def _segment_sums(x, first, ids, n):
@@ -538,11 +546,11 @@ class DrawEngine:
         `span` trials, each folded into the chunk's statistics cell by cell:
         a pass appends its per-trial statistics to lists, joined here once,
         and adds its sums over trials into the chunk's (`_nc_stats`).  A
-        pass holds its rows of the trial table, the estimates, the
-        precoders (downlink) or one cell's combiners (uplink), one cell's
-        MMSE systems, and its link statistics: one float buffer of every
-        link's power, which each cell overwrites, and one link block of
-        inner products at a time; the observations only while the
+        pass holds its rows of the trial table; the estimates while every
+        cell's precoders or combiners form, one cell's MMSE systems at a
+        time; then the vectors and its link statistics: one float buffer of
+        every link's power, which each cell overwrites, and one link block
+        of inner products at a time; the observations only while the
         estimates form, unless the conditional coherent SINR reads them.
         Every trial is computed on its own and the sums over trials run in
         trial order, so the split changes no value, only the memory a chunk
@@ -566,7 +574,7 @@ class DrawEngine:
         # observations
         s_obs = s if self.conditional and "coherent" in want else None
         del noise, s
-        ip2 = np.empty((len(w), self.K, self.L * self.K)) if nc_bounds else None
+        v = {}
         for l in cells:
             # [T, K, q]; sinr from the leave-one-out identity where it applies
             vl, Y, sinr = self._beamformer(w_hat, l, self.P_ul, vectors=bool(nc_bounds),
@@ -578,11 +586,14 @@ class DrawEngine:
                 stats["rate"].append(np.log2(1.0 + sinr))
                 stats["sinr"].append(sinr)
             del Y
-            if nc_bounds:
-                sig = np.einsum("tka,tka->tk", vl.conj(), self._own_channels(w, l))
-                # true channels of every link into BS l, own cell first
-                ips = (self._link_inner(l, c, w, vl) for c in [l] + self.xcells[l])
-                _nc_stats(sig, ips, self.P_ul, out.setdefault("_nc", {}).setdefault(l, {}), ip2)
+            v[l] = vl if nc_bounds else None
+        del w_hat, s_obs
+        ip2 = np.empty((len(w), self.K, self.L * self.K)) if nc_bounds else None
+        for l in cells if nc_bounds else ():
+            sig = np.einsum("tka,tka->tk", v[l].conj(), self._own_channels(w, l))
+            # true channels of every link into BS l, own cell first
+            ips = (self._link_inner(l, c, w, v[l]) for c in [l] + self.xcells[l])
+            _nc_stats(sig, ips, self.P_ul, out.setdefault("_nc", {}).setdefault(l, {}), ip2)
 
     def _coherent_sinr(self, w_hat, l, vl, Y, s_obs):
         """The coherent SINR [T, K] of cell l's unit vectors vl from their
@@ -871,8 +882,8 @@ class _AngularEngine(DrawEngine):
     touched.  The link inner products are gather-sums over the matched
     index pairs of each (BS, source cell) block (`pairs`, `segs`), and the
     per-user leave-one-out Grams over the estimate products whose DFT
-    indices match a user's serving pair (`gram_pairs`, `gram_segs`); these
-    plans are built once per draw.  A chunk is evaluated in passes of at
+    indices match a user's serving pair (`gram_pairs`, `gram_segs`), planned
+    once per draw by DFT-index joins.  A chunk is evaluated in passes of at
     most `span` trials: PASS_BYTES over what a pass holds per trial (its
     row of the table, every cell's estimates, observations and vectors, one
     cell's MMSE systems and the link statistics, `_layout`)."""
@@ -898,8 +909,10 @@ class _AngularEngine(DrawEngine):
         return (L, K, q), float
 
     def _index_sets(self, sc):
-        """Set supp and serve (class docstring) from the profiles' stored DFT
-        indices; a link without r distinct indices in [0, M) raises InvalidProfile."""
+        """Set supp, serve (class docstring) and own_pos [L, K, q], each serving
+        index's position among the user's own eigencolumns (r: none; None in
+        them), from the stored DFT indices; InvalidProfile for a link without
+        r distinct indices in [0, M)."""
         L, K, M = sc.L, sc.K, sc.M
         supp = np.full((L, L, K, self.rmax), -1, dtype=np.intp)
         rank = np.zeros((L, L, K), dtype=np.intp)
@@ -916,6 +929,10 @@ class _AngularEngine(DrawEngine):
         self.supp, own = supp, supp[np.arange(L), np.arange(L), :, :self.r]  # own: [L, K, r]
         self.serve = (np.tile(np.arange(M), (L, K, 1)) if self.full
                       else own if self.eigen else np.take_along_axis(own, self.keep, -1))
+        self.own_pos = self.keep
+        if self.full:
+            self.own_pos = np.full((L, K, M), self.r)
+            np.put_along_axis(self.own_pos, own, np.arange(self.r), axis=-1)
 
     def _cell_tables(self, sc, l, jittered):
         """`_DenseEngine._cell_tables` in the angular representation, where
@@ -950,39 +967,22 @@ class _AngularEngine(DrawEngine):
         return None
 
     def _angular_plans(self):
-        """The angular representation's per-draw index plans.
+        """The per-draw index plans.  Projections between DFT-column bases
+        select the columns that share a DFT index, so the link plans are one
+        join (`_equal_pairs`) of all blocks' entries on (BS, DFT index), and
+        the Gram plans and `est_pos` one join per cell of its serving indices.
 
-        own_pos [L, K, q]: position of each serving index among the user's
-        own eigencolumns (r: none).  est_pos [L, k, j, q]: where user k's
-        serving indices sit among user j's, as flat indices j * (q + 1) + a
-        into the zero-padded estimates (a = q: not among them), for cells
-        that do not share.  served_take, served_first and served_slot: the
-        positions in a trial's row of the fading entries in served slots
-        (those some user reads), sorted by slot; the CSR segments of the
-        slots; and each user's serving slots among them [L, K, q] (one past
-        the last: a slot no entry reaches, which reads zero).  pairs [2, P]
-        (n * q + a, p * width + b) and segs [2, S] (start, n * K + p) of each
-        (BS l, source cell c) block, width its columns, at
-        ptr[:, l * L + c]: serving basis n's coordinate a and source p's
-        eigencolumn b share a DFT index.  gram_pairs, gram_segs and
-        gram_ptr: `_gram_plans`."""
-        L, K, M, q, r, rmax = self.L, self.K, self.M, self.q, self.r, self.rmax
+        served_take, served_first and served_slot: the positions in a
+        trial's row of the fading entries in served slots (those some user
+        reads), sorted by slot; the slots' CSR segments; and each user's
+        serving slots among them [L, K, q] (one past the last, which reads
+        zero, if no entry reaches one).  pairs [2, P] (n * q + a,
+        p * width + b) and segs [2, S] (start, n * K + p) of each (BS l,
+        source cell c) block, width its columns, at ptr[:, l * L + c]:
+        serving basis n's coordinate a and source p's eigencolumn b share a
+        DFT index.  gram_pairs, gram_segs and gram_ptr: `_gram_plans`."""
+        L, K, M, q, rmax = self.L, self.K, self.M, self.q, self.rmax
         ll, kk = np.arange(L)[:, None, None], np.arange(K)[:, None]
-
-        def inverse(idx, width, none):
-            """inv[..., m] = position of m in idx[..., :], `none` elsewhere
-            (and at m = M, where the -1 padding reads)."""
-            inv = np.full(idx.shape[:-1] + (M + 1,), none, dtype=np.intp)
-            np.put_along_axis(inv, idx, np.arange(width), axis=-1)
-            inv[..., M] = none
-            return inv
-
-        self.own_pos = (None if self.eigen else np.take_along_axis(
-            inverse(self.supp[np.arange(L), np.arange(L), :, :r], r, r), self.serve, axis=-1))
-        inv = inverse(self.serve, q, q)  # [l, j, m]
-        self.est_pos = (None if all(self.shared) else
-                        kk * (q + 1) + inv[ll[..., None], kk, self.serve[:, :, None]])
-
         # pilot slots: (BS, DFT index) for the shared pilot, (BS, pilot
         # index, DFT index) for orthogonal ones; the served ones are read
         group = ll[..., None] if self.nonorth else ll[..., None] * K + kk
@@ -993,73 +993,73 @@ class _AngularEngine(DrawEngine):
         take = np.flatnonzero(served[slot])
         take = take[np.argsort(slot[take], kind="stable")]
         # entry (l, c, p, b) of supp sits at w_off[l * L + c] + p * width + b
-        width = np.diff(self.w_off).reshape(L, L) // K
+        width = np.diff(self.w_off) // K
         start = np.array(self.w_off[:-1]).reshape(L, L, 1, 1)
-        pos = start + kk * width[..., None, None] + np.arange(rmax)
+        pos = start + kk * width.reshape(L, L, 1, 1) + np.arange(rmax)
         self.served_take = pos.ravel()[take]
         self.served_first, slots = _segments(slot[take])
         at = np.minimum(np.searchsorted(slots, want), max(slots.size - 1, 0))
         hit = slots.size > 0 and (slots[at] == want)
         self.served_slot = np.where(hit, at, slots.size).reshape(L, K, q)
-        self.gram_pairs, self.gram_segs, self.gram_ptr = self._gram_plans()
+        gram = self.combiner == "mmse" and q <= K and not all(self.shared)
+        self.gram_pairs, self.gram_segs, self.gram_ptr = self._gram_plans() if gram else [None] * 3
+        if not all(self.shared) and (q > K or self.combiner == "mf" or self.conditional):
+            self.est_pos  # built now: a pass gathers seen estimates
 
-        parts, ptr = [], [[0], [0]]
+        # every stored entry (l, c, p, b) with the serving entries (l, n, a)
+        # of BS l's bases (one for a shared cell), put in (l, c, n, p, b) order
+        f = np.flatnonzero(self.supp >= 0)
+        g = np.flatnonzero(np.repeat(kk < np.where(self.shared, 1, K)[:, None, None], q, -1))
+        i, j = _equal_pairs(f // (L * K * rmax) * M + self.supp.ravel()[f],
+                            g // (K * q) * M + self.serve.ravel()[g])
+        blk, (p, b), ua = f[i] // (K * rmax), np.divmod(f[i] % (K * rmax), rmax), g[j] % (K * q)
+        seg = (blk * K + ua // q) * K + p  # ua = n * q + a
+        order = np.argsort(seg * rmax + b)  # blk stays sorted
+        first, ids = _segments(seg[order])
+        self.ptr = np.stack([np.searchsorted(x, np.arange(L * L + 1)) for x in (blk, ids // K**2)])
+        self.pairs = np.stack([ua[order], (p * width[blk] + b)[order]])
+        self.segs = np.stack([first - self.ptr[0, ids // K**2], ids % K**2])
+
+    @cached_property
+    def est_pos(self):
+        """[L, k, j, q]: where user k's serving indices sit among user j's, as
+        flat indices j * (q + 1) + a into the zero-padded estimates (a = q: not
+        among them).  Built with the plans where a pass gathers seen estimates
+        (`_angular_plans`), else on first read."""
+        L, K, q = self.L, self.K, self.q
+        est = np.zeros((L, K, K, q), dtype=np.intp) + (np.arange(K)[:, None] * (q + 1) + q)
         for l in range(L):
-            nb = 1 if self.shared[l] else K
-            for c in range(L):
-                A = inv[l, :nb][:, self.supp[l, c]].ravel()  # [n, p, b]
-                f = np.flatnonzero(A < q)
-                nk, b = np.divmod(f, rmax)  # n * K + p, b
-                first, ids = _segments(nk)
-                n, p = np.divmod(nk, K)
-                parts.append((n * q + A[f], p * width[l, c] + b, first, ids))
-                ptr[0].append(ptr[0][-1] + f.size)
-                ptr[1].append(ptr[1][-1] + first.size)
-        ua, src, first, ids = (np.concatenate(x) for x in zip(*parts))
-        self.pairs, self.segs = np.stack([ua, src]), np.stack([first, ids])
-        self.ptr = np.array(ptr)
+            i, j = _equal_pairs(*2 * (self.serve[l].ravel(),))  # k q + a, j q + a'
+            est[l].reshape(-1)[(i // q * K + j // q) * q + i % q] = j + j // q
+        return est
 
     def _gram_plans(self):
         """The plan of the per-user leave-one-out Grams of the cells whose
-        users solve per-user MMSE systems (q <= K, the cell not shared), or
-        three Nones when no cell does.
-
-        Entry (a, b) of user k's Gram sums w_j[a'] conj(w_j[b']) over the
+        users solve per-user MMSE systems (q <= K, the cell not shared):
+        entry (a, b) of user k's Gram sums w_j[a'] conj(w_j[b']) over the
         users j != k of the cell that hold both of its serving indices, at
         a' and b'.  Returns pairs [2, P] (j * q + a', j * q + b'), the flat
         estimate indices of every such product, sorted by target entry
         (k * q + a) * q + b with j ascending within one; segs [2, S]
         (start, target), the CSR segments of the targets; and ptr [2, L + 1],
         where each cell's products and segments begin, its starts counted
-        from its first product.  All cells are planned in one sort, read off
-        est_pos (a shared cell plans nothing)."""
+        from its first product."""
         L, K, q = self.L, self.K, self.q
-        if self.combiner != "mmse" or q > K or all(self.shared):
-            return None, None, None
-        kk = np.arange(K)
-        held = self.est_pos != (kk * (q + 1) + q)[:, None]  # [l, k, j, a]
-        held[:, kk, kk] = False  # the user's own estimate
-        held[self.shared] = False
-        f = np.flatnonzero(held)  # sorted by (l, k, j, a)
-        j = f // q % K
-        src = self.est_pos.ravel()[f] - j  # j * q + a'
-        row, a = f // (K * q) * (q * q), f % q  # (l K + k) q^2 and a
-        # every match of an (l, k, j) multiplies every match of it; the
-        # products come with j ascending within each target
-        group, _ = _segments(f // q)
-        size = np.diff(np.append(group, f.size))
-        reps = np.repeat(size, size)
-        i = np.repeat(np.arange(f.size), reps)
-        i_b = (np.repeat(group, size)[i] + np.arange(i.size)
-               - np.repeat(np.cumsum(reps) - reps, reps))
-        target = row[i] + a[i] * q + a[i_b]
-        order = np.argsort(target, kind="stable")
-        src_a, src_b, target = src[i][order], src[i_b][order], target[order]
-        first, ids = _segments(target)
-        cell, ids = np.divmod(ids, K * q * q)
-        ptr = np.stack([np.searchsorted(target, np.arange(L + 1) * (K * q * q)),
-                        np.searchsorted(cell, np.arange(L + 1))])
-        return np.stack([src_a, src_b]), np.stack([first - ptr[0, cell], ids]), ptr
+        pairs, segs = [], []
+        for l in range(L):
+            ka, ja = _equal_pairs(*2 * (self.serve[l].ravel(),))  # k q + a, j q + a'
+            # no user's own estimate, nothing in a shared cell
+            held = (ka // q != ja // q) & (not self.shared[l])
+            ka, ja = ka[held], ja[held]
+            # each match of a pair (k, j) times each match of it, in
+            # (k, a, j, b) order: sorted stably by target, j ascends within
+            x, y = _equal_pairs(*2 * (ka // q * K + ja // q,))
+            target = ka[x] * q + ka[y] % q
+            order = np.argsort(target, kind="stable")
+            pairs.append(np.stack([ja[x][order], ja[y][order]]))
+            segs.append(np.stack(_segments(target[order])))
+        ptr = np.stack([np.cumsum([0] + [x.shape[1] for x in parts]) for parts in (pairs, segs)])
+        return np.concatenate(pairs, axis=1), np.concatenate(segs, axis=1), ptr
 
     def _expanded_tables(self, l):
         """The diagonals expanded, and the projections as the 0/1 selections
@@ -1206,10 +1206,9 @@ def run_bounds(
     default follows the plain-R~ evaluation.
 
     bases is DrawEngine's serving choice; None serves each user in its own
-    eigenbasis.  With the
-    default combiner, contamination and bases the run reads the scenario's
-    memoised engine (`default_engine`); any other arguments build a fresh
-    one.
+    eigenbasis.  With the default combiner, contamination and bases the run
+    reads the scenario's memoised engine (`default_engine`); any other
+    arguments build a fresh one.
 
     The alternative bound of user (l, k), with prelog = 1 - kappa / T_c, is
     the max-min term less a penalty for the unknown effective gains:

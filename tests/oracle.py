@@ -7,8 +7,10 @@ estimators and design matrices are the reference ones
 (`training.EstimatorBank`, `beamform.assemble_Z`).  `detequiv` reads every
 table of its SINR limits from the draw's shared engine; here the same limits
 are built from the reference estimators and design matrices and from
-`training.projection` and `training.projected_cov`.  `cholesky_solve`
-composes the Cholesky halves of `_linalg` into a full solve.
+`training.projection` and `training.projected_cov`.  `angular_plans`
+lists the index plans of the angular engine by loops over their
+definitions.  `cholesky_solve` composes the Cholesky halves of `_linalg`
+into a full solve.
 """
 
 from dataclasses import dataclass, field
@@ -79,6 +81,68 @@ def serving_reference(sc, bases) -> Reference:
         for u in sc.users():
             ref.filt[u], ref.err_cov[u] = bank.users[u].filt, bank.users[u].err_cov
             ref.Z[u] = assemble_Z(sc, *u, bank)
+    return ref
+
+
+def angular_plans(sc, bases) -> dict:
+    """Every index plan of `bounds._AngularEngine` under the serving choice
+    `bases`, by loops over users, positions and DFT indices, in the order
+    and layout the engine documents: own_pos (None for the own
+    eigenbases), the link plans pairs, segs and ptr, est_pos, and the Gram
+    plans gram_pairs, gram_segs and gram_ptr (None when q > K)."""
+    L, K, M, r = sc.L, sc.K, sc.M, sc.r_own
+    idx = {key: [int(m) for m in prof.idx] for key, prof in sc.profiles.items()}
+    serve = {(l, k): (list(range(M)) if bases == "full" else idx[(l, l, k)] if bases is None
+                      else [idx[(l, l, k)][a] for a in bases[(l, k)]]) for l, k in sc.users()}
+    at = {u: {m: a for a, m in enumerate(ms)} for u, ms in serve.items()}  # DFT index -> a
+    q = len(serve[(0, 0)])
+    shared = [all(serve[(l, k)] == serve[(l, 0)] for k in range(K)) for l in range(L)]
+    rx = max((len(ms) for (l, c, _), ms in idx.items() if c != l), default=0)
+    ref = {"own_pos": None if bases is None else np.array(
+        [[[idx[(l, l, k)].index(m) if m in idx[(l, l, k)] else r for m in serve[(l, k)]]
+          for k in range(K)] for l in range(L)], dtype=np.intp)}
+
+    pairs, segs, ptr = [], [], [[0], [0]]
+    for l in range(L):
+        for c in range(L):
+            width, key = (r if c == l else rx), None
+            for n in range(1 if shared[l] else K):
+                for p in range(K):
+                    for b, m in enumerate(idx[(l, c, p)]):
+                        if m in at[(l, n)]:
+                            if key != n * K + p:
+                                key = n * K + p
+                                segs.append((len(pairs) - ptr[0][-1], key))
+                            pairs.append((n * q + at[(l, n)][m], p * width + b))
+            ptr[0].append(len(pairs))
+            ptr[1].append(len(segs))
+    ref["pairs"], ref["segs"] = (np.array(x, dtype=np.intp).reshape(-1, 2).T for x in (pairs, segs))
+    ref["ptr"] = np.array(ptr, dtype=np.intp)
+
+    ref["est_pos"] = np.array(
+        [[[[j * (q + 1) + at[(l, j)].get(m, q) for m in serve[(l, k)]] for j in range(K)]
+          for k in range(K)] for l in range(L)], dtype=np.intp)
+
+    ref["gram_pairs"] = ref["gram_segs"] = ref["gram_ptr"] = None
+    if q <= K:
+        pairs, segs, ptr = [], [], [[0], [0]]
+        for l in range(L):
+            last = None
+            for k in range(K) if not shared[l] else ():
+                for a, ma in enumerate(serve[(l, k)]):
+                    for b, mb in enumerate(serve[(l, k)]):
+                        target = (k * q + a) * q + b
+                        for j in range(K):
+                            if j != k and ma in at[(l, j)] and mb in at[(l, j)]:
+                                if last != target:
+                                    last = target
+                                    segs.append((len(pairs) - ptr[0][-1], target))
+                                pairs.append((j * q + at[(l, j)][ma], j * q + at[(l, j)][mb]))
+            ptr[0].append(len(pairs))
+            ptr[1].append(len(segs))
+        ref["gram_pairs"], ref["gram_segs"] = (np.array(x, dtype=np.intp).reshape(-1, 2).T
+                                               for x in (pairs, segs))
+        ref["gram_ptr"] = np.array(ptr, dtype=np.intp)
     return ref
 
 

@@ -26,6 +26,7 @@ from mimo_lab.covmodel import (
     stream,
 )
 
+import oracle
 from conftest import dense_twin, full_bases, make_scenario, restricted_bases, serving_matrices
 
 POINT = dict(seed=5, L=2, K=3, M=24, r_own=4, snr_db=10.0)
@@ -345,3 +346,82 @@ def test_per_user_pass_forms_no_seen_estimates(monkeypatch, pilot):
     assert all(np.isfinite(out["_nc"][l]["ub"]).all() for out in (ul, dl) for l in (0, 1))
     with pytest.raises(AssertionError, match="seen estimates"):
         DrawEngine(sc, combiner="mf").ul_chunk(5, 0, 6, [0], {"coherent"})
+
+
+def disjoint_block_scenario(pilot):
+    """A draw whose BS 0 shares no DFT index with cell 1's links: its
+    (BS 0, source cell 1) block matches nothing, and cell 0's users hold
+    overlapping, distinct supports."""
+    sc = make_scenario(pilot=pilot, **dict(POINT, M=40))
+    for (l, c, p), prof in sc.profiles.items():
+        if l == 0:
+            prof.idx = np.arange(prof.r) + (p if c == 0 else 30 + p)
+    return sc
+
+
+PLAN_CASES = {f"{name}-{which}": (over, which) for name, over in
+              [("orth", {}), ("nono", dict(pilot="nonorthogonal")), ("one-cell", dict(L=1))]
+              for which in BASES}
+PLAN_CASES.update({f"gram-{name}": (over, which or "own") for name, (over, which)
+                   in GRAM_CASES.items()})
+PLAN_CASES["fig2-full"] = (dict(L=4, K=5, M=100, r_own=8, pilot_boost=2.0), "I_M")
+
+
+def assert_plans_match_definition(sc, bases, combiner):
+    eng = DrawEngine(sc, combiner=combiner, bases=bases)
+    ref = oracle.angular_plans(sc, bases)
+    for name in ("own_pos", "pairs", "segs", "ptr", "gram_pairs", "gram_segs", "gram_ptr"):
+        got, want = getattr(eng, name), ref[name]
+        if name.startswith("gram") and (combiner != "mmse" or all(eng.shared)):
+            want = None
+        if want is None:
+            assert got is None, name
+        else:
+            assert got.dtype == want.dtype and np.array_equal(got, want), name
+    # built with the plans exactly where a pass gathers seen estimates
+    gathers = not all(eng.shared) and (eng.q > sc.K or combiner == "mf")
+    assert ("est_pos" in vars(eng)) == gathers
+    assert eng.est_pos.dtype == np.intp and np.array_equal(eng.est_pos, ref["est_pos"])
+    return eng
+
+
+@pytest.mark.parametrize("combiner", ["mmse", "mf"])
+@pytest.mark.parametrize("case", list(PLAN_CASES))
+def test_plans_match_their_definition(case, combiner):
+    # every index plan, bytewise, against loops over its definition
+    over, which = PLAN_CASES[case]
+    sc = make_scenario(eigen_shape="exp_decay", eigen_rate=0.5, **dict(POINT, K=5) | over)
+    eng = assert_plans_match_definition(sc, BASES[which](sc), combiner)
+    if case == "fig2-full":
+        assert all(eng.shared)
+
+
+@pytest.mark.parametrize("combiner", ["mmse", "mf"])
+@pytest.mark.parametrize("pilot", ["orthogonal", "nonorthogonal"])
+def test_plans_match_their_definition_with_an_empty_block(pilot, combiner):
+    sc = disjoint_block_scenario(pilot)
+    eng = assert_plans_match_definition(sc, None, combiner)
+    (p0, p1), (s0, s1) = eng.ptr[:, 1:3]
+    assert p0 == p1 and s0 == s1 and not any(eng.shared)
+
+
+def test_default_mmse_engine_holds_no_seen_estimate_plan():
+    # the per-user MMSE engine plans its Grams but never gathers seen
+    # estimates: no table of L K K q entries, before or after its passes
+    sc = make_scenario(seed=2, L=3, K=64, M=320, r_own=4, snr_db=10.0, pilot="nonorthogonal")
+    eng = DrawEngine(sc)
+    assert eng.gram_ptr is not None and eng.q <= sc.K
+    eng.ul_chunk(1, 0, 4, [0, 2], set(UL_BOUNDS))
+    eng.dl_chunk(1, 0, 4, [1], set(DL_BOUNDS))
+    assert "est_pos" not in vars(eng)
+    big = sc.L * sc.K * sc.K * eng.q
+    assert max(v.size for v in vars(eng).values() if isinstance(v, np.ndarray)) < big
+    # MF, and a serving map with q > K, gather seen estimates: est_pos is
+    # one of their tables, as defined
+    small = make_scenario(**dict(POINT, r_own=6))
+    for scen, combiner, bases in [(sc, "mf", None),
+                                  (small, "mmse", restricted_bases(small, 4, stream(9)))]:
+        eng = DrawEngine(scen, combiner=combiner, bases=bases)
+        assert eng.q > scen.K or combiner == "mf"
+        assert "est_pos" in vars(eng)
+        assert np.array_equal(eng.est_pos, oracle.angular_plans(scen, bases)["est_pos"])
