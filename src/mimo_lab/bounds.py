@@ -16,7 +16,6 @@ import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
@@ -138,33 +137,34 @@ def _fold_trials(total, x):
     np.add.reduce(x, axis=0, out=total)
 
 
-def _nc_stats(sig, blocks, power, acc, ip2):
+def _nc_stats(sig, blocks, acc, ip2, sums):
     """Fold one pass's statistics of the non-coherent bounds of one cell
     into acc, the cell's statistics over the chunk's earlier trials, from
     the signal sig [T, K] and the interference inner products of its L link
     blocks [T, K, K] (vector, source user), own cell first, each folded as
-    it is formed: the own block's diagonal is zeroed, its products are
-    added into its K columns of the sum over trials ip_mean [K, L K], and
-    their powers written into its columns of ip2 [T, K, L K], the pass's
-    buffer (of any memory layout), which every cell reuses.  The per-trial sig, ip2_sum and ub are
-    then appended to lists (`_chunk` joins them), and ip2 added into its sum
-    over trials.  The sums over trials run in trial order (`_fold_trials`),
-    so their bits do not depend on the passes."""
+    it is formed: the own block's diagonal is zeroed, and the products'
+    powers written into its K columns of ip2 [T, K, L K], the pass's buffer
+    (of any memory layout), which every cell reuses.  sig and ip2_sum, each
+    trial's interference power, are appended to lists.  With sums (the alt
+    penalty reads them) the products are added into their columns of the
+    sum over trials ip_mean [K, L K], and ip2 into its sum, in trial order
+    (`_fold_trials`), so the bits do not depend on the passes."""
     K = sig.shape[1]
     kk = np.arange(K)
-    ip_mean = acc.setdefault("ip_mean", np.zeros(ip2.shape[1:], dtype=complex))
+    if sums and "ip_mean" not in acc:
+        acc["ip_mean"], acc["ip2"] = np.zeros(ip2.shape[1:], dtype=complex), np.zeros(ip2.shape[1:])
     for i, ip in enumerate(blocks):
         if i == 0:
             ip[:, kk, kk] = 0.0
         cols = slice(i * K, (i + 1) * K)
         np.abs(ip, out=ip2[..., cols])
         np.square(ip2[..., cols], out=ip2[..., cols])
-        _fold_trials(ip_mean[:, cols], ip)
-    ip2_sum = np.einsum("tki->tk", ip2)
-    ub = np.log2(1.0 + np.abs(sig) ** 2 / (1.0 / power + ip2_sum))
-    for key, x in (("sig", sig), ("ip2_sum", ip2_sum), ("ub", ub)):
+        if sums:
+            _fold_trials(acc["ip_mean"][:, cols], ip)
+    for key, x in (("sig", sig), ("ip2_sum", np.einsum("tki->tk", ip2))):
         acc.setdefault(key, []).append(x)
-    _fold_trials(acc.setdefault("ip2", np.zeros(ip2.shape[1:])), ip2)
+    if sums:
+        _fold_trials(acc["ip2"], ip2)
 
 
 def _seen(P, w):
@@ -272,22 +272,22 @@ class DrawEngine:
     nproj_sum + s_inter) and the hooks `_layout`, `_cell_tables`,
     `_pilot_noise`, `_own_channels`, `_estimates`, `_seen_in_bases`, `_link_inner`,
     `_loo_grams`, `_invert_design`, `_with_design`, `_rank_k_rows`,
-    `_rank_k_vectors`, `_design_power` and `_expanded_tables`.  The users
-    of a `shared` cell are all served in one basis; a chunk is evaluated in
-    passes of at most `span` trials.
+    `_rank_k_vectors`, `_design_power` and `_expanded_tables`.  When
+    `shared` (fixed at construction) the users of each cell are all served
+    in one basis; a chunk is evaluated in passes of at most `span` trials.
 
     Every system the engine solves has a known eigenvalue floor, which it
     hands to the guard of `_linalg` so that no eigenvalue pass runs where
     the floor already certifies the system: C + contamination + I/rho_p
     (the estimators, >= 1/rho_p) and W W^H + Z + I/p (the MMSE combiners
-    and precoders, >= 1/p).  When q > K, or the cell is shared, the combiner
-    and precoder solve inverts Z + I/p of every serving basis once per power,
-    one stacked solve per cell, and solves a K x K system per trial (matrix
-    inversion lemma).  Otherwise user k solves the q x q leave-one-out
-    system G_k = W W^H - w_k w_k^H + Z + I/p, whose solution G_k^{-1} w_k is
-    parallel to the MMSE vector; the uplink coherent SINR of that vector is
-    w_k^H G_k^{-1} w_k, read off the solve without forming the vectors or
-    their interference products (`_beamformer`).
+    and precoders, >= 1/p).  When q > K, or the engine is shared, the
+    combiner and precoder solve inverts Z + I/p of every serving basis once
+    per power, one stacked solve over all cells, and solves a K x K system
+    per trial (matrix inversion lemma).  Otherwise user k solves the q x q
+    leave-one-out system G_k = W W^H - w_k w_k^H + Z + I/p, whose solution
+    G_k^{-1} w_k is parallel to the MMSE vector; the uplink coherent SINR of
+    that vector is w_k^H G_k^{-1} w_k, read off the solve without forming
+    the vectors or their interference products (`_beamformer`).
     These per-user systems are solved by LU when q > CHOLESKY_MAX_Q, else
     factored by `_linalg.cholesky_factor`, one LAPACK potrf per matrix, with
     forward and back substitution vectorised over the stack; the back
@@ -310,6 +310,7 @@ class DrawEngine:
     """
 
     span = CHUNK
+    shared = False
 
     def __new__(cls, scenario: NetworkScenario, *args, **kwargs):
         if cls is DrawEngine:
@@ -428,9 +429,9 @@ class DrawEngine:
 
     def _seen_estimates(self, w_hat, l):
         """Cell l's estimates seen in each of its users' bases [j, T, k, q]
-        (`_seen_in_bases`); a shared cell's one basis gives [j, T, 1, q]."""
+        (`_seen_in_bases`); a shared engine's one basis gives [j, T, 1, q]."""
         wl = w_hat[:, l]
-        if self.shared[l]:
+        if self.shared:
             return wl.transpose(1, 0, 2)[:, :, None]
         return self._seen_in_bases(wl, l)
 
@@ -441,27 +442,20 @@ class DrawEngine:
         with self._lock:
             return tuple(sorted(self._beam_flags))
 
-    def _flag_users(self, l, ks):
-        with self._lock:
-            self._beam_flags.update((l, int(k)) for k in ks)
-
     def _static_inverse(self, power):
-        """(Z + I / power)^{-1} of every serving basis (n = 1 for a shared
-        cell, else K) per cell, from `_invert_design`: one stacked guarded
-        solve per cell, with floor 1 / power, computed on first use once per
+        """(Z + I / power)^{-1} of every cell's serving bases [L, n, ...]
+        (n = 1 for a shared engine, else K), from `_invert_design`: one
+        stacked guarded solve over all cells, each member with the bits of
+        its solo solve, with floor 1 / power, computed on first use once per
         power; the lock lets the chunks of a pool share it."""
         with self._lock:
-            inv = self._inverses.get(power)
-            if inv is None:
-                inv = []
-                for l in range(self.L):
-                    n = 1 if self.shared[l] else self.K
-                    x, jit = self._invert_design(self.Z[l, :n], power)
-                    inv.append(x)
-                    if jit.any():
-                        self._flag_users(l, range(self.K) if n == 1 else np.flatnonzero(jit))
+            if power not in self._inverses:
+                inv, jit = self._invert_design(self.Z[:, :1 if self.shared else None], power)
+                # a shared basis regularised: all its cell's users
+                jit = np.broadcast_to(jit, (self.L, self.K))
+                self._beam_flags.update((int(l), int(k)) for l, k in np.argwhere(jit))
                 self._inverses[power] = inv
-        return inv
+        return self._inverses[power]
 
     def _beamformer(self, w_hat, l, power, vectors=True, sinr=False):
         """MMSE or MF processing of cell l's users: returns (v, Y, s).
@@ -476,7 +470,7 @@ class DrawEngine:
 
         User k's MMSE vector is G^{-1} w_k with G = W W^H + A: the columns
         of W are the cell's K estimates seen in the user's basis, and
-        A = Z + I / power.  When q > K, or the cell is shared, the matrix
+        A = Z + I / power.  When q > K, or the engine is shared, the matrix
         inversion lemma gives G^{-1} W = A^{-1} W S^{-1} with
         S = I + W^H A^{-1} W, which is K x K with every eigenvalue at least
         1; A^{-1} comes from one guarded solve per basis (_static_inverse),
@@ -498,7 +492,7 @@ class DrawEngine:
         K, q = self.K, self.q
         wl = w_hat[:, l]
         T = wl.shape[0]
-        per_user = q <= K and not self.shared[l]
+        per_user = q <= K and not self.shared
         Y = None if self.combiner == "mf" or per_user else self._seen_estimates(w_hat, l)
         s = None
         if self.combiner == "mf":
@@ -507,8 +501,9 @@ class DrawEngine:
             XT, S = self._rank_k_rows(Y.transpose(1, 2, 0, 3), self._static_inverse(power)[l])
             S += np.eye(K)
             # the one basis of a shared cell serves all K users, the basis of
-            # user k only its own column
-            E = np.eye(K) if self.shared[l] else np.eye(K)[:, :, None]
+            # user k only its own column: a stack of K right-hand sides, as
+            # many axes as S so that no numpy version reads them as vectors
+            E = np.eye(K) if self.shared else np.eye(K)[None, :, :, None]
             X = np.linalg.solve(S, E).swapaxes(-1, -2)
             v = self._rank_k_vectors(X, XT).reshape(T, K, q)
         else:
@@ -527,8 +522,8 @@ class DrawEngine:
                 v = np.linalg.solve(G, wl[..., None])[..., 0]
                 if sinr:
                     s = np.einsum("tka,tka->tk", wl.conj(), v).real
-            if flags.any():
-                self._flag_users(l, np.flatnonzero(flags.any(axis=0)))
+            with self._lock:
+                self._beam_flags.update((l, int(k)) for k in np.flatnonzero(flags.any(axis=0)))
         if s is not None and not vectors:
             return None, Y, s
         return v / np.linalg.norm(v, axis=-1, keepdims=True), Y, s
@@ -542,19 +537,21 @@ class DrawEngine:
         return self._chunk(self._dl_pass, base_seed, t0, t1, cells, want)
 
     def _chunk(self, one_pass, base_seed, t0, t1, cells, want):
-        """Statistics of trials [t0, t1), evaluated in passes of at most
-        `span` trials, each folded into the chunk's statistics cell by cell:
-        a pass appends its per-trial statistics to lists, joined here once,
-        and adds its sums over trials into the chunk's (`_nc_stats`).  A
-        pass holds its rows of the trial table; the estimates while every
-        cell's precoders or combiners form, one cell's MMSE systems at a
-        time; then the vectors and its link statistics: one float buffer of
-        every link's power, which each cell overwrites, and one link block
-        of inner products at a time; the observations only while the
-        estimates form, unless the conditional coherent SINR reads them.
-        Every trial is computed on its own and the sums over trials run in
-        trial order, so the split changes no value, only the memory a chunk
-        holds."""
+        """The statistics of trials [t0, t1) that the bounds of `want` read,
+        per cell l of `cells` (`run_bounds` forms the rates):
+        out["coherent"][l]["sinr"] [T, K]; out["_nc"][l]["sig"] and
+        ["ip2_sum"] [T, K], and for alt the sums over trials ["ip_mean"] and
+        ["ip2"] [K, L K] (`_nc_stats`).  Passes of at most `span` trials
+        append their per-trial statistics to lists, joined here once, and add
+        their sums over trials into the chunk's.  A pass holds its rows of
+        the trial table; the estimates while every cell's precoders or
+        combiners form, one cell's MMSE systems at a time; then the vectors
+        and its link statistics: one float buffer of every link's power,
+        which each cell overwrites, and one link block of inner products at a
+        time; the observations only while the estimates form, unless the
+        conditional coherent SINR reads them.  Every trial is computed on its
+        own and the sums over trials run in trial order, so the split changes
+        no value, only the memory a chunk holds."""
         n = max(-(-(t1 - t0) // self.span), 1)
         edges = [t0 + (t1 - t0) * i // n for i in range(n + 1)]
         out = {}
@@ -582,9 +579,7 @@ class DrawEngine:
             if "coherent" in want:
                 if sinr is None:
                     sinr = self._coherent_sinr(w_hat, l, vl, Y, s_obs)
-                stats = out.setdefault("coherent", {}).setdefault(l, {"rate": [], "sinr": []})
-                stats["rate"].append(np.log2(1.0 + sinr))
-                stats["sinr"].append(sinr)
+                out.setdefault("coherent", {}).setdefault(l, {"sinr": []})["sinr"].append(sinr)
             del Y
             v[l] = vl if nc_bounds else None
         del w_hat, s_obs
@@ -593,7 +588,7 @@ class DrawEngine:
             sig = np.einsum("tka,tka->tk", v[l].conj(), self._own_channels(w, l))
             # true channels of every link into BS l, own cell first
             ips = (self._link_inner(l, c, w, v[l]) for c in [l] + self.xcells[l])
-            _nc_stats(sig, ips, self.P_ul, out.setdefault("_nc", {}).setdefault(l, {}), ip2)
+            _nc_stats(sig, ips, out.setdefault("_nc", {}).setdefault(l, {}), ip2, "alt" in want)
 
     def _coherent_sinr(self, w_hat, l, vl, Y, s_obs):
         """The coherent SINR [T, K] of cell l's unit vectors vl from their
@@ -633,7 +628,7 @@ class DrawEngine:
             # (B_{lp j}^H U_{lp l k} w_{lp l k})^H g_{lp j}, own cell first
             ips = (self._link_inner(lp, l, w, g[:, lp]).conj().swapaxes(1, 2)
                    for lp in [l] + self.xcells[l])
-            _nc_stats(sig, ips, self.P_dl, nc.setdefault(l, {}), ip2)
+            _nc_stats(sig, ips, nc.setdefault(l, {}), ip2, "alt" in want)
 
 
 class _DenseEngine(DrawEngine):
@@ -644,15 +639,13 @@ class _DenseEngine(DrawEngine):
     P_own[l, j, k] = B_lk^H U_llj, P_x[l, i, p, k] = B_lk^H U_{l lp p} for
     the i-th other cell lp (rx columns, the largest cross-link rank), and
     P_est[l, j, k] = B_lk^H B_lj.  filt, err_cov, nproj_sum, s_inter and Z
-    are [L, K, q, q].  No cell is shared, and a chunk is evaluated in one
-    pass."""
+    are [L, K, q, q].  It is not shared, and evaluates a chunk in one pass."""
 
     def _layout(self, sc):
         L, K, q = self.L, self.K, self.q
         U = {(l, k): sc.profile(l, l, k).U for l, k in sc.users()}
         self.bases = (dict.fromkeys(U, np.eye(self.M, dtype=complex)) if self.full
                       else U if self.eigen else {u: B[:, self.keep[u]] for u, B in U.items()})
-        self.shared = [False] * L
         self.P_own = np.zeros((L, K, K, q, self.r), dtype=complex)
         # the estimates between serving bases: P_own itself in the eigenbases
         self._P_est = None if self.eigen else np.zeros((L, K, K, q, q), dtype=complex)
@@ -874,12 +867,13 @@ class _AngularEngine(DrawEngine):
     processing are unitarily equivariant, so every rate is the dense one up
     to round-off.  Every projection B^H U is then a 0/1 selection: filt,
     err_cov, nproj_sum, s_inter and Z are diagonals [L, K, q], and Z + I/p
-    is inverted by a reciprocal.  A cell is shared when its users are all
-    served in the same DFT columns.  The pilot observation sums, in each
-    served slot (a BS, its pilot index under orthogonal pilots, and a DFT
-    index that one of its users reads), the fading entries stored there,
-    and gathers every user's slots; fading that no user reads is never
-    touched.  The link inner products are gather-sums over the matched
+    is inverted by a reciprocal.  The engine is shared, one basis per cell,
+    when in every cell the users are all served in the same DFT columns
+    (always under "full", and at K = 1 or r = M).  The pilot observation
+    sums, in each served slot (a BS, its pilot index under orthogonal
+    pilots, and a DFT index that one of its users reads), the fading entries
+    stored there, and gathers every user's slots; fading that no user reads
+    is never touched.  The link inner products are gather-sums over the matched
     index pairs of each (BS, source cell) block (`pairs`, `segs`), and the
     per-user leave-one-out Grams over the estimate products whose DFT
     indices match a user's serving pair (`gram_pairs`, `gram_segs`), planned
@@ -891,7 +885,7 @@ class _AngularEngine(DrawEngine):
     def _layout(self, sc):
         L, K, q = self.L, self.K, self.q
         self._index_sets(sc)
-        self.shared = [bool((self.serve[l] == self.serve[l, 0]).all()) for l in range(L)]
+        self.shared = bool((self.serve == self.serve[:, :1]).all())
         self._angular_plans()
         # per trial, the complex entries a pass holds at most: its row of the
         # table; every cell's estimates, observations, and precoders or
@@ -902,8 +896,7 @@ class _AngularEngine(DrawEngine):
         if self.gram_ptr is not None:
             beam = K * q * q + 2 * int(np.diff(self.gram_ptr[0]).max())
         else:
-            n = 1 if all(self.shared) else K
-            beam = n * K * (2 * q + K) + K * K
+            beam = (1 if self.shared else K) * K * (2 * q + K) + K * K
         per_trial = self._amp.size // 2 + 3 * L * K * q + beam + L * K * K // 2 + 2 * K * K
         self.span = max(PASS_BYTES // (16 * per_trial), 1)
         return (L, K, q), float
@@ -970,7 +963,7 @@ class _AngularEngine(DrawEngine):
         """The per-draw index plans.  Projections between DFT-column bases
         select the columns that share a DFT index, so the link plans are one
         join (`_equal_pairs`) of all blocks' entries on (BS, DFT index), and
-        the Gram plans and `est_pos` one join per cell of its serving indices.
+        the Gram plans and est_pos one join per cell of its serving indices.
 
         served_take, served_first and served_slot: the positions in a
         trial's row of the fading entries in served slots (those some user
@@ -980,7 +973,12 @@ class _AngularEngine(DrawEngine):
         p * width + b) and segs [2, S] (start, n * K + p) of each (BS l,
         source cell c) block, width its columns, at ptr[:, l * L + c]:
         serving basis n's coordinate a and source p's eigencolumn b share a
-        DFT index.  gram_pairs, gram_segs and gram_ptr: `_gram_plans`."""
+        DFT index.  gram_pairs, gram_segs and gram_ptr: `_gram_plans`.
+        est_pos [L, k, j, q]: where user k's serving indices sit among user
+        j's, as flat indices j * (q + 1) + a into the zero-padded estimates
+        (a = q: not among them); built only where a pass gathers seen
+        estimates (the engine not shared, and q > K, MF or conditional
+        contamination), else None."""
         L, K, M, q, rmax = self.L, self.K, self.M, self.q, self.rmax
         ll, kk = np.arange(L)[:, None, None], np.arange(K)[:, None]
         # pilot slots: (BS, DFT index) for the shared pilot, (BS, pilot
@@ -1001,15 +999,19 @@ class _AngularEngine(DrawEngine):
         at = np.minimum(np.searchsorted(slots, want), max(slots.size - 1, 0))
         hit = slots.size > 0 and (slots[at] == want)
         self.served_slot = np.where(hit, at, slots.size).reshape(L, K, q)
-        gram = self.combiner == "mmse" and q <= K and not all(self.shared)
+        gram = self.combiner == "mmse" and q <= K and not self.shared
         self.gram_pairs, self.gram_segs, self.gram_ptr = self._gram_plans() if gram else [None] * 3
-        if not all(self.shared) and (q > K or self.combiner == "mf" or self.conditional):
-            self.est_pos  # built now: a pass gathers seen estimates
+        self.est_pos = None
+        if not self.shared and (q > K or self.combiner == "mf" or self.conditional):
+            self.est_pos = np.zeros((L, K, K, q), dtype=np.intp) + (kk * (q + 1) + q)
+            for l in range(L):
+                i, j = _equal_pairs(*2 * (self.serve[l].ravel(),))  # k q + a, j q + a'
+                self.est_pos[l].reshape(-1)[(i // q * K + j // q) * q + i % q] = j + j // q
 
         # every stored entry (l, c, p, b) with the serving entries (l, n, a)
-        # of BS l's bases (one for a shared cell), put in (l, c, n, p, b) order
+        # of BS l's bases (one per cell when shared), in (l, c, n, p, b) order
         f = np.flatnonzero(self.supp >= 0)
-        g = np.flatnonzero(np.repeat(kk < np.where(self.shared, 1, K)[:, None, None], q, -1))
+        g = (np.arange(L)[:, None] * (K * q) + np.arange((1 if self.shared else K) * q)).ravel()
         i, j = _equal_pairs(f // (L * K * rmax) * M + self.supp.ravel()[f],
                             g // (K * q) * M + self.serve.ravel()[g])
         blk, (p, b), ua = f[i] // (K * rmax), np.divmod(f[i] % (K * rmax), rmax), g[j] % (K * q)
@@ -1020,22 +1022,9 @@ class _AngularEngine(DrawEngine):
         self.pairs = np.stack([ua[order], (p * width[blk] + b)[order]])
         self.segs = np.stack([first - self.ptr[0, ids // K**2], ids % K**2])
 
-    @cached_property
-    def est_pos(self):
-        """[L, k, j, q]: where user k's serving indices sit among user j's, as
-        flat indices j * (q + 1) + a into the zero-padded estimates (a = q: not
-        among them).  Built with the plans where a pass gathers seen estimates
-        (`_angular_plans`), else on first read."""
-        L, K, q = self.L, self.K, self.q
-        est = np.zeros((L, K, K, q), dtype=np.intp) + (np.arange(K)[:, None] * (q + 1) + q)
-        for l in range(L):
-            i, j = _equal_pairs(*2 * (self.serve[l].ravel(),))  # k q + a, j q + a'
-            est[l].reshape(-1)[(i // q * K + j // q) * q + i % q] = j + j // q
-        return est
-
     def _gram_plans(self):
-        """The plan of the per-user leave-one-out Grams of the cells whose
-        users solve per-user MMSE systems (q <= K, the cell not shared):
+        """The plan of the per-user leave-one-out Grams, which every cell's
+        users solve as per-user MMSE systems (q <= K, the engine not shared):
         entry (a, b) of user k's Gram sums w_j[a'] conj(w_j[b']) over the
         users j != k of the cell that hold both of its serving indices, at
         a' and b'.  Returns pairs [2, P] (j * q + a', j * q + b'), the flat
@@ -1048,8 +1037,7 @@ class _AngularEngine(DrawEngine):
         pairs, segs = [], []
         for l in range(L):
             ka, ja = _equal_pairs(*2 * (self.serve[l].ravel(),))  # k q + a, j q + a'
-            # no user's own estimate, nothing in a shared cell
-            held = (ka // q != ja // q) & (not self.shared[l])
+            held = ka // q != ja // q  # no user's own estimate
             ka, ja = ka[held], ja[held]
             # each match of a pair (k, j) times each match of it, in
             # (k, a, j, b) order: sorted stably by target, j ascends within
@@ -1112,7 +1100,7 @@ class _AngularEngine(DrawEngine):
         first, ids = self.segs[:, s0:s1]
         T = u.shape[0]
         x = np.take(self._block(w, l, c).reshape(T, -1), src, axis=1)
-        if self.shared[l]:  # one set of pairs for every user's vector
+        if self.shared:  # one set of pairs for every user's vector
             x = np.take(u.conj(), ua, axis=2) * x[:, None]
             return _segment_sums(x, first, ids, K)
         x *= np.take(u.conj().reshape(T, -1), ua, axis=1)
@@ -1189,16 +1177,19 @@ def run_bounds(
 
     Returns {bound_name: RateReport}; bound names are 'coherent',
     'noncoherent', 'alt', 'maxmin'.  The per-trial work is chunked and the
-    chunks may run on a thread pool.  Each per-trial statistic is gathered
-    once, in trial order, as a [cells, trials, K] array and reduced as arrays
-    whose sums run in a fixed order, so the output is bitwise independent of
-    the thread count.  A user's mean over trials is taken over a
-    users-leading contiguous copy (`_users_leading`); per-trial sums run over
-    the users, then the cells in order; the alt penalty's per-link sums run
-    over each chunk's trials, then the chunks in order, one cell at a time.
-    A cell's rate is the ordered Python sum of its users' (for the coherent
-    bound, the mean of its per-trial sums), and the total the ordered sum of
-    the cells'.
+    chunks may run on a thread pool.  A chunk returns statistics only
+    (`DrawEngine._chunk`), and every rate is formed here: the coherent rate
+    log2(1 + sinr) and the max-min term log2(1 + |sig|^2 / (1/P + ip2_sum))
+    per trial, elementwise over the gathered arrays.  Each per-trial
+    statistic is gathered once, in trial order, as a [cells, trials, K]
+    array and reduced as arrays whose sums run in a fixed order, so the
+    output is bitwise independent of the thread count.  A user's mean over
+    trials is taken over a users-leading contiguous copy (`_users_leading`);
+    per-trial sums run over the users, then the cells in order; the alt
+    penalty's per-link sums run over each chunk's trials, then the chunks in
+    order, one cell at a time.  A cell's rate is the ordered Python sum of
+    its users' (for the coherent bound, the mean of its per-trial sums), and
+    the total the ordered sum of the cells'.
 
     conditional_contamination switches the coherent bound's denominator from
     the unconditional projected covariances R~ of the pilot-sharing links to
@@ -1277,22 +1268,23 @@ def run_bounds(
         return np.stack([np.concatenate([c[group][l][key] for c in chunks]) for l in cells])
 
     if "coherent" in want:
-        rate = gather("coherent", "rate")
+        sinr = gather("coherent", "sinr")
+        rate = np.log2(1.0 + sinr)
         cell_trials = rate.sum(axis=-1)
         reports["coherent"] = _report(
             "CoherentUL", "ul", cells, prelog * _users_leading(rate).mean(axis=-1),
             _stderr(prelog, cell_trials.sum(axis=0)), trials, prelog,
             per_cell=prelog * cell_trials.mean(axis=-1),
-            mean_sinr=_users_leading(gather("coherent", "sinr")).mean(axis=-1))
+            mean_sinr=_users_leading(sinr).mean(axis=-1))
 
     if want & {"noncoherent", "alt", "maxmin"}:
         inv_p = 1.0 / (sc.P_ul if direction == "ul" else sc.P_dl_per_user)
-        ub = gather("_nc", "ub")
+        sig, ip2_sum = gather("_nc", "sig"), gather("_nc", "ip2_sum")
+        ub = np.log2(1.0 + np.abs(sig) ** 2 / (inv_p + ip2_sum))
         ub_user = prelog * _users_leading(ub).mean(axis=-1)
         ub_stderr = _stderr(prelog, ub.sum(axis=-1).sum(axis=0))
         if "noncoherent" in want:
-            sig = _users_leading(gather("_nc", "sig"))
-            ip2_sum = _users_leading(gather("_nc", "ip2_sum"))
+            sig, ip2_sum = _users_leading(sig), _users_leading(ip2_sum)
             # batch estimates for the moment-based bound's stderr
             nbatch = max(min(10, trials // 2), 1)
             bedges = np.linspace(0, trials, nbatch + 1).astype(int)

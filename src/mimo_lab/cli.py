@@ -23,8 +23,8 @@ from .detequiv import (
     concentration_check,
     solve_fixed_point,
 )
-from .harness import (ConfigError, closed_form, load_config, read_pairs, reproduce_figure,
-                      results_text, run_experiment, write_results)
+from .harness import (FIGURES, ConfigError, closed_form, load_config, read_pairs,
+                      reproduce_figure, results_text, run_experiment, write_results)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -122,7 +122,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--format", choices=("csv", "plotdata"), default="csv")
 
     p_fig = sub.add_parser("reproduce", help="reproduce one of the figures")
-    p_fig.add_argument("fig", choices=("fig2", "fig3", "fig5", "fig6", "fig7"))
+    p_fig.add_argument("fig", choices=FIGURES)
     p_fig.add_argument("--scale", choices=("desk", "full"), default="desk")
     p_fig.add_argument("--seed", type=int, default=1)
     p_fig.add_argument("--trials", type=int, default=None)

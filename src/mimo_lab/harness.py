@@ -46,6 +46,8 @@ MC_NAMES = {"CoherentUL": ("coherent",), "NonCoherent": ("noncoherent",),
             "AltNonCoherent": ("alt", "maxmin"), "MaxMinUB": ("maxmin",)}
 
 SWEEP_AXES = ("snr_db", "M", "r", "T_c")
+# the figures `reproduce_figure` reproduces
+FIGURES = ("fig2", "fig3", "fig5", "fig6", "fig7")
 
 
 @dataclass
@@ -425,21 +427,13 @@ def reproduce_figure(fig: str, scale: str = "desk", seed: int = 1,
         return table
 
     if fig == "fig5":
-        spec = ExperimentSpec(
-            name="fig5", L=7, K=8, M=40, T_c=500, r_own=4, iota=0.2, boost=2.0,
-            pilot="orthogonal", model="fourier", sweep_axis="M",
-            sweep_values=(40, 80, 160), snr_db=10.0,
-            bounds=("alt_dl",), trials=trials, seed=seed, covariance_draws=2,
-        )
-        spec = _desk(spec, scale, table)
-        # M/K = 5 and M/r = 10 fixed along the sweep
-        for si, M in enumerate(spec.sweep_values):
-            sub = replace(spec, name="fig5", M=int(M), K=int(M) // 5, r_own=int(M) // 10,
-                          sweep_axis="M", sweep_values=(M,))
-            table.extend(run_experiment(sub))
-        return table
-
-    if fig == "fig3":
+        # M/K = 5 and M/r = 10 fixed along M: one spec per point
+        specs = [ExperimentSpec(
+            name="fig5", L=7, K=M // 5, M=M, T_c=500, r_own=M // 10, iota=0.2, boost=2.0,
+            pilot="orthogonal", model="fourier", sweep_axis="M", sweep_values=(M,),
+            snr_db=10.0, bounds=("alt_dl",), trials=trials, seed=seed, covariance_draws=2,
+        ) for M in (40, 80, 160)]
+    elif fig == "fig3":
         specs = [ExperimentSpec(
             name=f"fig3:r={r}", L=4, K=10, M=200, T_c=500, r_own=r, iota=0.2,
             boost=2.0, pilot="orthogonal", model="fourier", sweep_axis="snr_db",
@@ -462,7 +456,7 @@ def reproduce_figure(fig: str, scale: str = "desk", seed: int = 1,
             bounds=("alt_ul",), trials=trials, seed=seed, covariance_draws=2,
         ) for pilot in ("orthogonal", "nonorthogonal") for r in (4, 8)]
     else:
-        raise ConfigError(f"unknown figure {fig!r}; valid: fig2, fig3, fig5, fig6, fig7")
+        raise ConfigError(f"unknown figure {fig!r}; valid: {', '.join(FIGURES)}")
     for spec in specs:
         table.extend(run_experiment(_desk(spec, scale, table)))
     return table

@@ -96,7 +96,8 @@ def angular_plans(sc, bases) -> dict:
                       else [idx[(l, l, k)][a] for a in bases[(l, k)]]) for l, k in sc.users()}
     at = {u: {m: a for a, m in enumerate(ms)} for u, ms in serve.items()}  # DFT index -> a
     q = len(serve[(0, 0)])
-    shared = [all(serve[(l, k)] == serve[(l, 0)] for k in range(K)) for l in range(L)]
+    # one rule for the whole engine: every cell's users in the same columns
+    shared = all(serve[(l, k)] == serve[(l, 0)] for l, k in sc.users())
     rx = max((len(ms) for (l, c, _), ms in idx.items() if c != l), default=0)
     ref = {"own_pos": None if bases is None else np.array(
         [[[idx[(l, l, k)].index(m) if m in idx[(l, l, k)] else r for m in serve[(l, k)]]
@@ -106,7 +107,7 @@ def angular_plans(sc, bases) -> dict:
     for l in range(L):
         for c in range(L):
             width, key = (r if c == l else rx), None
-            for n in range(1 if shared[l] else K):
+            for n in range(1 if shared else K):
                 for p in range(K):
                     for b, m in enumerate(idx[(l, c, p)]):
                         if m in at[(l, n)]:
@@ -128,7 +129,7 @@ def angular_plans(sc, bases) -> dict:
         pairs, segs, ptr = [], [], [[0], [0]]
         for l in range(L):
             last = None
-            for k in range(K) if not shared[l] else ():
+            for k in range(K) if not shared else ():
                 for a, ma in enumerate(serve[(l, k)]):
                     for b, mb in enumerate(serve[(l, k)]):
                         target = (k * q + a) * q + b

@@ -125,9 +125,9 @@ def test_model_label_picks_the_representation():
         for scen, angular in [(sc, True), (dense_twin(sc), False), (haar, False)]:
             assert isinstance(DrawEngine(scen, bases=BASES[which](scen)),
                               _AngularEngine if angular else _DenseEngine)
-    # the users of a cell served in the same DFT columns share its basis
-    assert DrawEngine(sc, bases=full_bases(sc)).shared == [True, True]
-    assert DrawEngine(sc).shared == [False, False]
+    # the users of every cell served in the same DFT columns share its basis
+    assert DrawEngine(sc, bases=full_bases(sc)).shared is True
+    assert DrawEngine(sc).shared is False
 
 
 @pytest.mark.parametrize("which", ["own", "d=3", "I_M"])
@@ -196,7 +196,7 @@ def test_passes_change_no_statistic(direction):
         sc = make_scenario(seed=6, L=3, M=120, snr_db=10.0, **point)
         split, whole = DrawEngine(sc), DrawEngine(sc)
         whole.span = CHUNK
-        assert split.span < CHUNK and not any(split.shared)
+        assert split.span < CHUNK and not split.shared
         passes.append(-(-CHUNK // split.span))
         want = {"coherent", "alt"} if direction == "ul" else {"alt"}
         got, ref = (getattr(e, f"{direction}_chunk")(7, 0, CHUNK, [0, 2], want)
@@ -334,7 +334,7 @@ def test_per_user_pass_forms_no_seen_estimates(monkeypatch, pilot):
     # bound; the MF coherent SINR still reads the seen estimates
     sc = make_scenario(pilot=pilot, **dict(POINT, K=5))
     eng = DrawEngine(sc)
-    assert isinstance(eng, _AngularEngine) and eng.q <= sc.K and not any(eng.shared)
+    assert isinstance(eng, _AngularEngine) and eng.q <= sc.K and not eng.shared
 
     def unseen(*args):
         raise AssertionError("seen estimates formed")
@@ -343,7 +343,8 @@ def test_per_user_pass_forms_no_seen_estimates(monkeypatch, pilot):
     ul = eng.ul_chunk(5, 0, 6, [0, 1], set(UL_BOUNDS))
     dl = eng.dl_chunk(5, 0, 6, [0, 1], set(DL_BOUNDS))
     assert all(np.isfinite(ul["coherent"][l]["sinr"]).all() for l in (0, 1))
-    assert all(np.isfinite(out["_nc"][l]["ub"]).all() for out in (ul, dl) for l in (0, 1))
+    assert all(np.isfinite(out["_nc"][l][key]).all() for out in (ul, dl) for l in (0, 1)
+               for key in ("sig", "ip2_sum"))
     with pytest.raises(AssertionError, match="seen estimates"):
         DrawEngine(sc, combiner="mf").ul_chunk(5, 0, 6, [0], {"coherent"})
 
@@ -372,16 +373,17 @@ def assert_plans_match_definition(sc, bases, combiner):
     ref = oracle.angular_plans(sc, bases)
     for name in ("own_pos", "pairs", "segs", "ptr", "gram_pairs", "gram_segs", "gram_ptr"):
         got, want = getattr(eng, name), ref[name]
-        if name.startswith("gram") and (combiner != "mmse" or all(eng.shared)):
+        if name.startswith("gram") and (combiner != "mmse" or eng.shared):
             want = None
         if want is None:
             assert got is None, name
         else:
             assert got.dtype == want.dtype and np.array_equal(got, want), name
     # built with the plans exactly where a pass gathers seen estimates
-    gathers = not all(eng.shared) and (eng.q > sc.K or combiner == "mf")
-    assert ("est_pos" in vars(eng)) == gathers
-    assert eng.est_pos.dtype == np.intp and np.array_equal(eng.est_pos, ref["est_pos"])
+    gathers = not eng.shared and (eng.q > sc.K or combiner == "mf")
+    assert (eng.est_pos is not None) == gathers
+    if gathers:
+        assert eng.est_pos.dtype == np.intp and np.array_equal(eng.est_pos, ref["est_pos"])
     return eng
 
 
@@ -393,7 +395,7 @@ def test_plans_match_their_definition(case, combiner):
     sc = make_scenario(eigen_shape="exp_decay", eigen_rate=0.5, **dict(POINT, K=5) | over)
     eng = assert_plans_match_definition(sc, BASES[which](sc), combiner)
     if case == "fig2-full":
-        assert all(eng.shared)
+        assert eng.shared
 
 
 @pytest.mark.parametrize("combiner", ["mmse", "mf"])
@@ -402,7 +404,51 @@ def test_plans_match_their_definition_with_an_empty_block(pilot, combiner):
     sc = disjoint_block_scenario(pilot)
     eng = assert_plans_match_definition(sc, None, combiner)
     (p0, p1), (s0, s1) = eng.ptr[:, 1:3]
-    assert p0 == p1 and s0 == s1 and not any(eng.shared)
+    assert p0 == p1 and s0 == s1 and not eng.shared
+
+
+def mixed_cells_scenario(pilot, K):
+    """A draw whose cell 0 users all store one DFT support and whose cell 1
+    users do not: its own eigenbases serve every user of cell 0 in the same
+    columns."""
+    sc = make_scenario(pilot=pilot, **dict(POINT, M=40, K=K))
+    for (l, c, p), prof in sc.profiles.items():
+        if l == c == 0:
+            prof.idx = np.arange(prof.r) + 5
+    return sc
+
+
+@pytest.mark.parametrize("K", [3, 5], ids=["rank-K", "per-user"])
+@pytest.mark.parametrize("pilot", ["orthogonal", "nonorthogonal"])
+def test_sharing_is_decided_once_per_engine(monkeypatch, pilot, K):
+    # one cell whose users share their columns does not make the engine
+    # shared: every cell takes the per-user-basis path (rank-K at q > K,
+    # per-user systems at q <= K), its plans are as defined, and the rates
+    # are the dense twin's in both directions
+    sc = mixed_cells_scenario(pilot, K)
+    eng = assert_plans_match_definition(sc, None, "mmse")
+    assert (eng.serve[0] == eng.serve[0, :1]).all() and (eng.serve[1] != eng.serve[1, :1]).any()
+    assert eng.shared is False
+    calls = []
+    for name in ("_seen_estimates", "_loo_grams"):
+        def spy(self, w_hat, l, _name=name, _method=getattr(_AngularEngine, name)):
+            out = _method(self, w_hat, l)
+            # the seen estimates of a cell: one basis per user unless shared
+            calls.append((_name, l, out.shape[2] if _name == "_seen_estimates" else None))
+            return out
+        monkeypatch.setattr(_AngularEngine, name, spy)
+    for direction, bounds in (("ul", UL_BOUNDS), ("dl", DL_BOUNDS)):
+        got = run_bounds(sc, direction, bounds, 70, 11)
+        assert_reports_agree(got, run_bounds(dense_twin(sc), direction, bounds, 70, 11))
+    path = ("_seen_estimates", K) if eng.q > K else ("_loo_grams", None)
+    assert set(calls) == {(path[0], l, path[1]) for l in (0, 1)}
+
+
+@pytest.mark.parametrize("over, bases", [(dict(K=1), None), (dict(M=8, r_own=8), None),
+                                         ({}, "full")], ids=["K=1", "r=M", "full"])
+def test_one_set_of_columns_per_cell_stays_shared(over, bases):
+    eng = DrawEngine(make_scenario(**dict(POINT, **over)), bases=bases)
+    assert eng.shared is True and eng.gram_ptr is None and eng.est_pos is None
 
 
 def test_default_mmse_engine_holds_no_seen_estimate_plan():
@@ -413,7 +459,7 @@ def test_default_mmse_engine_holds_no_seen_estimate_plan():
     assert eng.gram_ptr is not None and eng.q <= sc.K
     eng.ul_chunk(1, 0, 4, [0, 2], set(UL_BOUNDS))
     eng.dl_chunk(1, 0, 4, [1], set(DL_BOUNDS))
-    assert "est_pos" not in vars(eng)
+    assert eng.est_pos is None
     big = sc.L * sc.K * sc.K * eng.q
     assert max(v.size for v in vars(eng).values() if isinstance(v, np.ndarray)) < big
     # MF, and a serving map with q > K, gather seen estimates: est_pos is
@@ -423,5 +469,5 @@ def test_default_mmse_engine_holds_no_seen_estimate_plan():
                                   (small, "mmse", restricted_bases(small, 4, stream(9)))]:
         eng = DrawEngine(scen, combiner=combiner, bases=bases)
         assert eng.q > scen.K or combiner == "mf"
-        assert "est_pos" in vars(eng)
+        assert eng.est_pos is not None
         assert np.array_equal(eng.est_pos, oracle.angular_plans(scen, bases)["est_pos"])

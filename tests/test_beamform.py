@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
 
-from mimo_lab import bounds
+from mimo_lab import bounds, detequiv
 from mimo_lab.bounds import CHOLESKY_MAX_Q, DrawEngine, run_bounds
 from mimo_lab.covmodel import CorrelationModel, stream
 from mimo_lab.harness import restrict_support
 
+import oracle
 from conftest import full_bases, make_scenario, restricted_bases, single_link_scenario
 
 FOURIER, HAAR = CorrelationModel.PARTIAL_FOURIER, CorrelationModel.PARTIAL_UNITARY
@@ -98,7 +99,12 @@ class TestLeaveOneOut:
         sc = make_scenario(seed=41, L=2, K=CHOLESKY_MAX_Q + 4, M=48, r_own=q, snr_db=15.0,
                            model=model, pilot=pilot)
         eng = DrawEngine(sc)
-        assert q <= sc.K and not any(eng.shared)
+        assert q <= sc.K and not eng.shared
+        if model is FOURIER:
+            # the per-user engine plans no seen estimates; the explicit
+            # formula reads them through the reference table
+            assert eng.est_pos is None
+            eng.est_pos = oracle.angular_plans(sc, None)["est_pos"]
         w_hat, s_obs = eng._estimates(*eng._draw_chunk(7, 0, 5))
         for l in range(sc.L):
             v, Y, sinr = eng._beamformer(w_hat, l, sc.P_ul, sinr=True)
@@ -119,7 +125,7 @@ class TestLeaveOneOut:
         # the back substitution; a pass that reads the vectors does
         sc = make_scenario(seed=42, L=2, K=6, M=40, r_own=4, model=HAAR)
         eng = DrawEngine(sc)
-        assert eng.q <= min(sc.K, CHOLESKY_MAX_Q) and not any(eng.shared)
+        assert eng.q <= min(sc.K, CHOLESKY_MAX_Q) and not eng.shared
 
         def no_back_substitution(*args):
             raise AssertionError("back substitution in a coherent-only pass")
@@ -227,3 +233,42 @@ class TestFulldimBaseline:
         alt_low = _alt_dl(sc, 250, 6)  # d = r: the own eigenbasis
         slack = 3 * (alt_full.stderr + alt_low.stderr) + 0.02 * alt_full.sum_total
         assert abs(alt_full.sum_total - alt_low.sum_total) <= slack
+
+
+SOLVE_CASES = {
+    # name: (model, K, r_own, serving choice, combiner, conditional contamination)
+    "per-user-cholesky": (HAAR, 6, 4, None, "mmse", False),
+    "per-user-lu": (FOURIER, CHOLESKY_MAX_Q + 2, CHOLESKY_MAX_Q + 1, None, "mmse", False),
+    "rank-K-unshared": (FOURIER, 3, 4, None, "mmse", False),
+    "rank-K-unshared-dense": (HAAR, 3, 4, None, "mmse", False),
+    "rank-K-shared": (FOURIER, 3, 4, "full", "mmse", False),
+    "mf": (HAAR, 3, 4, None, "mf", False),
+    "conditional": (HAAR, 6, 4, None, "mmse", True),
+}
+
+
+@pytest.mark.parametrize("case", list(SOLVE_CASES))
+def test_solves_mean_the_same_under_every_numpy(monkeypatch, case):
+    # numpy < 2 reads a right-hand side b with b.ndim == a.ndim - 1 as a
+    # stack of vectors, numpy >= 2 as a stack of matrices: every solve must
+    # pass one vector to one matrix, or a b of any other rank, in both
+    # directions under both pilots, and in the MMSE deterministic equivalent
+    model, K, r, bases, combiner, conditional = SOLVE_CASES[case]
+    solve, shapes = np.linalg.solve, []
+
+    def recorded(a, b):
+        shapes.append((np.shape(a), np.shape(b)))
+        return solve(a, b)
+
+    monkeypatch.setattr(np.linalg, "solve", recorded)
+    for pilot in ("orthogonal", "nonorthogonal"):
+        sc = make_scenario(seed=45, L=2, K=K, M=48, r_own=r, snr_db=10.0, model=model,
+                           pilot=pilot)
+        for direction, wanted in (("ul", bounds.UL_BOUNDS), ("dl", bounds.DL_BOUNDS)):
+            run_bounds(sc, direction, wanted, 4, 3, combiner, bases=bases,
+                       conditional_contamination=conditional)
+        if case == "per-user-cholesky" and pilot == "orthogonal":
+            detequiv.sinr_mmse_detequiv(sc, (0, 0))
+    assert shapes
+    assert [(a, b) for a, b in shapes
+            if not (len(b) == 1 and len(a) == 2 or len(b) not in (1, len(a) - 1))] == []

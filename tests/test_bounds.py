@@ -1,3 +1,4 @@
+import itertools
 import math
 import os
 
@@ -285,10 +286,33 @@ class TestServingBases:
             assert based[name].stderr == pytest.approx(rep.stderr, rel=1e-12, abs=1e-12)
 
 
+@pytest.mark.parametrize("model", [CorrelationModel.PARTIAL_FOURIER,
+                                   CorrelationModel.PARTIAL_UNITARY], ids=["fourier", "haar"])
+@pytest.mark.parametrize("direction, bounds", [("ul", UL_BOUNDS), ("dl", DL_BOUNDS)],
+                         ids=["ul", "dl"])
+def test_chunks_return_the_statistics_their_bounds_read(direction, bounds, model):
+    # a chunk returns statistics only, and only those the wanted bounds
+    # read; run_bounds forms every rate from them
+    engine = DrawEngine(make_scenario(seed=20, L=2, K=3, M=24, r_own=4, model=model))
+    chunk = engine.ul_chunk if direction == "ul" else engine.dl_chunk
+    for n in range(1, len(bounds) + 1):
+        for want in itertools.combinations(bounds, n):
+            expect = {"coherent": {"sinr"}} if "coherent" in want else {}
+            if set(want) - {"coherent"}:
+                expect["_nc"] = {"sig", "ip2_sum"} | ({"ip_mean", "ip2"} if "alt" in want
+                                                      else set())
+            out = chunk(3, 0, 5, [1, 0], set(want))
+            assert {group: {l: set(stats) for l, stats in cells.items()}
+                    for group, cells in out.items()} == {
+                group: {1: keys, 0: keys} for group, keys in expect.items()}, want
+
+
 def loop_reports(sc, direction, bounds, trials, seed_key, cells):
     """run_bounds' reports reduced by per-user Python loops over the engine's
     own chunk statistics: the literal reduction that the array code replaced,
-    kept as its oracle (math.log2 and scalar moments per user and batch)."""
+    kept as its oracle (math.log2 and scalar moments per user and batch).
+    The per-trial coherent and max-min rates are formed from the chunks'
+    sinr, sig and ip2_sum by run_bounds' elementwise expressions."""
     want = set(bounds) & set(DL_BOUNDS if direction == "dl" else UL_BOUNDS)
     engine = DrawEngine(sc)
     fn = engine.ul_chunk if direction == "ul" else engine.dl_chunk
@@ -305,8 +329,8 @@ def loop_reports(sc, direction, bounds, trials, seed_key, cells):
         per_user, per_cell, mean_sinr = {}, {}, {}
         sum_trials = None
         for l in cells:
-            rates = np.concatenate([c["coherent"][l]["rate"] for c in chunks], axis=0)
             sinrs = np.concatenate([c["coherent"][l]["sinr"] for c in chunks], axis=0)
+            rates = np.log2(1.0 + sinrs)
             for k in range(K):
                 per_user[(l, k)] = prelog * float(rates[:, k].mean())
                 mean_sinr[(l, k)] = float(sinrs[:, k].mean())
@@ -330,7 +354,7 @@ def loop_reports(sc, direction, bounds, trials, seed_key, cells):
         for l in cells:
             sig = np.concatenate([c["_nc"][l]["sig"] for c in chunks], axis=0)
             ip2_sum = np.concatenate([c["_nc"][l]["ip2_sum"] for c in chunks], axis=0)
-            ub = np.concatenate([c["_nc"][l]["ub"] for c in chunks], axis=0)
+            ub = np.log2(1.0 + np.abs(sig) ** 2 / (inv_p + ip2_sum))
             ip_mean = sum(c["_nc"][l]["ip_mean"] for c in chunks) / trials
             ip2 = sum(c["_nc"][l]["ip2"] for c in chunks) / trials
             ip_var = np.maximum(ip2 - np.abs(ip_mean) ** 2, 0.0)

@@ -127,7 +127,7 @@ def assert_replayed(sc, out, alt, cells, sig, ub, ip, power):
     """The engine's per-chunk statistics and the reduced alt rate against the
     replayed per-trial sig [L, T, K], ub [L, T, K] and ip [L, T, K, LK]."""
     for l in cells:
-        for name, want in (("sig", sig[l]), ("ub", ub[l]),
+        for name, want in (("sig", sig[l]), ("ip2_sum", (np.abs(ip[l]) ** 2).sum(axis=-1)),
                            ("ip_mean", ip[l].sum(axis=0)),
                            ("ip2", (np.abs(ip[l]) ** 2).sum(axis=0))):
             np.testing.assert_allclose(out[l][name], want, rtol=0, atol=TOL,
@@ -158,9 +158,9 @@ def conditional(sc, oracle):
 def replay_ul(sc, oracle, combiner, cells, seed, conditional_contamination=False,
               dense=False):
     """Replay DrawEngine.ul_chunk trial by trial and check it on `cells`:
-    the coherent rate, alone (the pass that forms no vectors where it can)
-    and with the bounds that read the vectors, then sig, ub, ip and the
-    reduced alt rate.  dense runs the engine on the draw's dense twin."""
+    the coherent SINR, alone (the pass that forms no vectors where it can)
+    and with the bounds that read the vectors, then sig, ip2_sum, ip and
+    the reduced alt rate.  dense runs the engine on the draw's dense twin."""
     trials = 3
     esc = dense_twin(sc) if dense else sc
 
@@ -190,7 +190,7 @@ def replay_ul(sc, oracle, combiner, cells, seed, conditional_contamination=False
                 den += np.vdot(v, v).real / sc.P_ul
                 if mean is not None:
                     den += sum(abs(np.vdot(v, F @ obs[(l, k)])) ** 2 for F in mean[(l, k)])
-                coherent[l, t, k] = math.log2(1.0 + num / den)
+                coherent[l, t, k] = num / den
                 # max-min bound and alt statistics from the true channels
                 sig[l, t, k] = np.vdot(v, own_channel(sc, oracle, w, l, k))
                 ip[l, t, k] = replay_links(sc, oracle, v, w, l, k)
@@ -199,8 +199,8 @@ def replay_ul(sc, oracle, combiner, cells, seed, conditional_contamination=False
 
     for l in cells:
         for got in (out, alone):
-            np.testing.assert_allclose(got["coherent"][l]["rate"], coherent[l], rtol=0,
-                                       atol=TOL, err_msg=f"coherent rate at cell {l}")
+            np.testing.assert_allclose(got["coherent"][l]["sinr"], coherent[l], rtol=0,
+                                       atol=TOL, err_msg=f"coherent SINR at cell {l}")
     alt = run_bounds(esc, "ul", ("alt",), trials, seed, combiner, cells,
                      conditional_contamination)["alt"]
     assert_replayed(sc, out["_nc"], alt, cells, sig, ub, ip, sc.P_ul)

@@ -279,13 +279,14 @@ class TestCli:
         assert cli_main(["detequiv", str(prob)]) == 3
 
     def test_non_finite_rate_exits_3_without_output(self, tmp_path, monkeypatch):
-        # one chunk of three returns a NaN max-min rate for one user
+        # one chunk of three returns a NaN signal for one user: its max-min
+        # and alt rates are NaN
         ul_chunk = DrawEngine.ul_chunk
 
         def poisoned(self, base_seed, t0, t1, cells, want):
             out = ul_chunk(self, base_seed, t0, t1, cells, want)
             if t0 == 64:
-                out["_nc"][cells[0]]["ub"][0, 0] = np.nan
+                out["_nc"][cells[0]]["sig"][0, 0] = np.nan
             return out
 
         monkeypatch.setattr(DrawEngine, "ul_chunk", poisoned)
